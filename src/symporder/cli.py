@@ -33,7 +33,10 @@ class _Parser(argparse.ArgumentParser):
 def _emit(command: str, fields: dict, out: str | None) -> None:
     doc = {"command": command, "convention": CONVENTION, "version": __version__}
     doc.update(fields)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ComputationError(f"{command} report holds a non-finite number: {exc}") from exc
     if out is None:
         sys.stdout.write(text)
     else:

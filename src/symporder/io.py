@@ -9,6 +9,10 @@ suffice).  Schemas, with matrices flattened row-major:
 * quant file:     {"shift": s, "grid_shape": [...], "values": [...]}
 * matrix file:    {"dim": d, "matrix": [d*d floats]}
 * hermitian file: {"n": n, "real": [n*n floats], "imag": [n*n floats]}
+
+Loaders accept only positive JSON integers for ``dim``, ``n`` and the
+``grid_shape`` entries, and only finite numbers in the float fields; anything
+else is an :class:`InputError` that names the file.
 """
 
 from __future__ import annotations
@@ -41,16 +45,42 @@ def _require(data: dict, key: str, filename: str):
     return data[key]
 
 
+def _require_count(data: dict, key: str, filename: str) -> int:
+    value = _require(data, key, filename)
+    if type(value) is not int or value < 1:
+        raise InputError(f"{filename}: {key!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def _require_shape(data: dict, filename: str) -> tuple:
+    shape = _require(data, "grid_shape", filename)
+    if not isinstance(shape, list) or any(type(n) is not int or n < 1 for n in shape):
+        raise InputError(f"{filename}: 'grid_shape' must be a list of positive "
+                         f"integers, got {shape!r}")
+    return tuple(shape)
+
+
+def _require_floats(data: dict, key: str, filename: str) -> np.ndarray:
+    raw = _require(data, key, filename)
+    try:
+        values = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{filename}: {key!r} must hold numbers ({exc})") from exc
+    if not np.isfinite(values).all():
+        raise InputError(f"{filename}: {key!r} holds a non-finite number")
+    return values
+
+
 def load_path(filename: str) -> SampledPath:
     data = _load_json(filename)
-    dim = _require(data, "dim", filename)
-    times = np.asarray(_require(data, "times", filename), dtype=float)
-    rows = _require(data, "matrices", filename)
+    dim = _require_count(data, "dim", filename)
+    times = _require_floats(data, "times", filename)
+    mats = _require_floats(data, "matrices", filename)
     try:
-        mats = np.asarray(rows, dtype=float).reshape(len(times), dim, dim)
+        mats = mats.reshape(times.size, dim, dim)
     except ValueError as exc:
         raise InputError(f"{filename}: matrices do not form "
-                         f"{len(times)} x {dim} x {dim} samples ({exc})") from exc
+                         f"{times.size} x {dim} x {dim} samples ({exc})") from exc
     try:
         return SampledPath(times, mats)
     except InputError as exc:
@@ -70,8 +100,8 @@ def save_path(path: SampledPath, filename: str) -> None:
 
 def load_grid(filename: str) -> LeafFunction:
     data = _load_json(filename)
-    shape = tuple(_require(data, "grid_shape", filename))
-    values = np.asarray(_require(data, "values", filename), dtype=float)
+    shape = _require_shape(data, filename)
+    values = _require_floats(data, "values", filename)
     try:
         values = values.reshape(shape)
     except ValueError as exc:
@@ -97,16 +127,18 @@ def load_quant_element(filename: str) -> QuantElement:
     constant leaf function acts as a fiber rotation.
     """
     data = _load_json(filename)
-    shift = float(_require(data, "shift", filename))
-    shape = tuple(_require(data, "grid_shape", filename))
-    values = np.asarray(_require(data, "values", filename), dtype=float)
+    shift = _require_floats(data, "shift", filename)
+    if shift.shape != ():
+        raise InputError(f"{filename}: 'shift' must be a single number")
+    shape = _require_shape(data, filename)
+    values = _require_floats(data, "values", filename)
     try:
         values = values.reshape(shape)
     except ValueError as exc:
         raise InputError(f"{filename}: values do not fill grid {shape} ({exc})") from exc
     mean = float(values.mean())
     try:
-        return QuantElement(shift + mean, LeafFunction(values - mean, normalized=True))
+        return QuantElement(float(shift) + mean, LeafFunction(values - mean, normalized=True))
     except ValueError as exc:
         raise InputError(f"{filename}: {exc}") from exc
 
@@ -124,8 +156,8 @@ def save_quant_element(element: QuantElement, filename: str) -> None:
 
 def load_matrix(filename: str) -> np.ndarray:
     data = _load_json(filename)
-    dim = _require(data, "dim", filename)
-    flat = np.asarray(_require(data, "matrix", filename), dtype=float)
+    dim = _require_count(data, "dim", filename)
+    flat = _require_floats(data, "matrix", filename)
     try:
         return flat.reshape(dim, dim)
     except ValueError as exc:
@@ -134,9 +166,9 @@ def load_matrix(filename: str) -> np.ndarray:
 
 def load_hermitian(filename: str) -> np.ndarray:
     data = _load_json(filename)
-    n = _require(data, "n", filename)
-    re = np.asarray(_require(data, "real", filename), dtype=float)
-    im = np.asarray(_require(data, "imag", filename), dtype=float)
+    n = _require_count(data, "n", filename)
+    re = _require_floats(data, "real", filename)
+    im = _require_floats(data, "imag", filename)
     try:
         return re.reshape(n, n) + 1j * im.reshape(n, n)
     except ValueError as exc:

@@ -22,6 +22,7 @@ from .matrices import (
     exp_i_hermitian,
     real_to_complex,
     standard_j,
+    symplectic_defect,
     unitary_polar_factor,
 )
 from .paths import SampledPath, compose, extract_hamiltonian, pointwise_power, refine
@@ -96,10 +97,6 @@ def maslov_via_trace(path: SampledPath, tol: float = 1e-9) -> float:
     return float(np.trapezoid(traces, track.times))
 
 
-def pointwise_power_index(path: SampledPath, k: int) -> float:
-    return maslov_index(pointwise_power(path, k)).value
-
-
 def homogenize(path: SampledPath, k_max: int) -> np.ndarray:
     """Sequence maslov(X^k)/k for k = 1..k_max.
 
@@ -108,7 +105,8 @@ def homogenize(path: SampledPath, k_max: int) -> np.ndarray:
     """
     if k_max < 1:
         raise InputError("k_max must be at least 1")
-    return np.array([pointwise_power_index(path, k) / k for k in range(1, k_max + 1)])
+    return np.array([maslov_index(pointwise_power(path, k)).value / k
+                     for k in range(1, k_max + 1)])
 
 
 def quasimorphism_defect_sample(num_pairs: int, dim: int, seed: int,
@@ -298,8 +296,12 @@ def positive_path_to(p: np.ndarray, n_samples: int = 512,
     order, which makes the construction deterministic.
     """
     p = np.asarray(p, dtype=float)
-    if np.abs(p - p.T).max() > tol:
-        raise InputError("endpoint must be symmetric")
+    if p.ndim != 2 or np.abs(p - p.T).max() > tol:
+        raise InputError("endpoint must be a symmetric matrix")
+    # the defect of A^T J A - J grows with the square of the entries
+    defect = float(symplectic_defect(p))
+    if defect > tol * (1.0 + float(np.abs(p).max()) ** 2):
+        raise InputError(f"endpoint is not symplectic: |P^T J P - J| = {defect:.3e}")
     dim = p.shape[0]
     n = dim // 2
     q, lams = _pair_spd_symplectic(p, tol)

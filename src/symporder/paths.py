@@ -10,6 +10,12 @@ Generator bookkeeping under the group operations:
 * product:     H_{XY} = H_X + (X^{-1})^T H_Y X^{-1}
 * inverse:     H_{Y^{-1}} = -Y^T H_Y Y
 * block embed: generators embed block-wise and eigenvalue signs survive
+
+Samples are inverted through the form, ``X^{-1} = -J X^T J``.  That identity
+holds exactly on Sp(2n), and :class:`SampledPath` validates every sample as
+symplectic, so no general-purpose (and possibly singular) solve is needed.
+Integer powers of samples and of generator-carrying staircase atoms share one
+repeated-squaring routine, :func:`binary_power`.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, InputError
-from .matrices import matrix_exp, standard_j, symplectic_defect
+from .errors import InputError
+from .matrices import matrix_exp, standard_j, symplectic_defect, symplectic_inverse
 
 # Structural tolerance for validating stored samples.
 SAMPLE_TOL = 1e-9
@@ -34,11 +40,11 @@ DEFAULT_SAMPLES = 256
 class SampledPath:
     """Uniformly or non-uniformly sampled identity-based path in Sp(2n, R).
 
-    Invariants checked at construction: strictly increasing times covering
-    [0, 1], first sample equal to the identity, and every sample symplectic
-    within ``SAMPLE_TOL`` relative to the squared sample norm (the defect of
-    A^T J A - J scales with the square of the entries, so an absolute gate
-    would reject well-conditioned high powers of a path).
+    Invariants checked at construction: finite entries, strictly increasing
+    times covering [0, 1], first sample equal to the identity, and every
+    sample symplectic within ``SAMPLE_TOL`` relative to the squared sample
+    norm (the defect of A^T J A - J scales with the square of the entries, so
+    an absolute gate would reject well-conditioned high powers of a path).
     """
 
     times: np.ndarray
@@ -51,6 +57,8 @@ class SampledPath:
         object.__setattr__(self, "matrices", mats)
         if times.ndim != 1 or mats.ndim != 3 or len(times) != len(mats):
             raise InputError("need matching 1-d times and 3-d matrix stack")
+        if not (np.isfinite(times).all() and np.isfinite(mats).all()):
+            raise InputError("times and samples must be finite")
         if len(times) < 3:
             raise InputError("need at least 3 samples for derivative stencils")
         if not (times[0] == 0.0 and times[-1] == 1.0):
@@ -217,12 +225,8 @@ def extract_hamiltonian(path: SampledPath, order: int = 2) -> HamiltonianTrack:
     if order not in (2, 4):
         raise InputError(f"unsupported stencil order {order}")
     j = standard_j(path.half_dim)
-    try:
-        inv = np.linalg.inv(path.matrices)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError(f"singular sample in path: {exc}") from exc
     deriv = (_time_derivative4 if order == 4 else _time_derivative)(path.times, path.matrices)
-    raw = -j @ (deriv @ inv)
+    raw = -j @ (deriv @ symplectic_inverse(path.matrices))
     asym = float(np.abs(raw - np.swapaxes(raw, -1, -2)).max())
     hams = 0.5 * (raw + np.swapaxes(raw, -1, -2))
     return HamiltonianTrack(times=path.times, hams=hams, max_asymmetry=asym)
@@ -230,11 +234,7 @@ def extract_hamiltonian(path: SampledPath, order: int = 2) -> HamiltonianTrack:
 
 def invert(path: SampledPath) -> SampledPath:
     """Pointwise inverse path t -> X(t)^{-1}."""
-    try:
-        inv = np.linalg.inv(path.matrices)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError(f"singular sample in path: {exc}") from exc
-    return SampledPath(path.times, inv)
+    return SampledPath(path.times, symplectic_inverse(path.matrices))
 
 
 def resample(path: SampledPath, new_times: np.ndarray) -> SampledPath:
@@ -291,7 +291,7 @@ def align_grids(x: SampledPath, y: SampledPath) -> tuple[SampledPath, SampledPat
     common = np.intersect1d(x.times, y.times)
     if len(common) >= max(3, min(x.n_samples, y.n_samples) // 2):
         return subsample(x, common), subsample(y, common)
-    merged = _merge_times(x.times, y.times)
+    merged = np.union1d(x.times, y.times)
     return resample(x, merged), resample(y, merged)
 
 
@@ -306,32 +306,32 @@ def refine(path: SampledPath, factor: int = 2) -> SampledPath:
     return resample(path, np.unique(np.concatenate(pieces)))
 
 
-def _merge_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.union1d(a, b)
-
-
 def compose(x: SampledPath, y: SampledPath) -> SampledPath:
     """Pointwise product path t -> X(t) Y(t) on a merged time grid."""
     if x.dim != y.dim:
         raise InputError(f"dimension mismatch: {x.dim} vs {y.dim}")
     if x.times.shape == y.times.shape and np.array_equal(x.times, y.times):
         return SampledPath(x.times, x.matrices @ y.matrices)
-    times = _merge_times(x.times, y.times)
+    times = np.union1d(x.times, y.times)
     xr, yr = resample(x, times), resample(y, times)
     return SampledPath(times, xr.matrices @ yr.matrices)
 
 
 def pointwise_power(path: SampledPath, k: int) -> SampledPath:
     """Integer power path t -> X(t)^k (negative k through the inverse)."""
-    mats = _stack_power(path.matrices, k)
-    return SampledPath(path.times, mats)
-
-
-def _stack_power(mats: np.ndarray, k: int) -> np.ndarray:
     if k == 0:
-        return np.broadcast_to(np.eye(mats.shape[-1]), mats.shape).copy()
-    base = np.linalg.inv(mats) if k < 0 else mats
-    k = abs(k)
+        eye = np.broadcast_to(np.eye(path.dim), path.matrices.shape)
+        return SampledPath(path.times, eye.copy())
+    base = symplectic_inverse(path.matrices) if k < 0 else path.matrices
+    return SampledPath(path.times, binary_power(base, abs(k)))
+
+
+def binary_power(base, k: int):
+    """``base^k`` for k >= 1 by repeated squaring, for any operand with ``@``.
+
+    Serves both sample stacks and the staircase's generator-carrying atoms,
+    so every power in the package multiplies in the same order.
+    """
     result = None
     sq = base
     while k:

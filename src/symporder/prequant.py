@@ -48,6 +48,8 @@ class LeafFunction:
         object.__setattr__(self, "values", values)
         if values.size == 0:
             raise InputError("leaf function needs a nonempty grid")
+        if not np.isfinite(values).all():
+            raise InputError("leaf function values must be finite")
         if self.normalized and abs(values.mean()) > NORMALIZATION_TOL:
             raise InputError(
                 f"claimed normalized but grid mean is {values.mean():.3e}")
@@ -83,6 +85,8 @@ class QuantElement:
     func: LeafFunction
 
     def __post_init__(self):
+        if not np.isfinite(self.shift):
+            raise InputError(f"fiber shift must be finite, got {self.shift}")
         if not self.func.normalized:
             raise InputError("quantomorphism elements need a normalized leaf function")
 

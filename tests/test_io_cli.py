@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from symporder import cli, generators as gen, io, prequant
-from symporder.errors import InputError
+from symporder.errors import ComputationError, InputError
 
 
 @pytest.fixture()
@@ -112,6 +113,66 @@ def test_cli_is_deterministic_across_processes(loop_file):
     assert first.stdout.endswith(b"\n")
 
 
+def _write_doc(tmp_path, name: str, doc: dict) -> str:
+    target = tmp_path / name
+    target.write_text(json.dumps(doc))  # NaN and inf pass as JSON extensions
+    return str(target)
+
+
+def _malformed_inputs(tmp_path, loop_file) -> list:
+    """(argv, message fragment) pairs for inputs that must exit 1."""
+    with open(loop_file) as fh:
+        loop = json.load(fh)
+    nan_sample, inf_sample, nan_time = (copy.deepcopy(loop) for _ in range(3))
+    nan_sample["matrices"][5][0] = float("nan")
+    inf_sample["matrices"][5][1] = float("inf")
+    nan_time["times"][5] = float("nan")
+    nan_sample = _write_doc(tmp_path, "nan_sample.json", nan_sample)
+    inf_sample = _write_doc(tmp_path, "inf_sample.json", inf_sample)
+    nan_time = _write_doc(tmp_path, "nan_time.json", nan_time)
+    float_dim = _write_doc(tmp_path, "float_dim.json", dict(loop, dim=2.0))
+    bool_dim = _write_doc(tmp_path, "bool_dim.json", dict(loop, dim=True))
+    grid = {"grid_shape": [4], "values": [0.5, -0.5, float("nan"), 0.0]}
+    nan_grid = _write_doc(tmp_path, "nan_grid.json", grid)
+    float_shape = _write_doc(tmp_path, "float_shape.json",
+                             {"grid_shape": [4.0], "values": [0.5, -0.5, 0.0, 0.0]})
+    good_quant = _write_doc(tmp_path, "quant.json",
+                            {"shift": 2.0, "grid_shape": [4], "values": [0.5, -0.5, 0.0, 0.0]})
+    nan_shift = _write_doc(tmp_path, "nan_shift.json",
+                           {"shift": float("nan"), "grid_shape": [4],
+                            "values": [0.5, -0.5, 0.0, 0.0]})
+    float_matrix = _write_doc(tmp_path, "float_matrix.json",
+                              {"dim": 2.0, "matrix": [2.0, 0.0, 0.0, 0.5]})
+    target = np.diag([2.0, 0.5, 3.0, 1 / 3])
+    not_symplectic = _write_doc(tmp_path, "not_symplectic.json",
+                                {"dim": 4, "matrix": target.ravel().tolist()})
+    float_n = _write_doc(tmp_path, "float_n.json",
+                         {"n": 2.0, "real": [1.0, 0.0, 0.0, 1.0], "imag": [0.0] * 4})
+    nan_matrix = _write_doc(tmp_path, "nan_matrix.json",
+                            {"dim": 2, "matrix": [2.0, 0.0, 0.0, float("nan")]})
+    inf_hermitian = _write_doc(tmp_path, "inf_hermitian.json",
+                               {"n": 2, "real": [1.0, 0.0, 0.0, float("inf")], "imag": [0.0] * 4})
+    dest = str(tmp_path / "dest.json")
+    return [
+        (["maslov", nan_sample], "finite"),
+        (["cone", nan_sample], "finite"),
+        (["maslov", inf_sample], "finite"),
+        (["maslov", nan_time], "finite"),
+        (["maslov", float_dim], "'dim'"),
+        (["cone", float_dim], "'dim'"),
+        (["cone", bool_dim], "'dim'"),
+        (["cw", nan_grid], "finite"),
+        (["cw", float_shape], "'grid_shape'"),
+        (["quant-k", good_quant, nan_shift], "finite"),
+        (["synth-positive", float_matrix, dest], "'dim'"),
+        (["synth-positive", not_symplectic, dest], "not symplectic"),
+        (["redistribute", float_n, "10.0"], "'n'"),
+        (["synth-positive", nan_matrix, dest], "non-finite"),
+        (["redistribute", inf_hermitian, "10.0"], "non-finite"),
+        (["zcoord", loop_file, "--kmax", "0"], "k_max"),
+    ]
+
+
 def test_cli_exit_codes(tmp_path, loop_file, capsys):
     code, _, err = run_cli(["maslov", str(tmp_path / "absent.json")], capsys)
     assert code == 1 and "absent.json" in err
@@ -119,6 +180,25 @@ def test_cli_exit_codes(tmp_path, loop_file, capsys):
     assert code == 1
     code, _, err = run_cli(["kdist", loop_file, loop_file, "--cemp", "100"], capsys)
     assert code == 2 and "increase k_max" in err
+    for argv, fragment in _malformed_inputs(tmp_path, loop_file):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and fragment in err, (argv, err)
+        assert "Traceback" not in err
+
+
+def test_cli_malformed_file_exits_1_in_a_fresh_process(tmp_path, loop_file):
+    argv, _ = _malformed_inputs(tmp_path, loop_file)[0]
+    proc = subprocess.run([sys.executable, "-m", "symporder.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_cli_report_never_holds_a_non_finite_number(capsys):
+    with pytest.raises(ComputationError, match="non-finite"):
+        cli._emit("maslov", {"value": float("nan")}, None)
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_order_and_cone(tmp_path, loop_file, capsys):

@@ -196,3 +196,9 @@ def test_positive_path_general_spd_symplectic():
 def test_positive_path_rejects_non_spd():
     with pytest.raises(InputError):
         maslov.positive_path_to(np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
+def test_positive_path_rejects_non_symplectic_endpoint():
+    # the eigenvalues pair as (l, 1/l), but across the wrong coordinate planes
+    with pytest.raises(InputError, match="not symplectic"):
+        maslov.positive_path_to(np.diag([2.0, 0.5, 3.0, 1 / 3]))

@@ -27,6 +27,19 @@ def test_validation_requires_symplectic_samples():
         paths.SampledPath(t, mats)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validation_requires_finite_times_and_samples(bad):
+    path = gen.rotation_path(1.0, 9)
+    mats = path.matrices.copy()
+    mats[4, 0, 1] = bad
+    with pytest.raises(InputError, match="finite"):
+        paths.SampledPath(path.times, mats)
+    times = path.times.copy()
+    times[4] = bad
+    with pytest.raises(InputError, match="finite"):
+        paths.SampledPath(times, path.matrices)
+
+
 def test_validation_scales_with_sample_norm():
     # a power of a clean path has defect ~ eps * norm^2; must still validate
     base = gen.rotation_path(2.0, 65)

@@ -24,6 +24,16 @@ def test_leaf_function_rejects_false_normalization_claim():
         prequant.LeafFunction(np.ones(8), normalized=True)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_leaf_function_and_shift_must_be_finite(bad):
+    values = np.zeros(8)
+    values[3] = bad
+    with pytest.raises(InputError, match="finite"):
+        prequant.LeafFunction(values)
+    with pytest.raises(InputError, match="finite"):
+        prequant.fiber_rotation(bad, (8,))
+
+
 def test_normalize_leaf_subtracts_mean():
     leaf = prequant.normalize_leaf(np.array([1.0, 2.0, 3.0, 6.0]))
     assert leaf.normalized
