@@ -1,9 +1,11 @@
 """Winding numbers of symplectic paths, two independent ways.
 
 The winding of a path in Sp(2n, R) is the total change of arg det of the
-unitary polar factor, in radians: the basic rotation loop scores 2*pi.  For
-paths of unitary matrices the same number is the time integral of the trace
-of the generator, which gives a completely independent cross-check.
+unitary polar factor, in radians: the basic rotation loop scores 2*pi.  It is
+read in closed form, without a polar decomposition: the complex-linear part
+(X - J X J)/2 of each sample has a complex determinant with the same phase.
+For paths of unitary matrices the same number is the time integral of the
+trace of the generator, which gives a completely independent cross-check.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ for k in range(1, 6):
           f"  ({result.turns:.6f} turns, expect {k})")
 
 print()
-print("random unitary paths: polar-determinant route vs trace route")
+print("random unitary paths: determinant route vs trace route")
 for i in range(4):
     rng = np.random.default_rng([11, i])
     n = 1 + i % 2

@@ -69,7 +69,11 @@ TRACE_MIN_ORDER = 1.8
 
 
 def criterion_trace_formula(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Winding via generator traces agrees with the polar-determinant route."""
+    """Winding via generator traces agrees with the closed-form determinant route.
+
+    The determinant route winds arg det_C of each sample's complex-linear
+    part; the trace route integrates tr h(t).  They share no code.
+    """
     worst = 0.0
     for i in range(100):
         rng = np.random.default_rng([seed, 2, i])
@@ -317,7 +321,7 @@ ROTDIST_FINE_POINTS = 100000
 
 def _direct_rotation_distance(s: float, f: prequant.LeafFunction) -> float:
     norms = prequant.hofer_norms(f)
-    hi, lo = s + norms.plus_asym, s - norms.minus_asym
+    hi, lo = s + norms.plus, s - norms.minus
 
     def k_to_rotation(t):
         return np.maximum(np.log(hi / t), np.log(t / lo))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -44,10 +45,28 @@ def _emit(command: str, fields: dict, out: str | None) -> None:
             fh.write(text)
 
 
+def _checked(convert, accept, expected: str):
+    """Argument type that turns values ``accept`` refuses into argument errors."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+# every float argument is finite; seeds and sample counts are non-negative
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_natural = _checked(int, lambda value: value >= 0, "a non-negative integer")
+
+
 def _floats(text: str, flag: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",")]
-    except ValueError as exc:
+        return [_finite_float(part) for part in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
         raise InputError(f"{flag} expects comma-separated floats: {exc}") from exc
 
 
@@ -69,29 +88,29 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("cone", help="classify a path against the positive cone")
     sub.add_argument("path", help="path JSON file")
-    sub.add_argument("--tol", type=float, default=CONE_TOL)
+    sub.add_argument("--tol", type=_finite_float, default=CONE_TOL)
     _add_out(sub)
 
     sub = subs.add_parser("order", help="certify X >= Y in the bi-invariant order")
     sub.add_argument("x", help="path JSON file for X")
     sub.add_argument("y", help="path JSON file for Y")
-    sub.add_argument("--tol", type=float, default=CONE_TOL)
+    sub.add_argument("--tol", type=_finite_float, default=CONE_TOL)
     _add_out(sub)
 
     sub = subs.add_parser("synth-positive",
                           help="positive path to a positive diagonal target")
     sub.add_argument("target", help="matrix JSON file (positive diagonal, symplectic)")
     sub.add_argument("dest", help="path JSON file to write")
-    sub.add_argument("--grid", type=int, default=512, metavar="N",
+    sub.add_argument("--grid", type=_natural, default=512, metavar="N",
                      help="number of samples (default 512)")
     _add_out(sub)
 
     sub = subs.add_parser("redistribute",
                           help="move Hermitian spectrum to a target winding")
     sub.add_argument("hermitian", help="hermitian JSON file")
-    sub.add_argument("target_mu", type=float,
+    sub.add_argument("target_mu", type=_finite_float,
                      help="target winding, at least 2*pi*n")
-    sub.add_argument("--tol", type=float, default=1e-9)
+    sub.add_argument("--tol", type=_finite_float, default=1e-9)
     _add_out(sub)
 
     sub = subs.add_parser("gamma", help="relative growth staircase for a pair")
@@ -100,9 +119,9 @@ def build_parser() -> _Parser:
     sub.add_argument("--nmax", type=int, default=64,
                      help="largest staircase index (default 64)")
     sub.add_argument("--kmax", type=int, default=growth.DEFAULT_K_MAX)
-    sub.add_argument("--cemp", type=float, default=0.0,
+    sub.add_argument("--cemp", type=_finite_float, default=0.0,
                      help="empirical defect bound for uncertainty intervals")
-    sub.add_argument("--tol", type=float, default=CONE_TOL)
+    sub.add_argument("--tol", type=_finite_float, default=CONE_TOL)
     sub.add_argument("--csv", metavar="FILE", help="also write n,gamma_n rows")
     _add_out(sub)
 
@@ -110,23 +129,23 @@ def build_parser() -> _Parser:
     sub.add_argument("x", help="path JSON file")
     sub.add_argument("y", help="path JSON file")
     sub.add_argument("--kmax", type=int, default=growth.DEFAULT_K_MAX)
-    sub.add_argument("--cemp", type=float, default=0.0)
-    sub.add_argument("--tol", type=float, default=CONE_TOL)
+    sub.add_argument("--cemp", type=_finite_float, default=0.0)
+    sub.add_argument("--tol", type=_finite_float, default=CONE_TOL)
     _add_out(sub)
 
     sub = subs.add_parser("zcoord", help="coordinate of a dominant path on the metric line")
     sub.add_argument("path", help="path JSON file")
     sub.add_argument("--kmax", type=int, default=growth.DEFAULT_K_MAX)
-    sub.add_argument("--cemp", type=float, default=0.0)
-    sub.add_argument("--tol", type=float, default=CONE_TOL)
+    sub.add_argument("--cemp", type=_finite_float, default=0.0)
+    sub.add_argument("--tol", type=_finite_float, default=CONE_TOL)
     _add_out(sub)
 
     sub = subs.add_parser("defect-sample",
                           help="sample the quasimorphism defect empirically")
     sub.add_argument("--dim", type=int, default=2, help="path dimension 2n")
     sub.add_argument("--pairs", type=int, default=20)
-    sub.add_argument("--seed", type=int, default=7)
-    sub.add_argument("--safety", type=float, default=2.0)
+    sub.add_argument("--seed", type=_natural, default=7)
+    sub.add_argument("--safety", type=_finite_float, default=2.0)
     _add_out(sub)
 
     sub = subs.add_parser("quant-gamma",
@@ -145,7 +164,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("rot-distance",
                           help="distance from a quant element to the rotation curve")
-    sub.add_argument("shift", type=float, help="fiber shift s")
+    sub.add_argument("shift", type=_finite_float, help="fiber shift s")
     sub.add_argument("grid", help="grid JSON file with the leaf function")
     _add_out(sub)
 
@@ -165,7 +184,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("verify", help="run the acceptance criteria")
     sub.add_argument("--suite", choices=sorted(acceptance.SUITES), default="all")
-    sub.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
+    sub.add_argument("--seed", type=_natural, default=acceptance.DEFAULT_SEED)
 
     return parser
 
@@ -317,6 +336,10 @@ def _run_cw(args) -> int:
     weights = None
     if args.weights is not None:
         weights = np.asarray(_floats(args.weights, "--weights"))
+        size = funcs[0].values.size
+        if weights.size != size:
+            raise InputError(f"--weights needs {size} values, one per grid point, "
+                             f"got {weights.size}")
         weights = weights.reshape(funcs[0].grid_shape)
     times = None
     if args.times is not None:

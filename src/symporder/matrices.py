@@ -15,8 +15,6 @@ the trailing two axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -92,56 +90,15 @@ def real_to_complex(m: np.ndarray, tol: float | None = None) -> np.ndarray:
     return m[..., :n, :n] + 1j * m[..., n:, :n]
 
 
-@dataclass(frozen=True)
-class PolarFactors:
-    """Polar factorization A = unitary @ positive.
-
-    For a symplectic input both factors are again symplectic: ``unitary`` is
-    orthogonal and commutes with J, ``positive`` is symmetric positive
-    definite.
-    """
-
-    unitary: np.ndarray
-    positive: np.ndarray
-
-
 def unitary_polar_factor(a: np.ndarray) -> np.ndarray:
-    """Orthogonal polar factor via SVD, batched over leading axes."""
+    """Orthogonal polar factor via SVD, batched over leading axes.
+
+    The winding phase in :mod:`symporder.maslov` reads ``arg det`` of this
+    factor in closed form; this SVD route is the reference the tests check
+    it against.
+    """
     w1, _, w2h = np.linalg.svd(a)
     return w1 @ w2h
-
-
-def polar_decompose(a: np.ndarray, tol: float = DEFAULT_TOL) -> PolarFactors:
-    """Polar-decompose a symplectic matrix through its SVD.
-
-    With ``A = W1 S W2^T`` the factors are ``U = W1 W2^T`` and
-    ``P = W2 S W2^T``.  Non-symplectic input (beyond ``tol``) is rejected:
-    the group-theoretic guarantees on the factors only hold inside Sp(2n).
-    """
-    a = np.asarray(a, dtype=float)
-    if not is_symplectic(a, tol):
-        raise InputError("input is not symplectic within tolerance")
-    w1, s, w2h = np.linalg.svd(a)
-    unitary = w1 @ w2h
-    positive = np.swapaxes(w2h, -1, -2) @ (s[..., :, None] * w2h)
-    return PolarFactors(unitary=unitary, positive=positive)
-
-
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Ascending eigenvalues with an orthonormal column eigenbasis."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> HermitianSpectrum:
-    """Spectral decomposition of a Hermitian (or real symmetric) matrix."""
-    h = np.asarray(h)
-    if np.abs(h - np.swapaxes(h.conj(), -1, -2)).max() > tol:
-        raise InputError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(h)
-    return HermitianSpectrum(eigenvalues=w, eigenvectors=v)
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:
@@ -151,8 +108,10 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
 
 def exp_i_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Exactly-unitary exponential exp(iA) of a Hermitian A via its spectrum."""
-    decomp = hermitian_eig(a, tol)
-    w, v = decomp.eigenvalues, decomp.eigenvectors
+    a = np.asarray(a)
+    if np.abs(a - np.swapaxes(a.conj(), -1, -2)).max() > tol:
+        raise InputError("matrix is not Hermitian within tolerance")
+    w, v = np.linalg.eigh(a)
     phases = np.exp(1j * w)
     return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 

@@ -108,15 +108,13 @@ def fiber_rotation(shift: float, grid_shape) -> QuantElement:
 class HoferProfile:
     """One-sided Hofer-type norms of a normalized leaf function.
 
-    ``plus``/``minus`` are max F and -min F; for the autonomous commuting
-    elements modeled here the time-averaged asymptotic versions coincide
-    with them, so both are reported from the same grid extrema.
+    ``plus``/``minus`` are max F and -min F.  For the autonomous commuting
+    elements modeled here the time-averaged asymptotic norms coincide with
+    them, so these two fields serve wherever the asymptotic norms are meant.
     """
 
     plus: float
     minus: float
-    plus_asym: float
-    minus_asym: float
 
 
 def hofer_norms(f: LeafFunction) -> HoferProfile:
@@ -124,7 +122,7 @@ def hofer_norms(f: LeafFunction) -> HoferProfile:
         raise InputError("Hofer norms are defined for normalized leaf functions")
     plus = float(f.values.max())
     minus = float(-f.values.min())
-    return HoferProfile(plus=plus, minus=minus, plus_asym=plus, minus_asym=minus)
+    return HoferProfile(plus=plus, minus=minus)
 
 
 def order_bridge(s: float, f: LeafFunction) -> tuple[bool, bool]:
@@ -190,8 +188,8 @@ def rotation_curve_distance(s: float, f: LeafFunction) -> RotationCurveDistance:
     norm); requires the element to be dominant (s > minus norm).
     """
     norms = hofer_norms(f)
-    hi = s + norms.plus_asym
-    lo = s - norms.minus_asym
+    hi = s + norms.plus
+    lo = s - norms.minus
     if lo <= 0.0:
         raise InputError("element is not dominant: rotation distance undefined")
     value = 0.5 * float(np.log(hi / lo))

@@ -2,7 +2,8 @@
 
 Random paths come from the smooth random-Hamiltonian ensemble, keyed by a
 drawn seed.  ``np.linalg.inv`` serves as the independent reference for the
-inverse samples that the package forms as -J X^T J.
+inverse samples that the package forms as -J X^T J, and the SVD polar factor
+``unitary_polar_factor`` for the closed-form winding phase.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symporder import generators as gen
-from symporder import growth, maslov, paths
+from symporder import growth, maslov, matrices, paths
 
 SAMPLES = 257
 # relative error of finite-difference generators at 257 samples: order-2
@@ -73,3 +74,14 @@ def test_atom_chain_gives_the_generator_of_the_formed_path(seed, dim, p, n):
     assert _rel_err(chain.inv, np.linalg.inv(formed.matrices)) < 1e-9
     measured = paths.extract_hamiltonian(formed, order=4).hams
     assert _rel_err(chain.hams, measured) < FD_TOL[4]
+
+
+@settings(deadline=None, max_examples=20)
+@given(seeds, st.sampled_from([1, 2, 4]), st.integers(1, 8))
+def test_closed_form_phase_matches_the_polar_factor(seed, n, k):
+    x = paths.pointwise_power(_random_path(seed, 2 * n, 0), k).matrices
+    closed = maslov._det_of_unitary_factor(x)
+    polar = np.linalg.det(matrices.real_to_complex(matrices.unitary_polar_factor(x)))
+    assert np.abs(np.angle(closed * np.conj(polar))).max() <= 1e-12
+    # |det_C| of 2 C_X is at least 2^n, so the phase is never ill-defined
+    assert np.abs(closed).min() >= 2.0 ** n * (1.0 - 1e-12)

@@ -152,6 +152,8 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
                             {"dim": 2, "matrix": [2.0, 0.0, 0.0, float("nan")]})
     inf_hermitian = _write_doc(tmp_path, "inf_hermitian.json",
                                {"n": 2, "real": [1.0, 0.0, 0.0, float("inf")], "imag": [0.0] * 4})
+    good_grid = _write_doc(tmp_path, "grid.json",
+                           {"grid_shape": [4], "values": [0.5, -0.5, 0.0, 0.0]})
     dest = str(tmp_path / "dest.json")
     return [
         (["maslov", nan_sample], "finite"),
@@ -170,6 +172,18 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
         (["synth-positive", nan_matrix, dest], "non-finite"),
         (["redistribute", inf_hermitian, "10.0"], "non-finite"),
         (["zcoord", loop_file, "--kmax", "0"], "k_max"),
+        (["rot-distance", "nan", good_grid], "finite"),
+        (["cone", loop_file, "--tol", "nan"], "finite"),
+        (["cw", good_grid, good_grid, "--times", "0,nan"], "finite"),
+        (["defect-sample", "--safety", "nan"], "finite"),
+        (["gamma", loop_file, loop_file, "--cemp", "nan"], "finite"),
+        (["cw", good_grid, "--weights", "1,2"], "--weights"),
+        (["defect-sample", "--dim", "3"], "even"),
+        (["defect-sample", "--dim", "-2"], "even"),
+        (["defect-sample", "--pairs", "-1"], "pairs"),
+        (["defect-sample", "--seed", "-1"], "non-negative"),
+        (["verify", "--seed", "-1"], "non-negative"),
+        (["synth-positive", float_matrix, dest, "--grid", "-5"], "non-negative"),
     ]
 
 

@@ -71,25 +71,6 @@ def test_unitary_polar_factor_of_positive_stretch():
     assert np.abs(u - np.eye(2)).max() < 1e-14
 
 
-def test_polar_decompose_recombines():
-    rng = np.random.default_rng(3)
-    h = rng.normal(size=(2, 2))
-    h = 0.3 * (h + h.T)
-    j = matrices.standard_j(1)
-    m = matrices.matrix_exp(j @ h)
-    factors = matrices.polar_decompose(m)
-    assert np.abs(factors.unitary @ factors.positive - m).max() < 1e-12
-    assert matrices.is_symplectic(factors.unitary)
-    assert matrices.is_symplectic(factors.positive, tol=1e-8)
-    evals = np.linalg.eigvalsh(factors.positive)
-    assert evals.min() > 0.0
-
-
-def test_polar_decompose_rejects_non_symplectic():
-    with pytest.raises(InputError):
-        matrices.polar_decompose(2.0 * np.eye(2))
-
-
 def test_exp_i_hermitian_matches_scipy_route():
     rng = np.random.default_rng(8)
     z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -99,6 +80,8 @@ def test_exp_i_hermitian_matches_scipy_route():
     spectral = (v * np.exp(1j * w)) @ v.conj().T
     assert np.abs(direct - spectral).max() < 1e-12
     assert np.abs(direct @ direct.conj().T - np.eye(3)).max() < 1e-12
+    with pytest.raises(InputError, match="not Hermitian"):
+        matrices.exp_i_hermitian(a + 1j * np.eye(3))
 
 
 def test_symplectic_inverse_agrees_with_inverse():

@@ -56,7 +56,6 @@ def test_hofer_norms_of_cosine():
     norms = prequant.hofer_norms(cosine_leaf())
     assert norms.plus == pytest.approx(1.0, abs=1e-12)
     assert norms.minus == pytest.approx(1.0, abs=1e-12)
-    assert norms.plus_asym == norms.plus and norms.minus_asym == norms.minus
 
 
 def test_order_bridge_matches_shift_threshold():
