@@ -85,6 +85,8 @@ def mu_tilde(path: SampledPath, k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0) 
     """
     if k_max < 1:
         raise InputError("k_max must be at least 1")
+    if not (np.isfinite(c_emp) and c_emp >= 0.0):
+        raise InputError(f"c_emp must be a finite non-negative number, got {c_emp}")
     value = maslov_index(pointwise_power(path, k_max)).value / k_max
     half = c_emp / k_max
     return Estimate(value, value - half, value + half)

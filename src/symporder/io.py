@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError
 from .paths import SampledPath
-from .prequant import LeafFunction, QuantElement
+from .prequant import LeafFunction, QuantElement, is_normalized
 
 
 def _load_json(filename: str) -> dict:
@@ -106,8 +106,7 @@ def load_grid(filename: str) -> LeafFunction:
         values = values.reshape(shape)
     except ValueError as exc:
         raise InputError(f"{filename}: values do not fill grid {shape} ({exc})") from exc
-    normalized = abs(float(values.mean())) <= 1e-12
-    return LeafFunction(values, normalized=normalized)
+    return LeafFunction(values, normalized=is_normalized(values))
 
 
 def save_grid(leaf: LeafFunction, filename: str) -> None:

@@ -16,7 +16,6 @@ the trailing two axes.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError
 
@@ -102,7 +101,14 @@ def unitary_polar_factor(a: np.ndarray) -> np.ndarray:
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring), batched over leading axes."""
+    """Matrix exponential (scaling-and-squaring), batched over leading axes.
+
+    ``scipy.linalg`` is imported here, not at module level: it is the only
+    scipy user in the package and costs more to import than numpy, while
+    most CLI commands never take an exponential.
+    """
+    import scipy.linalg
+
     return scipy.linalg.expm(np.asarray(a))
 
 

@@ -70,9 +70,12 @@ class SampledPath:
             raise InputError(f"samples must be square of even dimension, got {mats.shape}")
         if np.abs(mats[0] - np.eye(dim)).max() > SAMPLE_TOL:
             raise InputError("path must start at the identity")
-        scale = 1.0 + float(np.abs(mats).max()) ** 2
-        worst = float(symplectic_defect(mats).max())
-        if worst > SAMPLE_TOL * scale:
+        peak = float(np.abs(mats).max())
+        # a defect that overflows to inf or NaN is rejected below, and
+        # peak * peak may overflow to inf where ``** 2`` would raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            worst = float(symplectic_defect(mats).max())
+        if not (np.isfinite(worst) and worst <= SAMPLE_TOL * (1.0 + peak * peak)):
             raise InputError(f"samples leave Sp({dim}) by {worst:.3e}")
 
     @property

@@ -30,11 +30,19 @@ NORMALIZATION_TOL = 1e-12
 DEFAULT_GRID = 1024
 
 
+def is_normalized(values: np.ndarray) -> bool:
+    """Zero grid mean within ``NORMALIZATION_TOL`` times the largest |value|
+    (at least 1), which covers the rounding left by subtracting a float mean."""
+    values = np.asarray(values, dtype=float)
+    scale = max(1.0, float(np.abs(values).max()))
+    return bool(abs(values.mean()) <= NORMALIZATION_TOL * scale)
+
+
 @dataclass(frozen=True)
 class LeafFunction:
     """Real function sampled on a periodic torus grid.
 
-    ``normalized`` asserts zero grid mean within ``NORMALIZATION_TOL``; only
+    ``normalized`` asserts zero grid mean (:func:`is_normalized`); only
     normalized functions generate elements of the strict quantomorphism
     group, unnormalized ones appear as raw data (Calabi-Weinstein inputs,
     embedding pre-images).
@@ -50,7 +58,7 @@ class LeafFunction:
             raise InputError("leaf function needs a nonempty grid")
         if not np.isfinite(values).all():
             raise InputError("leaf function values must be finite")
-        if self.normalized and abs(values.mean()) > NORMALIZATION_TOL:
+        if self.normalized and not is_normalized(values):
             raise InputError(
                 f"claimed normalized but grid mean is {values.mean():.3e}")
 

@@ -37,6 +37,12 @@ def test_mu_tilde_on_loop_is_winding(loops):
     assert est.upper - est.lower == pytest.approx(2 * 0.5 / 4)
 
 
+@pytest.mark.parametrize("c_emp", [-1.0, -5e-324, np.nan, np.inf])
+def test_mu_tilde_rejects_a_defect_bound_that_is_negative_or_not_finite(loops, c_emp):
+    with pytest.raises(InputError, match="c_emp"):
+        growth.mu_tilde(loops[0], k_max=4, c_emp=c_emp)
+
+
 def test_gamma_closed_unitary_on_loops(loops):
     loop1, loop2 = loops
     assert growth.gamma_closed_unitary(loop1, loop2) == pytest.approx(2.0, abs=1e-8)

@@ -5,8 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from symporder import cli, generators as gen, io, prequant
+from symporder import cli, generators as gen, io, maslov, paths, prequant
 from symporder.errors import ComputationError, InputError
 
 
@@ -54,6 +56,95 @@ def test_quant_round_trip_and_mean_folding(tmp_path):
     again = io.load_quant_element(back)
     assert again.shift == element.shift
     assert np.array_equal(again.func.values, element.func.values)
+
+
+# every finite float64; the edge values are listed so that each run draws them
+finite_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                     1e308, -1e308, np.finfo(float).max, -np.finfo(float).max]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal shape and bytes, so -0.0 differs from 0.0."""
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def shear_paths(draw) -> paths.SampledPath:
+    """Paths of shears [[I, S], [0, I]]: symplectic for every symmetric S, so
+    the samples can hold any finite float64."""
+    n = draw(st.sampled_from([1, 2]))
+    interior = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                             min_size=1, max_size=5, unique=True))
+    times = np.array([draw(st.sampled_from([0.0, -0.0])), *sorted(interior), 1.0])
+    mats = np.tile(np.eye(2 * n), (times.size, 1, 1))
+    upper = np.triu_indices(n)
+    for sample in mats[1:]:
+        entries = draw(st.lists(finite_floats, min_size=upper[0].size,
+                                max_size=upper[0].size))
+        sample[:n, n:][upper] = entries
+        sample[:n, n:].T[upper] = entries
+    return paths.SampledPath(times, mats)
+
+
+@settings(deadline=None, max_examples=60)
+@given(path=shear_paths())
+def test_path_round_trip_is_bitwise_for_any_finite_value(tmp_path_factory, path):
+    name = str(tmp_path_factory.mktemp("path") / "p.json")
+    io.save_path(path, name)
+    loaded = io.load_path(name)
+    assert _same_bits(loaded.times, path.times)
+    assert _same_bits(loaded.matrices, path.matrices)
+
+
+grid_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), shape=grid_shapes)
+def test_grid_round_trip_is_bitwise_for_any_finite_value(tmp_path_factory, data, shape):
+    size = int(np.prod(shape))
+    values = np.array(data.draw(st.lists(finite_floats, min_size=size, max_size=size)))
+    leaf = prequant.LeafFunction(values.reshape(shape))
+    name = str(tmp_path_factory.mktemp("grid") / "g.json")
+    io.save_grid(leaf, name)
+    # the mean of values near the largest float overflows; such a grid is
+    # simply not normalized
+    with np.errstate(over="ignore", invalid="ignore"):
+        loaded = io.load_grid(name)
+        normalized = prequant.is_normalized(leaf.values)
+    assert _same_bits(loaded.values, leaf.values)
+    assert loaded.normalized == normalized
+
+
+@st.composite
+def normalized_leaves(draw) -> prequant.LeafFunction:
+    """Zero-mean grids: pairs v, -v side by side (any finite v; the float mean
+    is exactly zero below 8 values), or moderate values minus their mean."""
+    if draw(st.booleans()):
+        halves = draw(st.lists(finite_floats, min_size=1, max_size=3))
+        values = np.array([x for v in halves for x in (v, -v)])
+        return prequant.LeafFunction(values, normalized=True)
+    shape = draw(grid_shapes)
+    moderate = st.floats(-1e6, 1e6, allow_nan=False)
+    values = draw(st.lists(moderate, min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    return prequant.normalize_leaf(np.reshape(values, shape))
+
+
+@settings(deadline=None, max_examples=60)
+@given(shift=finite_floats, leaf=normalized_leaves())
+def test_quant_round_trip_is_bitwise_up_to_the_mean_fold(tmp_path_factory, shift, leaf):
+    element = prequant.QuantElement(shift, leaf)
+    name = str(tmp_path_factory.mktemp("quant") / "q.json")
+    io.save_quant_element(element, name)
+    loaded = io.load_quant_element(name)
+    # the loader folds the grid mean into the shift, as documented
+    mean = float(leaf.values.mean())
+    assert _same_bits(np.float64(loaded.shift), np.float64(shift + mean))
+    assert _same_bits(loaded.func.values, leaf.values - mean)
 
 
 def test_load_errors_carry_the_filename(tmp_path):
@@ -152,6 +243,9 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
                             {"dim": 2, "matrix": [2.0, 0.0, 0.0, float("nan")]})
     inf_hermitian = _write_doc(tmp_path, "inf_hermitian.json",
                                {"n": 2, "real": [1.0, 0.0, 0.0, float("inf")], "imag": [0.0] * 4})
+    huge = copy.deepcopy(loop)
+    huge["matrices"][5] = [1e300] * 4  # A^T J A overflows to inf - inf
+    huge = _write_doc(tmp_path, "huge_sample.json", huge)
     good_grid = _write_doc(tmp_path, "grid.json",
                            {"grid_shape": [4], "values": [0.5, -0.5, 0.0, 0.0]})
     dest = str(tmp_path / "dest.json")
@@ -184,6 +278,12 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
         (["defect-sample", "--seed", "-1"], "non-negative"),
         (["verify", "--seed", "-1"], "non-negative"),
         (["synth-positive", float_matrix, dest, "--grid", "-5"], "non-negative"),
+        (["zcoord", loop_file, "--cemp", "-1"], "non-negative"),
+        (["zcoord", loop_file, "--cemp", "inf"], "finite"),
+        (["kdist", loop_file, loop_file, "--cemp", "-0.5"], "non-negative"),
+        (["gamma", loop_file, loop_file, "--cemp", "-1"], "non-negative"),
+        (["defect-sample", "--safety", "-1"], "non-negative"),
+        (["maslov", huge], "leave Sp(2)"),
     ]
 
 
@@ -207,6 +307,38 @@ def test_cli_malformed_file_exits_1_in_a_fresh_process(tmp_path, loop_file):
                           capture_output=True, text=True)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_cli_linear_algebra_failure_exits_2(loop_file, capsys, monkeypatch):
+    def fail(path):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(maslov, "maslov_index", fail)
+    code, out, err = run_cli(["maslov", loop_file], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: SVD did not converge\n"
+
+
+def test_cli_loads_scipy_only_for_a_matrix_exponential(loop_file):
+    script = "\n".join([
+        "import sys",
+        "from symporder import cli",
+        f"assert cli.run(['cone', {loop_file!r}]) == 0",
+        f"assert cli.run(['maslov', {loop_file!r}]) == 0",
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+        "assert 'symporder.acceptance' not in sys.modules",
+        # random paths are integrated through expm, so the deferred import runs
+        "assert cli.run(['defect-sample', '--pairs', '2']) == 0",
+        "assert 'scipy' in sys.modules",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_verify_suites_are_the_acceptance_suites():
+    from symporder import acceptance
+
+    assert sorted(cli.VERIFY_SUITES) == sorted(acceptance.SUITES)
 
 
 def test_cli_report_never_holds_a_non_finite_number(capsys):
@@ -280,6 +412,24 @@ def test_cli_quant_commands(tmp_path, cos_grid_file, capsys):
     doc = json.loads(out)
     assert doc["value"] == pytest.approx(0.5 * np.log(3.0))
     assert doc["minimizer"] == pytest.approx(np.sqrt(3.0))
+
+
+def test_cli_takes_zero_mean_grids_of_any_scale(tmp_path, capsys):
+    # rounding leaves a float mean of about 1e-12 on values near 3e4 or near
+    # exp(12); an absolute 1e-12 gate refused both as not normalized
+    (p,) = prequant.torus_grid((64,))
+    wide = _write_doc(tmp_path, "wide.json",
+                      {"grid_shape": [64], "values": (12 * np.cos(2 * np.pi * p)).tolist()})
+    code, out, err = run_cli(["embed", wide, str(tmp_path / "embedded.json")], capsys)
+    assert code == 0, err
+    raw = 3e4 * np.random.default_rng(4).normal(size=64)
+    large = _write_doc(tmp_path, "large.json",
+                       {"grid_shape": [64], "values": (raw - raw.mean()).tolist()})
+    code, out, err = run_cli(["rot-distance", "1e6", large], capsys)
+    assert code == 0, err
+    values = np.asarray(json.loads((tmp_path / "large.json").read_text())["values"])
+    assert json.loads(out)["value"] == pytest.approx(
+        0.5 * np.log((1e6 + values.max()) / (1e6 + values.min())))
 
 
 def test_cli_embed_isometry_through_files(tmp_path, capsys):
