@@ -124,6 +124,9 @@ def build_parser() -> _Parser:
     sub.add_argument("y", help="path JSON file for Y")
     sub.add_argument("--nmax", type=int, default=64,
                      help="largest staircase index (default 64)")
+    sub.add_argument("--pmax", type=_natural, default=None,
+                     help="search powers in [-P, P] on every rung "
+                          "(default: ceil(|gamma| n) + 8, gamma the winding ratio)")
     sub.add_argument("--kmax", type=int, default=growth.DEFAULT_K_MAX)
     sub.add_argument("--cemp", type=_bound, default=0.0,
                      help="empirical defect bound for uncertainty intervals")
@@ -257,7 +260,7 @@ def _run_gamma(args) -> int:
     ns = tuple(n for n in growth.GROWTH_NS if n <= args.nmax)
     if not ns:
         raise InputError("--nmax smaller than the smallest staircase index 1")
-    est = growth.growth_estimate(x, y, ns=ns, k_max=args.kmax,
+    est = growth.growth_estimate(x, y, ns=ns, p_max=args.pmax, k_max=args.kmax,
                                  c_emp=args.cemp, tol=args.tol)
     if args.csv is not None:
         with open(args.csv, "w") as fh:

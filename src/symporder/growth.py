@@ -106,6 +106,10 @@ def gamma_closed_unitary(x: SampledPath, y: SampledPath,
         if not commutes_with_j(path.matrices, 1e-9):
             raise InputError(f"{who} is not a unitary path")
         _require_dominant(path, tol, who)
+    return _winding_ratio(x, y)
+
+
+def _winding_ratio(x: SampledPath, y: SampledPath) -> float:
     mx = maslov_index(x).value
     if mx <= 0.0:
         raise InputError("maslov index of X must be positive")
@@ -124,9 +128,18 @@ def gamma_closed_symplectic(x: SampledPath, y: SampledPath,
 def pseudo_distance_k(x: SampledPath, y: SampledPath,
                       k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0,
                       tol: float = CONE_TOL) -> Estimate:
-    """K(X, Y) = max(log gamma(X, Y), log gamma(Y, X)) for dominants."""
-    gxy = gamma_closed_symplectic(x, y, k_max, c_emp, tol)
-    gyx = gamma_closed_symplectic(y, x, k_max, c_emp, tol)
+    """K(X, Y) = max(log gamma(X, Y), log gamma(Y, X)) for dominants.
+
+    Both ratios come from one cone check and one mu_tilde per path, taken in
+    the order ``gamma_closed_symplectic(x, y)`` takes them, so the value and
+    the first error raised are those of the two separate closed forms.
+    """
+    _require_dominant(x, tol, "X")
+    _require_dominant(y, tol, "Y")
+    mu_y = mu_tilde(y, k_max, c_emp)
+    mu_x = mu_tilde(x, k_max, c_emp)
+    gxy = ratio_estimate(mu_y, mu_x)
+    gyx = ratio_estimate(mu_x, mu_y)
     return max_estimate(log_estimate(gxy), log_estimate(gyx))
 
 
@@ -203,16 +216,36 @@ def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int,
     error does not grow with p).  For a dominant X the certified set of
     powers is upward closed, which justifies the bisection used here.
     """
-    if n < 0 or p_max < 0:
-        raise InputError("n and p_max must be nonnegative")
+    return _staircase(x, y, ((n, p_max),), tol)[0]
+
+
+def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> list:
+    """gamma_n for each (n, p_max) rung of one pair.
+
+    The grids are aligned, the atoms built and X's dominance checked once,
+    and every rung reuses them.
+    """
+    for n, p_max in rungs:
+        if n < 0 or p_max < 0:
+            raise InputError("n and p_max must be nonnegative")
     if x.dim != y.dim:
         raise InputError("paths must share a dimension")
     x, y = align_grids(x, y)
     x_atoms = _atoms(x)
     if float(np.linalg.eigvalsh(x_atoms[0].hams).min()) < tol:
         raise InputError("X must be dominant for the staircase search")
-    y_minus_n = _signed_power(_atoms(y), -n)
+    y_atoms = _atoms(y)
+    y_powers = [_signed_power(y_atoms, -n) for n, _ in rungs]
+    # the bisection allocates atoms of the same size over and over; with
+    # y_atoms still alive, a 2049-sample staircase ran about 6 % slower
+    # (2-core Xeon, numpy 2.4, same-process alternation)
+    del y_atoms
+    return [_least_certified_power(x_atoms, y_minus_n, p_max, tol)
+            for y_minus_n, (_, p_max) in zip(y_powers, rungs)]
 
+
+def _least_certified_power(x_atoms: tuple[_PowerAtom, _PowerAtom],
+                           y_minus_n: _PowerAtom, p_max: int, tol: float) -> int | None:
     def certified(p: int) -> bool:
         combined = _signed_power(x_atoms, p) @ y_minus_n
         return float(np.linalg.eigvalsh(combined.hams).min()) >= -tol
@@ -233,7 +266,14 @@ def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int,
 
 @dataclass(frozen=True)
 class GrowthEstimate:
-    """Staircase gamma_n over a ladder of n, with its limit and closed form."""
+    """Staircase gamma_n over a ladder of n, with its limit and closed form.
+
+    ``limit_estimate`` is [gamma_n/n - 1/n, gamma_n/n] at the last rung.  The
+    certificate is conservative, so a certified gamma_n is at least the true
+    one: the upper end bounds the limit from above, while the lower end
+    holds only where the certificate is tight (certified gamma_n = true
+    gamma_n).
+    """
 
     ns: tuple
     gamma_ns: tuple
@@ -248,15 +288,17 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
     hint = gamma_closed_symplectic(x, y, k_max, c_emp, tol).value
     closed = None
     if commutes_with_j(x.matrices, 1e-9) and commutes_with_j(y.matrices, 1e-9):
-        closed = gamma_closed_unitary(x, y, tol)
-    gamma_ns = []
-    for n in ns:
-        bound = p_max if p_max is not None else int(np.ceil(abs(hint) * n)) + 8
-        gamma_ns.append(gamma_n_bruteforce(x, y, n, bound, tol))
+        # both paths passed the cone check inside the hint
+        closed = _winding_ratio(x, y)
+    rungs = [(n, p_max if p_max is not None else int(np.ceil(abs(hint) * n)) + 8)
+             for n in ns]
+    gamma_ns = _staircase(x, y, rungs, tol)
     if gamma_ns[-1] is None:
         raise ComputationError(
-            f"no certified power found at n={ns[-1]}; raise p_max")
-    # the staircase pins gamma into [gamma_n/n - 1/n, gamma_n/n]
+            f"no certified power found at n={ns[-1]} within p_max={rungs[-1][1]}; "
+            "raise p_max (symporder gamma --pmax)")
+    # the staircase pins gamma into [gamma_n/n - 1/n, gamma_n/n] only when the
+    # certificate is tight; a conservative certificate gives the upper end alone
     top = gamma_ns[-1] / ns[-1]
     limit = Estimate(top, top - 1.0 / ns[-1], top)
     return GrowthEstimate(ns=tuple(ns), gamma_ns=tuple(gamma_ns),

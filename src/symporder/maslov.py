@@ -76,7 +76,10 @@ def maslov_index(path: SampledPath, max_samples: int = REFINEMENT_CAP) -> Maslov
     current = path
     while True:
         dets = _det_of_unitary_factor(current.matrices)
-        incs = np.angle(dets[1:] * np.conj(dets[:-1]))
+        # unit phases first: the product of two raw determinants of large
+        # samples overflows, and the modulus is at least 2^n, never 0
+        phases = dets / np.abs(dets)
+        incs = np.angle(phases[1:] * np.conj(phases[:-1]))
         max_step = float(np.abs(incs).max())
         if max_step < np.pi - STEP_GUARD:
             return MaslovResult(value=float(incs.sum()),

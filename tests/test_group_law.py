@@ -3,15 +3,19 @@
 Random paths come from the smooth random-Hamiltonian ensemble, keyed by a
 drawn seed.  ``np.linalg.inv`` serves as the independent reference for the
 inverse samples that the package forms as -J X^T J, and the SVD polar factor
-``unitary_polar_factor`` for the closed-form winding phase.
+``unitary_polar_factor`` for the closed-form winding phase.  The growth entry
+points, which compute each path's invariants once per call, are compared bit
+for bit with the separate closed forms and staircase rungs they stand for.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symporder import generators as gen
 from symporder import growth, maslov, matrices, paths
+from symporder.errors import ComputationError, InputError
 
 SAMPLES = 257
 # relative error of finite-difference generators at 257 samples: order-2
@@ -85,3 +89,79 @@ def test_closed_form_phase_matches_the_polar_factor(seed, n, k):
     assert np.abs(np.angle(closed * np.conj(polar))).max() <= 1e-12
     # |det_C| of 2 C_X is at least 2^n, so the phase is never ill-defined
     assert np.abs(closed).min() >= 2.0 ** n * (1.0 - 1e-12)
+
+
+def _dominant_path(seed: int, dim: int, stream: int, kind: str) -> paths.SampledPath:
+    """A dominant unitary path (offset above the mode norms) or a positive path
+    to a random positive symplectic endpoint."""
+    rng = np.random.default_rng([seed, stream])
+    n = dim // 2
+    if kind == "unitary":
+        offset, modes = rng.uniform(3.5, 5.0), gen.random_hermitian_generator(n, rng, 1.0)
+        return gen.unitary_path_from_generator(
+            lambda t: offset * np.eye(n) + modes(t), n, SAMPLES)
+    v = matrices.complex_to_real(gen.random_unitary_matrix(n, rng))
+    target = v @ gen.random_positive_diagonal_target(n, rng) @ v.T
+    return maslov.positive_path_to(0.5 * (target + target.T), SAMPLES)
+
+
+kinds = st.sampled_from(["unitary", "positive"])
+c_emps = st.sampled_from([0.0, 0.25])
+
+
+@settings(deadline=None, max_examples=15)
+@given(seeds, dims, kinds, kinds, c_emps)
+def test_pseudo_distance_is_the_max_of_the_two_closed_forms_bitwise(seed, dim, kx, ky, c_emp):
+    x, y = _dominant_path(seed, dim, 0, kx), _dominant_path(seed, dim, 1, ky)
+    want = growth.max_estimate(
+        growth.log_estimate(growth.gamma_closed_symplectic(x, y, c_emp=c_emp)),
+        growth.log_estimate(growth.gamma_closed_symplectic(y, x, c_emp=c_emp)))
+    assert growth.pseudo_distance_k(x, y, c_emp=c_emp) == want
+
+
+@settings(deadline=None, max_examples=10)
+@given(seeds, dims, kinds, kinds, c_emps, st.sampled_from([None, 4, 12]))
+def test_growth_estimate_rungs_are_separate_staircase_calls_bitwise(seed, dim, kx, ky,
+                                                                    c_emp, p_max):
+    x, y = _dominant_path(seed, dim, 0, kx), _dominant_path(seed, dim, 1, ky)
+    ns = (1, 2, 4)
+    hint = growth.gamma_closed_symplectic(x, y, c_emp=c_emp).value
+    bounds = [p_max if p_max is not None else int(np.ceil(abs(hint) * n)) + 8 for n in ns]
+    want = tuple(growth.gamma_n_bruteforce(x, y, n, b) for n, b in zip(ns, bounds))
+    if want[-1] is None:
+        with pytest.raises(ComputationError, match=f"within p_max={bounds[-1]}"):
+            growth.growth_estimate(x, y, ns=ns, p_max=p_max, c_emp=c_emp)
+        return
+    est = growth.growth_estimate(x, y, ns=ns, p_max=p_max, c_emp=c_emp)
+    assert est.gamma_ns == want
+    unitary = kx == ky == "unitary"
+    assert est.closed_form == (growth.gamma_closed_unitary(x, y) if unitary else None)
+
+
+def _message(call) -> str:
+    with pytest.raises(InputError) as info:
+        call()
+    return str(info.value)
+
+
+@settings(deadline=None, max_examples=10)
+@given(seeds, dims, kinds, st.booleans())
+def test_non_dominant_paths_raise_the_closed_form_message(seed, dim, kind, swap):
+    good = _dominant_path(seed, dim, 0, kind)
+    bad = paths.invert(good)
+    x, y = (good, bad) if swap else (bad, good)
+    want = _message(lambda: growth.gamma_closed_symplectic(x, y))
+    assert want.startswith("Y must be dominant" if swap else "X must be dominant")
+    assert _message(lambda: growth.pseudo_distance_k(x, y)) == want
+    assert _message(lambda: growth.growth_estimate(x, y)) == want
+
+
+@settings(deadline=None, max_examples=20)
+@given(seeds, st.sampled_from([1, 2, 3]), st.data())
+def test_winding_is_additive_on_commuting_unitary_loops(seed, n, data):
+    basis = gen.random_unitary_matrix(n, np.random.default_rng(seed))
+    mults = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    x = gen.unitary_loop(data.draw(mults), basis, SAMPLES)
+    y = gen.unitary_loop(data.draw(mults), basis, SAMPLES)
+    total = maslov.maslov_index(x).value + maslov.maslov_index(y).value
+    assert abs(maslov.maslov_index(paths.compose(x, y)).value - total) <= 1e-9

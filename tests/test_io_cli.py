@@ -282,6 +282,9 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
         (["zcoord", loop_file, "--cemp", "inf"], "finite"),
         (["kdist", loop_file, loop_file, "--cemp", "-0.5"], "non-negative"),
         (["gamma", loop_file, loop_file, "--cemp", "-1"], "non-negative"),
+        (["gamma", loop_file, loop_file, "--pmax", "-1"], "non-negative integer"),
+        (["gamma", loop_file, loop_file, "--pmax", "x"], "non-negative integer"),
+        (["gamma", loop_file, loop_file, "--pmax", "1.5"], "non-negative integer"),
         (["defect-sample", "--safety", "-1"], "non-negative"),
         (["maslov", huge], "leave Sp(2)"),
     ]
@@ -307,6 +310,19 @@ def test_cli_malformed_file_exits_1_in_a_fresh_process(tmp_path, loop_file):
                           capture_output=True, text=True)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_cli_maslov_of_huge_symplectic_samples_warns_nothing(tmp_path):
+    # shears [[1, s], [0, 1]]: the phase of det_C 2 - i s turns by -pi/2, and
+    # the product of two raw determinants near 1e300 would overflow
+    name = str(tmp_path / "shear.json")
+    with open(name, "w") as fh:
+        json.dump({"dim": 2, "times": [0.0, 0.5, 1.0],
+                   "matrices": [[1.0, s, 0.0, 1.0] for s in (0.0, 1e200, 1e300)]}, fh)
+    proc = subprocess.run([sys.executable, "-m", "symporder.cli", "maslov", name],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["value"] == pytest.approx(-np.pi / 2, abs=1e-15)
 
 
 def test_cli_linear_algebra_failure_exits_2(loop_file, capsys, monkeypatch):
@@ -395,6 +411,17 @@ def test_cli_gamma_with_csv(tmp_path, capsys):
     assert doc["closed_form"] == pytest.approx(2.0, abs=1e-7)
     with open(csv) as fh:
         assert fh.read() == "n,gamma_n\n1,2\n2,4\n4,8\n"
+
+
+def test_cli_gamma_pmax_bounds_every_rung(tmp_path, capsys):
+    slow, fast = str(tmp_path / "slow.json"), str(tmp_path / "fast.json")
+    io.save_path(gen.rotation_loop(1, 513), slow)
+    io.save_path(gen.rotation_loop(2, 513), fast)
+    code, out, _ = run_cli(["gamma", slow, fast, "--nmax", "4", "--pmax", "8"], capsys)
+    assert code == 0 and json.loads(out)["gamma_ns"] == [2, 4, 8]
+    code, out, err = run_cli(["gamma", slow, fast, "--nmax", "4", "--pmax", "7"], capsys)
+    assert (code, out) == (2, "")
+    assert "no certified power found at n=4 within p_max=7" in err and "--pmax" in err
 
 
 def test_cli_quant_commands(tmp_path, cos_grid_file, capsys):

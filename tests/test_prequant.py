@@ -40,6 +40,14 @@ def test_normalize_leaf_subtracts_mean():
     assert leaf.values.mean() == 0.0
 
 
+def test_normalize_leaf_with_a_large_common_offset():
+    # one subtraction of the mean leaves a residual near ulp(1e6) ~ 4e-11,
+    # far above the tolerance for centered values of size 1
+    leaf = prequant.normalize_leaf(np.array([1e6 + 2.0, 1e6, 1e6]))
+    assert prequant.is_normalized(leaf.values)
+    assert leaf.values == pytest.approx([4 / 3, -2 / 3, -2 / 3], abs=1e-9)
+
+
 def test_quant_element_requires_normalized_leaf():
     with pytest.raises(InputError):
         prequant.QuantElement(1.0, prequant.LeafFunction(np.ones(8)))
