@@ -18,16 +18,16 @@ def uniform_times(n_samples: int = DEFAULT_SAMPLES) -> np.ndarray:
     return np.linspace(0.0, 1.0, n_samples)
 
 
+def _rotations(th: np.ndarray) -> np.ndarray:
+    """Stack of Sp(2) rotations R(th_k) = [[cos, -sin], [sin, cos]]."""
+    c, s = np.cos(th), np.sin(th)
+    return np.stack([c, -s, s, c], axis=-1).reshape(len(th), 2, 2)
+
+
 def rotation_path(angle: float, n_samples: int = DEFAULT_SAMPLES) -> SampledPath:
     """Sp(2) rotation path t -> R(angle * t)."""
     t = uniform_times(n_samples)
-    th = angle * t
-    mats = np.empty((n_samples, 2, 2))
-    mats[:, 0, 0] = np.cos(th)
-    mats[:, 0, 1] = -np.sin(th)
-    mats[:, 1, 0] = np.sin(th)
-    mats[:, 1, 1] = np.cos(th)
-    return SampledPath(t, mats)
+    return SampledPath(t, _rotations(angle * t))
 
 
 def rotation_loop(k: int = 1, n_samples: int = DEFAULT_SAMPLES) -> SampledPath:
@@ -77,40 +77,63 @@ def random_unitary_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _random_hermitian(n: int, rng: np.random.Generator, scale: float) -> np.ndarray:
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h = 0.5 * (z + z.conj().T)
-    return scale * h / max(np.linalg.norm(h, 2), 1e-12)
+def _random_mode(rng: np.random.Generator, dim: int, scale: float,
+                 hermitian: bool) -> np.ndarray:
+    """Random Hermitian (or real symmetric) matrix of spectral norm ``scale``."""
+    z = rng.normal(size=(dim, dim))
+    if hermitian:
+        z = z + 1j * rng.normal(size=(dim, dim))
+    m = 0.5 * (z + z.conj().T)
+    return scale * m / max(np.linalg.norm(m, 2), 1e-12)
 
 
-def random_hermitian_generator(n: int, rng: np.random.Generator, scale: float = 2.0):
-    """Smooth random Hermitian-valued map h(t) built from three fixed modes."""
-    b0 = _random_hermitian(n, rng, scale)
-    b1 = _random_hermitian(n, rng, scale)
-    b2 = _random_hermitian(n, rng, scale)
+def _mode_closure(rng: np.random.Generator, dim: int, scale: float, hermitian: bool):
+    """t -> b0 + sin(2 pi t) b1 + cos(2 pi t) b2 for a scalar or a (N-1, 1, 1) array t."""
+    b0, b1, b2 = (_random_mode(rng, dim, scale, hermitian) for _ in range(3))
 
-    def h(t: float) -> np.ndarray:
+    def h(t):
         return b0 + np.sin(2 * np.pi * t) * b1 + np.cos(2 * np.pi * t) * b2
 
     return h
 
 
+def random_hermitian_generator(n: int, rng: np.random.Generator, scale: float = 2.0):
+    """Smooth random Hermitian-valued map h(t) built from three fixed modes."""
+    return _mode_closure(rng, n, scale, True)
+
+
+def _midpoint_values(h, t: np.ndarray, n: int) -> np.ndarray:
+    """``h`` on the step midpoints of ``t``, from one call shaped (N-1, 1, 1)."""
+    mids = 0.5 * (t[:-1] + t[1:])
+    shape = (len(mids), n, n)
+    values = h(mids[:, None, None])
+    try:
+        return np.broadcast_to(values, shape)
+    except ValueError as exc:
+        raise InputError(f"generator value of shape {np.shape(values)} does not "
+                         f"broadcast to the midpoint shape {shape}") from exc
+
+
+def _ordered_product(steps: np.ndarray) -> np.ndarray:
+    """Samples X_0 = I and X_{k+1} = steps[k] X_k."""
+    out = np.empty((len(steps) + 1,) + steps.shape[1:], dtype=steps.dtype)
+    out[0] = np.eye(steps.shape[-1])
+    for k, step in enumerate(steps):
+        out[k + 1] = step @ out[k]
+    return out
+
+
 def unitary_path_from_generator(h, n: int, n_samples: int = DEFAULT_SAMPLES) -> SampledPath:
     """Midpoint product integration of du/dt = i h(t) u, mapped into Sp(2n, R).
 
-    Each step factor is built spectrally, so every sample is unitary to
-    machine precision regardless of the step count.
+    ``h`` is called once, with the step midpoints shaped (N-1, 1, 1); its
+    value must broadcast to (N-1, n, n), else :class:`InputError`.  Each step
+    factor is built spectrally, so every sample is unitary to machine
+    precision regardless of the step count.
     """
     t = uniform_times(n_samples)
-    mids = 0.5 * (t[:-1] + t[1:])
-    dts = np.diff(t)
-    gens = np.stack([dt * h(tm) for dt, tm in zip(dts, mids)])
-    steps = exp_i_hermitian(gens)
-    u = np.empty((n_samples, n, n), dtype=complex)
-    u[0] = np.eye(n)
-    for k in range(n_samples - 1):
-        u[k + 1] = steps[k] @ u[k]
-    return SampledPath(t, complex_to_real(u))
+    gens = np.diff(t)[:, None, None] * _midpoint_values(h, t, n)
+    return SampledPath(t, complex_to_real(_ordered_product(exp_i_hermitian(gens))))
 
 
 def random_unitary_path(n: int, rng: np.random.Generator, scale: float = 2.0,
@@ -119,48 +142,25 @@ def random_unitary_path(n: int, rng: np.random.Generator, scale: float = 2.0,
         random_hermitian_generator(n, rng, scale), n, n_samples)
 
 
-def _random_symmetric(dim: int, rng: np.random.Generator, scale: float) -> np.ndarray:
-    a = rng.normal(size=(dim, dim))
-    s = 0.5 * (a + a.T)
-    return scale * s / max(np.linalg.norm(s, 2), 1e-12)
-
-
-def random_symmetric_generator(dim: int, rng: np.random.Generator, scale: float = 1.5):
-    """Smooth random symmetric-valued map H(t), the Hamiltonian of a path."""
-    b0 = _random_symmetric(dim, rng, scale)
-    b1 = _random_symmetric(dim, rng, scale)
-    b2 = _random_symmetric(dim, rng, scale)
-
-    def ham(t: float) -> np.ndarray:
-        return b0 + np.sin(2 * np.pi * t) * b1 + np.cos(2 * np.pi * t) * b2
-
-    return ham
-
-
 def symplectic_path_from_hamiltonian(ham, dim: int,
                                      n_samples: int = DEFAULT_SAMPLES) -> SampledPath:
     """Midpoint product integration of dX/dt = J H(t) X.
 
-    Step factors are exponentials of Hamiltonian matrices, hence exactly
-    symplectic; the assembled samples drift from Sp(2n) only by roundoff.
+    ``ham`` is called once, with the step midpoints shaped (N-1, 1, 1); its
+    value must broadcast to (N-1, dim, dim), else :class:`InputError`.  Step
+    factors are exponentials of Hamiltonian matrices, hence exactly
+    symplectic; the samples drift from Sp(2n) only by roundoff.
     """
     t = uniform_times(n_samples)
     j = standard_j(dim // 2)
-    mids = 0.5 * (t[:-1] + t[1:])
-    dts = np.diff(t)
-    gens = np.stack([dt * (j @ ham(tm)) for dt, tm in zip(dts, mids)])
-    steps = matrix_exp(gens)
-    mats = np.empty((n_samples, dim, dim))
-    mats[0] = np.eye(dim)
-    for k in range(n_samples - 1):
-        mats[k + 1] = steps[k] @ mats[k]
-    return SampledPath(t, mats)
+    gens = np.diff(t)[:, None, None] * (j @ _midpoint_values(ham, t, dim))
+    return SampledPath(t, _ordered_product(matrix_exp(gens)))
 
 
 def random_symplectic_path(dim: int, rng: np.random.Generator, scale: float = 1.5,
                            n_samples: int = DEFAULT_SAMPLES) -> SampledPath:
     return symplectic_path_from_hamiltonian(
-        random_symmetric_generator(dim, rng, scale), dim, n_samples)
+        _mode_closure(rng, dim, scale, False), dim, n_samples)
 
 
 def commuting_unitary_pair(n: int, rng: np.random.Generator, ratio: float | None = None,

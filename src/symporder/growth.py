@@ -285,6 +285,9 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
                     p_max: int | None = None, k_max: int = DEFAULT_K_MAX,
                     c_emp: float = 0.0, tol: float = CONE_TOL) -> GrowthEstimate:
     """Brute-force growth staircase next to its closed-form prediction."""
+    ns = tuple(ns)
+    if not ns:
+        raise InputError("growth estimate needs at least one staircase index n")
     hint = gamma_closed_symplectic(x, y, k_max, c_emp, tol).value
     closed = None
     if commutes_with_j(x.matrices, 1e-9) and commutes_with_j(y.matrices, 1e-9):
@@ -301,5 +304,5 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
     # certificate is tight; a conservative certificate gives the upper end alone
     top = gamma_ns[-1] / ns[-1]
     limit = Estimate(top, top - 1.0 / ns[-1], top)
-    return GrowthEstimate(ns=tuple(ns), gamma_ns=tuple(gamma_ns),
+    return GrowthEstimate(ns=ns, gamma_ns=tuple(gamma_ns),
                           limit_estimate=limit, closed_form=closed)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError
 from .paths import SampledPath
-from .prequant import LeafFunction, QuantElement, is_normalized
+from .prequant import LeafFunction, QuantElement, _fold_mean, is_normalized
 
 
 def _load_json(filename: str) -> dict:
@@ -87,36 +87,40 @@ def load_path(filename: str) -> SampledPath:
         raise InputError(f"{filename}: {exc}") from exc
 
 
+def _save_json(doc: dict, filename: str) -> None:
+    with open(filename, "w") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+
+
 def save_path(path: SampledPath, filename: str) -> None:
-    doc = {
+    _save_json({
         "dim": path.dim,
         "times": path.times.tolist(),
         "matrices": [m.reshape(-1).tolist() for m in path.matrices],
-    }
-    with open(filename, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    }, filename)
 
 
-def load_grid(filename: str) -> LeafFunction:
-    data = _load_json(filename)
+def _read_grid(data: dict, filename: str) -> np.ndarray:
     shape = _require_shape(data, filename)
     values = _require_floats(data, "values", filename)
     try:
-        values = values.reshape(shape)
+        return values.reshape(shape)
     except ValueError as exc:
         raise InputError(f"{filename}: values do not fill grid {shape} ({exc})") from exc
+
+
+def load_grid(filename: str) -> LeafFunction:
+    values = _read_grid(_load_json(filename), filename)
     return LeafFunction(values, normalized=is_normalized(values))
 
 
+def _grid_doc(leaf: LeafFunction) -> dict:
+    return {"grid_shape": list(leaf.grid_shape), "values": leaf.values.reshape(-1).tolist()}
+
+
 def save_grid(leaf: LeafFunction, filename: str) -> None:
-    doc = {
-        "grid_shape": list(leaf.grid_shape),
-        "values": leaf.values.reshape(-1).tolist(),
-    }
-    with open(filename, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _save_json(_grid_doc(leaf), filename)
 
 
 def load_quant_element(filename: str) -> QuantElement:
@@ -129,28 +133,16 @@ def load_quant_element(filename: str) -> QuantElement:
     shift = _require_floats(data, "shift", filename)
     if shift.shape != ():
         raise InputError(f"{filename}: 'shift' must be a single number")
-    shape = _require_shape(data, filename)
-    values = _require_floats(data, "values", filename)
+    values = _read_grid(data, filename)
     try:
-        values = values.reshape(shape)
-    except ValueError as exc:
-        raise InputError(f"{filename}: values do not fill grid {shape} ({exc})") from exc
-    mean = float(values.mean())
-    try:
-        return QuantElement(float(shift) + mean, LeafFunction(values - mean, normalized=True))
+        mean, leaf = _fold_mean(values)
+        return QuantElement(float(shift) + mean, leaf)
     except ValueError as exc:
         raise InputError(f"{filename}: {exc}") from exc
 
 
 def save_quant_element(element: QuantElement, filename: str) -> None:
-    doc = {
-        "shift": element.shift,
-        "grid_shape": list(element.func.grid_shape),
-        "values": element.func.values.reshape(-1).tolist(),
-    }
-    with open(filename, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _save_json({"shift": element.shift, **_grid_doc(element.func)}, filename)
 
 
 def load_matrix(filename: str) -> np.ndarray:

@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResolutionError
-from .generators import random_symplectic_path
+from .generators import _rotations, random_symplectic_path
 from .matrices import commutes_with_j, exp_i_hermitian, standard_j, symplectic_defect
 
 # ``unitary_polar_factor`` is not called here; the binding stays because the
 # benchmark's tracer wraps ``symporder.maslov.unitary_polar_factor`` by name.
 from .matrices import unitary_polar_factor  # noqa: F401
-from .paths import SampledPath, compose, extract_hamiltonian, pointwise_power, refine
+from .paths import (SampledPath, _plane_stack, compose, extract_hamiltonian,
+                    pointwise_power, refine)
 
 REFINEMENT_CAP = 2 ** 16
 # refuse to trust per-step determinant increments this close to the aliasing
@@ -287,13 +288,7 @@ def _stretch_rotation_block(lam: float, times: np.ndarray) -> np.ndarray:
     """
     a = np.arctan(lam) - np.pi / 4.0
     f = np.tan(np.pi / 4.0 + a * times)
-    th = 2.0 * np.pi * times
-    c, s = np.cos(th), np.sin(th)
-    u = np.empty((len(times), 2, 2))
-    u[:, 0, 0] = c
-    u[:, 0, 1] = -s
-    u[:, 1, 0] = s
-    u[:, 1, 1] = c
+    u = _rotations(2.0 * np.pi * times)
     fmat = np.zeros((len(times), 2, 2))
     fmat[:, 0, 0] = f
     fmat[:, 1, 1] = 1.0 / f
@@ -318,16 +313,8 @@ def positive_path_to(p: np.ndarray, n_samples: int = 512,
     defect = float(symplectic_defect(p))
     if defect > tol * (1.0 + float(np.abs(p).max()) ** 2):
         raise InputError(f"endpoint is not symplectic: |P^T J P - J| = {defect:.3e}")
-    dim = p.shape[0]
-    n = dim // 2
     q, lams = _pair_spd_symplectic(p, tol)
     times = np.linspace(0.0, 1.0, n_samples)
-    mats = np.broadcast_to(np.eye(dim), (n_samples, dim, dim)).copy()
-    for i, lam in enumerate(lams):
-        block = _stretch_rotation_block(lam, times)
-        mats[:, i, i] = block[:, 0, 0]
-        mats[:, i, i + n] = block[:, 0, 1]
-        mats[:, i + n, i] = block[:, 1, 0]
-        mats[:, i + n, i + n] = block[:, 1, 1]
-    mats = q @ mats @ q.T
-    return SampledPath(times, mats)
+    mats = _plane_stack(n_samples, p.shape[0] // 2,
+                        {i: _stretch_rotation_block(lam, times) for i, lam in enumerate(lams)})
+    return SampledPath(times, q @ mats @ q.T)

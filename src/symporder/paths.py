@@ -356,14 +356,17 @@ def embed_block(path: SampledPath, block: int, n: int) -> SampledPath:
         raise InputError("block embedding expects an Sp(2) path")
     if not (1 <= block <= n):
         raise InputError(f"block index {block} outside 1..{n}")
-    i = block - 1
-    mats = np.broadcast_to(np.eye(2 * n), (path.n_samples, 2 * n, 2 * n)).copy()
-    a = path.matrices
-    mats[:, i, i] = a[:, 0, 0]
-    mats[:, i, i + n] = a[:, 0, 1]
-    mats[:, i + n, i] = a[:, 1, 0]
-    mats[:, i + n, i + n] = a[:, 1, 1]
-    return SampledPath(path.times, mats)
+    return SampledPath(path.times,
+                       _plane_stack(path.n_samples, n, {block - 1: path.matrices}))
+
+
+def _plane_stack(n_samples: int, n: int, planes: dict) -> np.ndarray:
+    """Identity stack in Sp(2n) with each ``planes[i]``, a stack of 2x2
+    blocks, written into the (i, i + n) coordinate plane."""
+    mats = np.broadcast_to(np.eye(2 * n), (n_samples, 2 * n, 2 * n)).copy()
+    for i, block in planes.items():
+        mats[:, i::n, i::n] = block
+    return mats
 
 
 def min_generator_eigenvalue(path: SampledPath) -> float:

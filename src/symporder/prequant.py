@@ -72,16 +72,25 @@ class LeafFunction:
 
 
 def normalize_leaf(values: np.ndarray) -> LeafFunction:
-    """Subtract the grid mean; the result generates a strict quantomorphism.
+    """Subtract the grid mean; the result generates a strict quantomorphism."""
+    return _fold_mean(values)[1]
+
+
+def _fold_mean(values: np.ndarray) -> tuple[float, LeafFunction]:
+    """(subtracted mean, normalized leaf function) of a grid.
 
     A large common offset leaves a residual mean near the offset's ulp, which
     can exceed the tolerance relative to the centered values; one more
-    subtraction of that residual brings it to rounding of the result."""
+    subtraction of that residual brings it to rounding of the result, and the
+    returned mean includes it."""
     values = np.asarray(values, dtype=float)
-    centered = values - values.mean()
+    mean = float(values.mean())
+    centered = values - mean
     if not is_normalized(centered):
-        centered = centered - centered.mean()
-    return LeafFunction(centered, normalized=True)
+        residual = float(centered.mean())
+        centered = centered - residual
+        mean += residual
+    return mean, LeafFunction(centered, normalized=True)
 
 
 def torus_grid(shape) -> list[np.ndarray]:
@@ -218,9 +227,7 @@ def embed_into_z(f: LeafFunction) -> QuantElement:
     ``F`` maps to the element with generator ``exp(F)``; distances become
     ``k_quant(embed(F), embed(G)) = max |F - G|`` exactly.
     """
-    values = np.exp(np.asarray(f.values, dtype=float))
-    shift = float(values.mean())
-    return QuantElement(shift, LeafFunction(values - values.mean(), normalized=True))
+    return QuantElement(*_fold_mean(np.exp(f.values)))
 
 
 def calabi_weinstein(funcs, weights: np.ndarray | None = None,

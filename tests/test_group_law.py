@@ -5,7 +5,9 @@ drawn seed.  ``np.linalg.inv`` serves as the independent reference for the
 inverse samples that the package forms as -J X^T J, and the SVD polar factor
 ``unitary_polar_factor`` for the closed-form winding phase.  The growth entry
 points, which compute each path's invariants once per call, are compared bit
-for bit with the separate closed forms and staircase rungs they stand for.
+for bit with the separate closed forms and staircase rungs they stand for,
+and the path integrators, which call their closure once on the whole time
+grid, with the per-step integration they replaced.
 """
 
 import numpy as np
@@ -165,3 +167,113 @@ def test_winding_is_additive_on_commuting_unitary_loops(seed, n, data):
     y = gen.unitary_loop(data.draw(mults), basis, SAMPLES)
     total = maslov.maslov_index(x).value + maslov.maslov_index(y).value
     assert abs(maslov.maslov_index(paths.compose(x, y)).value - total) <= 1e-9
+
+
+# The integrators as they were before they evaluated their closure once on the
+# whole time grid: one closure call per step, then the serial product loop.
+# Together with the old mode draws they are the reference for bitwise samples.
+
+def _old_hermitian(n: int, rng: np.random.Generator, scale: float) -> np.ndarray:
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = 0.5 * (z + z.conj().T)
+    return scale * h / max(np.linalg.norm(h, 2), 1e-12)
+
+
+def _old_symmetric(dim: int, rng: np.random.Generator, scale: float) -> np.ndarray:
+    a = rng.normal(size=(dim, dim))
+    s = 0.5 * (a + a.T)
+    return scale * s / max(np.linalg.norm(s, 2), 1e-12)
+
+
+def _old_modes(draw, dim: int, rng: np.random.Generator, scale: float):
+    b0, b1, b2 = (draw(dim, rng, scale) for _ in range(3))
+    return lambda t: b0 + np.sin(2 * np.pi * t) * b1 + np.cos(2 * np.pi * t) * b2
+
+
+def _per_step_unitary(h, n: int, n_samples: int) -> np.ndarray:
+    t = gen.uniform_times(n_samples)
+    mids = 0.5 * (t[:-1] + t[1:])
+    dts = np.diff(t)
+    gens = np.stack([dt * h(tm) for dt, tm in zip(dts, mids)])
+    steps = matrices.exp_i_hermitian(gens)
+    u = np.empty((n_samples, n, n), dtype=complex)
+    u[0] = np.eye(n)
+    for k in range(n_samples - 1):
+        u[k + 1] = steps[k] @ u[k]
+    return matrices.complex_to_real(u)
+
+
+def _per_step_symplectic(ham, dim: int, n_samples: int) -> np.ndarray:
+    t = gen.uniform_times(n_samples)
+    j = matrices.standard_j(dim // 2)
+    mids = 0.5 * (t[:-1] + t[1:])
+    dts = np.diff(t)
+    gens = np.stack([dt * (j @ ham(tm)) for dt, tm in zip(dts, mids)])
+    steps = matrices.matrix_exp(gens)
+    mats = np.empty((n_samples, dim, dim))
+    mats[0] = np.eye(dim)
+    for k in range(n_samples - 1):
+        mats[k + 1] = steps[k] @ mats[k]
+    return mats
+
+
+def _offset_modes(offset: float, modes: list, scale: float):
+    """The benchmark's mode closure: offset I + scale (B0 + sin B1 + cos B2)."""
+    eye = np.eye(len(modes[0]))
+    b0, b1, b2 = modes
+    return lambda t: offset * eye + scale * (b0 + np.sin(2.0 * np.pi * t) * b1
+                                             + np.cos(2.0 * np.pi * t) * b2)
+
+
+def _commuting(v: np.ndarray, w: np.ndarray, d: np.ndarray, scale: float):
+    """The benchmark's commuting closure: scale V diag(w + d cos(2 pi t)) V^H."""
+    vh = v.conj().T
+    return lambda t: scale * ((v * (w + d * np.cos(2.0 * np.pi * t))) @ vh)
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=10)
+@given(seeds, st.sampled_from([1, 2, 3, 4]), st.sampled_from([3, 4, 65, 256, 513]))
+def test_integrators_equal_the_per_step_reference_bitwise(seed, n, n_samples):
+    dim = 2 * n
+    rng, old = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 0])
+    assert _same_bits(gen.random_unitary_path(n, rng, 1.5, n_samples).matrices,
+                      _per_step_unitary(_old_modes(_old_hermitian, n, old, 1.5),
+                                        n, n_samples))
+    assert _same_bits(gen.random_symplectic_path(dim, rng, 1.5, n_samples).matrices,
+                      _per_step_symplectic(_old_modes(_old_symmetric, dim, old, 1.5),
+                                           dim, n_samples))
+    offset, modes = rng.uniform(3.5, 5.0), gen.random_hermitian_generator(n, rng, 1.0)
+    unitary_closures = [
+        lambda t: offset * np.eye(n) + modes(t),
+        _offset_modes(offset, [_old_hermitian(n, rng, 1.0) for _ in range(3)], 1.0),
+        _commuting(gen.random_unitary_matrix(n, rng), rng.uniform(2.0, 4.0, size=n),
+                   rng.uniform(-0.6, 0.6, size=n), rng.uniform(0.5, 2.0)),
+    ]
+    for h in unitary_closures:
+        assert _same_bits(gen.unitary_path_from_generator(h, n, n_samples).matrices,
+                          _per_step_unitary(h, n, n_samples))
+    ham = _offset_modes(0.0, [_old_symmetric(dim, rng, 1.0) for _ in range(3)], 1.5)
+    assert _same_bits(gen.symplectic_path_from_hamiltonian(ham, dim, n_samples).matrices,
+                      _per_step_symplectic(ham, dim, n_samples))
+
+
+def test_integrators_refuse_a_closure_that_does_not_broadcast():
+    with pytest.raises(InputError, match=r"\(8, 3, 3\).*\(8, 2, 2\)"):
+        gen.unitary_path_from_generator(lambda t: np.eye(3) * t, 2, 9)
+    with pytest.raises(InputError, match=r"\(5, 4, 4\).*\(8, 4, 4\)"):
+        gen.symplectic_path_from_hamiltonian(lambda t: np.ones((5, 4, 4)), 4, 9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mode_closures_take_a_scalar_or_the_midpoint_array(n):
+    rng = np.random.default_rng(n)
+    mids = 0.5 * (gen.uniform_times(17)[:-1] + gen.uniform_times(17)[1:])
+    for h, size in ((gen.random_hermitian_generator(n, rng), n),
+                    (gen._mode_closure(rng, 2 * n, 1.5, False), 2 * n)):
+        assert h(0.25).shape == (size, size)
+        stacked = h(mids[:, None, None])
+        assert all(_same_bits(stacked[k], h(tm)) for k, tm in enumerate(mids))

@@ -143,3 +143,13 @@ def test_z_coordinates_are_log_windings(loops):
 def test_z_coordinate_requires_dominant():
     with pytest.raises(InputError):
         growth.z_coordinate(gen.rotation_path(-1.0, 513))
+
+
+def test_growth_estimate_refuses_an_empty_ladder_before_any_work(loops, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the pair was examined")
+
+    monkeypatch.setattr(growth, "gamma_closed_symplectic", unreachable)
+    monkeypatch.setattr(growth, "_staircase", unreachable)
+    with pytest.raises(InputError, match="at least one staircase index"):
+        growth.growth_estimate(*loops, ns=())

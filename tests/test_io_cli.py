@@ -459,6 +459,33 @@ def test_cli_takes_zero_mean_grids_of_any_scale(tmp_path, capsys):
         0.5 * np.log((1e6 + values.max()) / (1e6 + values.min())))
 
 
+def test_cli_quant_k_takes_values_with_a_large_common_offset(tmp_path, capsys):
+    # one subtraction of the float mean leaves a residual near ulp(1e6),
+    # which the loader refused as "claimed normalized"
+    qa = _write_doc(tmp_path, "qa.json",
+                    {"shift": 0.0, "grid_shape": [3], "values": [1e6 + 2, 1e6, 1e6]})
+    qb = _write_doc(tmp_path, "qb.json",
+                    {"shift": 0.0, "grid_shape": [3], "values": [1e6 + 3, 1e6, 1e6]})
+    code, out, err = run_cli(["quant-k", qa, qb], capsys)
+    assert code == 0, err
+    assert json.loads(out)["value"] == pytest.approx(np.log((1e6 + 3) / (1e6 + 2)),
+                                                     rel=1e-9)
+
+
+def test_cli_embed_takes_a_grid_with_a_large_common_offset(tmp_path, capsys):
+    # exp(30) ~ 1e13 leaves a residual mean near 1e-3 after one subtraction,
+    # against centered values near 1e7
+    (p,) = prequant.torus_grid((64,))
+    values = 30 + 1e-6 * np.cos(2 * np.pi * p)
+    grid = _write_doc(tmp_path, "offset.json", {"grid_shape": [64], "values": values.tolist()})
+    dest = str(tmp_path / "embedded.json")
+    code, out, err = run_cli(["embed", grid, dest], capsys)
+    assert code == 0, err
+    element = io.load_quant_element(dest)
+    assert json.loads(out)["shift"] == element.shift
+    assert np.allclose(element.generator, np.exp(values), rtol=1e-14, atol=0.0)
+
+
 def test_cli_embed_isometry_through_files(tmp_path, capsys):
     rng = np.random.default_rng(5)
     f = prequant.normalize_leaf(rng.normal(size=32))

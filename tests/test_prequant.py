@@ -48,6 +48,21 @@ def test_normalize_leaf_with_a_large_common_offset():
     assert leaf.values == pytest.approx([4 / 3, -2 / 3, -2 / 3], abs=1e-9)
 
 
+def test_mean_fold_hands_the_subtracted_mean_to_the_shift():
+    # a grid the first pass normalizes keeps the one-subtraction mean and values
+    values = np.random.default_rng(2).normal(size=(8, 4)) + 3.0
+    mean, leaf = prequant._fold_mean(values)
+    assert mean == float(values.mean())
+    assert np.array_equal(leaf.values, values - values.mean())
+    # with a large offset the second pass's residual goes into the mean too
+    offset = np.array([1e6 + 2.0, 1e6, 1e6])
+    mean, leaf = prequant._fold_mean(offset)
+    assert np.array_equal(leaf.values, prequant.normalize_leaf(offset).values)
+    assert mean + leaf.values == pytest.approx(offset, rel=1e-15)
+    element = prequant.embed_into_z(prequant.LeafFunction(np.log(offset)))
+    assert element.generator == pytest.approx(offset, rel=1e-15)
+
+
 def test_quant_element_requires_normalized_leaf():
     with pytest.raises(InputError):
         prequant.QuantElement(1.0, prequant.LeafFunction(np.ones(8)))
