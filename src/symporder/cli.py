@@ -44,8 +44,7 @@ def _emit(command: str, fields: dict, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        io.write_text(text, out)
 
 
 def _checked(convert, accept, expected: str):
@@ -61,8 +60,8 @@ def _checked(convert, accept, expected: str):
     return parse
 
 
-# every float argument is finite; defect bounds, seeds and sample counts are
-# non-negative
+# every float argument is finite; tolerances, defect bounds, seeds and sample
+# counts are non-negative
 _finite_float = _checked(float, math.isfinite, "a finite number")
 _bound = _checked(float, lambda value: math.isfinite(value) and value >= 0.0,
                   "a finite non-negative number")
@@ -76,126 +75,22 @@ def _floats(text: str, flag: str) -> list[float]:
         raise InputError(f"{flag} expects comma-separated floats: {exc}") from exc
 
 
-def _add_out(sub) -> None:
-    sub.add_argument("--out", metavar="FILE",
-                     help="write the JSON report here instead of stdout")
+def _arg(*flags, **options) -> tuple:
+    """One ``add_argument`` call of the command table."""
+    return flags, options
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="symporder",
-                     description="order, winding and growth on symplectic paths")
-    parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True,
-                                 parser_class=_Parser)
+def _tol(default: float = CONE_TOL) -> tuple:
+    return _arg("--tol", type=_bound, default=default)
 
-    sub = subs.add_parser("maslov", help="winding of a sampled path")
-    sub.add_argument("path", help="path JSON file")
-    _add_out(sub)
 
-    sub = subs.add_parser("cone", help="classify a path against the positive cone")
-    sub.add_argument("path", help="path JSON file")
-    sub.add_argument("--tol", type=_finite_float, default=CONE_TOL)
-    _add_out(sub)
+def _growth_args(cemp_help: str | None = None) -> tuple:
+    """The ``--kmax/--cemp/--tol`` group of the homogenized-winding commands."""
+    return (_arg("--kmax", type=int, default=growth.DEFAULT_K_MAX),
+            _arg("--cemp", type=_bound, default=0.0, help=cemp_help), _tol())
 
-    sub = subs.add_parser("order", help="certify X >= Y in the bi-invariant order")
-    sub.add_argument("x", help="path JSON file for X")
-    sub.add_argument("y", help="path JSON file for Y")
-    sub.add_argument("--tol", type=_finite_float, default=CONE_TOL)
-    _add_out(sub)
 
-    sub = subs.add_parser("synth-positive",
-                          help="positive path to a positive diagonal target")
-    sub.add_argument("target", help="matrix JSON file (positive diagonal, symplectic)")
-    sub.add_argument("dest", help="path JSON file to write")
-    sub.add_argument("--grid", type=_natural, default=512, metavar="N",
-                     help="number of samples (default 512)")
-    _add_out(sub)
-
-    sub = subs.add_parser("redistribute",
-                          help="move Hermitian spectrum to a target winding")
-    sub.add_argument("hermitian", help="hermitian JSON file")
-    sub.add_argument("target_mu", type=_finite_float,
-                     help="target winding, at least 2*pi*n")
-    sub.add_argument("--tol", type=_finite_float, default=1e-9)
-    _add_out(sub)
-
-    sub = subs.add_parser("gamma", help="relative growth staircase for a pair")
-    sub.add_argument("x", help="path JSON file for X (dominant)")
-    sub.add_argument("y", help="path JSON file for Y")
-    sub.add_argument("--nmax", type=int, default=64,
-                     help="largest staircase index (default 64)")
-    sub.add_argument("--pmax", type=_natural, default=None,
-                     help="search powers in [-P, P] on every rung "
-                          "(default: ceil(|gamma| n) + 8, gamma the winding ratio)")
-    sub.add_argument("--kmax", type=int, default=growth.DEFAULT_K_MAX)
-    sub.add_argument("--cemp", type=_bound, default=0.0,
-                     help="empirical defect bound for uncertainty intervals")
-    sub.add_argument("--tol", type=_finite_float, default=CONE_TOL)
-    sub.add_argument("--csv", metavar="FILE", help="also write n,gamma_n rows")
-    _add_out(sub)
-
-    sub = subs.add_parser("kdist", help="pseudo-distance between dominant paths")
-    sub.add_argument("x", help="path JSON file")
-    sub.add_argument("y", help="path JSON file")
-    sub.add_argument("--kmax", type=int, default=growth.DEFAULT_K_MAX)
-    sub.add_argument("--cemp", type=_bound, default=0.0)
-    sub.add_argument("--tol", type=_finite_float, default=CONE_TOL)
-    _add_out(sub)
-
-    sub = subs.add_parser("zcoord", help="coordinate of a dominant path on the metric line")
-    sub.add_argument("path", help="path JSON file")
-    sub.add_argument("--kmax", type=int, default=growth.DEFAULT_K_MAX)
-    sub.add_argument("--cemp", type=_bound, default=0.0)
-    sub.add_argument("--tol", type=_finite_float, default=CONE_TOL)
-    _add_out(sub)
-
-    sub = subs.add_parser("defect-sample",
-                          help="sample the quasimorphism defect empirically")
-    sub.add_argument("--dim", type=int, default=2, help="path dimension 2n")
-    sub.add_argument("--pairs", type=int, default=20)
-    sub.add_argument("--seed", type=_natural, default=7)
-    sub.add_argument("--safety", type=_bound, default=2.0)
-    _add_out(sub)
-
-    sub = subs.add_parser("quant-gamma",
-                          help="relative growth of quantomorphism elements")
-    sub.add_argument("a", help="quant JSON file (dominant)")
-    sub.add_argument("b", help="quant JSON file")
-    sub.add_argument("--n", type=int, default=None,
-                     help="also report the integer staircase value at this n")
-    _add_out(sub)
-
-    sub = subs.add_parser("quant-k",
-                          help="pseudo-distance between dominant quant elements")
-    sub.add_argument("a", help="quant JSON file")
-    sub.add_argument("b", help="quant JSON file")
-    _add_out(sub)
-
-    sub = subs.add_parser("rot-distance",
-                          help="distance from a quant element to the rotation curve")
-    sub.add_argument("shift", type=_finite_float, help="fiber shift s")
-    sub.add_argument("grid", help="grid JSON file with the leaf function")
-    _add_out(sub)
-
-    sub = subs.add_parser("embed",
-                          help="embed a leaf function into the metric line")
-    sub.add_argument("grid", help="grid JSON file")
-    sub.add_argument("dest", help="quant JSON file to write")
-    _add_out(sub)
-
-    sub = subs.add_parser("cw", help="Calabi-Weinstein invariant of a family")
-    sub.add_argument("grids", nargs="+", help="grid JSON files, one per time slice")
-    sub.add_argument("--weights", metavar="W1,W2,...",
-                     help="volume weights shared by every slice")
-    sub.add_argument("--times", metavar="T1,T2,...",
-                     help="time grid for the slices (default uniform on [0, 1])")
-    _add_out(sub)
-
-    sub = subs.add_parser("verify", help="run the acceptance criteria")
-    sub.add_argument("--suite", choices=VERIFY_SUITES, default="all")
-    sub.add_argument("--seed", type=_natural, default=None)
-
-    return parser
+_PATH = _arg("path", help="path JSON file")
 
 
 def _verdict_fields(verdict) -> dict:
@@ -207,55 +102,47 @@ def _verdict_fields(verdict) -> dict:
     }
 
 
-def _run_maslov(args) -> int:
+def _run_maslov(args) -> dict:
     result = maslov.maslov_index(io.load_path(args.path))
-    _emit("maslov", {"max_step": result.max_step, "turns": result.turns,
-                     "value": result.value}, args.out)
-    return 0
+    return {"max_step": result.max_step, "turns": result.turns, "value": result.value}
 
 
-def _run_cone(args) -> int:
-    verdict = classify_cone(io.load_path(args.path), args.tol)
-    _emit("cone", _verdict_fields(verdict), args.out)
-    return 0
+def _run_cone(args) -> dict:
+    return _verdict_fields(classify_cone(io.load_path(args.path), args.tol))
 
 
-def _run_order(args) -> int:
-    verdict = order_leq(io.load_path(args.y), io.load_path(args.x), args.tol)
-    _emit("order", _verdict_fields(verdict), args.out)
-    return 0
+def _run_order(args) -> dict:
+    return _verdict_fields(order_leq(io.load_path(args.y), io.load_path(args.x), args.tol))
 
 
-def _run_synth_positive(args) -> int:
+def _run_synth_positive(args) -> dict:
     target = io.load_matrix(args.target)
     path = maslov.positive_path_to(target, n_samples=args.grid)
     io.save_path(path, args.dest)
     track = extract_hamiltonian(path)
-    _emit("synth-positive", {
+    return {
         "endpoint_error": float(np.abs(path.endpoint - target).max()),
         "min_generator_eigenvalue": float(np.linalg.eigvalsh(track.hams).min()),
         "samples": path.n_samples,
         "winding": maslov.maslov_index(path).value,
         "winding_budget": 4.0 * np.pi * path.half_dim,
-    }, args.out)
-    return 0
+    }
 
 
-def _run_redistribute(args) -> int:
+def _run_redistribute(args) -> dict:
     a = io.load_hermitian(args.hermitian)
     spectrum = maslov.redistribute_eigenvalues(a, args.target_mu, tol=args.tol)
     endpoint_error = float(np.abs(maslov.unitary_endpoint(spectrum)
                                   - maslov.exp_i_hermitian(a)).max())
-    _emit("redistribute", {
+    return {
         "eigenvalues": spectrum.eigenvalues.tolist(),
         "endpoint_error": endpoint_error,
         "target_mu": args.target_mu,
         "trace": float(spectrum.eigenvalues.sum()),
-    }, args.out)
-    return 0
+    }
 
 
-def _run_gamma(args) -> int:
+def _run_gamma(args) -> dict:
     x, y = io.load_path(args.x), io.load_path(args.y)
     ns = tuple(n for n in growth.GROWTH_NS if n <= args.nmax)
     if not ns:
@@ -263,84 +150,71 @@ def _run_gamma(args) -> int:
     est = growth.growth_estimate(x, y, ns=ns, p_max=args.pmax, k_max=args.kmax,
                                  c_emp=args.cemp, tol=args.tol)
     if args.csv is not None:
-        with open(args.csv, "w") as fh:
-            fh.write("n,gamma_n\n")
-            for n, g in zip(est.ns, est.gamma_ns):
-                fh.write(f"{n},{'' if g is None else g}\n")
-    _emit("gamma", {
+        rows = "".join(f"{n},{'' if g is None else g}\n"
+                       for n, g in zip(est.ns, est.gamma_ns))
+        io.write_text("n,gamma_n\n" + rows, args.csv)
+    return {
         "closed_form": est.closed_form,
         "gamma_ns": list(est.gamma_ns),
         "limit": est.limit_estimate.value,
         "limit_lower": est.limit_estimate.lower,
         "limit_upper": est.limit_estimate.upper,
         "ns": list(est.ns),
-    }, args.out)
-    return 0
+    }
 
 
-def _run_kdist(args) -> int:
+def _run_kdist(args) -> dict:
     est = growth.pseudo_distance_k(io.load_path(args.x), io.load_path(args.y),
                                    k_max=args.kmax, c_emp=args.cemp, tol=args.tol)
-    _emit("kdist", {"c_emp": args.cemp, "k_max": args.kmax, "lower": est.lower,
-                    "upper": est.upper, "value": est.value}, args.out)
-    return 0
+    return {"c_emp": args.cemp, "k_max": args.kmax, "lower": est.lower,
+            "upper": est.upper, "value": est.value}
 
 
-def _run_zcoord(args) -> int:
+def _run_zcoord(args) -> dict:
     point = growth.z_coordinate(io.load_path(args.path), k_max=args.kmax,
                                 c_emp=args.cemp, tol=args.tol)
-    _emit("zcoord", {"c_emp": args.cemp, "coordinate": point.coordinate,
-                     "k_max": args.kmax, "lower": point.lower,
-                     "upper": point.upper}, args.out)
-    return 0
+    return {"c_emp": args.cemp, "coordinate": point.coordinate, "k_max": args.kmax,
+            "lower": point.lower, "upper": point.upper}
 
 
-def _run_defect_sample(args) -> int:
+def _run_defect_sample(args) -> dict:
     raw = maslov.quasimorphism_defect_sample(args.pairs, args.dim, args.seed)
-    _emit("defect-sample", {
+    return {
         "c_emp": args.safety * raw,
         "dim": args.dim,
         "max_defect": raw,
         "pairs": args.pairs,
         "safety": args.safety,
         "seed": args.seed,
-    }, args.out)
-    return 0
+    }
 
 
-def _run_quant_gamma(args) -> int:
+def _run_quant_gamma(args) -> dict:
     a = io.load_quant_element(args.a)
     b = io.load_quant_element(args.b)
     fields = {"gamma": prequant.gamma_quant(a, b), "n": args.n, "gamma_n": None}
     if args.n is not None:
         fields["gamma_n"] = prequant.gamma_n_quant_bruteforce(a, b, args.n)
-    _emit("quant-gamma", fields, args.out)
-    return 0
+    return fields
 
 
-def _run_quant_k(args) -> int:
-    value = prequant.k_quant(io.load_quant_element(args.a),
-                             io.load_quant_element(args.b))
-    _emit("quant-k", {"value": value}, args.out)
-    return 0
+def _run_quant_k(args) -> dict:
+    return {"value": prequant.k_quant(io.load_quant_element(args.a),
+                                      io.load_quant_element(args.b))}
 
 
-def _run_rot_distance(args) -> int:
+def _run_rot_distance(args) -> dict:
     result = prequant.rotation_curve_distance(args.shift, io.load_grid(args.grid))
-    _emit("rot-distance", {"minimizer": result.t_star, "shift": args.shift,
-                           "value": result.value}, args.out)
-    return 0
+    return {"minimizer": result.t_star, "shift": args.shift, "value": result.value}
 
 
-def _run_embed(args) -> int:
+def _run_embed(args) -> dict:
     element = prequant.embed_into_z(io.load_grid(args.grid))
     io.save_quant_element(element, args.dest)
-    _emit("embed", {"grid_shape": list(element.func.grid_shape),
-                    "shift": element.shift}, args.out)
-    return 0
+    return {"grid_shape": list(element.func.grid_shape), "shift": element.shift}
 
 
-def _run_cw(args) -> int:
+def _run_cw(args) -> dict:
     funcs = [io.load_grid(name) for name in args.grids]
     weights = None
     if args.weights is not None:
@@ -354,8 +228,7 @@ def _run_cw(args) -> int:
     if args.times is not None:
         times = np.asarray(_floats(args.times, "--times"))
     value = prequant.calabi_weinstein(funcs, weights=weights, times=times)
-    _emit("cw", {"slices": len(funcs), "value": value}, args.out)
-    return 0
+    return {"slices": len(funcs), "value": value}
 
 
 def _run_verify(args) -> int:
@@ -368,23 +241,94 @@ def _run_verify(args) -> int:
     return 0 if passed == len(results) else 2
 
 
-_DISPATCH = {
-    "maslov": _run_maslov,
-    "cone": _run_cone,
-    "order": _run_order,
-    "synth-positive": _run_synth_positive,
-    "redistribute": _run_redistribute,
-    "gamma": _run_gamma,
-    "kdist": _run_kdist,
-    "zcoord": _run_zcoord,
-    "defect-sample": _run_defect_sample,
-    "quant-gamma": _run_quant_gamma,
-    "quant-k": _run_quant_k,
-    "rot-distance": _run_rot_distance,
-    "embed": _run_embed,
-    "cw": _run_cw,
-    "verify": _run_verify,
-}
+# (name, help, arguments, handler) of every report command; each also takes
+# --out, and ``verify`` is declared apart since it prints lines, not a report
+_COMMANDS = (
+    ("maslov", "winding of a sampled path", (_PATH,), _run_maslov),
+    ("cone", "classify a path against the positive cone", (_PATH, _tol()), _run_cone),
+    ("order", "certify X >= Y in the bi-invariant order", (
+        _arg("x", help="path JSON file for X"),
+        _arg("y", help="path JSON file for Y"),
+        _tol(),
+    ), _run_order),
+    ("synth-positive", "positive path to a positive diagonal target", (
+        _arg("target", help="matrix JSON file (positive diagonal, symplectic)"),
+        _arg("dest", help="path JSON file to write"),
+        _arg("--grid", type=_natural, default=512, metavar="N",
+             help="number of samples (default 512)"),
+    ), _run_synth_positive),
+    ("redistribute", "move Hermitian spectrum to a target winding", (
+        _arg("hermitian", help="hermitian JSON file"),
+        _arg("target_mu", type=_finite_float, help="target winding, at least 2*pi*n"),
+        _tol(1e-9),
+    ), _run_redistribute),
+    ("gamma", "relative growth staircase for a pair", (
+        _arg("x", help="path JSON file for X (dominant)"),
+        _arg("y", help="path JSON file for Y"),
+        _arg("--nmax", type=int, default=64, help="largest staircase index (default 64)"),
+        _arg("--pmax", type=_natural, default=None,
+             help="search powers in [-P, P] on every rung "
+                  "(default: ceil(|gamma| n) + 8, gamma the winding ratio)"),
+        *_growth_args("empirical defect bound for uncertainty intervals"),
+        _arg("--csv", metavar="FILE", help="also write n,gamma_n rows"),
+    ), _run_gamma),
+    ("kdist", "pseudo-distance between dominant paths", (
+        _arg("x", help="path JSON file"),
+        _arg("y", help="path JSON file"),
+        *_growth_args(),
+    ), _run_kdist),
+    ("zcoord", "coordinate of a dominant path on the metric line",
+     (_PATH, *_growth_args()), _run_zcoord),
+    ("defect-sample", "sample the quasimorphism defect empirically", (
+        _arg("--dim", type=int, default=2, help="path dimension 2n"),
+        _arg("--pairs", type=int, default=20),
+        _arg("--seed", type=_natural, default=7),
+        _arg("--safety", type=_bound, default=2.0),
+    ), _run_defect_sample),
+    ("quant-gamma", "relative growth of quantomorphism elements", (
+        _arg("a", help="quant JSON file (dominant)"),
+        _arg("b", help="quant JSON file"),
+        _arg("--n", type=int, default=None,
+             help="also report the integer staircase value at this n"),
+    ), _run_quant_gamma),
+    ("quant-k", "pseudo-distance between dominant quant elements", (
+        _arg("a", help="quant JSON file"),
+        _arg("b", help="quant JSON file"),
+    ), _run_quant_k),
+    ("rot-distance", "distance from a quant element to the rotation curve", (
+        _arg("shift", type=_finite_float, help="fiber shift s"),
+        _arg("grid", help="grid JSON file with the leaf function"),
+    ), _run_rot_distance),
+    ("embed", "embed a leaf function into the metric line", (
+        _arg("grid", help="grid JSON file"),
+        _arg("dest", help="quant JSON file to write"),
+    ), _run_embed),
+    ("cw", "Calabi-Weinstein invariant of a family", (
+        _arg("grids", nargs="+", help="grid JSON files, one per time slice"),
+        _arg("--weights", metavar="W1,W2,...", help="volume weights shared by every slice"),
+        _arg("--times", metavar="T1,T2,...",
+             help="time grid for the slices (default uniform on [0, 1])"),
+    ), _run_cw),
+)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="symporder",
+                     description="order, winding and growth on symplectic paths")
+    parser.add_argument("--version", action="version", version=__version__)
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 parser_class=_Parser)
+    for name, help_text, arguments, handler in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
+        sub.add_argument("--out", metavar="FILE",
+                         help="write the JSON report here instead of stdout")
+        sub.set_defaults(report=handler)
+    sub = subs.add_parser("verify", help="run the acceptance criteria")
+    sub.add_argument("--suite", choices=VERIFY_SUITES, default="all")
+    sub.add_argument("--seed", type=_natural, default=None)
+    return parser
 
 
 def run(argv=None) -> int:
@@ -392,7 +336,10 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _DISPATCH[args.command](args)
+        if args.command == "verify":
+            return _run_verify(args)
+        _emit(args.command, args.report(args), args.out)
+        return 0
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
     except InputError as exc:

@@ -51,10 +51,6 @@ class Estimate:
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return self.lower - slack <= x <= self.upper + slack
 
-    @property
-    def halfwidth(self) -> float:
-        return 0.5 * (self.upper - self.lower)
-
 
 def exact(value: float) -> Estimate:
     return Estimate(value, value, value)
@@ -145,9 +141,9 @@ def pseudo_distance_k(x: SampledPath, y: SampledPath,
 
 @dataclass(frozen=True)
 class ZPoint:
-    """A dominant path with its coordinate log(homogenized winding) on Z."""
+    """Coordinate log(homogenized winding) of a dominant path on Z, with its
+    uncertainty interval [lower, upper]."""
 
-    representative: SampledPath
     coordinate: float
     lower: float
     upper: float
@@ -162,8 +158,7 @@ def z_coordinate(x: SampledPath, k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0,
     """
     _require_dominant(x, tol, "X")
     est = log_estimate(mu_tilde(x, k_max, c_emp))
-    return ZPoint(representative=x, coordinate=est.value,
-                  lower=est.lower, upper=est.upper)
+    return ZPoint(coordinate=est.value, lower=est.lower, upper=est.upper)
 
 
 # ---------------------------------------------------------------------------

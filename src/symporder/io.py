@@ -12,7 +12,8 @@ suffice).  Schemas, with matrices flattened row-major:
 
 Loaders accept only positive JSON integers for ``dim``, ``n`` and the
 ``grid_shape`` entries, and only finite numbers in the float fields; anything
-else is an :class:`InputError` that names the file.
+else is an :class:`InputError` that names the file, as is a file that cannot
+be opened, decoded as UTF-8 or written (only :func:`write_text` writes).
 """
 
 from __future__ import annotations
@@ -28,12 +29,14 @@ from .prequant import LeafFunction, QuantElement, _fold_mean, is_normalized
 
 def _load_json(filename: str) -> dict:
     try:
-        with open(filename) as fh:
+        with open(filename, encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InputError(f"{filename}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{filename}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, over-long integer, deep nesting
+        raise InputError(f"{filename}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{filename}: expected a JSON object at top level")
     return data
@@ -64,7 +67,7 @@ def _require_floats(data: dict, key: str, filename: str) -> np.ndarray:
     raw = _require(data, key, filename)
     try:
         values = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{filename}: {key!r} must hold numbers ({exc})") from exc
     if not np.isfinite(values).all():
         raise InputError(f"{filename}: {key!r} holds a non-finite number")
@@ -87,10 +90,17 @@ def load_path(filename: str) -> SampledPath:
         raise InputError(f"{filename}: {exc}") from exc
 
 
+def write_text(text: str, filename: str) -> None:
+    """Write ``text`` to a file; the one place the package writes files."""
+    try:
+        with open(filename, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"{filename}: {exc.strerror}") from exc
+
+
 def _save_json(doc: dict, filename: str) -> None:
-    with open(filename, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_text(json.dumps(doc) + "\n", filename)
 
 
 def save_path(path: SampledPath, filename: str) -> None:

@@ -235,8 +235,9 @@ def _pair_spd_symplectic(p: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     Returns (q, lams) with q orthogonal and symplectic and
     ``q.T @ p @ q = diag(lams, 1/lams)``.  Eigenvalues of p pair as
     (l, 1/l) because ``p J p = J``; eigenvectors v with l > 1 pair with
-    ``J v``.  The eigenspace at 1 is J-invariant and is split greedily into
-    planes span{v, Jv}.
+    ``J v``.  The eigenspace at 1 is J-invariant, a complex subspace of C^n
+    (J acts as i); its leading left singular vectors in C^n, split into real
+    and imaginary parts, are an orthonormal frame v with v, Jv spanning it.
     """
     dim = p.shape[0]
     n = dim // 2
@@ -255,20 +256,10 @@ def _pair_spd_symplectic(p: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     for idx in plus[::-1]:  # descending eigenvalue
         pairs.append((float(w[idx]), v[:, idx]))
     if len(ones):
-        basis = v[:, ones]
-        while basis.shape[1] > 0:
-            b = basis[:, 0]
-            b = b / np.linalg.norm(b)
-            c = j @ b
-            lam = float(b @ p @ b)
-            pairs.append((lam, b))
-            # remove span{b, c} from the working basis
-            rest = basis - np.outer(b, b @ basis) - np.outer(c, c @ basis)
-            qr_q, qr_r = np.linalg.qr(rest)
-            keep = np.abs(np.diagonal(qr_r)) > 1e-10
-            basis = qr_q[:, keep]
-            if basis.shape[1] > max(0, rest.shape[1] - 2):
-                basis = basis[:, : rest.shape[1] - 2]
+        basis = v[:n, ones] + 1j * v[n:, ones]
+        frame = np.linalg.svd(basis)[0][:, : len(ones) // 2]
+        for b in np.concatenate([frame.real, frame.imag]).T:
+            pairs.append((float(b @ p @ b), b))
     pairs.sort(key=lambda item: -item[0])
     if len(pairs) != n:
         raise InputError(f"found {len(pairs)} eigenvalue pairs, expected {n}")

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import InputError
 
 NORMALIZATION_TOL = 1e-12
-DEFAULT_GRID = 1024
 
 
 def is_normalized(values: np.ndarray) -> bool:
@@ -225,8 +224,14 @@ def embed_into_z(f: LeafFunction) -> QuantElement:
     """Isometric embedding of sup-norm function space into the metric space.
 
     ``F`` maps to the element with generator ``exp(F)``; distances become
-    ``k_quant(embed(F), embed(G)) = max |F - G|`` exactly.
+    ``k_quant(embed(F), embed(G)) = max |F - G|`` exactly.  On a grid of N
+    points, values above ``log(max float / 2N)`` would overflow the mean.
     """
+    bound = float(np.log(np.finfo(float).max / (2 * f.values.size)))
+    top = float(f.values.max())
+    if top > bound:
+        raise InputError(f"leaf function value {top!r} exceeds {bound!r}, the bound "
+                         f"log(max float / 2N) for exp on a grid of N = {f.values.size}")
     return QuantElement(*_fold_mean(np.exp(f.values)))
 
 

@@ -1,7 +1,9 @@
+import contextlib
 import copy
 import json
 import subprocess
 import sys
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -249,6 +251,17 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
     good_grid = _write_doc(tmp_path, "grid.json",
                            {"grid_shape": [4], "values": [0.5, -0.5, 0.0, 0.0]})
     dest = str(tmp_path / "dest.json")
+    good_matrix = _write_doc(tmp_path, "matrix.json", {"dim": 2, "matrix": [2.0, 0.0, 0.0, 0.5]})
+    good_hermitian = _write_doc(tmp_path, "hermitian.json",
+                                {"n": 1, "real": [1.0], "imag": [0.0]})
+    absent = str(tmp_path / "absent_dir" / "file.out")
+    non_utf8 = tmp_path / "latin1.json"
+    non_utf8.write_bytes(b'{"dim": 2, "note": "caf\xe9"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"dim": ' + "9" * 5000 + "}")
+    huge_int = _write_doc(tmp_path, "huge_int.json", dict(loop, times=[0, 10**400]))
     return [
         (["maslov", nan_sample], "finite"),
         (["cone", nan_sample], "finite"),
@@ -287,6 +300,21 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
         (["gamma", loop_file, loop_file, "--pmax", "1.5"], "non-negative integer"),
         (["defect-sample", "--safety", "-1"], "non-negative"),
         (["maslov", huge], "leave Sp(2)"),
+        (["cone", loop_file, "--tol", "-100"], "non-negative"),
+        (["order", loop_file, loop_file, "--tol=-1e-3"], "non-negative"),
+        (["gamma", loop_file, loop_file, "--tol", "-1"], "non-negative"),
+        (["kdist", loop_file, loop_file, "--tol", "-1"], "non-negative"),
+        (["zcoord", loop_file, "--tol=-0.5"], "non-negative"),
+        (["redistribute", good_hermitian, "10.0", "--tol", "-1"], "non-negative"),
+        (["maslov", loop_file, "--out", absent], absent),
+        (["synth-positive", good_matrix, absent, "--grid", "9"], absent),
+        (["embed", good_grid, absent], absent),
+        (["gamma", loop_file, loop_file, "--nmax", "1", "--csv", absent], absent),
+        (["maslov", str(tmp_path)], "Is a directory"),
+        (["maslov", str(non_utf8)], "utf-8"),
+        (["maslov", str(deep)], "recursion"),
+        (["maslov", str(long_int)], "digits"),
+        (["maslov", huge_int], "'times'"),
     ]
 
 
@@ -486,6 +514,19 @@ def test_cli_embed_takes_a_grid_with_a_large_common_offset(tmp_path, capsys):
     assert np.allclose(element.generator, np.exp(values), rtol=1e-14, atol=0.0)
 
 
+def test_cli_embed_refuses_values_whose_exp_overflows(tmp_path):
+    # every value is finite, but exp(800) is not; the refusal names the
+    # value and the bound, and numpy prints no warning on the way
+    grid = _write_doc(tmp_path, "hot.json", {"grid_shape": [4], "values": [800.0, 0.0, 0.0, 0.0]})
+    proc = subprocess.run([sys.executable, "-m", "symporder.cli", "embed", grid,
+                           str(tmp_path / "embedded.json")], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    bound = float(np.log(np.finfo(float).max / 8))
+    assert proc.stderr == (f"error: leaf function value 800.0 exceeds {bound!r}, the bound "
+                           "log(max float / 2N) for exp on a grid of N = 4\n")
+    assert not (tmp_path / "embedded.json").exists()
+
+
 def test_cli_embed_isometry_through_files(tmp_path, capsys):
     rng = np.random.default_rng(5)
     f = prequant.normalize_leaf(rng.normal(size=32))
@@ -516,3 +557,92 @@ def test_cli_verify_quant_suite(capsys):
     assert code == 0
     assert "4/4 criteria passed" in out
     assert out.count("[PASS]") == 4
+
+
+# the loaders' file kinds: a valid document and the call that reads it
+_LOADER_CALLS = {
+    "path": ({"dim": 2, "times": [0.0, 0.25, 0.5, 0.75, 1.0],
+              "matrices": [[np.cos(a), -np.sin(a), np.sin(a), np.cos(a)]
+                           for a in np.linspace(0.0, 2 * np.pi, 5)]},
+             lambda f, tmp: ["maslov", f]),
+    "grid": ({"grid_shape": [2, 2], "values": [0.5, -0.5, 0.25, -0.25]},
+             lambda f, tmp: ["rot-distance", "2.0", f]),
+    "quant": ({"shift": 2.0, "grid_shape": [2, 2], "values": [0.5, -0.5, 0.25, -0.25]},
+              lambda f, tmp: ["quant-k", f, f]),
+    "matrix": ({"dim": 2, "matrix": [2.0, 0.0, 0.0, 0.5]},
+               lambda f, tmp: ["synth-positive", f, str(tmp / "dest.json"), "--grid", "9"]),
+    "hermitian": ({"n": 2, "real": [5 * np.pi, 0.0, 0.0, -np.pi], "imag": [0.0, 0.0, 0.0, 0.0]},
+                  lambda f, tmp: ["redistribute", f, str(4 * np.pi)]),
+}
+
+
+def _run_quietly(argv) -> tuple[int, str, str]:
+    out, err = StringIO(), StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_loader_documents_of_the_fuzz_test_are_valid(tmp_path):
+    for kind, (doc, call) in _LOADER_CALLS.items():
+        code, _, err = _run_quietly(call(_write_doc(tmp_path, f"{kind}.json", doc), tmp_path))
+        assert (code, err) == (0, ""), kind
+
+
+# values no loader field takes: text, null as a scalar, objects, lists of text
+_wrong_values = st.one_of(st.text(max_size=4), st.dictionaries(st.text(max_size=2), st.integers()),
+                          st.lists(st.text(max_size=2), min_size=1, max_size=3))
+
+
+@st.composite
+def malformed_files(draw) -> tuple[str, bytes]:
+    """(file kind, bytes) of a valid loader document broken in one way."""
+    kind = draw(st.sampled_from(sorted(_LOADER_CALLS)))
+    doc = copy.deepcopy(_LOADER_CALLS[kind][0])
+    key = draw(st.sampled_from(sorted(doc)))
+    how = draw(st.sampled_from(["top level", "missing key", "wrong type", "wrong length",
+                                "non-finite", "truncated", "not UTF-8"]))
+    if how == "top level":
+        doc = draw(st.one_of(st.just([doc]), st.integers(), st.text(max_size=4), st.none(),
+                             st.booleans(), st.lists(st.floats(), max_size=3)))
+    elif how == "missing key":
+        del doc[key]
+    elif how == "wrong type":
+        doc[key] = draw(_wrong_values)
+    elif how == "wrong length":
+        # every list holds at least two items and every size exceeds 1, so
+        # one item more or less never fits the other fields
+        if not isinstance(doc[key], list):
+            key = draw(st.sampled_from(sorted(k for k in doc if isinstance(doc[k], list))))
+        doc[key] = doc[key][:-1] if draw(st.booleans()) else doc[key] + doc[key][-1:]
+    elif how == "non-finite":
+        key = draw(st.sampled_from(sorted(k for k in doc if k not in ("dim", "n", "grid_shape"))))
+        bad = draw(st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+                             st.integers(10**309, 10**400)))  # beyond the float range
+        if isinstance(doc[key], list):
+            slot = draw(st.integers(0, len(doc[key]) - 1))
+            if isinstance(doc[key][slot], list):
+                doc[key][slot][draw(st.integers(0, len(doc[key][slot]) - 1))] = bad
+            else:
+                doc[key][slot] = bad
+        else:
+            doc[key] = bad
+    text = json.dumps(doc).encode()
+    if how == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif how == "not UTF-8":
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + draw(st.sampled_from([b"\xff", b"\xfe", b"\x80", b"\xc3("])) + text[cut:]
+    return kind, text
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=malformed_files())
+def test_cli_exits_1_on_any_malformed_file(tmp_path_factory, case):
+    kind, text = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    name = tmp / f"{kind}.json"
+    name.write_bytes(text)
+    code, out, err = _run_quietly(_LOADER_CALLS[kind][1](str(name), tmp))
+    assert (code, out) == (1, ""), err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symporder import generators as gen
 from symporder import maslov, matrices, paths
@@ -181,6 +183,26 @@ def test_positive_path_handles_clustered_eigenvalues():
     target = np.diag([1.0 + 3e-9, 1.0, 1.0 / (1.0 + 3e-9), 1.0])
     path = maslov.positive_path_to(target, n_samples=257)
     assert np.abs(path.endpoint - target).max() < 1e-7
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]), data=st.data(),
+       spread=st.sampled_from([0.0, 5e-9]))
+def test_positive_path_to_unitarily_conjugated_eigenvalue_one_clusters(seed, n, data, spread):
+    # q diag(lams, 1/lams) q^T with q = complex_to_real(unitary) and some lams
+    # within the 1e-8 cluster threshold of 1: the J-invariant eigenvalue-1
+    # space carries no preferred real basis, and a greedy plane-by-plane
+    # split of it lost orthogonality
+    rng = np.random.default_rng(seed)
+    ones = data.draw(st.integers(1, n))
+    lams = np.concatenate([rng.uniform(1.2, 3.0, n - ones),
+                           1.0 + spread * rng.uniform(0.0, 1.0, ones)])
+    q = matrices.complex_to_real(gen.random_unitary_matrix(n, rng))
+    target = q @ np.diag(np.concatenate([lams, 1.0 / lams])) @ q.T
+    target = 0.5 * (target + target.T)
+    path = maslov.positive_path_to(target, n_samples=129)
+    assert np.abs(path.endpoint - target).max() <= 2 * spread + 1e-13
+    assert np.linalg.eigvalsh(paths.extract_hamiltonian(path).hams).min() > 1.0
 
 
 def test_positive_path_general_spd_symplectic():
