@@ -30,6 +30,7 @@ from .paths import (
     align_grids,
     binary_power,
     classify_cone,
+    cone_holds,
     extract_hamiltonian,
     is_uniform_grid,
     pointwise_power,
@@ -89,6 +90,14 @@ def mu_tilde(path: SampledPath, k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0) 
 
 
 def _require_dominant(path: SampledPath, tol: float, who: str) -> None:
+    """Refuse a path that ``classify_cone`` does not call dominant.
+
+    A Cholesky pass accepts the path without eigenvalues; only a path it
+    refuses is classified, which gives the error its eigenvalue and keeps
+    ``classify_cone``'s verdict inside the rounding band.
+    """
+    if cone_holds(extract_hamiltonian(path).hams, tol):
+        return
     verdict = classify_cone(path, tol)
     if verdict.status is not ConeStatus.DOMINANT:
         raise InputError(f"{who} must be dominant, got {verdict.status.value} "
@@ -208,8 +217,10 @@ def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int,
     The certificate is conservative: it classifies the generator of the
     canonical pointwise representative, assembled through the exact
     composition formula from the base tracks of X and Y (so finite-difference
-    error does not grow with p).  For a dominant X the certified set of
-    powers is upward closed, which justifies the bisection used here.
+    error does not grow with p).  Each probe is one batched Cholesky test of
+    H + tol I (:func:`paths.cone_holds`), and X's dominance is one test of
+    H_X - tol I; no eigenvalue is computed.  For a dominant X the certified
+    set of powers is upward closed, which justifies the bisection used here.
     """
     return _staircase(x, y, ((n, p_max),), tol)[0]
 
@@ -227,7 +238,7 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> list:
         raise InputError("paths must share a dimension")
     x, y = align_grids(x, y)
     x_atoms = _atoms(x)
-    if float(np.linalg.eigvalsh(x_atoms[0].hams).min()) < tol:
+    if not cone_holds(x_atoms[0].hams, tol):
         raise InputError("X must be dominant for the staircase search")
     y_atoms = _atoms(y)
     y_powers = [_signed_power(y_atoms, -n) for n, _ in rungs]
@@ -239,11 +250,23 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> list:
             for y_minus_n, (_, p_max) in zip(y_powers, rungs)]
 
 
+def _certified(x_atoms: tuple[_PowerAtom, _PowerAtom], y_minus_n: _PowerAtom,
+               p: int, tol: float) -> bool:
+    """Whether the generator of X^p Y^-n lies above -tol at every sample."""
+    return cone_holds((_signed_power(x_atoms, p) @ y_minus_n).hams, -tol)
+
+
 def _least_certified_power(x_atoms: tuple[_PowerAtom, _PowerAtom],
                            y_minus_n: _PowerAtom, p_max: int, tol: float) -> int | None:
+    """Least p in [-p_max, p_max] that :func:`_certified` accepts, else None.
+
+    Bisection between a failing lower and a passing upper power: it probes
+    about log2(p_max) + 3 powers and relies on the certified set being
+    upward closed.  A probe whose generator overflows raises
+    :class:`ComputationError` instead of counting as a refusal.
+    """
     def certified(p: int) -> bool:
-        combined = _signed_power(x_atoms, p) @ y_minus_n
-        return float(np.linalg.eigvalsh(combined.hams).min()) >= -tol
+        return _certified(x_atoms, y_minus_n, p, tol)
 
     if not certified(p_max):
         return None

@@ -11,13 +11,15 @@ suffice).  Schemas, with matrices flattened row-major:
 * hermitian file: {"n": n, "real": [n*n floats], "imag": [n*n floats]}
 
 Loaders accept only positive JSON integers for ``dim``, ``n`` and the
-``grid_shape`` entries, and only finite numbers in the float fields; anything
+``grid_shape`` entries, and only finite JSON numbers in the float fields (no
+booleans or strings, which numpy would read as numbers); anything
 else is an :class:`InputError` that names the file, as is a file that cannot
 be opened, decoded as UTF-8 or written (only :func:`write_text` writes).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -69,6 +71,13 @@ def _require_floats(data: dict, key: str, filename: str) -> np.ndarray:
         values = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{filename}: {key!r} must hold numbers ({exc})") from exc
+    # a conversion that succeeds leaves a regular nest of values.ndim lists
+    leaves = [raw]
+    for _ in range(values.ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= {int, float}:
+        raise InputError(f"{filename}: {key!r} must hold only numbers, "
+                         "not booleans, strings or null")
     if not np.isfinite(values).all():
         raise InputError(f"{filename}: {key!r} holds a non-finite number")
     return values

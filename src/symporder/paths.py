@@ -16,6 +16,12 @@ holds exactly on Sp(2n), and :class:`SampledPath` validates every sample as
 symplectic, so no general-purpose (and possibly singular) solve is needed.
 Integer powers of samples and of generator-carrying staircase atoms share one
 repeated-squaring routine, :func:`binary_power`.
+
+Cone membership is decided two ways.  A yes/no verdict comes from
+:func:`cone_holds`, one batched Cholesky factorization of the whole generator
+stack; a margin comes from ``eigvalsh`` (:func:`min_generator_eigenvalue`,
+:func:`classify_cone`, :func:`order_leq`).  The two tests agree except inside
+a rounding band of about n^2 eps ||H|| around the threshold.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ComputationError, InputError
 from .matrices import matrix_exp, standard_j, symplectic_defect, symplectic_inverse
 
 # Structural tolerance for validating stored samples.
@@ -373,6 +379,25 @@ def min_generator_eigenvalue(path: SampledPath) -> float:
     """Smallest eigenvalue of H(t_k) over all samples."""
     track = extract_hamiltonian(path)
     return float(np.linalg.eigvalsh(track.hams).min())
+
+
+def cone_holds(hams: np.ndarray, shift: float) -> bool:
+    """True when every H_k - shift I of the generator stack is positive definite.
+
+    One batched Cholesky factorization decides; it computes no eigenvalues,
+    so it gives the verdict only, never the margin.  A stack holding inf or
+    NaN raises :class:`ComputationError`: LAPACK's ``potrf`` factors such a
+    matrix without reporting an error.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = hams - shift * np.eye(hams.shape[-1])
+    if not np.isfinite(shifted).all():
+        raise ComputationError("generator track holds a non-finite number")
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def classify_verdict(min_eig: float, tol: float) -> ConeVerdict:

@@ -7,7 +7,9 @@ inverse samples that the package forms as -J X^T J, and the SVD polar factor
 points, which compute each path's invariants once per call, are compared bit
 for bit with the separate closed forms and staircase rungs they stand for,
 and the path integrators, which call their closure once on the whole time
-grid, with the per-step integration they replaced.
+grid, with the per-step integration they replaced.  Cone verdicts, which the
+package takes from one batched Cholesky factorization, are checked against
+``eigvalsh``, and the staircase bisection against a full scan of powers.
 """
 
 import numpy as np
@@ -277,3 +279,136 @@ def test_mode_closures_take_a_scalar_or_the_midpoint_array(n):
         assert h(0.25).shape == (size, size)
         stacked = h(mids[:, None, None])
         assert all(_same_bits(stacked[k], h(tm)) for k, tm in enumerate(mids))
+
+
+# Cone verdicts come from one batched Cholesky factorization; ``eigvalsh`` is
+# their reference here.  The two may disagree only within rounding of the
+# threshold, so the comparison skips stacks whose smallest eigenvalue lies
+# within 1e-9 max(1, ||H||) of it.
+
+def _symmetric_stack(rng: np.random.Generator, dim: int, size: int, kind: str) -> np.ndarray:
+    a = rng.normal(size=(size, dim, dim))
+    if kind == "indefinite":
+        return 0.5 * (a + np.swapaxes(a, -1, -2))
+    if kind == "semidefinite":  # rank dim - 1, smallest eigenvalue 0
+        a = a[..., : dim - 1]
+    return a @ np.swapaxes(a, -1, -2)
+
+
+shifts = st.one_of(st.sampled_from([0.0, 1e-6, -1e-6, paths.CONE_TOL]),
+                   st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@settings(deadline=None, max_examples=200)
+@given(seeds, st.integers(2, 8), st.integers(1, 5),
+       st.sampled_from(["indefinite", "semidefinite", "definite"]), shifts, st.booleans())
+def test_cholesky_cone_verdict_matches_the_eigenvalue_route(seed, dim, size, kind, shift,
+                                                            offset):
+    h = _symmetric_stack(np.random.default_rng(seed), dim, size, kind)
+    if offset:  # a semidefinite stack then sits exactly on the threshold
+        h = h + shift * np.eye(dim)
+    eigs = np.linalg.eigvalsh(h)
+    verdict = paths.cone_holds(h, shift)
+    assert isinstance(verdict, bool)
+    lam = float(eigs.min())
+    if abs(lam - shift) > 1e-9 * max(1.0, float(np.abs(eigs).max())):
+        assert verdict == (lam > shift)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(1, 1), (2, 0), (0, 2)])
+def test_cone_holds_refuses_a_non_finite_track(bad, entry):
+    # (0, 2) lies in the upper triangle, which the factorization never reads
+    h = np.broadcast_to(np.eye(4), (5, 4, 4)).copy()
+    h[(3, *entry)] = bad
+    with pytest.raises(ComputationError, match="non-finite"):
+        paths.cone_holds(h, 0.0)
+    with pytest.raises(ComputationError, match="non-finite"):
+        paths.cone_holds(np.eye(4)[None], bad)
+
+
+def _commuting_unitary_pair(seed: int, n: int, proportional: bool):
+    """A dominant pair in U(n) inside Sp(2n) with one eigenbasis: Y's speeds are
+    a multiple of X's, or drawn on their own."""
+    rng = np.random.default_rng([seed, 2])
+    v = gen.random_unitary_matrix(n, rng)
+    w = rng.uniform(2.0, 4.0, size=n)
+    d = rng.uniform(-0.6, 0.6, size=n) * w
+    x = gen.unitary_path_from_generator(_commuting(v, w, d, 1.0), n, SAMPLES)
+    if proportional:
+        h = _commuting(v, w, d, rng.uniform(0.3, 3.0))
+    else:
+        wy = rng.uniform(2.0, 4.0, size=n)
+        h = _commuting(v, wy, rng.uniform(-0.6, 0.6, size=n) * wy, 1.0)
+    return x, gen.unitary_path_from_generator(h, n, SAMPLES)
+
+
+def _eigvalsh_staircase(x, y, n: int, p_max: int, tol: float = paths.CONE_TOL):
+    """The staircase bisection with every verdict read off ``eigvalsh``."""
+    x_atoms = growth._atoms(x)
+    assert np.linalg.eigvalsh(x_atoms[0].hams).min() >= tol
+    y_minus_n = growth._signed_power(growth._atoms(y), -n)
+
+    def certified(p):
+        chain = growth._signed_power(x_atoms, p) @ y_minus_n
+        return np.linalg.eigvalsh(chain.hams).min() >= -tol
+
+    if not certified(p_max):
+        return None
+    if certified(-p_max):
+        return -p_max
+    lo, hi = -p_max, p_max
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if certified(mid) else (mid, hi)
+    return hi
+
+
+@settings(deadline=None, max_examples=20)
+@given(seeds, st.sampled_from([1, 2]), st.booleans(), st.sampled_from([1, 2, 4, 8]),
+       st.integers(0, 40))
+def test_staircase_equals_an_eigenvalue_bisection(seed, n, proportional, rung, p_max):
+    x, y = _commuting_unitary_pair(seed, n, proportional)
+    assert (growth.gamma_n_bruteforce(x, y, rung, p_max)
+            == _eigvalsh_staircase(x, y, rung, p_max))
+
+
+@settings(deadline=None, max_examples=20)
+@given(seeds, st.sampled_from([1, 2]), st.booleans(), st.sampled_from([1, 2, 3, 4]))
+def test_certified_powers_are_upward_closed(seed, n, proportional, rung):
+    # speeds lie in [0.8, 6.4] (times 3 for a multiple), so the scan sees the step
+    x, y = _commuting_unitary_pair(seed, n, proportional)
+    p_max = 24 * rung + 2
+    x_atoms = growth._atoms(x)
+    y_minus_n = growth._signed_power(growth._atoms(y), -rung)
+    scan = [growth._certified(x_atoms, y_minus_n, p, paths.CONE_TOL)
+            for p in range(-p_max, p_max + 1)]
+    assert scan[-1]
+    first = scan.index(True)
+    assert all(scan[first:])
+    assert growth.gamma_n_bruteforce(x, y, rung, p_max) == first - p_max
+
+
+def test_growth_decides_dominance_without_eigenvalues(monkeypatch):
+    # the staircase workload's pair (Sp(4), Y = X^r) and a winding-style pair
+    x, y = _commuting_unitary_pair(7, 2, True)
+    u, w = _dominant_path(7, 4, 0, "unitary"), _dominant_path(7, 4, 1, "unitary")
+    want = (growth.gamma_n_bruteforce(x, y, 8, 40), growth.pseudo_distance_k(u, w),
+            growth.z_coordinate(u))
+    assert want[0] is not None
+    bad = paths.invert(u)
+    low = paths.classify_cone(bad).min_eigenvalue
+    message = f"X must be dominant, got negative (min generator eigenvalue {low:.3e})"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a dominant path")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert (growth.gamma_n_bruteforce(x, y, 8, 40), growth.pseudo_distance_k(u, w),
+            growth.z_coordinate(u)) == want
+    assert _message(lambda: growth.gamma_n_bruteforce(bad, y, 8, 40)) == (
+        "X must be dominant for the staircase search")
+    monkeypatch.undo()
+    # a refused path is classified, so the error still carries its eigenvalue
+    assert _message(lambda: growth.z_coordinate(bad)) == message
+    assert _message(lambda: growth.pseudo_distance_k(bad, w)) == message

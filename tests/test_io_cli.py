@@ -216,10 +216,15 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
     """(argv, message fragment) pairs for inputs that must exit 1."""
     with open(loop_file) as fh:
         loop = json.load(fh)
-    nan_sample, inf_sample, nan_time = (copy.deepcopy(loop) for _ in range(3))
+    nan_sample, inf_sample, nan_time, bool_sample, str_time = (
+        copy.deepcopy(loop) for _ in range(5))
     nan_sample["matrices"][5][0] = float("nan")
     inf_sample["matrices"][5][1] = float("inf")
     nan_time["times"][5] = float("nan")
+    bool_sample["matrices"][5][1] = True  # numpy would read it as 1.0
+    str_time["times"][5] = repr(str_time["times"][5])
+    bool_sample = _write_doc(tmp_path, "bool_sample.json", bool_sample)
+    str_time = _write_doc(tmp_path, "str_time.json", str_time)
     nan_sample = _write_doc(tmp_path, "nan_sample.json", nan_sample)
     inf_sample = _write_doc(tmp_path, "inf_sample.json", inf_sample)
     nan_time = _write_doc(tmp_path, "nan_time.json", nan_time)
@@ -234,6 +239,8 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
     nan_shift = _write_doc(tmp_path, "nan_shift.json",
                            {"shift": float("nan"), "grid_shape": [4],
                             "values": [0.5, -0.5, 0.0, 0.0]})
+    bool_shift = _write_doc(tmp_path, "bool_shift.json",
+                            {"shift": True, "grid_shape": [4], "values": [0.5, -0.5, 0.0, 0.0]})
     float_matrix = _write_doc(tmp_path, "float_matrix.json",
                               {"dim": 2.0, "matrix": [2.0, 0.0, 0.0, 0.5]})
     target = np.diag([2.0, 0.5, 3.0, 1 / 3])
@@ -273,6 +280,9 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
         (["cw", nan_grid], "finite"),
         (["cw", float_shape], "'grid_shape'"),
         (["quant-k", good_quant, nan_shift], "finite"),
+        (["quant-k", good_quant, bool_shift], "bool_shift.json: 'shift' must hold only numbers"),
+        (["cone", bool_sample], "bool_sample.json: 'matrices' must hold only numbers"),
+        (["maslov", str_time], "str_time.json: 'times' must hold only numbers"),
         (["synth-positive", float_matrix, dest], "'dim'"),
         (["synth-positive", not_symplectic, dest], "not symplectic"),
         (["redistribute", float_n, "10.0"], "'n'"),
