@@ -66,6 +66,11 @@ _finite_float = _checked(float, math.isfinite, "a finite number")
 _bound = _checked(float, lambda value: math.isfinite(value) and value >= 0.0,
                   "a finite non-negative number")
 _natural = _checked(int, lambda value: value >= 0, "a non-negative integer")
+# size caps, checked before any array is allocated
+DIM_CAP = 64
+_grid = _checked(int, lambda value: 0 <= value <= maslov.REFINEMENT_CAP,
+                 f"a non-negative integer at most {maslov.REFINEMENT_CAP}")
+_dim = _checked(int, lambda value: value <= DIM_CAP, f"an integer at most {DIM_CAP}")
 
 
 def _floats(text: str, flag: str) -> list[float]:
@@ -254,8 +259,8 @@ _COMMANDS = (
     ("synth-positive", "positive path to a positive diagonal target", (
         _arg("target", help="matrix JSON file (positive diagonal, symplectic)"),
         _arg("dest", help="path JSON file to write"),
-        _arg("--grid", type=_natural, default=512, metavar="N",
-             help="number of samples (default 512)"),
+        _arg("--grid", type=_grid, default=512, metavar="N",
+             help=f"number of samples (default 512, at most {maslov.REFINEMENT_CAP})"),
     ), _run_synth_positive),
     ("redistribute", "move Hermitian spectrum to a target winding", (
         _arg("hermitian", help="hermitian JSON file"),
@@ -280,10 +285,10 @@ _COMMANDS = (
     ("zcoord", "coordinate of a dominant path on the metric line",
      (_PATH, *_growth_args()), _run_zcoord),
     ("defect-sample", "sample the quasimorphism defect empirically", (
-        _arg("--dim", type=int, default=2, help="path dimension 2n"),
+        _arg("--dim", type=_dim, default=2, help=f"path dimension 2n (at most {DIM_CAP})"),
         _arg("--pairs", type=int, default=20),
         _arg("--seed", type=_natural, default=7),
-        _arg("--safety", type=_bound, default=2.0),
+        _arg("--safety", type=_bound, default=maslov.DEFECT_SAFETY),
     ), _run_defect_sample),
     ("quant-gamma", "relative growth of quantomorphism elements", (
         _arg("a", help="quant JSON file (dominant)"),

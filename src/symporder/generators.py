@@ -44,28 +44,25 @@ def diagonal_unitary_path(angles: np.ndarray, times: np.ndarray) -> SampledPath:
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or len(angles) != len(times):
         raise InputError("angles must have shape (n_samples, n)")
-    n = angles.shape[1]
-    phases = np.exp(1j * angles)
-    u = np.zeros((len(times), n, n), dtype=complex)
+    return SampledPath(np.asarray(times, dtype=float), complex_to_real(_diagonal(angles)))
+
+
+def _diagonal(angles: np.ndarray) -> np.ndarray:
+    """Stack of complex diagonal matrices diag(exp(i * angles[k]))."""
+    samples, n = angles.shape
+    u = np.zeros((samples, n, n), dtype=complex)
     idx = np.arange(n)
-    u[:, idx, idx] = phases
-    return SampledPath(np.asarray(times, dtype=float), complex_to_real(u))
+    u[:, idx, idx] = np.exp(1j * angles)
+    return u
 
 
 def unitary_loop(multiplicities, basis: np.ndarray | None = None,
                  n_samples: int = DEFAULT_SAMPLES) -> SampledPath:
     """Unitary loop V diag(exp(2*pi*i*m_j*t)) V^H with integer windings m_j."""
-    m = np.asarray(multiplicities, dtype=int)
     t = uniform_times(n_samples)
-    phases = np.exp(2j * np.pi * np.outer(t, m))
-    n = len(m)
-    diag = np.zeros((n_samples, n, n), dtype=complex)
-    idx = np.arange(n)
-    diag[:, idx, idx] = phases
-    if basis is None:
-        u = diag
-    else:
-        u = basis @ diag @ basis.conj().T
+    u = _diagonal(2.0 * np.pi * np.outer(t, np.asarray(multiplicities, dtype=int)))
+    if basis is not None:
+        u = basis @ u @ basis.conj().T
     return SampledPath(t, complex_to_real(u))
 
 
@@ -163,28 +160,28 @@ def random_symplectic_path(dim: int, rng: np.random.Generator, scale: float = 1.
         _mode_closure(rng, dim, scale, False), dim, n_samples)
 
 
-def commuting_unitary_pair(n: int, rng: np.random.Generator, ratio: float | None = None,
+def commuting_unitary_pair(n: int, rng: np.random.Generator,
                            n_samples: int = DEFAULT_SAMPLES):
     """Commuting diagonal-unitary dominant pair (X, Y) with Y's angle
     velocities a common multiple of X's.
 
     Per component, theta_j(t) = w_j t + (d_j / 2 pi) sin(2 pi t) with
-    |d_j| < w_j, so theta_j' > 0 and X is dominant.  Y uses ratio * theta_j.
-    Returns (X, Y, ratio); the relative growth of the pair equals ratio.
+    |d_j| < w_j, so theta_j' > 0 and X is dominant.  Y uses ratio * theta_j
+    with ratio drawn from [0.5, 2.5).  Returns (X, Y, ratio); the relative
+    growth of the pair equals ratio.
     """
     t = uniform_times(n_samples)
     w = rng.uniform(2.0, 8.0, size=n)
     d = rng.uniform(-0.8, 0.8, size=n) * w
     theta = np.outer(t, w) + np.sin(2 * np.pi * t)[:, None] * (d / (2 * np.pi))
-    if ratio is None:
-        ratio = float(rng.uniform(0.5, 2.5))
+    ratio = float(rng.uniform(0.5, 2.5))
     x = diagonal_unitary_path(theta, t)
     y = diagonal_unitary_path(ratio * theta, t)
     return x, y, ratio
 
 
-def random_positive_diagonal_target(n: int, rng: np.random.Generator,
-                                    spread: float = 1.0) -> np.ndarray:
-    """Diagonal symplectic positive matrix diag(l_1..l_n, 1/l_1..1/l_n)."""
-    lams = np.exp(rng.uniform(-spread, spread, size=n))
+def random_positive_diagonal_target(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Diagonal symplectic positive matrix diag(l_1..l_n, 1/l_1..1/l_n), log l_j
+    drawn from [-1, 1)."""
+    lams = np.exp(rng.uniform(-1.0, 1.0, size=n))
     return np.diag(np.concatenate([lams, 1.0 / lams]))

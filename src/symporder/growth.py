@@ -25,6 +25,7 @@ from .errors import ComputationError, InputError
 from .maslov import homogenize, maslov_index  # noqa: F401
 from .paths import (
     CONE_TOL,
+    MIN_SAMPLES_ORDER4,
     ConeStatus,
     SampledPath,
     align_grids,
@@ -49,12 +50,8 @@ class Estimate:
     lower: float
     upper: float
 
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lower - slack <= x <= self.upper + slack
-
-
-def exact(value: float) -> Estimate:
-    return Estimate(value, value, value)
+    def contains(self, x: float) -> bool:
+        return self.lower <= x <= self.upper
 
 
 def ratio_estimate(num: Estimate, den: Estimate) -> Estimate:
@@ -104,13 +101,12 @@ def _require_dominant(path: SampledPath, tol: float, who: str) -> None:
                          f"(min generator eigenvalue {verdict.min_eigenvalue:.3e})")
 
 
-def gamma_closed_unitary(x: SampledPath, y: SampledPath,
-                         tol: float = CONE_TOL) -> float:
+def gamma_closed_unitary(x: SampledPath, y: SampledPath) -> float:
     """Relative growth of a dominant unitary pair: maslov(Y) / maslov(X)."""
     for path, who in ((x, "X"), (y, "Y")):
-        if not commutes_with_j(path.matrices, 1e-9):
+        if not commutes_with_j(path.matrices):
             raise InputError(f"{who} is not a unitary path")
-        _require_dominant(path, tol, who)
+        _require_dominant(path, CONE_TOL, who)
     return _winding_ratio(x, y)
 
 
@@ -121,13 +117,21 @@ def _winding_ratio(x: SampledPath, y: SampledPath) -> float:
     return maslov_index(y).value / mx
 
 
+def _dominant_mus(x: SampledPath, y: SampledPath, k_max: int, c_emp: float,
+                  tol: float) -> tuple[Estimate, Estimate]:
+    """Check X, then Y, for dominance; return (mu_tilde(X), mu_tilde(Y)), Y's taken first."""
+    _require_dominant(x, tol, "X")
+    _require_dominant(y, tol, "Y")
+    mu_y = mu_tilde(y, k_max, c_emp)
+    return mu_tilde(x, k_max, c_emp), mu_y
+
+
 def gamma_closed_symplectic(x: SampledPath, y: SampledPath,
                             k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0,
                             tol: float = CONE_TOL) -> Estimate:
     """Relative growth via homogenized windings, with propagated uncertainty."""
-    _require_dominant(x, tol, "X")
-    _require_dominant(y, tol, "Y")
-    return ratio_estimate(mu_tilde(y, k_max, c_emp), mu_tilde(x, k_max, c_emp))
+    mu_x, mu_y = _dominant_mus(x, y, k_max, c_emp, tol)
+    return ratio_estimate(mu_y, mu_x)
 
 
 def pseudo_distance_k(x: SampledPath, y: SampledPath,
@@ -135,14 +139,9 @@ def pseudo_distance_k(x: SampledPath, y: SampledPath,
                       tol: float = CONE_TOL) -> Estimate:
     """K(X, Y) = max(log gamma(X, Y), log gamma(Y, X)) for dominants.
 
-    Both ratios come from one cone check and one mu_tilde per path, taken in
-    the order ``gamma_closed_symplectic(x, y)`` takes them, so the value and
-    the first error raised are those of the two separate closed forms.
+    Both ratios come from one cone check and one mu_tilde per path.
     """
-    _require_dominant(x, tol, "X")
-    _require_dominant(y, tol, "Y")
-    mu_y = mu_tilde(y, k_max, c_emp)
-    mu_x = mu_tilde(x, k_max, c_emp)
+    mu_x, mu_y = _dominant_mus(x, y, k_max, c_emp, tol)
     gxy = ratio_estimate(mu_y, mu_x)
     gyx = ratio_estimate(mu_x, mu_y)
     return max_estimate(log_estimate(gxy), log_estimate(gyx))
@@ -194,8 +193,8 @@ def _atoms(path: SampledPath) -> tuple[_PowerAtom, _PowerAtom]:
     """Atoms of X and of X^{-1}, both read off the samples of X."""
     # fourth-order stencils where the grid allows: staircase decisions sit at
     # the cone boundary, where second-order FD noise would flip verdicts
-    order = 4 if is_uniform_grid(path.times) and path.n_samples >= 5 else 2
-    hams = extract_hamiltonian(path, order=order).hams
+    order4 = is_uniform_grid(path.times) and path.n_samples >= MIN_SAMPLES_ORDER4
+    hams = extract_hamiltonian(path, order=4 if order4 else 2).hams
     mats = path.matrices
     return (_PowerAtom(symplectic_inverse(mats), hams),
             _PowerAtom(mats, -np.swapaxes(mats, -1, -2) @ hams @ mats))
@@ -210,19 +209,18 @@ def _signed_power(atoms: tuple[_PowerAtom, _PowerAtom], k: int) -> _PowerAtom:
     return binary_power(up if k > 0 else down, abs(k))
 
 
-def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int,
-                       tol: float = CONE_TOL) -> int | None:
+def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int) -> int | None:
     """Least p in [-p_max, p_max] with a certified X^p >= Y^n, else None.
 
     The certificate is conservative: it classifies the generator of the
     canonical pointwise representative, assembled through the exact
     composition formula from the base tracks of X and Y (so finite-difference
     error does not grow with p).  Each probe is one batched Cholesky test of
-    H + tol I (:func:`paths.cone_holds`), and X's dominance is one test of
-    H_X - tol I; no eigenvalue is computed.  For a dominant X the certified
-    set of powers is upward closed, which justifies the bisection used here.
+    H + CONE_TOL I (:func:`paths.cone_holds`), and X's dominance is one test
+    of H_X - CONE_TOL I; no eigenvalue is computed.  For a dominant X the
+    certified set of powers is upward closed, which justifies the bisection.
     """
-    return _staircase(x, y, ((n, p_max),), tol)[0]
+    return _staircase(x, y, ((n, p_max),), CONE_TOL)[0]
 
 
 def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> list:
@@ -308,7 +306,7 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
         raise InputError("growth estimate needs at least one staircase index n")
     hint = gamma_closed_symplectic(x, y, k_max, c_emp, tol).value
     closed = None
-    if commutes_with_j(x.matrices, 1e-9) and commutes_with_j(y.matrices, 1e-9):
+    if commutes_with_j(x.matrices) and commutes_with_j(y.matrices):
         # both paths passed the cone check inside the hint
         closed = _winding_ratio(x, y)
     rungs = [(n, p_max if p_max is not None else int(np.ceil(abs(hint) * n)) + 8)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import InputError, ResolutionError
 from .generators import _rotations, random_symplectic_path
-from .matrices import commutes_with_j, exp_i_hermitian, standard_j, symplectic_defect
+from .matrices import (DEFAULT_TOL, commutes_with_j, exp_i_hermitian, standard_j,
+                       symplectic_defect)
 
 # ``unitary_polar_factor`` is not called here; the binding stays because the
 # benchmark's tracer wraps ``symporder.maslov.unitary_polar_factor`` by name.
@@ -35,6 +36,8 @@ REFINEMENT_CAP = 2 ** 16
 # refuse to trust per-step determinant increments this close to the aliasing
 # boundary at pi
 STEP_GUARD = 1e-2
+# factor by which ``defect_constant`` widens the sampled defect
+DEFECT_SAFETY = 2.0
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,7 @@ def maslov_index(path: SampledPath, max_samples: int = REFINEMENT_CAP) -> Maslov
         current = refine(current, 2)
 
 
-def maslov_via_trace(path: SampledPath, tol: float = 1e-9) -> float:
+def maslov_via_trace(path: SampledPath) -> float:
     """Independent winding route for unitary paths: integrate tr h(t).
 
     For a path in the unitary subgroup the complex generator satisfies
@@ -102,7 +105,7 @@ def maslov_via_trace(path: SampledPath, tol: float = 1e-9) -> float:
     finite-difference extraction plus trapezoid quadrature, so it converges
     at second order and shares no code path with :func:`maslov_index`.
     """
-    if not commutes_with_j(path.matrices, tol):
+    if not commutes_with_j(path.matrices):
         raise InputError("trace route requires a unitary path "
                          "(samples must commute with J)")
     track = extract_hamiltonian(path)
@@ -122,15 +125,13 @@ def homogenize(path: SampledPath, k_max: int) -> np.ndarray:
                      for k in range(1, k_max + 1)])
 
 
-def quasimorphism_defect_sample(num_pairs: int, dim: int, seed: int,
-                                scale: float = 1.5, n_samples: int = 256,
-                                include_powers: bool = True) -> float:
+def quasimorphism_defect_sample(num_pairs: int, dim: int, seed: int) -> float:
     """Empirical quasimorphism defect max |mu(XY) - mu(X) - mu(Y)|.
 
-    Pairs are drawn from the smooth random-path ensemble, keyed by
-    (seed, pair index) so individual draws are reproducible.  Every third
-    pair reuses a power of its first member as the second, which probes the
-    defect along the homogenization direction as well.
+    Pairs are drawn from the smooth random-path ensemble at its default scale
+    and sample count, keyed by (seed, pair index) so individual draws are
+    reproducible.  Every third pair reuses a power of its first member as the
+    second, which probes the defect along the homogenization direction as well.
     """
     if dim < 2 or dim % 2:
         raise InputError(f"dim must be a positive even integer, got {dim}")
@@ -139,21 +140,17 @@ def quasimorphism_defect_sample(num_pairs: int, dim: int, seed: int,
     worst = 0.0
     for i in range(num_pairs):
         rng = np.random.default_rng([seed, i])
-        x = random_symplectic_path(dim, rng, scale=scale, n_samples=n_samples)
-        if include_powers and i % 3 == 2:
-            y = pointwise_power(x, 2)
-        else:
-            y = random_symplectic_path(dim, rng, scale=scale, n_samples=n_samples)
+        x = random_symplectic_path(dim, rng)
+        y = pointwise_power(x, 2) if i % 3 == 2 else random_symplectic_path(dim, rng)
         defect = abs(maslov_index(compose(x, y)).value
                      - maslov_index(x).value - maslov_index(y).value)
         worst = max(worst, defect)
     return worst
 
 
-def defect_constant(dim: int, num_pairs: int = 20, seed: int = 7,
-                    safety: float = 2.0) -> float:
-    """Sampled defect bound with a safety factor for downstream certificates."""
-    return safety * quasimorphism_defect_sample(num_pairs, dim, seed)
+def defect_constant(dim: int, num_pairs: int = 20, seed: int = 7) -> float:
+    """Sampled defect bound times ``DEFECT_SAFETY``, for downstream certificates."""
+    return DEFECT_SAFETY * quasimorphism_defect_sample(num_pairs, dim, seed)
 
 
 def positivity_criterion(path: SampledPath, c_emp: float) -> bool:
@@ -229,7 +226,7 @@ def unitary_endpoint(spectrum: RedistributedSpectrum) -> np.ndarray:
 # positive path synthesis
 
 
-def _pair_spd_symplectic(p: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _pair_spd_symplectic(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal-symplectic diagonalization of a positive symplectic matrix.
 
     Returns (q, lams) with q orthogonal and symplectic and
@@ -243,7 +240,7 @@ def _pair_spd_symplectic(p: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     n = dim // 2
     j = standard_j(n)
     w, v = np.linalg.eigh(p)
-    if w[0] <= tol:
+    if w[0] <= DEFAULT_TOL:
         raise InputError("matrix is not positive definite")
     log_w = np.log(w)
     cluster_tol = 1e-8
@@ -286,8 +283,7 @@ def _stretch_rotation_block(lam: float, times: np.ndarray) -> np.ndarray:
     return u @ fmat @ u
 
 
-def positive_path_to(p: np.ndarray, n_samples: int = 512,
-                     tol: float = 1e-9) -> SampledPath:
+def positive_path_to(p: np.ndarray, n_samples: int = 512) -> SampledPath:
     """Positive path from the identity to a positive symplectic endpoint.
 
     Diagonalizes ``p`` with an orthogonal-symplectic basis, drives each
@@ -298,13 +294,13 @@ def positive_path_to(p: np.ndarray, n_samples: int = 512,
     order, which makes the construction deterministic.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or np.abs(p - p.T).max() > tol:
+    if p.ndim != 2 or np.abs(p - p.T).max() > DEFAULT_TOL:
         raise InputError("endpoint must be a symmetric matrix")
     # the defect of A^T J A - J grows with the square of the entries
     defect = float(symplectic_defect(p))
-    if defect > tol * (1.0 + float(np.abs(p).max()) ** 2):
+    if defect > DEFAULT_TOL * (1.0 + float(np.abs(p).max()) ** 2):
         raise InputError(f"endpoint is not symplectic: |P^T J P - J| = {defect:.3e}")
-    q, lams = _pair_spd_symplectic(p, tol)
+    q, lams = _pair_spd_symplectic(p)
     times = np.linspace(0.0, 1.0, n_samples)
     mats = _plane_stack(n_samples, p.shape[0] // 2,
                         {i: _stretch_rotation_block(lam, times) for i, lam in enumerate(lams)})

@@ -51,11 +51,6 @@ def symplectic_defect(a: np.ndarray) -> np.ndarray:
     return np.abs(resid).max(axis=(-1, -2))
 
 
-def is_symplectic(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True when every matrix in the stack preserves the symplectic form."""
-    return bool(np.all(symplectic_defect(a) <= tol))
-
-
 def commutes_with_j(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True when every matrix in the stack commutes with the form matrix J."""
     n = _check_even_dim(a)
@@ -112,10 +107,10 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(np.asarray(a))
 
 
-def exp_i_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def exp_i_hermitian(a: np.ndarray) -> np.ndarray:
     """Exactly-unitary exponential exp(iA) of a Hermitian A via its spectrum."""
     a = np.asarray(a)
-    if np.abs(a - np.swapaxes(a.conj(), -1, -2)).max() > tol:
+    if np.abs(a - np.swapaxes(a.conj(), -1, -2)).max() > DEFAULT_TOL:
         raise InputError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(a)
     phases = np.exp(1j * w)

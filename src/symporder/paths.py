@@ -40,6 +40,7 @@ SAMPLE_TOL = 1e-9
 # the cone test uses a comfortably wider dead band than the structural checks.
 CONE_TOL = 1e-6
 DEFAULT_SAMPLES = 256
+MIN_SAMPLES_ORDER4 = 7
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,6 @@ class HamiltonianTrack:
 class ConeStatus(enum.Enum):
     DOMINANT = "dominant"
     SEMIPOSITIVE = "semipositive"
-    UNDETERMINED = "undetermined"
     NEGATIVE = "negative"
 
 
@@ -128,8 +128,7 @@ class ConeVerdict:
     ``min_eigenvalue`` is the minimum over samples of the smallest eigenvalue
     of H(t_k).  Statuses: ``dominant`` needs min >= +tol, ``semipositive``
     needs min >= -tol, ``negative`` means the canonical representative is
-    refuted (min < -tol).  ``undetermined`` is reserved for callers that
-    cannot run the test at all; the classifier itself always resolves.
+    refuted (min < -tol).
     """
 
     status: ConeStatus
@@ -139,13 +138,6 @@ class ConeVerdict:
     @property
     def certifies(self) -> bool:
         return self.status in (ConeStatus.DOMINANT, ConeStatus.SEMIPOSITIVE)
-
-
-def identity_path(dim: int, n_samples: int = DEFAULT_SAMPLES) -> SampledPath:
-    """Constant identity path, the unit element in the sampled calculus."""
-    times = np.linspace(0.0, 1.0, n_samples)
-    mats = np.broadcast_to(np.eye(dim), (n_samples, dim, dim)).copy()
-    return SampledPath(times, mats)
 
 
 def _derivative_weights(times: np.ndarray) -> np.ndarray:
@@ -181,43 +173,34 @@ def _time_derivative(times: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return d
 
 
-def is_uniform_grid(times: np.ndarray, rel_tol: float = 1e-12) -> bool:
+def is_uniform_grid(times: np.ndarray) -> bool:
     steps = np.diff(times)
     h = steps[0]
-    return bool(np.all(np.abs(steps - h) <= rel_tol * h))
+    return bool(np.all(np.abs(steps - h) <= 1e-12 * h))
 
 
 def _time_derivative4(times: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Fourth-order 5-point stencils; requires a uniform grid of >= 5 samples.
+    """Fourth-order 5-point stencils; requires a uniform grid of >= 7 samples.
 
-    The four rows next to the boundary use fifth-order 6-point stencils when
-    the grid is long enough: one-sided differences carry the largest error
-    constants, and exact-tie cone certificates are decided right at those
-    rows.
+    The four rows next to the boundary use fifth-order 6-point stencils:
+    one-sided differences carry the largest error constants, and exact-tie
+    cone certificates are decided right at those rows.
     """
-    if len(times) < 5:
-        raise InputError("fourth-order stencils need at least 5 samples")
+    if len(times) < MIN_SAMPLES_ORDER4:
+        raise InputError(f"fourth-order stencils need {MIN_SAMPLES_ORDER4} or more samples")
     if not is_uniform_grid(times):
         raise InputError("fourth-order stencils require a uniform grid")
     h = times[1] - times[0]
     d = np.empty_like(mats)
     d[2:-2] = (mats[:-4] - 8 * mats[1:-3] + 8 * mats[3:-1] - mats[4:]) / (12 * h)
-    if len(times) >= 7:
-        head = (-137 / 60 * mats[0] + 5 * mats[1] - 5 * mats[2]
-                + 10 / 3 * mats[3] - 5 / 4 * mats[4] + 1 / 5 * mats[5]) / h
-        second = (-1 / 5 * mats[0] - 13 / 12 * mats[1] + 2 * mats[2]
-                  - mats[3] + 1 / 3 * mats[4] - 1 / 20 * mats[5]) / h
-        d[0], d[1] = head, second
-        tail = (137 / 60 * mats[-1] - 5 * mats[-2] + 5 * mats[-3]
-                - 10 / 3 * mats[-4] + 5 / 4 * mats[-5] - 1 / 5 * mats[-6]) / h
-        second_last = (1 / 5 * mats[-1] + 13 / 12 * mats[-2] - 2 * mats[-3]
-                       + mats[-4] - 1 / 3 * mats[-5] + 1 / 20 * mats[-6]) / h
-        d[-1], d[-2] = tail, second_last
-    else:
-        d[0] = (-25 * mats[0] + 48 * mats[1] - 36 * mats[2] + 16 * mats[3] - 3 * mats[4]) / (12 * h)
-        d[1] = (-3 * mats[0] - 10 * mats[1] + 18 * mats[2] - 6 * mats[3] + mats[4]) / (12 * h)
-        d[-2] = (3 * mats[-1] + 10 * mats[-2] - 18 * mats[-3] + 6 * mats[-4] - mats[-5]) / (12 * h)
-        d[-1] = (25 * mats[-1] - 48 * mats[-2] + 36 * mats[-3] - 16 * mats[-4] + 3 * mats[-5]) / (12 * h)
+    d[0] = (-137 / 60 * mats[0] + 5 * mats[1] - 5 * mats[2]
+            + 10 / 3 * mats[3] - 5 / 4 * mats[4] + 1 / 5 * mats[5]) / h
+    d[1] = (-1 / 5 * mats[0] - 13 / 12 * mats[1] + 2 * mats[2]
+            - mats[3] + 1 / 3 * mats[4] - 1 / 20 * mats[5]) / h
+    d[-1] = (137 / 60 * mats[-1] - 5 * mats[-2] + 5 * mats[-3]
+             - 10 / 3 * mats[-4] + 5 / 4 * mats[-5] - 1 / 5 * mats[-6]) / h
+    d[-2] = (1 / 5 * mats[-1] + 13 / 12 * mats[-2] - 2 * mats[-3]
+             + mats[-4] - 1 / 3 * mats[-5] + 1 / 20 * mats[-6]) / h
     return d
 
 
@@ -227,9 +210,10 @@ def extract_hamiltonian(path: SampledPath, order: int = 2) -> HamiltonianTrack:
     The default derivatives use centered differences inside the grid and
     second-order one-sided stencils at the endpoints, so the track converges
     at O(dt^2) on smooth paths.  ``order=4`` switches to 5-point stencils
-    (uniform grids only) for boundary-sensitive consumers such as the order
-    staircase.  The pre-symmetrization asymmetry is reported, not hidden: it
-    is the caller's resolution diagnostic.
+    (uniform grids of at least ``MIN_SAMPLES_ORDER4`` samples only) for
+    boundary-sensitive consumers such as the order staircase.  The
+    pre-symmetrization asymmetry is reported, not hidden: it is the caller's
+    resolution diagnostic.
     """
     if order not in (2, 4):
         raise InputError(f"unsupported stencil order {order}")
@@ -306,8 +290,6 @@ def align_grids(x: SampledPath, y: SampledPath) -> tuple[SampledPath, SampledPat
 
 def refine(path: SampledPath, factor: int = 2) -> SampledPath:
     """Insert ``factor - 1`` equally spaced samples into every interval."""
-    if factor < 2:
-        return path
     t = path.times
     pieces = [t]
     for i in range(1, factor):

@@ -94,10 +94,7 @@ def _fold_mean(values: np.ndarray) -> tuple[float, LeafFunction]:
 
 def torus_grid(shape) -> list[np.ndarray]:
     """Coordinate arrays p_j = j / N per axis, meshed with 'ij' indexing."""
-    axes = [np.arange(n) / n for n in shape]
-    if len(axes) == 1:
-        return [axes[0]]
-    return list(np.meshgrid(*axes, indexing="ij"))
+    return list(np.meshgrid(*(np.arange(n) / n for n in shape), indexing="ij"))
 
 
 @dataclass(frozen=True)
@@ -171,17 +168,15 @@ def gamma_quant(a: QuantElement, b: QuantElement) -> float:
     return float((b.generator / a.generator).max())
 
 
-def gamma_n_quant_bruteforce(a: QuantElement, b: QuantElement, n: int,
-                             tie_tol: float = 1e-9) -> int:
+def gamma_n_quant_bruteforce(a: QuantElement, b: QuantElement, n: int) -> int:
     """Least integer m with m * generator(a) >= n * generator(b) on the grid.
 
     This is the ceiling of n * gamma_quant(a, b) with exact-integer boundaries
-    kept (a tie lands on the smaller integer, guarded by ``tie_tol``).
+    kept (a tie within 1e-9 lands on the smaller integer).
     """
     if n < 1:
         raise InputError("n must be positive")
-    target = n * gamma_quant(a, b)
-    return int(np.ceil(target - tie_tol))
+    return int(np.ceil(n * gamma_quant(a, b) - 1e-9))
 
 
 def k_quant(a: QuantElement, b: QuantElement) -> float:

@@ -10,6 +10,8 @@ and the path integrators, which call their closure once on the whole time
 grid, with the per-step integration they replaced.  Cone verdicts, which the
 package takes from one batched Cholesky factorization, are checked against
 ``eigvalsh``, and the staircase bisection against a full scan of powers.
+Certified order verdicts are reflexive and transitive on commuting diagonal
+unitary paths whose angle speeds are ordered pointwise.
 """
 
 import numpy as np
@@ -169,6 +171,31 @@ def test_winding_is_additive_on_commuting_unitary_loops(seed, n, data):
     y = gen.unitary_loop(data.draw(mults), basis, SAMPLES)
     total = maslov.maslov_index(x).value + maslov.maslov_index(y).value
     assert abs(maslov.maslov_index(paths.compose(x, y)).value - total) <= 1e-9
+
+
+def _speeds_above(rng: np.random.Generator, t: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Angles whose speeds exceed those of ``theta`` by e (1 + c cos 2 pi t),
+    |c| <= 0.8: by at least 0.02 where e > 0, and not at all where e = 0."""
+    n = theta.shape[1]
+    e = rng.uniform(0.1, 3.0, size=n) * (rng.random(n) < 0.7)
+    c = rng.uniform(-0.8, 0.8, size=n)
+    return theta + np.outer(t, e) + np.sin(2 * np.pi * t)[:, None] * (c * e / (2 * np.pi))
+
+
+@settings(deadline=None, max_examples=25)
+@given(seeds, st.sampled_from([1, 2, 3]))
+def test_certified_order_is_reflexive_and_transitive(seed, n):
+    rng = np.random.default_rng([seed, 3])
+    t = gen.uniform_times(SAMPLES)
+    w = rng.uniform(2.0, 8.0, size=n)
+    d = rng.uniform(-0.8, 0.8, size=n) * w
+    low = np.outer(t, w) + np.sin(2 * np.pi * t)[:, None] * (d / (2 * np.pi))
+    mid = _speeds_above(rng, t, low)
+    a, b, c = (gen.diagonal_unitary_path(theta, t)
+               for theta in (low, mid, _speeds_above(rng, t, mid)))
+    assert all(paths.order_leq(p, p).certifies for p in (a, b, c))
+    assert paths.order_leq(a, b).certifies and paths.order_leq(b, c).certifies
+    assert paths.order_leq(a, c).certifies
 
 
 # The integrators as they were before they evaluated their closure once on the

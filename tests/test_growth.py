@@ -153,3 +153,15 @@ def test_growth_estimate_refuses_an_empty_ladder_before_any_work(loops, monkeypa
     monkeypatch.setattr(growth, "_staircase", unreachable)
     with pytest.raises(InputError, match="at least one staircase index"):
         growth.growth_estimate(*loops, ns=())
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the atom chain conjugates the finite-difference error "
+                          "of H_Y by X^-p, about 2^(2p) here, so rungs n >= 4 find "
+                          "no certified power (ROADMAP item 1)")
+def test_staircase_of_a_hyperbolic_dominant_and_its_square():
+    # X^p >= X^(2n) iff X^(p - 2n) >= 1, so gamma_n = 2n exactly
+    x = maslov.positive_path_to(np.diag([2.0, 0.5]), 2049)
+    y = pointwise_power(x, 2)
+    ns = (1, 2, 4, 8)
+    assert [growth.gamma_n_bruteforce(x, y, n, 8 * n) for n in ns] == [2 * n for n in ns]

@@ -301,6 +301,11 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
         (["defect-sample", "--seed", "-1"], "non-negative"),
         (["verify", "--seed", "-1"], "non-negative"),
         (["synth-positive", float_matrix, dest, "--grid", "-5"], "non-negative"),
+        # sizes far beyond the caps fail in argument checking, before any allocation
+        (["synth-positive", good_matrix, dest, "--grid", "10000000000000"], "at most 65536"),
+        (["synth-positive", good_matrix, dest, "--grid", "100000000000000000000"],
+         "at most 65536"),
+        (["defect-sample", "--dim", "100000000000", "--pairs", "1"], "at most 64"),
         (["zcoord", loop_file, "--cemp", "-1"], "non-negative"),
         (["zcoord", loop_file, "--cemp", "inf"], "finite"),
         (["kdist", loop_file, loop_file, "--cemp", "-0.5"], "non-negative"),

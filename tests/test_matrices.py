@@ -21,13 +21,13 @@ def test_standard_j_squares_to_minus_identity():
 
 
 def test_standard_j_is_symplectic():
-    assert matrices.is_symplectic(matrices.standard_j(3))
+    assert float(matrices.symplectic_defect(matrices.standard_j(3))) == 0.0
 
 
 def test_symplectic_defect_flags_non_symplectic():
     assert float(matrices.symplectic_defect(2.0 * np.eye(2))) > 1.0
-    assert matrices.is_symplectic(np.eye(4))
-    assert not matrices.is_symplectic(np.eye(4) + 1e-6)
+    assert float(matrices.symplectic_defect(np.eye(4))) == 0.0
+    assert float(matrices.symplectic_defect(np.eye(4) + 1e-6)) > matrices.DEFAULT_TOL
 
 
 def test_symplectic_defect_batched():
@@ -50,7 +50,7 @@ def test_complex_real_bridge_is_a_homomorphism(seed_a, seed_b, n):
 def test_complex_to_real_lands_in_unitary_subgroup():
     u = random_unitary(3, 5)
     m = matrices.complex_to_real(u)
-    assert matrices.is_symplectic(m)
+    assert float(matrices.symplectic_defect(m)) <= matrices.DEFAULT_TOL
     assert matrices.commutes_with_j(m)
     assert np.abs(m @ m.T - np.eye(6)).max() < 1e-12
 

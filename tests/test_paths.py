@@ -132,6 +132,20 @@ def test_align_grids_downsamples_nested_grids():
     assert np.abs(a.matrices - fine.matrices[::2]).max() == 0.0
 
 
+def test_order_and_compose_interpolate_onto_the_union_of_unrelated_grids():
+    # 100 and 151 samples share only t = 0, 1/3, 2/3, 1, too few to subsample
+    x = gen.rotation_path(1.0, 100)
+    y = gen.rotation_path(0.5, 151)
+    aligned, _ = paths.align_grids(x, y)
+    assert aligned.n_samples == 247
+    verdict = paths.order_leq(y, x)  # X Y^-1 = R(t/2), generator 1/2
+    assert verdict.status is paths.ConeStatus.DOMINANT
+    assert abs(verdict.min_eigenvalue - 0.5) < 1e-3
+    product = paths.compose(x, y)
+    assert product.n_samples == 247
+    assert np.abs(product.endpoint - x.endpoint @ y.endpoint).max() < 1e-15
+
+
 def test_pointwise_power_matches_repeated_compose():
     rng = np.random.default_rng(9)
     x = gen.random_symplectic_path(2, rng, scale=0.7, n_samples=65)
@@ -170,7 +184,7 @@ def test_classify_cone_dominant_rotation():
 
 
 def test_classify_cone_identity_is_semipositive():
-    verdict = paths.classify_cone(paths.identity_path(2, 65))
+    verdict = paths.classify_cone(paths.pointwise_power(gen.rotation_path(1.0, 65), 0))
     assert verdict.status is paths.ConeStatus.SEMIPOSITIVE
     assert verdict.certifies
 
