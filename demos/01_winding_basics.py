@@ -28,7 +28,7 @@ print("random unitary paths: determinant route vs trace route")
 for i in range(4):
     rng = np.random.default_rng([11, i])
     n = 1 + i % 2
-    path = random_unitary_path(n, rng, scale=2.0, n_samples=2048)
+    path = random_unitary_path(n, rng, n_samples=2048)
     via_det = maslov_index(path).value
     via_trace = maslov_via_trace(path)
     print(f"  dim {2 * n}: det route {via_det:+.8f}"
@@ -40,7 +40,7 @@ print("the trace route converges at second order in the sampling step")
 rng = np.random.default_rng([11, 100])
 from symporder.generators import random_hermitian_generator, unitary_path_from_generator
 
-h = random_hermitian_generator(2, rng, scale=2.0)
+h = random_hermitian_generator(2, rng)
 prev = None
 for n_samples in (256, 512, 1024, 2048):
     path = unitary_path_from_generator(h, 2, n_samples)

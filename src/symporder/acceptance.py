@@ -78,14 +78,14 @@ def criterion_trace_formula(seed: int = DEFAULT_SEED) -> CriterionResult:
     for i in range(100):
         rng = np.random.default_rng([seed, 2, i])
         n = 1 if i % 2 == 0 else 2
-        path = gen.random_unitary_path(n, rng, scale=2.0, n_samples=TRACE_SAMPLES)
+        path = gen.random_unitary_path(n, rng, n_samples=TRACE_SAMPLES)
         diff = abs(maslov.maslov_index(path).value - maslov.maslov_via_trace(path))
         worst = max(worst, diff)
     orders = []
     for i in range(6):
         rng = np.random.default_rng([seed, 2, 1000 + i])
         n = 1 if i % 2 == 0 else 2
-        h = gen.random_hermitian_generator(n, rng, scale=2.0)
+        h = gen.random_hermitian_generator(n, rng)
         errs = []
         for n_samples in (256, 512, 1024):
             path = gen.unitary_path_from_generator(h, n, n_samples)

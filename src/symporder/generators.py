@@ -94,9 +94,10 @@ def _mode_closure(rng: np.random.Generator, dim: int, scale: float, hermitian: b
     return h
 
 
-def random_hermitian_generator(n: int, rng: np.random.Generator, scale: float = 2.0):
-    """Smooth random Hermitian-valued map h(t) built from three fixed modes."""
-    return _mode_closure(rng, n, scale, True)
+def random_hermitian_generator(n: int, rng: np.random.Generator):
+    """Smooth random Hermitian-valued map h(t) built from three fixed modes,
+    each of spectral norm 2."""
+    return _mode_closure(rng, n, 2.0, True)
 
 
 def _midpoint_values(h, t: np.ndarray, n: int) -> np.ndarray:
@@ -133,10 +134,9 @@ def unitary_path_from_generator(h, n: int, n_samples: int = DEFAULT_SAMPLES) -> 
     return SampledPath(t, complex_to_real(_ordered_product(exp_i_hermitian(gens))))
 
 
-def random_unitary_path(n: int, rng: np.random.Generator, scale: float = 2.0,
+def random_unitary_path(n: int, rng: np.random.Generator,
                         n_samples: int = DEFAULT_SAMPLES) -> SampledPath:
-    return unitary_path_from_generator(
-        random_hermitian_generator(n, rng, scale), n, n_samples)
+    return unitary_path_from_generator(random_hermitian_generator(n, rng), n, n_samples)
 
 
 def symplectic_path_from_hamiltonian(ham, dim: int,

@@ -107,14 +107,16 @@ def gamma_closed_unitary(x: SampledPath, y: SampledPath) -> float:
         if not commutes_with_j(path.matrices):
             raise InputError(f"{who} is not a unitary path")
         _require_dominant(path, CONE_TOL, who)
-    return _winding_ratio(x, y)
+    mx, my = _unitary_windings(x, y)
+    return my / mx
 
 
-def _winding_ratio(x: SampledPath, y: SampledPath) -> float:
+def _unitary_windings(x: SampledPath, y: SampledPath) -> tuple[float, float]:
+    """(maslov(X), maslov(Y)) of a unitary pair, X's positive."""
     mx = maslov_index(x).value
     if mx <= 0.0:
         raise InputError("maslov index of X must be positive")
-    return maslov_index(y).value / mx
+    return mx, maslov_index(y).value
 
 
 def _dominant_mus(x: SampledPath, y: SampledPath, k_max: int, c_emp: float,
@@ -218,16 +220,24 @@ def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int) -> in
     error does not grow with p).  Each probe is one batched Cholesky test of
     H + CONE_TOL I (:func:`paths.cone_holds`), and X's dominance is one test
     of H_X - CONE_TOL I; no eigenvalue is computed.  For a dominant X the
-    certified set of powers is upward closed, which justifies the bisection.
+    certified set of powers is upward closed.  On a unitary pair (both paths
+    commute with J) the search starts at the winding floor L_n, below which
+    no power can be certified: it probes L_n, then L_n - 1 as a self-check
+    (:class:`ComputationError` if the certificate accepts it), and bisects
+    above L_n only when L_n fails.  Other pairs bisect [-p_max, p_max].
     """
     return _staircase(x, y, ((n, p_max),), CONE_TOL)[0]
 
 
-def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> list:
+def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float,
+               windings: tuple[float, float] | None = None) -> list:
     """gamma_n for each (n, p_max) rung of one pair.
 
     The grids are aligned, the atoms built and X's dominance checked once,
-    and every rung reuses them.
+    and every rung reuses them.  ``windings`` is (maslov(X), maslov(Y)) when
+    the caller has taken them; they give each rung its winding floor if the
+    aligned pair is unitary, and are taken here if it is and the caller has
+    not.
     """
     for n, p_max in rungs:
         if n < 0 or p_max < 0:
@@ -238,14 +248,37 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> list:
     x_atoms = _atoms(x)
     if not cone_holds(x_atoms[0].hams, tol):
         raise InputError("X must be dominant for the staircase search")
+    floors = [None] * len(rungs)
+    if commutes_with_j(x.matrices) and commutes_with_j(y.matrices):
+        mx, my = windings if windings is not None else _unitary_windings(x, y)
+        floors = [_winding_floor(n, mx, my, x.dim, tol) for n, _ in rungs]
     y_atoms = _atoms(y)
     y_powers = [_signed_power(y_atoms, -n) for n, _ in rungs]
     # the bisection allocates atoms of the same size over and over; with
     # y_atoms still alive, a 2049-sample staircase ran about 6 % slower
     # (2-core Xeon, numpy 2.4, same-process alternation)
     del y_atoms
-    return [_least_certified_power(x_atoms, y_minus_n, p_max, tol)
-            for y_minus_n, (_, p_max) in zip(y_powers, rungs)]
+    return [_least_certified_power(x_atoms, y_minus_n, p_max, tol, floor)
+            for y_minus_n, (_, p_max), floor in zip(y_powers, rungs, floors)]
+
+
+def _winding_floor(n: int, mx: float, my: float, dim: int, tol: float) -> int:
+    """Least power p the certificate can accept for X^p >= Y^n on a unitary
+    pair with windings mx = maslov(X) > 0 and my = maslov(Y).
+
+    On the unitary subgroup the winding is the time integral of tr H / 2
+    over [0, 1] (:func:`maslov.maslov_via_trace`), and det(X^p Y^-n) =
+    det(X)^p det(Y)^-n, so the winding of X^p Y^-n is p mx - n my.  A power
+    the certificate accepts has H + tol I > 0, hence tr H > -dim tol, at
+    every sample; integrating, p mx - n my > -(dim / 2) tol, that is
+    p > n ratio - (dim / 2) tol / mx with ratio = my / mx.  The last term
+    of the slack covers the rounding of n ratio.  The homogenized Maslov
+    quasimorphism is monotone (Eliashberg-Polterovich), so the same floor
+    holds for the order itself.
+    """
+    ratio = my / mx
+    slack = 0.5 * dim * tol / mx + 1e-12 * max(1.0, n * abs(ratio))
+    return int(np.ceil(n * ratio - slack))
 
 
 def _certified(x_atoms: tuple[_PowerAtom, _PowerAtom], y_minus_n: _PowerAtom,
@@ -255,22 +288,44 @@ def _certified(x_atoms: tuple[_PowerAtom, _PowerAtom], y_minus_n: _PowerAtom,
 
 
 def _least_certified_power(x_atoms: tuple[_PowerAtom, _PowerAtom],
-                           y_minus_n: _PowerAtom, p_max: int, tol: float) -> int | None:
+                           y_minus_n: _PowerAtom, p_max: int, tol: float,
+                           floor: int | None = None) -> int | None:
     """Least p in [-p_max, p_max] that :func:`_certified` accepts, else None.
 
-    Bisection between a failing lower and a passing upper power: it probes
-    about log2(p_max) + 3 powers and relies on the certified set being
-    upward closed.  A probe whose generator overflows raises
-    :class:`ComputationError` instead of counting as a refusal.
+    Bisection between a failing lower and a passing upper power, relying on
+    the certified set being upward closed.  Without a floor above -p_max it
+    probes p_max, -p_max and about log2(p_max) + 1 powers between them.  A
+    winding floor (:func:`_winding_floor`) is probed first, with floor - 1
+    as a self-check, and the bisection runs above the floor only if the
+    floor fails.  A certified power below the floor raises
+    :class:`ComputationError`, as does a probe whose generator overflows.
     """
     def certified(p: int) -> bool:
         return _certified(x_atoms, y_minus_n, p, tol)
 
-    if not certified(p_max):
-        return None
-    if certified(-p_max):
-        return -p_max
-    lo, hi = -p_max, p_max  # invariant: lo fails, hi passes
+    def below_floor(p: int) -> ComputationError:
+        return ComputationError(
+            f"the certificate accepts power {p} below the winding floor {floor}")
+
+    if floor is not None and floor > -p_max:
+        if floor > p_max:
+            if certified(p_max):
+                raise below_floor(p_max)
+            return None
+        if certified(floor):
+            if certified(floor - 1):
+                raise below_floor(floor - 1)
+            return floor
+        if floor == p_max or not certified(p_max):
+            return None
+        lo = floor
+    else:
+        if not certified(p_max):
+            return None
+        if certified(-p_max):
+            return -p_max
+        lo = -p_max
+    hi = p_max  # invariant: lo fails, hi passes
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if certified(mid):
@@ -305,13 +360,14 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
     if not ns:
         raise InputError("growth estimate needs at least one staircase index n")
     hint = gamma_closed_symplectic(x, y, k_max, c_emp, tol).value
-    closed = None
+    closed = windings = None
     if commutes_with_j(x.matrices) and commutes_with_j(y.matrices):
         # both paths passed the cone check inside the hint
-        closed = _winding_ratio(x, y)
+        windings = _unitary_windings(x, y)
+        closed = windings[1] / windings[0]
     rungs = [(n, p_max if p_max is not None else int(np.ceil(abs(hint) * n)) + 8)
              for n in ns]
-    gamma_ns = _staircase(x, y, rungs, tol)
+    gamma_ns = _staircase(x, y, rungs, tol, windings)
     if gamma_ns[-1] is None:
         raise ComputationError(
             f"no certified power found at n={ns[-1]} within p_max={rungs[-1][1]}; "

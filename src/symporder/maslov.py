@@ -38,6 +38,12 @@ REFINEMENT_CAP = 2 ** 16
 STEP_GUARD = 1e-2
 # factor by which ``defect_constant`` widens the sampled defect
 DEFECT_SAFETY = 2.0
+# ``redistribute_eigenvalues``: how far a target may sit below 2*pi*n, the
+# width below which a reduced eigenvalue folds to 2*pi, and how far the trace
+# deficit may miss a whole number of 2*pi quanta; none of them follows ``tol``
+TARGET_SLACK = 1e-9
+FOLD_CUTOFF = 1e-9
+CONGRUENCE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -189,7 +195,8 @@ def redistribute_eigenvalues(a: np.ndarray, target_mu: float,
     smallest (by original eigenvalue) gain one more.  The result keeps
     exp(iA) fixed, stays entrywise positive, and spreads the spectrum over a
     window no wider than 2*pi*n.  Requires ``target_mu >= 2*pi*n``; k = 0 is
-    a valid no-op.
+    a valid no-op.  ``tol`` bounds only the Hermitian check; the returned
+    trace is ``target_mu`` to within ``CONGRUENCE_TOL``.
     """
     a = np.asarray(a)
     n = a.shape[-1]
@@ -198,15 +205,15 @@ def redistribute_eigenvalues(a: np.ndarray, target_mu: float,
     if np.abs(a - a.conj().T).max() > tol:
         raise InputError("matrix is not Hermitian within tolerance")
     two_pi = 2.0 * np.pi
-    if target_mu < two_pi * n - tol:
+    if target_mu < two_pi * n - TARGET_SLACK:
         raise InputError(
             f"target {target_mu:.6f} below threshold 2*pi*n = {two_pi * n:.6f}")
     w, v = np.linalg.eigh(a)
     reduced = np.mod(w, two_pi)
-    reduced[reduced <= tol] += two_pi  # (0, 2*pi] convention
+    reduced[reduced <= FOLD_CUTOFF] += two_pi  # (0, 2*pi] convention
     k_float = (target_mu - reduced.sum()) / two_pi
     k = int(round(k_float))
-    if abs(k_float - k) * two_pi > max(tol, 1e-7):
+    if abs(k_float - k) * two_pi > CONGRUENCE_TOL:
         raise InputError(
             "target trace is not congruent to the input spectrum modulo 2*pi")
     if k < 0:

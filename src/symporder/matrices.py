@@ -52,10 +52,15 @@ def symplectic_defect(a: np.ndarray) -> np.ndarray:
 
 
 def commutes_with_j(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True when every matrix in the stack commutes with the form matrix J."""
+    """True when every matrix in the stack commutes with the form matrix J.
+
+    For A = [[P, Q], [R, S]] the commutator is AJ - JA = [[Q + R, S - P],
+    [S - P, -(Q + R)]], so the blocks are compared without forming it.
+    """
     n = _check_even_dim(a)
-    j = standard_j(n)
-    return bool(np.all(np.abs(a @ j - j @ a) <= tol))
+    p, q = a[..., :n, :n], a[..., :n, n:]
+    r, s = a[..., n:, :n], a[..., n:, n:]
+    return bool(np.all(np.abs(q + r) <= tol) and np.all(np.abs(s - p) <= tol))
 
 
 def complex_to_real(u: np.ndarray) -> np.ndarray:
@@ -118,7 +123,20 @@ def exp_i_hermitian(a: np.ndarray) -> np.ndarray:
 
 
 def symplectic_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symplectic matrix through the form: A^{-1} = -J A^T J."""
+    """Inverse of a symplectic matrix through the form: A^{-1} = -J A^T J.
+
+    For A = [[P, Q], [R, S]] that is [[S^T, -Q^T], [-R^T, P^T]]: every entry
+    of -J A^T J is one entry of A up to sign, so the blocks are copied
+    instead of multiplied.
+    """
     n = _check_even_dim(a)
-    j = standard_j(n)
-    return -j @ np.swapaxes(a, -1, -2) @ j
+    t = np.swapaxes(a, -1, -2)
+    out = np.empty(t.shape, dtype=np.result_type(t, 0.0))
+    out[..., :n, :n] = t[..., n:, n:]
+    np.negative(t[..., n:, :n], out=out[..., :n, n:])
+    np.negative(t[..., :n, n:], out=out[..., n:, :n])
+    out[..., n:, n:] = t[..., :n, :n]
+    # adding 0.0 turns -0.0 into 0.0, the zero that -J A^T J computed as a
+    # matrix product gives, so inverse samples keep the bytes of that product
+    out += 0.0
+    return out

@@ -103,7 +103,7 @@ def _dominant_path(seed: int, dim: int, stream: int, kind: str) -> paths.Sampled
     rng = np.random.default_rng([seed, stream])
     n = dim // 2
     if kind == "unitary":
-        offset, modes = rng.uniform(3.5, 5.0), gen.random_hermitian_generator(n, rng, 1.0)
+        offset, modes = rng.uniform(3.5, 5.0), gen._mode_closure(rng, n, 1.0, True)
         return gen.unitary_path_from_generator(
             lambda t: offset * np.eye(n) + modes(t), n, SAMPLES)
     v = matrices.complex_to_real(gen.random_unitary_matrix(n, rng))
@@ -269,13 +269,13 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
 def test_integrators_equal_the_per_step_reference_bitwise(seed, n, n_samples):
     dim = 2 * n
     rng, old = np.random.default_rng([seed, 0]), np.random.default_rng([seed, 0])
-    assert _same_bits(gen.random_unitary_path(n, rng, 1.5, n_samples).matrices,
-                      _per_step_unitary(_old_modes(_old_hermitian, n, old, 1.5),
+    assert _same_bits(gen.random_unitary_path(n, rng, n_samples).matrices,
+                      _per_step_unitary(_old_modes(_old_hermitian, n, old, 2.0),
                                         n, n_samples))
     assert _same_bits(gen.random_symplectic_path(dim, rng, 1.5, n_samples).matrices,
                       _per_step_symplectic(_old_modes(_old_symmetric, dim, old, 1.5),
                                            dim, n_samples))
-    offset, modes = rng.uniform(3.5, 5.0), gen.random_hermitian_generator(n, rng, 1.0)
+    offset, modes = rng.uniform(3.5, 5.0), gen._mode_closure(rng, n, 1.0, True)
     unitary_closures = [
         lambda t: offset * np.eye(n) + modes(t),
         _offset_modes(offset, [_old_hermitian(n, rng, 1.0) for _ in range(3)], 1.0),

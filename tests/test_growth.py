@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from test_group_law import _eigvalsh_staircase
 
 from symporder import generators as gen
-from symporder import growth, maslov
+from symporder import growth, maslov, paths
 from symporder.errors import ComputationError, InputError
 from symporder.paths import pointwise_power
 
@@ -153,6 +154,56 @@ def test_growth_estimate_refuses_an_empty_ladder_before_any_work(loops, monkeypa
     monkeypatch.setattr(growth, "_staircase", unreachable)
     with pytest.raises(InputError, match="at least one staircase index"):
         growth.growth_estimate(*loops, ns=())
+
+
+def _power_pair(seed: int, n_samples: int, r: float):
+    """X in U(2) inside Sp(4) from t -> V diag(w + d cos 2 pi t) V^H, and Y = X^r
+    from r times that generator: the staircase benchmark's pair shape."""
+    rng = np.random.default_rng([seed, 11])
+    v = gen.random_unitary_matrix(2, rng)
+    w = rng.uniform(2.0, 4.0, size=2)
+    d = rng.uniform(-0.6, 0.6, size=2) * w
+
+    def generator(scale):
+        return lambda t: scale * ((v * (w + d * np.cos(2 * np.pi * t))) @ v.conj().T)
+
+    return tuple(gen.unitary_path_from_generator(generator(scale), 2, n_samples)
+                 for scale in (1.0, r))
+
+
+def test_unitary_staircase_probes_the_winding_floor_and_the_power_below(monkeypatch):
+    # 64 r = 97.5 as on the benchmark: the floor 98 is certified, 97 is not
+    x, y = _power_pair(3, 2049, 97.5 / 64)
+    calls = []
+
+    def counted(hams, shift):
+        calls.append(shift)
+        return paths.cone_holds(hams, shift)
+
+    monkeypatch.setattr(growth, "cone_holds", counted)
+    assert growth.gamma_n_bruteforce(x, y, 64, 128) == 98
+    # one dominance check on X (shift +tol), then the probes 98 and 97
+    assert calls == [paths.CONE_TOL, -paths.CONE_TOL, -paths.CONE_TOL]
+
+
+@pytest.mark.parametrize("eps", [0.0, *np.geomspace(1e-12, 2e-6, 40),
+                                 *np.linspace(5e-9, 6e-9, 5)])
+def test_near_ties_agree_with_the_eigenvalue_bisection(eps):
+    # Y = X^(1.5 + eps): at n = 64 the certificate stops accepting 96 near
+    # eps = 5.5e-9 and the floor moves from 96 to 97 just above; a slack
+    # without the tolerance band makes the floor 97 while 96 is still accepted
+    x, y = _power_pair(5, 513, 1.5 + eps)
+    for n in (8, 64):
+        assert growth.gamma_n_bruteforce(x, y, n, 2 * n) == _eigvalsh_staircase(x, y, n, 2 * n)
+
+
+def test_a_certified_power_below_the_winding_floor_is_an_error(loops, monkeypatch):
+    # gamma_n = 2n on the loops: the floor is 8 at n = 4 and 16 at n = 8
+    monkeypatch.setattr(growth, "_certified", lambda *args: True)
+    with pytest.raises(ComputationError, match="power 7 below the winding floor 8"):
+        growth.gamma_n_bruteforce(*loops, 4, 12)
+    with pytest.raises(ComputationError, match="power 4 below the winding floor 16"):
+        growth.gamma_n_bruteforce(*loops, 8, 4)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

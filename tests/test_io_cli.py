@@ -441,6 +441,16 @@ def test_cli_redistribute(tmp_path, capsys):
     assert doc["trace"] == pytest.approx(4 * np.pi)
 
 
+def test_cli_redistribute_tol_does_not_widen_the_congruence_test(tmp_path, capsys):
+    # with [[1.0]] the trace after any redistribution is 1 + 2 pi k, never 9.0
+    herm = tmp_path / "herm.json"
+    herm.write_text(json.dumps({"n": 1, "real": [1.0], "imag": [0.0]}))
+    for tol in ("1e-3", "10"):
+        code, out, err = run_cli(["redistribute", str(herm), "9.0", "--tol", tol], capsys)
+        assert (code, out) == (1, "")
+        assert "not congruent" in err
+
+
 def test_cli_gamma_with_csv(tmp_path, capsys):
     # exact-tie staircase rungs need a fine grid to come out sharp
     slow, fast = str(tmp_path / "slow.json"), str(tmp_path / "fast.json")

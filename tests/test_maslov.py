@@ -90,7 +90,7 @@ def test_genuinely_undersampled_loop_raises_instead_of_guessing():
 def test_trace_route_matches_index_route():
     rng = np.random.default_rng(23)
     for n in (1, 2):
-        path = gen.random_unitary_path(n, rng, scale=2.0, n_samples=1024)
+        path = gen.random_unitary_path(n, rng, n_samples=1024)
         diff = abs(maslov.maslov_index(path).value - maslov.maslov_via_trace(path))
         assert diff < 1e-5
 

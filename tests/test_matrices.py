@@ -90,3 +90,22 @@ def test_symplectic_inverse_agrees_with_inverse():
     h = 0.4 * (h + h.T)
     m = matrices.matrix_exp(matrices.standard_j(2) @ h)
     assert np.abs(matrices.symplectic_inverse(m) - np.linalg.inv(m)).max() < 1e-10
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 5),
+       st.sampled_from([0.0, 1e-10, 1e-9, 2e-9, 1.0]), st.booleans())
+def test_block_formulas_equal_the_products_by_j(seed, n, size, noise, zeros):
+    # the inverse and the commutator test read blocks; the products by J are
+    # their reference, on any stack (symplectic or not) of dim 2n
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(size, n, n)) + 1j * rng.normal(size=(size, n, n))
+    a = matrices.complex_to_real(z) + noise * rng.normal(size=(size, 2 * n, 2 * n))
+    if zeros:
+        hit = rng.random(a.shape) < 0.4
+        a[hit] = rng.choice([0.0, -0.0], size=int(hit.sum()))
+    j = matrices.standard_j(n)
+    inverse = matrices.symplectic_inverse(a)
+    assert np.array_equal(inverse, -j @ np.swapaxes(a, -1, -2) @ j)
+    assert inverse.tobytes() == (-j @ np.swapaxes(a, -1, -2) @ j).tobytes()
+    assert matrices.commutes_with_j(a) == bool(np.all(np.abs(a @ j - j @ a) <= 1e-9))
