@@ -101,8 +101,14 @@ def _require_dominant(path: SampledPath, tol: float, who: str) -> None:
                          f"(min generator eigenvalue {verdict.min_eigenvalue:.3e})")
 
 
+def _require_same_dim(x: SampledPath, y: SampledPath) -> None:
+    if x.dim != y.dim:
+        raise InputError("paths must share a dimension")
+
+
 def gamma_closed_unitary(x: SampledPath, y: SampledPath) -> float:
     """Relative growth of a dominant unitary pair: maslov(Y) / maslov(X)."""
+    _require_same_dim(x, y)
     for path, who in ((x, "X"), (y, "Y")):
         if not commutes_with_j(path.matrices):
             raise InputError(f"{who} is not a unitary path")
@@ -121,7 +127,9 @@ def _unitary_windings(x: SampledPath, y: SampledPath) -> tuple[float, float]:
 
 def _dominant_mus(x: SampledPath, y: SampledPath, k_max: int, c_emp: float,
                   tol: float) -> tuple[Estimate, Estimate]:
-    """Check X, then Y, for dominance; return (mu_tilde(X), mu_tilde(Y)), Y's taken first."""
+    """Check the dimensions, X, then Y, for dominance; return (mu_tilde(X),
+    mu_tilde(Y)), Y's taken first."""
+    _require_same_dim(x, y)
     _require_dominant(x, tol, "X")
     _require_dominant(y, tol, "Y")
     mu_y = mu_tilde(y, k_max, c_emp)
@@ -242,8 +250,7 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float,
     for n, p_max in rungs:
         if n < 0 or p_max < 0:
             raise InputError("n and p_max must be nonnegative")
-    if x.dim != y.dim:
-        raise InputError("paths must share a dimension")
+    _require_same_dim(x, y)
     x, y = align_grids(x, y)
     x_atoms = _atoms(x)
     if not cone_holds(x_atoms[0].hams, tol):

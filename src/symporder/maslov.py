@@ -5,8 +5,8 @@ path is the total continuous change of ``arg det u(t)`` where ``u(t)`` is the
 complex form of the orthogonal polar factor of ``X(t)``; a single
 counterclockwise rotation loop in Sp(2) scores ``2*pi``.  Divide by ``2*pi``
 for turn counts.  Every threshold in this package (``2*pi*n`` for order
-certificates, ``4*pi*n`` for synthesis cost, ``6*pi*n`` for the positivity
-criterion) is stated in the same radian convention.
+certificates, ``4*pi*n`` for synthesis cost) is stated in the same radian
+convention.
 
 The phase needs no polar decomposition (McDuff-Salamon, *Introduction to
 Symplectic Topology*, section 2.2, the map rho): for ``X = U P`` the
@@ -157,16 +157,6 @@ def quasimorphism_defect_sample(num_pairs: int, dim: int, seed: int) -> float:
 def defect_constant(dim: int, num_pairs: int = 20, seed: int = 7) -> float:
     """Sampled defect bound times ``DEFECT_SAFETY``, for downstream certificates."""
     return DEFECT_SAFETY * quasimorphism_defect_sample(num_pairs, dim, seed)
-
-
-def positivity_criterion(path: SampledPath, c_emp: float) -> bool:
-    """Sufficient winding test for positivity: maslov(X) >= 6*pi*n + c_emp.
-
-    ``c_emp`` should be an empirical defect bound including its own safety
-    margin (see :func:`defect_constant`).  A False return decides nothing.
-    """
-    n = path.half_dim
-    return maslov_index(path).value >= 6.0 * np.pi * n + c_emp
 
 
 @dataclass(frozen=True)

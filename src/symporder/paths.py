@@ -140,39 +140,6 @@ class ConeVerdict:
         return self.status in (ConeStatus.DOMINANT, ConeStatus.SEMIPOSITIVE)
 
 
-def _derivative_weights(times: np.ndarray) -> np.ndarray:
-    """Second-order 3-point first-derivative weights on a possibly non-uniform grid.
-
-    Returns shape (N, 3); row k holds weights for samples (k-1, k, k+1) at
-    interior points and one-sided stencils shifted accordingly at the ends.
-    """
-    n = len(times)
-    w = np.zeros((n, 3))
-    h1 = times[1:-1] - times[:-2]
-    h2 = times[2:] - times[1:-1]
-    w[1:-1, 0] = -h2 / (h1 * (h1 + h2))
-    w[1:-1, 1] = (h2 - h1) / (h1 * h2)
-    w[1:-1, 2] = h1 / (h2 * (h1 + h2))
-    a, b = times[1] - times[0], times[2] - times[1]
-    w[0] = [-(2 * a + b) / (a * (a + b)), (a + b) / (a * b), -a / (b * (a + b))]
-    a, b = times[-2] - times[-3], times[-1] - times[-2]
-    w[-1] = [b / (a * (a + b)), -(a + b) / (a * b), (2 * b + a) / (b * (a + b))]
-    return w
-
-
-def _time_derivative(times: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    w = _derivative_weights(times)
-    d = np.empty_like(mats)
-    d[1:-1] = (
-        w[1:-1, 0, None, None] * mats[:-2]
-        + w[1:-1, 1, None, None] * mats[1:-1]
-        + w[1:-1, 2, None, None] * mats[2:]
-    )
-    d[0] = w[0, 0] * mats[0] + w[0, 1] * mats[1] + w[0, 2] * mats[2]
-    d[-1] = w[-1, 0] * mats[-3] + w[-1, 1] * mats[-2] + w[-1, 2] * mats[-1]
-    return d
-
-
 def is_uniform_grid(times: np.ndarray) -> bool:
     steps = np.diff(times)
     h = steps[0]
@@ -207,18 +174,23 @@ def _time_derivative4(times: np.ndarray, mats: np.ndarray) -> np.ndarray:
 def extract_hamiltonian(path: SampledPath, order: int = 2) -> HamiltonianTrack:
     """Recover the generator track H(t_k) = sym(-J dX/dt X^{-1}).
 
-    The default derivatives use centered differences inside the grid and
-    second-order one-sided stencils at the endpoints, so the track converges
-    at O(dt^2) on smooth paths.  ``order=4`` switches to 5-point stencils
-    (uniform grids of at least ``MIN_SAMPLES_ORDER4`` samples only) for
-    boundary-sensitive consumers such as the order staircase.  The
+    The default derivatives come from ``numpy.gradient`` with
+    ``edge_order=2``: 3-point differences inside the grid (non-uniform grids
+    included) and second-order one-sided stencils at the endpoints, so the
+    track converges at O(dt^2) on smooth paths.  ``order=4`` switches to
+    5-point stencils (uniform grids of at least ``MIN_SAMPLES_ORDER4``
+    samples only) for boundary-sensitive consumers such as the order
+    staircase.  The
     pre-symmetrization asymmetry is reported, not hidden: it is the caller's
     resolution diagnostic.
     """
     if order not in (2, 4):
         raise InputError(f"unsupported stencil order {order}")
     j = standard_j(path.half_dim)
-    deriv = (_time_derivative4 if order == 4 else _time_derivative)(path.times, path.matrices)
+    if order == 4:
+        deriv = _time_derivative4(path.times, path.matrices)
+    else:
+        deriv = np.gradient(path.matrices, path.times, axis=0, edge_order=2)
     raw = -j @ (deriv @ symplectic_inverse(path.matrices))
     asym = float(np.abs(raw - np.swapaxes(raw, -1, -2)).max())
     hams = 0.5 * (raw + np.swapaxes(raw, -1, -2))
@@ -298,14 +270,11 @@ def refine(path: SampledPath, factor: int = 2) -> SampledPath:
 
 
 def compose(x: SampledPath, y: SampledPath) -> SampledPath:
-    """Pointwise product path t -> X(t) Y(t) on a merged time grid."""
+    """Pointwise product path t -> X(t) Y(t) on the grid of :func:`align_grids`."""
     if x.dim != y.dim:
         raise InputError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    if x.times.shape == y.times.shape and np.array_equal(x.times, y.times):
-        return SampledPath(x.times, x.matrices @ y.matrices)
-    times = np.union1d(x.times, y.times)
-    xr, yr = resample(x, times), resample(y, times)
-    return SampledPath(times, xr.matrices @ yr.matrices)
+    x, y = align_grids(x, y)
+    return SampledPath(x.times, x.matrices @ y.matrices)
 
 
 def pointwise_power(path: SampledPath, k: int) -> SampledPath:

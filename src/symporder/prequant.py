@@ -65,10 +65,6 @@ class LeafFunction:
     def grid_shape(self) -> tuple:
         return self.values.shape
 
-    @property
-    def mean(self) -> float:
-        return float(self.values.mean())
-
 
 def normalize_leaf(values: np.ndarray) -> LeafFunction:
     """Subtract the grid mean; the result generates a strict quantomorphism."""
@@ -235,8 +231,8 @@ def calabi_weinstein(funcs, weights: np.ndarray | None = None,
     """Calabi-Weinstein invariant of a time-sampled family of leaf functions.
 
     Trapezoid rule in time of the volume-weighted grid mean; ``weights``
-    defaults to the uniform unit-volume measure.  The invariant vanishes on
-    families that are normalized at every time slice.
+    defaults to ones, the uniform unit-volume measure.  The invariant
+    vanishes on families that are normalized at every time slice.
     """
     funcs = list(funcs)
     if not funcs:
@@ -245,22 +241,19 @@ def calabi_weinstein(funcs, weights: np.ndarray | None = None,
     for f in funcs:
         if f.grid_shape != shape:
             raise InputError("all time slices must share the grid shape")
-    if weights is None:
-        means = np.array([f.mean for f in funcs])
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != shape:
-            raise InputError(f"weights shape {weights.shape} does not match grid {shape}")
-        total = weights.sum()
-        if total <= 0:
-            raise InputError("weights must have positive total volume")
-        means = np.array([float((weights * f.values).sum() / total) for f in funcs])
-    if len(funcs) == 1:
-        return float(means[0])
     if times is None:
         times = np.linspace(0.0, 1.0, len(funcs))
     else:
         times = np.asarray(times, dtype=float)
         if len(times) != len(funcs) or np.any(np.diff(times) <= 0):
             raise InputError("times must be strictly increasing and match the family")
+    weights = np.ones(shape) if weights is None else np.asarray(weights, dtype=float)
+    if weights.shape != shape:
+        raise InputError(f"weights shape {weights.shape} does not match grid {shape}")
+    total = weights.sum()
+    if total <= 0:
+        raise InputError("weights must have positive total volume")
+    means = np.array([float((weights * f.values).sum() / total) for f in funcs])
+    if len(funcs) == 1:
+        return float(means[0])
     return float(np.trapezoid(means, times))

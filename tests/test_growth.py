@@ -216,3 +216,27 @@ def test_staircase_of_a_hyperbolic_dominant_and_its_square():
     y = pointwise_power(x, 2)
     ns = (1, 2, 4, 8)
     assert [growth.gamma_n_bruteforce(x, y, n, 8 * n) for n in ns] == [2 * n for n in ns]
+
+
+def test_closed_forms_refuse_paths_of_different_dimension():
+    x = gen.rotation_loop(1, 129)
+    y = gen.unitary_loop([1, 2], n_samples=129)
+    for call in (growth.gamma_closed_unitary, growth.gamma_closed_symplectic,
+                 growth.pseudo_distance_k):
+        with pytest.raises(InputError, match="share a dimension"):
+            call(x, y)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="maslov(X^k_max) aliases once the power turns more than pi "
+                          "between samples: k_max = 10**6 gives -8.82 (ROADMAP item 4)")
+def test_z_coordinate_does_not_alias_at_large_k_max():
+    # theta = (3t, 5t) winds 8 radians, so an honest coordinate is log 8
+    t = np.linspace(0.0, 1.0, 129)
+    x = gen.diagonal_unitary_path(np.outer(t, [3.0, 5.0]), t)
+    for k_max in (64, 10**6):
+        try:
+            point = growth.z_coordinate(x, k_max=k_max)
+        except ComputationError:
+            continue
+        assert point.coordinate == pytest.approx(np.log(8.0), rel=1e-9)

@@ -269,6 +269,8 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
     long_int = tmp_path / "long_int.json"
     long_int.write_text('{"dim": ' + "9" * 5000 + "}")
     huge_int = _write_doc(tmp_path, "huge_int.json", dict(loop, times=[0, 10**400]))
+    loop4 = str(tmp_path / "loop4.json")
+    io.save_path(gen.unitary_loop([1, 2], n_samples=129), loop4)
     return [
         (["maslov", nan_sample], "finite"),
         (["cone", nan_sample], "finite"),
@@ -295,6 +297,9 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
         (["defect-sample", "--safety", "nan"], "finite"),
         (["gamma", loop_file, loop_file, "--cemp", "nan"], "finite"),
         (["cw", good_grid, "--weights", "1,2"], "--weights"),
+        (["cw", good_grid, "--times", "0,0.5"], "times"),
+        (["kdist", loop_file, loop4], "share a dimension"),
+        (["gamma", loop_file, loop4], "share a dimension"),
         (["defect-sample", "--dim", "3"], "even"),
         (["defect-sample", "--dim", "-2"], "even"),
         (["defect-sample", "--pairs", "-1"], "pairs"),

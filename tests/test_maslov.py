@@ -114,13 +114,6 @@ def test_quasimorphism_defect_reproducible():
     assert maslov.defect_constant(2, num_pairs=6, seed=42) == 2.0 * a
 
 
-def test_positivity_criterion_on_fast_loop():
-    c_emp = maslov.defect_constant(2, num_pairs=6, seed=42)
-    budget = int(np.ceil((6 * np.pi + c_emp) / TWO_PI)) + 1
-    assert maslov.positivity_criterion(gen.rotation_loop(budget, 513), c_emp)
-    assert not maslov.positivity_criterion(gen.rotation_path(0.5, 513), c_emp)
-
-
 # ---------------------------------------------------------------- spectra
 
 

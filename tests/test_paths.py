@@ -130,6 +130,9 @@ def test_align_grids_downsamples_nested_grids():
     a, b = paths.align_grids(fine, coarse)
     assert a.n_samples == b.n_samples == 65
     assert np.abs(a.matrices - fine.matrices[::2]).max() == 0.0
+    product = paths.compose(fine, coarse)
+    assert np.array_equal(product.times, coarse.times)
+    assert np.array_equal(product.matrices, fine.matrices[::2] @ coarse.matrices)
 
 
 def test_order_and_compose_interpolate_onto_the_union_of_unrelated_grids():

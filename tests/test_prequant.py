@@ -211,3 +211,10 @@ def test_calabi_weinstein_rejects_mismatched_shapes():
               prequant.LeafFunction(np.zeros(16))]
     with pytest.raises(InputError):
         prequant.calabi_weinstein(family)
+
+
+def test_calabi_weinstein_checks_times_of_a_single_slice():
+    family = [prequant.LeafFunction(np.full(8, 2.0))]
+    assert prequant.calabi_weinstein(family, times=np.array([0.5])) == 2.0
+    with pytest.raises(InputError, match="times"):
+        prequant.calabi_weinstein(family, times=np.array([0.0, 0.5]))
