@@ -29,7 +29,7 @@ from .paths import (
     ConeStatus,
     SampledPath,
     align_grids,
-    binary_power,
+    binary_powers,
     classify_cone,
     cone_holds,
     extract_hamiltonian,
@@ -191,32 +191,60 @@ class _PowerAtom:
     inv: np.ndarray
     hams: np.ndarray
 
-    def __matmul__(self, other: "_PowerAtom") -> "_PowerAtom":
+    def hams_of_product(self, other: "_PowerAtom") -> np.ndarray:
+        """Generator track of the product path self @ other, without its
+        inverse samples; an overflow gives inf or NaN without a warning."""
         inv_t = np.swapaxes(self.inv, -1, -2)
-        return _PowerAtom(
-            inv=other.inv @ self.inv,
-            hams=self.hams + inv_t @ other.hams @ self.inv,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.hams + inv_t @ other.hams @ self.inv
+
+    def __matmul__(self, other: "_PowerAtom") -> "_PowerAtom":
+        # overflow warnings are off inside ``binary_powers``, the one caller
+        return _PowerAtom(inv=other.inv @ self.inv, hams=self.hams_of_product(other))
+
+
+def _staircase_hams(path: SampledPath) -> np.ndarray:
+    """Generator track the staircase certifies with."""
+    # fourth-order stencils where the grid allows: staircase decisions sit at
+    # the cone boundary, where second-order FD noise would flip verdicts
+    order4 = is_uniform_grid(path.times) and path.n_samples >= MIN_SAMPLES_ORDER4
+    return extract_hamiltonian(path, order=4 if order4 else 2).hams
+
+
+def _forward_atom(path: SampledPath, hams: np.ndarray) -> _PowerAtom:
+    return _PowerAtom(symplectic_inverse(path.matrices), hams)
+
+
+def _inverse_atom(path: SampledPath, hams: np.ndarray) -> _PowerAtom:
+    mats = path.matrices
+    return _PowerAtom(mats, -np.swapaxes(mats, -1, -2) @ hams @ mats)
 
 
 def _atoms(path: SampledPath) -> tuple[_PowerAtom, _PowerAtom]:
     """Atoms of X and of X^{-1}, both read off the samples of X."""
-    # fourth-order stencils where the grid allows: staircase decisions sit at
-    # the cone boundary, where second-order FD noise would flip verdicts
-    order4 = is_uniform_grid(path.times) and path.n_samples >= MIN_SAMPLES_ORDER4
-    hams = extract_hamiltonian(path, order=4 if order4 else 2).hams
-    mats = path.matrices
-    return (_PowerAtom(symplectic_inverse(mats), hams),
-            _PowerAtom(mats, -np.swapaxes(mats, -1, -2) @ hams @ mats))
+    hams = _staircase_hams(path)
+    return _forward_atom(path, hams), _inverse_atom(path, hams)
 
 
-def _signed_power(atoms: tuple[_PowerAtom, _PowerAtom], k: int) -> _PowerAtom:
-    """Atom of X^k from the atoms of X and X^{-1}."""
+def _signed_powers(atoms: tuple, ks: tuple) -> tuple:
+    """Atoms of X^k for each k of ``ks`` from the atoms (X, X^{-1}).
+
+    Positive powers come from one squaring pass over X's atom, negative ones
+    from one pass over X^{-1}'s, so an atom of a direction no k takes may be
+    None.
+    """
     up, down = atoms
-    if k == 0:
-        return _PowerAtom(np.broadcast_to(np.eye(up.inv.shape[-1]), up.inv.shape).copy(),
-                          np.zeros(up.hams.shape))
-    return binary_power(up if k > 0 else down, abs(k))
+    powers = {}
+    if 0 in ks:
+        atom = up if up is not None else down
+        powers[0] = _PowerAtom(
+            np.broadcast_to(np.eye(atom.inv.shape[-1]), atom.inv.shape).copy(),
+            np.zeros(atom.hams.shape))
+    for atom, sign in ((up, 1), (down, -1)):
+        mags = tuple(sign * k for k in ks if sign * k > 0)
+        if mags:
+            powers.update(zip((sign * m for m in mags), binary_powers(atom, mags)))
+    return tuple(powers[k] for k in ks)
 
 
 def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int) -> int | None:
@@ -226,13 +254,15 @@ def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int) -> in
     canonical pointwise representative, assembled through the exact
     composition formula from the base tracks of X and Y (so finite-difference
     error does not grow with p).  Each probe is one batched Cholesky test of
-    H + CONE_TOL I (:func:`paths.cone_holds`), and X's dominance is one test
-    of H_X - CONE_TOL I; no eigenvalue is computed.  For a dominant X the
-    certified set of powers is upward closed.  On a unitary pair (both paths
-    commute with J) the search starts at the winding floor L_n, below which
-    no power can be certified: it probes L_n, then L_n - 1 as a self-check
-    (:class:`ComputationError` if the certificate accepts it), and bisects
-    above L_n only when L_n fails.  Other pairs bisect [-p_max, p_max].
+    H + CONE_TOL I (:func:`paths.cone_holds`) on the generator track of X^p
+    Y^-n alone, and X's dominance is one test of H_X - CONE_TOL I; no
+    eigenvalue is computed.  For a dominant X the certified set of powers is
+    upward closed.  On a unitary pair (both paths commute with J) the search
+    starts at the winding floor L_n, below which no power can be certified:
+    it forms X^L_n and X^(L_n - 1) from one pass of squarings, probes L_n,
+    then L_n - 1 as a self-check (:class:`ComputationError` if the
+    certificate accepts it), and bisects above L_n only when L_n fails.
+    Other pairs bisect [-p_max, p_max].
     """
     return _staircase(x, y, ((n, p_max),), CONE_TOL)[0]
 
@@ -245,26 +275,29 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float,
     and every rung reuses them.  ``windings`` is (maslov(X), maslov(Y)) when
     the caller has taken them; they give each rung its winding floor if the
     aligned pair is unitary, and are taken here if it is and the caller has
-    not.
+    not.  Only the atoms the probes read are built: Y's inverse (n >= 0),
+    X's forward atom, and X's inverse when a probe can fall below power 0,
+    that is without a floor or with a floor under 1.  The rung powers Y^-n
+    come from one squaring pass.
     """
     for n, p_max in rungs:
         if n < 0 or p_max < 0:
             raise InputError("n and p_max must be nonnegative")
     _require_same_dim(x, y)
     x, y = align_grids(x, y)
-    x_atoms = _atoms(x)
-    if not cone_holds(x_atoms[0].hams, tol):
+    x_hams = _staircase_hams(x)
+    if not cone_holds(x_hams, tol):
         raise InputError("X must be dominant for the staircase search")
     floors = [None] * len(rungs)
     if commutes_with_j(x.matrices) and commutes_with_j(y.matrices):
         mx, my = windings if windings is not None else _unitary_windings(x, y)
         floors = [_winding_floor(n, mx, my, x.dim, tol) for n, _ in rungs]
-    y_atoms = _atoms(y)
-    y_powers = [_signed_power(y_atoms, -n) for n, _ in rungs]
-    # the bisection allocates atoms of the same size over and over; with
-    # y_atoms still alive, a 2049-sample staircase ran about 6 % slower
-    # (2-core Xeon, numpy 2.4, same-process alternation)
-    del y_atoms
+    x_down = None
+    if any(floor is None or floor < 1 for floor in floors):
+        x_down = _inverse_atom(x, x_hams)
+    x_atoms = (_forward_atom(x, x_hams), x_down)
+    y_powers = _signed_powers((None, _inverse_atom(y, _staircase_hams(y))),
+                              tuple(-n for n, _ in rungs))
     return [_least_certified_power(x_atoms, y_minus_n, p_max, tol, floor)
             for y_minus_n, (_, p_max), floor in zip(y_powers, rungs, floors)]
 
@@ -288,10 +321,16 @@ def _winding_floor(n: int, mx: float, my: float, dim: int, tol: float) -> int:
     return int(np.ceil(n * ratio - slack))
 
 
+def _probe(x_power: _PowerAtom, y_minus_n: _PowerAtom, tol: float) -> bool:
+    """Whether the generator of X^p Y^-n, from the atoms of X^p and Y^-n,
+    lies above -tol at every sample."""
+    return cone_holds(x_power.hams_of_product(y_minus_n), -tol)
+
+
 def _certified(x_atoms: tuple[_PowerAtom, _PowerAtom], y_minus_n: _PowerAtom,
                p: int, tol: float) -> bool:
     """Whether the generator of X^p Y^-n lies above -tol at every sample."""
-    return cone_holds((_signed_power(x_atoms, p) @ y_minus_n).hams, -tol)
+    return _probe(_signed_powers(x_atoms, (p,))[0], y_minus_n, tol)
 
 
 def _least_certified_power(x_atoms: tuple[_PowerAtom, _PowerAtom],
@@ -303,9 +342,10 @@ def _least_certified_power(x_atoms: tuple[_PowerAtom, _PowerAtom],
     the certified set being upward closed.  Without a floor above -p_max it
     probes p_max, -p_max and about log2(p_max) + 1 powers between them.  A
     winding floor (:func:`_winding_floor`) is probed first, with floor - 1
-    as a self-check, and the bisection runs above the floor only if the
-    floor fails.  A certified power below the floor raises
-    :class:`ComputationError`, as does a probe whose generator overflows.
+    as a self-check, both powers taken from one squaring pass, and the
+    bisection runs above the floor only if the floor fails.  A certified
+    power below the floor raises :class:`ComputationError`, as does a probe
+    whose generator overflows.
     """
     def certified(p: int) -> bool:
         return _certified(x_atoms, y_minus_n, p, tol)
@@ -319,10 +359,12 @@ def _least_certified_power(x_atoms: tuple[_PowerAtom, _PowerAtom],
             if certified(p_max):
                 raise below_floor(p_max)
             return None
-        if certified(floor):
-            if certified(floor - 1):
+        pair = _signed_powers(x_atoms, (floor, floor - 1))
+        if _probe(pair[0], y_minus_n, tol):
+            if _probe(pair[1], y_minus_n, tol):
                 raise below_floor(floor - 1)
             return floor
+        del pair
         if floor == p_max or not certified(p_max):
             return None
         lo = floor

@@ -50,8 +50,9 @@ CONGRUENCE_TOL = 1e-7
 class MaslovResult:
     """Winding of the determinant of the unitary polar factor, in radians.
 
-    Each sample's phase is read in closed form from the complex determinant
-    of its complex-linear part, with no SVD (see the module docstring).
+    Each sample's phase is read in closed form as the sign of the complex
+    ``slogdet`` of its complex-linear part, with no SVD (see the module
+    docstring).
     ``value`` is exactly the float sum of ``per_step_increments`` and
     ``max_step`` is strictly below pi, otherwise the grid was refined before
     this result was produced.
@@ -66,13 +67,15 @@ class MaslovResult:
         return self.value / (2.0 * np.pi)
 
 
-def _det_of_unitary_factor(mats: np.ndarray) -> np.ndarray:
-    # det_C of 2 C_X: same phase as det_C U, since 2 C_X = U (P + P^-1) with
-    # (P + P^-1) Hermitian positive definite; its modulus is at least 2^n
+def _slogdet_of_unitary_factor(mats: np.ndarray):
+    # (sign, log |det|) of det_C of 2 C_X: the sign has the phase of det_C U,
+    # since 2 C_X = U (P + P^-1) with (P + P^-1) Hermitian positive definite,
+    # and the log-modulus is at least n log 2; read in logs, no sample is too
+    # large for its determinant
     n = mats.shape[-1] // 2
     a11, a12 = mats[..., :n, :n], mats[..., :n, n:]
     a21, a22 = mats[..., n:, :n], mats[..., n:, n:]
-    return np.linalg.det((a11 + a22) + 1j * (a21 - a12))
+    return np.linalg.slogdet((a11 + a22) + 1j * (a21 - a12))
 
 
 def maslov_index(path: SampledPath, max_samples: int = REFINEMENT_CAP) -> MaslovResult:
@@ -85,10 +88,7 @@ def maslov_index(path: SampledPath, max_samples: int = REFINEMENT_CAP) -> Maslov
     """
     current = path
     while True:
-        dets = _det_of_unitary_factor(current.matrices)
-        # unit phases first: the product of two raw determinants of large
-        # samples overflows, and the modulus is at least 2^n, never 0
-        phases = dets / np.abs(dets)
+        phases = _slogdet_of_unitary_factor(current.matrices).sign
         incs = np.angle(phases[1:] * np.conj(phases[:-1]))
         max_step = float(np.abs(incs).max())
         if max_step < np.pi - STEP_GUARD:

@@ -15,7 +15,8 @@ Samples are inverted through the form, ``X^{-1} = -J X^T J``.  That identity
 holds exactly on Sp(2n), and :class:`SampledPath` validates every sample as
 symplectic, so no general-purpose (and possibly singular) solve is needed.
 Integer powers of samples and of generator-carrying staircase atoms share one
-repeated-squaring routine, :func:`binary_power`.
+repeated-squaring routine, :func:`binary_powers`, which forms several powers
+of one base from a single pass of squarings.
 
 Cone membership is decided two ways.  A yes/no verdict comes from
 :func:`cone_holds`, one batched Cholesky factorization of the whole generator
@@ -278,29 +279,43 @@ def compose(x: SampledPath, y: SampledPath) -> SampledPath:
 
 
 def pointwise_power(path: SampledPath, k: int) -> SampledPath:
-    """Integer power path t -> X(t)^k (negative k through the inverse)."""
+    """Integer power path t -> X(t)^k (negative k through the inverse).
+
+    A power whose samples overflow raises :class:`ComputationError`.
+    """
     if k == 0:
         eye = np.broadcast_to(np.eye(path.dim), path.matrices.shape)
         return SampledPath(path.times, eye.copy())
     base = symplectic_inverse(path.matrices) if k < 0 else path.matrices
-    return SampledPath(path.times, binary_power(base, abs(k)))
+    (mats,) = binary_powers(base, (abs(k),))
+    if not np.isfinite(mats).all():
+        raise ComputationError(f"power {k} of the path overflows")
+    return SampledPath(path.times, mats)
 
 
-def binary_power(base, k: int):
-    """``base^k`` for k >= 1 by repeated squaring, for any operand with ``@``.
+def binary_powers(base, ks: tuple) -> tuple:
+    """``base^k`` for each k >= 1 of ``ks`` from one pass of repeated squaring.
 
     Serves both sample stacks and the staircase's generator-carrying atoms,
-    so every power in the package multiplies in the same order.
+    for any operand with ``@``.  The squares base^(2^i) are formed once, up
+    to the top bit of the largest k, and each power multiplies the squares of
+    its set bits from the lowest bit up: the order of squaring for that k
+    alone, so a power has the same bits whichever exponents share its pass.
+    Products that overflow give inf or NaN without a warning; callers check.
     """
-    result = None
+    powers = dict.fromkeys(ks)
+    top = max(powers)
     sq = base
-    while k:
-        if k & 1:
-            result = sq if result is None else result @ sq
-        k >>= 1
-        if k:
+    bit = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            for k, power in powers.items():
+                if k & bit:
+                    powers[k] = sq if power is None else power @ sq
+            bit <<= 1
+            if bit > top:
+                return tuple(powers[k] for k in ks)
             sq = sq @ sq
-    return result
 
 
 def embed_block(path: SampledPath, block: int, n: int) -> SampledPath:

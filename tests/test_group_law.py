@@ -78,23 +78,61 @@ def test_mu_tilde_is_the_last_homogenized_winding_bitwise(seed, dim, k):
 @given(seeds, dims, st.integers(-3, 3), st.integers(0, 3))
 def test_atom_chain_gives_the_generator_of_the_formed_path(seed, dim, p, n):
     x, y = _random_path(seed, dim, 0), _random_path(seed, dim, 1)
-    chain = (growth._signed_power(growth._atoms(x), p)
-             @ growth._signed_power(growth._atoms(y), -n))
+    chain = (growth._signed_powers(growth._atoms(x), (p,))[0]
+             @ growth._signed_powers(growth._atoms(y), (-n,))[0])
     formed = paths.compose(paths.pointwise_power(x, p), paths.pointwise_power(y, -n))
     assert _rel_err(chain.inv, np.linalg.inv(formed.matrices)) < 1e-9
     measured = paths.extract_hamiltonian(formed, order=4).hams
     assert _rel_err(chain.hams, measured) < FD_TOL[4]
 
 
+def _power_by_squaring(base, k: int):
+    """base^k for one k >= 1: the repeated squaring each power of a shared
+    pass of ``paths.binary_powers`` must reproduce bit for bit."""
+    result = None
+    sq = base
+    while k:
+        if k & 1:
+            result = sq if result is None else result @ sq
+        k >>= 1
+        if k:
+            sq = sq @ sq
+    return result
+
+
+def _bytes(value) -> bytes:
+    if isinstance(value, growth._PowerAtom):
+        return value.inv.tobytes() + value.hams.tobytes()
+    return value.tobytes()
+
+
+@settings(deadline=None, max_examples=25)
+@given(seeds, dims, st.lists(st.integers(1, 70), min_size=1, max_size=4),
+       st.integers(-3, 3), st.integers(0, 3))
+def test_one_squaring_pass_gives_every_power_bitwise(seed, dim, ks, p, n):
+    ks = (1, *ks, ks[0])  # k = 1 and a duplicate in every draw
+    x, y = _random_path(seed, dim, 0), _random_path(seed, dim, 1)
+    for base in (x.matrices, growth._atoms(x)[1]):
+        powers = paths.binary_powers(base, ks)
+        assert len(powers) == len(ks)
+        for k, power in zip(ks, powers):
+            assert _bytes(power) == _bytes(_power_by_squaring(base, k))
+    # the probe's track-only conjugation is the track of the full product
+    (x_p,) = growth._signed_powers(growth._atoms(x), (p,))
+    (y_minus_n,) = growth._signed_powers(growth._atoms(y), (-n,))
+    assert (x_p.hams_of_product(y_minus_n).tobytes()
+            == (x_p @ y_minus_n).hams.tobytes())
+
+
 @settings(deadline=None, max_examples=20)
 @given(seeds, st.sampled_from([1, 2, 4]), st.integers(1, 8))
 def test_closed_form_phase_matches_the_polar_factor(seed, n, k):
     x = paths.pointwise_power(_random_path(seed, 2 * n, 0), k).matrices
-    closed = maslov._det_of_unitary_factor(x)
+    closed = maslov._slogdet_of_unitary_factor(x)
     polar = np.linalg.det(matrices.real_to_complex(matrices.unitary_polar_factor(x)))
-    assert np.abs(np.angle(closed * np.conj(polar))).max() <= 1e-12
+    assert np.abs(np.angle(closed.sign * np.conj(polar))).max() <= 1e-12
     # |det_C| of 2 C_X is at least 2^n, so the phase is never ill-defined
-    assert np.abs(closed).min() >= 2.0 ** n * (1.0 - 1e-12)
+    assert closed.logabsdet.min() >= n * np.log(2.0) - 1e-12
 
 
 def _dominant_path(seed: int, dim: int, stream: int, kind: str) -> paths.SampledPath:
@@ -374,10 +412,10 @@ def _eigvalsh_staircase(x, y, n: int, p_max: int, tol: float = paths.CONE_TOL):
     """The staircase bisection with every verdict read off ``eigvalsh``."""
     x_atoms = growth._atoms(x)
     assert np.linalg.eigvalsh(x_atoms[0].hams).min() >= tol
-    y_minus_n = growth._signed_power(growth._atoms(y), -n)
+    (y_minus_n,) = growth._signed_powers(growth._atoms(y), (-n,))
 
     def certified(p):
-        chain = growth._signed_power(x_atoms, p) @ y_minus_n
+        chain = growth._signed_powers(x_atoms, (p,))[0] @ y_minus_n
         return np.linalg.eigvalsh(chain.hams).min() >= -tol
 
     if not certified(p_max):
@@ -407,7 +445,7 @@ def test_certified_powers_are_upward_closed(seed, n, proportional, rung):
     x, y = _commuting_unitary_pair(seed, n, proportional)
     p_max = 24 * rung + 2
     x_atoms = growth._atoms(x)
-    y_minus_n = growth._signed_power(growth._atoms(y), -rung)
+    (y_minus_n,) = growth._signed_powers(growth._atoms(y), (-rung,))
     scan = [growth._certified(x_atoms, y_minus_n, p, paths.CONE_TOL)
             for p in range(-p_max, p_max + 1)]
     assert scan[-1]

@@ -186,6 +186,65 @@ def test_unitary_staircase_probes_the_winding_floor_and_the_power_below(monkeypa
     assert calls == [paths.CONE_TOL, -paths.CONE_TOL, -paths.CONE_TOL]
 
 
+def test_the_floor_pair_shares_one_squaring_pass(monkeypatch):
+    # Y^-64: 6 squarings; X^98 and X^97 share 6 squarings and take 2 products
+    # each; then one track-only conjugation per probe, 98 and 97
+    x, y = _power_pair(3, 2049, 97.5 / 64)
+    counts = {"products": 0, "tracks": 0}
+    matmul, track = growth._PowerAtom.__matmul__, growth._PowerAtom.hams_of_product
+
+    def counted_matmul(self, other):
+        counts["products"] += 1
+        counts["tracks"] -= 1  # a product's own track is not a track-only one
+        return matmul(self, other)
+
+    def counted_track(self, other):
+        counts["tracks"] += 1
+        return track(self, other)
+
+    monkeypatch.setattr(growth._PowerAtom, "__matmul__", counted_matmul)
+    monkeypatch.setattr(growth._PowerAtom, "hams_of_product", counted_track)
+    assert growth.gamma_n_bruteforce(x, y, 64, 128) == 98
+    assert counts == {"products": 16, "tracks": 2}
+
+
+def test_growth_estimate_squares_y_once_and_builds_no_inverse_of_x(monkeypatch):
+    # ns = 1, 2, ..., 64 are powers of two: one pass of 6 squarings gives
+    # every Y^-n with no further product
+    x, y = _power_pair(3, 513, 1.5)
+    inverse_atoms = []
+    build = growth._inverse_atom
+
+    def recorded(path, hams):
+        inverse_atoms.append(build(path, hams))
+        return inverse_atoms[-1]
+
+    monkeypatch.setattr(growth, "_inverse_atom", recorded)
+    squarings = []
+    matmul = growth._PowerAtom.__matmul__
+
+    def counted(self, other):
+        product = matmul(self, other)
+        if self is other and any(self is atom for atom in inverse_atoms + squarings):
+            squarings.append(product)
+        return product
+
+    monkeypatch.setattr(growth._PowerAtom, "__matmul__", counted)
+    est = growth.growth_estimate(x, y)
+    assert est.ns == growth.GROWTH_NS
+    # every floor is at least 1, so only Y's inverse atom is built
+    assert len(inverse_atoms) == 1
+    assert len(squarings) == 6
+
+
+@pytest.mark.parametrize("r", [-2.0, -0.5, -0.05, 0.05, 0.5])
+def test_floors_under_one_take_each_power_from_its_own_direction(r):
+    # at n = 8 the floors are -16 (at most -p_max: no floor), -4, 0, 1 and 4,
+    # so the floor pair straddles power 0 or lies below it
+    x, y = _power_pair(5, 257, r)
+    assert growth.gamma_n_bruteforce(x, y, 8, 12) == _eigvalsh_staircase(x, y, 8, 12)
+
+
 @pytest.mark.parametrize("eps", [0.0, *np.geomspace(1e-12, 2e-6, 40),
                                  *np.linspace(5e-9, 6e-9, 5)])
 def test_near_ties_agree_with_the_eigenvalue_bisection(eps):
@@ -199,7 +258,7 @@ def test_near_ties_agree_with_the_eigenvalue_bisection(eps):
 
 def test_a_certified_power_below_the_winding_floor_is_an_error(loops, monkeypatch):
     # gamma_n = 2n on the loops: the floor is 8 at n = 4 and 16 at n = 8
-    monkeypatch.setattr(growth, "_certified", lambda *args: True)
+    monkeypatch.setattr(growth, "_probe", lambda *args: True)
     with pytest.raises(ComputationError, match="power 7 below the winding floor 8"):
         growth.gamma_n_bruteforce(*loops, 4, 12)
     with pytest.raises(ComputationError, match="power 4 below the winding floor 16"):

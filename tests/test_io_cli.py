@@ -373,6 +373,42 @@ def test_cli_maslov_of_huge_symplectic_samples_warns_nothing(tmp_path):
     assert json.loads(proc.stdout)["value"] == pytest.approx(-np.pi / 2, abs=1e-15)
 
 
+def test_cli_maslov_of_huge_sp4_shears_warns_nothing(tmp_path):
+    # upper shears s1 in the (0, 2) and s2 in the (1, 3) plane: det_C of the
+    # complex-linear part is (2 - i s1)(2 - i s2), whose raw value overflows
+    # beyond about 1e154 while each factor turns the phase by -pi/2
+    mats = []
+    for s1, s2 in ((0.0, 0.0), (1e160, 0.0), (1e160, 1e160), (1e170, 1e170)):
+        m = np.eye(4)
+        m[0, 2], m[1, 3] = s1, s2
+        mats.append(m.reshape(-1).tolist())
+    name = str(tmp_path / "shear4.json")
+    with open(name, "w") as fh:
+        json.dump({"dim": 4, "times": np.linspace(0.0, 1.0, 4).tolist(),
+                   "matrices": mats}, fh)
+    proc = subprocess.run([sys.executable, "-m", "symporder.cli", "maslov", name],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["value"] == pytest.approx(-np.pi, abs=1e-15)
+
+
+def test_cli_overflowing_powers_exit_2_with_one_error_line(tmp_path):
+    # X^1000 of a positive path to diag(2, 2.5, 1/2, 1/2.5) overflows in the
+    # homogenized winding; at p = -512 the staircase's track of X^p Y^-n for
+    # the hyperbolic pair Y = X^2 overflows
+    synth, hx, hy = (str(tmp_path / f"{name}.json") for name in ("synth", "hx", "hy"))
+    io.save_path(maslov.positive_path_to(np.diag([2.0, 2.5, 0.5, 0.4]), 512), synth)
+    x = maslov.positive_path_to(np.diag([2.0, 0.5]), 2049)
+    io.save_path(x, hx)
+    io.save_path(paths.pointwise_power(x, 2), hy)
+    for argv in (["zcoord", synth, "--kmax", "1000"],
+                 ["gamma", hx, hy, "--nmax", "8", "--pmax", "512"]):
+        proc = subprocess.run([sys.executable, "-m", "symporder.cli", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_cli_linear_algebra_failure_exits_2(loop_file, capsys, monkeypatch):
     def fail(path):
         raise np.linalg.LinAlgError("SVD did not converge")
