@@ -17,9 +17,14 @@ import sys
 
 import numpy as np
 
-from . import __version__, growth, io, maslov, prequant
+from . import __version__, io
 from .errors import ComputationError, InputError
-from .paths import CONE_TOL, classify_cone, extract_hamiltonian, order_leq
+# the parser reads only ``paths`` constants, and each handler imports the
+# ``growth``, ``maslov`` or ``prequant`` it calls, so a call loads only the
+# modules its subcommand reads; the three functions stay module-level
+# bindings because the benchmark's tracer wraps ``symporder.cli``'s by name
+from .paths import (CONE_TOL, DEFAULT_K_MAX, DEFECT_SAFETY, REFINEMENT_CAP, classify_cone,
+                    extract_hamiltonian, order_leq)
 
 CONVENTION = "radians; the full rotation loop in Sp(2) scores 2*pi"
 # the suites of ``acceptance.SUITES``, named here so that only ``verify``
@@ -68,8 +73,8 @@ _bound = _checked(float, lambda value: math.isfinite(value) and value >= 0.0,
 _natural = _checked(int, lambda value: value >= 0, "a non-negative integer")
 # size caps, checked before any array is allocated
 DIM_CAP = 64
-_grid = _checked(int, lambda value: 0 <= value <= maslov.REFINEMENT_CAP,
-                 f"a non-negative integer at most {maslov.REFINEMENT_CAP}")
+_grid = _checked(int, lambda value: 0 <= value <= REFINEMENT_CAP,
+                 f"a non-negative integer at most {REFINEMENT_CAP}")
 _dim = _checked(int, lambda value: value <= DIM_CAP, f"an integer at most {DIM_CAP}")
 
 
@@ -91,7 +96,7 @@ def _tol(default: float = CONE_TOL) -> tuple:
 
 def _growth_args(cemp_help: str | None = None) -> tuple:
     """The ``--kmax/--cemp/--tol`` group of the homogenized-winding commands."""
-    return (_arg("--kmax", type=int, default=growth.DEFAULT_K_MAX),
+    return (_arg("--kmax", type=int, default=DEFAULT_K_MAX),
             _arg("--cemp", type=_bound, default=0.0, help=cemp_help), _tol())
 
 
@@ -108,6 +113,8 @@ def _verdict_fields(verdict) -> dict:
 
 
 def _run_maslov(args) -> dict:
+    from . import maslov
+
     result = maslov.maslov_index(io.load_path(args.path))
     return {"max_step": result.max_step, "turns": result.turns, "value": result.value}
 
@@ -121,6 +128,8 @@ def _run_order(args) -> dict:
 
 
 def _run_synth_positive(args) -> dict:
+    from . import maslov
+
     target = io.load_matrix(args.target)
     path = maslov.positive_path_to(target, n_samples=args.grid)
     io.save_path(path, args.dest)
@@ -135,6 +144,8 @@ def _run_synth_positive(args) -> dict:
 
 
 def _run_redistribute(args) -> dict:
+    from . import maslov
+
     a = io.load_hermitian(args.hermitian)
     spectrum = maslov.redistribute_eigenvalues(a, args.target_mu, tol=args.tol)
     endpoint_error = float(np.abs(maslov.unitary_endpoint(spectrum)
@@ -148,6 +159,8 @@ def _run_redistribute(args) -> dict:
 
 
 def _run_gamma(args) -> dict:
+    from . import growth
+
     x, y = io.load_path(args.x), io.load_path(args.y)
     ns = tuple(n for n in growth.GROWTH_NS if n <= args.nmax)
     if not ns:
@@ -169,6 +182,8 @@ def _run_gamma(args) -> dict:
 
 
 def _run_kdist(args) -> dict:
+    from . import growth
+
     est = growth.pseudo_distance_k(io.load_path(args.x), io.load_path(args.y),
                                    k_max=args.kmax, c_emp=args.cemp, tol=args.tol)
     return {"c_emp": args.cemp, "k_max": args.kmax, "lower": est.lower,
@@ -176,6 +191,8 @@ def _run_kdist(args) -> dict:
 
 
 def _run_zcoord(args) -> dict:
+    from . import growth
+
     point = growth.z_coordinate(io.load_path(args.path), k_max=args.kmax,
                                 c_emp=args.cemp, tol=args.tol)
     return {"c_emp": args.cemp, "coordinate": point.coordinate, "k_max": args.kmax,
@@ -183,6 +200,8 @@ def _run_zcoord(args) -> dict:
 
 
 def _run_defect_sample(args) -> dict:
+    from . import maslov
+
     raw = maslov.quasimorphism_defect_sample(args.pairs, args.dim, args.seed)
     return {
         "c_emp": args.safety * raw,
@@ -195,6 +214,8 @@ def _run_defect_sample(args) -> dict:
 
 
 def _run_quant_gamma(args) -> dict:
+    from . import prequant
+
     a = io.load_quant_element(args.a)
     b = io.load_quant_element(args.b)
     fields = {"gamma": prequant.gamma_quant(a, b), "n": args.n, "gamma_n": None}
@@ -204,22 +225,30 @@ def _run_quant_gamma(args) -> dict:
 
 
 def _run_quant_k(args) -> dict:
+    from . import prequant
+
     return {"value": prequant.k_quant(io.load_quant_element(args.a),
                                       io.load_quant_element(args.b))}
 
 
 def _run_rot_distance(args) -> dict:
+    from . import prequant
+
     result = prequant.rotation_curve_distance(args.shift, io.load_grid(args.grid))
     return {"minimizer": result.t_star, "shift": args.shift, "value": result.value}
 
 
 def _run_embed(args) -> dict:
+    from . import prequant
+
     element = prequant.embed_into_z(io.load_grid(args.grid))
     io.save_quant_element(element, args.dest)
     return {"grid_shape": list(element.func.grid_shape), "shift": element.shift}
 
 
 def _run_cw(args) -> dict:
+    from . import prequant
+
     funcs = [io.load_grid(name) for name in args.grids]
     weights = None
     if args.weights is not None:
@@ -260,7 +289,7 @@ _COMMANDS = (
         _arg("target", help="matrix JSON file (positive diagonal, symplectic)"),
         _arg("dest", help="path JSON file to write"),
         _arg("--grid", type=_grid, default=512, metavar="N",
-             help=f"number of samples (default 512, at most {maslov.REFINEMENT_CAP})"),
+             help=f"number of samples (default 512, at most {REFINEMENT_CAP})"),
     ), _run_synth_positive),
     ("redistribute", "move Hermitian spectrum to a target winding", (
         _arg("hermitian", help="hermitian JSON file"),
@@ -288,7 +317,7 @@ _COMMANDS = (
         _arg("--dim", type=_dim, default=2, help=f"path dimension 2n (at most {DIM_CAP})"),
         _arg("--pairs", type=int, default=20),
         _arg("--seed", type=_natural, default=7),
-        _arg("--safety", type=_bound, default=maslov.DEFECT_SAFETY),
+        _arg("--safety", type=_bound, default=DEFECT_SAFETY),
     ), _run_defect_sample),
     ("quant-gamma", "relative growth of quantomorphism elements", (
         _arg("a", help="quant JSON file (dominant)"),

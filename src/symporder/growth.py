@@ -25,9 +25,11 @@ from .errors import ComputationError, InputError
 from .maslov import homogenize, maslov_index  # noqa: F401
 from .paths import (
     CONE_TOL,
+    DEFAULT_K_MAX,
     MIN_SAMPLES_ORDER4,
     ConeStatus,
     SampledPath,
+    _hamiltonian_track,
     align_grids,
     binary_powers,
     classify_cone,
@@ -38,7 +40,6 @@ from .paths import (
 )
 from .matrices import commutes_with_j, symplectic_inverse
 
-DEFAULT_K_MAX = 8
 GROWTH_NS = (1, 2, 4, 8, 16, 32, 64)
 
 
@@ -203,16 +204,19 @@ class _PowerAtom:
         return _PowerAtom(inv=other.inv @ self.inv, hams=self.hams_of_product(other))
 
 
-def _staircase_hams(path: SampledPath) -> np.ndarray:
-    """Generator track the staircase certifies with."""
+def _staircase_hams(path: SampledPath, inverse: np.ndarray | None = None) -> np.ndarray:
+    """Generator track the staircase certifies with, from the inverse samples
+    when the caller holds them."""
     # fourth-order stencils where the grid allows: staircase decisions sit at
     # the cone boundary, where second-order FD noise would flip verdicts
     order4 = is_uniform_grid(path.times) and path.n_samples >= MIN_SAMPLES_ORDER4
-    return extract_hamiltonian(path, order=4 if order4 else 2).hams
+    return _hamiltonian_track(path, 4 if order4 else 2, inverse).hams
 
 
-def _forward_atom(path: SampledPath, hams: np.ndarray) -> _PowerAtom:
-    return _PowerAtom(symplectic_inverse(path.matrices), hams)
+def _forward_atom(path: SampledPath) -> _PowerAtom:
+    """Atom of X; its inverse samples, formed once, also give its track."""
+    inv = symplectic_inverse(path.matrices)
+    return _PowerAtom(inv, _staircase_hams(path, inv))
 
 
 def _inverse_atom(path: SampledPath, hams: np.ndarray) -> _PowerAtom:
@@ -222,8 +226,8 @@ def _inverse_atom(path: SampledPath, hams: np.ndarray) -> _PowerAtom:
 
 def _atoms(path: SampledPath) -> tuple[_PowerAtom, _PowerAtom]:
     """Atoms of X and of X^{-1}, both read off the samples of X."""
-    hams = _staircase_hams(path)
-    return _forward_atom(path, hams), _inverse_atom(path, hams)
+    up = _forward_atom(path)
+    return up, _inverse_atom(path, up.hams)
 
 
 def _signed_powers(atoms: tuple, ks: tuple) -> tuple:
@@ -285,8 +289,8 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float,
             raise InputError("n and p_max must be nonnegative")
     _require_same_dim(x, y)
     x, y = align_grids(x, y)
-    x_hams = _staircase_hams(x)
-    if not cone_holds(x_hams, tol):
+    x_up = _forward_atom(x)
+    if not cone_holds(x_up.hams, tol):
         raise InputError("X must be dominant for the staircase search")
     floors = [None] * len(rungs)
     if commutes_with_j(x.matrices) and commutes_with_j(y.matrices):
@@ -294,8 +298,8 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float,
         floors = [_winding_floor(n, mx, my, x.dim, tol) for n, _ in rungs]
     x_down = None
     if any(floor is None or floor < 1 for floor in floors):
-        x_down = _inverse_atom(x, x_hams)
-    x_atoms = (_forward_atom(x, x_hams), x_down)
+        x_down = _inverse_atom(x, x_up.hams)
+    x_atoms = (x_up, x_down)
     y_powers = _signed_powers((None, _inverse_atom(y, _staircase_hams(y))),
                               tuple(-n for n, _ in rungs))
     return [_least_certified_power(x_atoms, y_minus_n, p_max, tol, floor)

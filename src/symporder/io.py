@@ -21,12 +21,15 @@ from __future__ import annotations
 
 import itertools
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError
 from .paths import SampledPath
-from .prequant import LeafFunction, QuantElement, _fold_mean, is_normalized
+
+if TYPE_CHECKING:
+    from .prequant import LeafFunction, QuantElement
 
 
 def _load_json(filename: str) -> dict:
@@ -130,6 +133,9 @@ def _read_grid(data: dict, filename: str) -> np.ndarray:
 
 
 def load_grid(filename: str) -> LeafFunction:
+    # the path commands never read a grid, so they never load ``prequant``
+    from .prequant import LeafFunction, is_normalized
+
     values = _read_grid(_load_json(filename), filename)
     return LeafFunction(values, normalized=is_normalized(values))
 
@@ -148,6 +154,8 @@ def load_quant_element(filename: str) -> QuantElement:
     A nonzero mean in the stored values is folded into the shift, since a
     constant leaf function acts as a fiber rotation.
     """
+    from .prequant import QuantElement, _fold_mean
+
     data = _load_json(filename)
     shift = _require_floats(data, "shift", filename)
     if shift.shape != ():

@@ -29,15 +29,12 @@ from .matrices import (DEFAULT_TOL, commutes_with_j, exp_i_hermitian, standard_j
 # ``unitary_polar_factor`` is not called here; the binding stays because the
 # benchmark's tracer wraps ``symporder.maslov.unitary_polar_factor`` by name.
 from .matrices import unitary_polar_factor  # noqa: F401
-from .paths import (SampledPath, _plane_stack, compose, extract_hamiltonian,
-                    pointwise_power, refine)
+from .paths import (DEFECT_SAFETY, REFINEMENT_CAP, SampledPath, _plane_stack, compose,
+                    extract_hamiltonian, pointwise_power, refine)
 
-REFINEMENT_CAP = 2 ** 16
 # refuse to trust per-step determinant increments this close to the aliasing
 # boundary at pi
 STEP_GUARD = 1e-2
-# factor by which ``defect_constant`` widens the sampled defect
-DEFECT_SAFETY = 2.0
 # ``redistribute_eigenvalues``: how far a target may sit below 2*pi*n, the
 # width below which a reduced eigenvalue folds to 2*pi, and how far the trace
 # deficit may miss a whole number of 2*pi quanta; none of them follows ``tol``

@@ -1,12 +1,14 @@
-"""The package's export list matches what ``__init__`` imports.
+"""The package's export list is its table of home modules, and every name
+resolves to the object its home module defines.
 
-A name deleted from a module but left in ``__all__`` breaks ``from symporder
-import *``; a name imported into ``__init__`` but left out of ``__all__`` is
-exported by accident.
+``__init__`` binds each exported name on first use from the module the table
+names, so a name deleted from a module but left in the table breaks ``from
+symporder import *`` and ``symporder.<name>``.
 """
 
-import ast
-import inspect
+import importlib
+import subprocess
+import sys
 
 import symporder
 
@@ -18,8 +20,25 @@ def test_every_export_resolves():
 
 
 def test_every_public_name_imported_by_init_is_exported():
-    tree = ast.parse(inspect.getsource(symporder))
-    imported = {alias.asname or alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    public = {name for name in imported if not name.startswith("_")}
-    assert public and sorted(public - set(symporder.__all__)) == []
+    table = [(name, module) for module, names in symporder._EXPORTS.items()
+             for name in names]
+    assert symporder.__all__ == sorted(name for name, _ in table)
+    for name, module in table:
+        home = importlib.import_module(f"symporder.{module}")
+        assert getattr(symporder, name) is getattr(home, name), name
+        assert getattr(symporder, module) is home
+    assert set(symporder.__all__) <= set(dir(symporder))
+
+
+def test_star_import_binds_every_export():
+    # a fresh process, so that no earlier access has bound a name already
+    script = "\n".join([
+        "import symporder",
+        "namespace = {}",
+        "exec('from symporder import *', namespace)",
+        "missing = sorted(set(symporder.__all__) - set(namespace))",
+        "assert missing == [], missing",
+        "assert all(namespace[name] is getattr(symporder, name) for name in symporder.__all__)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -208,6 +208,23 @@ def test_the_floor_pair_shares_one_squaring_pass(monkeypatch):
     assert counts == {"products": 16, "tracks": 2}
 
 
+def test_the_staircase_inverts_each_path_once(monkeypatch):
+    # X's inverse samples serve its order-4 track and its atom; Y's serve
+    # its track, from which Y^-1's atom is read off Y's own samples
+    x, y = _power_pair(3, 2049, 97.5 / 64)
+    inverted = []
+    invert = paths.symplectic_inverse
+
+    def counted(mats):
+        inverted.append(mats.shape)
+        return invert(mats)
+
+    for module in (paths, growth):
+        monkeypatch.setattr(module, "symplectic_inverse", counted)
+    assert growth.gamma_n_bruteforce(x, y, 64, 128) == 98
+    assert inverted == [(2049, 4, 4)] * 2
+
+
 def test_growth_estimate_squares_y_once_and_builds_no_inverse_of_x(monkeypatch):
     # ns = 1, 2, ..., 64 are powers of two: one pass of 6 squarings gives
     # every Y^-n with no further product

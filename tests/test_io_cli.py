@@ -435,6 +435,46 @@ def test_cli_loads_scipy_only_for_a_matrix_exponential(loop_file):
     assert proc.returncode == 0, proc.stderr
 
 
+def _loaded_after(steps: list) -> str:
+    """Script lines that run each (cli argument lists, loaded, absent) step in
+    one process, then check which package modules are loaded after it."""
+    lines = ["import sys", "import symporder",
+             "loaded = [m for m in sys.modules if m.startswith('symporder.')]",
+             "assert loaded == [], loaded", "from symporder import cli"]
+    for argvs, loaded, absent in steps:
+        lines += [f"assert cli.run({argv!r}) == 0" for argv in argvs]
+        lines += [f"assert 'symporder.{name}' in sys.modules, {name!r}" for name in loaded]
+        lines += [f"assert 'symporder.{name}' not in sys.modules, {name!r}" for name in absent]
+    return "\n".join(lines)
+
+
+def test_each_cli_command_loads_only_the_modules_it_reads(tmp_path, loop_file, cos_grid_file):
+    qa, qb = str(tmp_path / "qa.json"), str(tmp_path / "qb.json")
+    (p,) = prequant.torus_grid((64,))
+    leaf = prequant.normalize_leaf(np.cos(2 * np.pi * p))
+    io.save_quant_element(prequant.QuantElement(2.0, leaf), qa)
+    io.save_quant_element(prequant.QuantElement(3.0, leaf), qb)
+    quant = [["quant-gamma", qa, qb, "--n", "10"], ["quant-k", qa, qb],
+             ["rot-distance", "2.0", cos_grid_file],
+             ["embed", cos_grid_file, str(tmp_path / "embedded.json")],
+             ["cw", cos_grid_file, cos_grid_file]]
+    linear = ("growth", "maslov", "generators")
+    scripts = [
+        _loaded_after([
+            ([["cone", loop_file], ["order", loop_file, loop_file]], (),
+             linear + ("prequant",)),
+            (quant, ("prequant",), linear + ("acceptance",)),
+        ]),
+        _loaded_after([
+            ([["zcoord", loop_file]], ("growth",), ("prequant", "acceptance")),
+            ([["verify", "--suite", "quant"]], ("acceptance",), ()),
+        ]),
+    ]
+    for script in scripts:
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_verify_suites_are_the_acceptance_suites():
     from symporder import acceptance
 
