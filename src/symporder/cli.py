@@ -94,10 +94,10 @@ def _tol(default: float = CONE_TOL) -> tuple:
     return _arg("--tol", type=_bound, default=default)
 
 
-def _growth_args(cemp_help: str | None = None) -> tuple:
+def _growth_args() -> tuple:
     """The ``--kmax/--cemp/--tol`` group of the homogenized-winding commands."""
     return (_arg("--kmax", type=int, default=DEFAULT_K_MAX),
-            _arg("--cemp", type=_bound, default=0.0, help=cemp_help), _tol())
+            _arg("--cemp", type=_bound, default=0.0), _tol())
 
 
 _PATH = _arg("path", help="path JSON file")
@@ -165,8 +165,7 @@ def _run_gamma(args) -> dict:
     ns = tuple(n for n in growth.GROWTH_NS if n <= args.nmax)
     if not ns:
         raise InputError("--nmax smaller than the smallest staircase index 1")
-    est = growth.growth_estimate(x, y, ns=ns, p_max=args.pmax, k_max=args.kmax,
-                                 c_emp=args.cemp, tol=args.tol)
+    est = growth.growth_estimate(x, y, ns=ns, p_max=args.pmax, tol=args.tol)
     if args.csv is not None:
         rows = "".join(f"{n},{'' if g is None else g}\n"
                        for n, g in zip(est.ns, est.gamma_ns))
@@ -301,9 +300,9 @@ _COMMANDS = (
         _arg("y", help="path JSON file for Y"),
         _arg("--nmax", type=int, default=64, help="largest staircase index (default 64)"),
         _arg("--pmax", type=_natural, default=None,
-             help="search powers in [-P, P] on every rung "
-                  "(default: ceil(|gamma| n) + 8, gamma the winding ratio)"),
-        *_growth_args("empirical defect bound for uncertainty intervals"),
+             help="search powers in [-P, P] on every rung (default: ceil(|gamma| n) "
+                  "+ 8, gamma the homogenized winding ratio at k_max = 8)"),
+        _tol(),
         _arg("--csv", metavar="FILE", help="also write n,gamma_n rows"),
     ), _run_gamma),
     ("kdist", "pseudo-distance between dominant paths", (

@@ -261,28 +261,28 @@ def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int) -> in
     H + CONE_TOL I (:func:`paths.cone_holds`) on the generator track of X^p
     Y^-n alone, and X's dominance is one test of H_X - CONE_TOL I; no
     eigenvalue is computed.  For a dominant X the certified set of powers is
-    upward closed.  On a unitary pair (both paths commute with J) the search
-    starts at the winding floor L_n, below which no power can be certified:
-    it forms X^L_n and X^(L_n - 1) from one pass of squarings, probes L_n,
-    then L_n - 1 as a self-check (:class:`ComputationError` if the
-    certificate accepts it), and bisects above L_n only when L_n fails.
-    Other pairs bisect [-p_max, p_max].
+    upward closed.  The search (:func:`_least_certified_power`) starts at the
+    lowest candidate power: the winding floor L_n of a unitary pair (both
+    paths commute with J), below which no power can be certified, clipped to
+    [-p_max, p_max], or -p_max without a floor.  An in-range floor is probed
+    with L_n - 1 from the same squaring pass as a self-check
+    (:class:`ComputationError` if the certificate accepts it); a failing
+    candidate is followed by p_max and a bisection between the two.
     """
-    return _staircase(x, y, ((n, p_max),), CONE_TOL)[0]
+    return _staircase(x, y, ((n, p_max),), CONE_TOL)[0][0]
 
 
-def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float,
-               windings: tuple[float, float] | None = None) -> list:
-    """gamma_n for each (n, p_max) rung of one pair.
+def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
+    """(gamma_n for each (n, p_max) rung of one pair, windings).
 
     The grids are aligned, the atoms built and X's dominance checked once,
-    and every rung reuses them.  ``windings`` is (maslov(X), maslov(Y)) when
-    the caller has taken them; they give each rung its winding floor if the
-    aligned pair is unitary, and are taken here if it is and the caller has
-    not.  Only the atoms the probes read are built: Y's inverse (n >= 0),
-    X's forward atom, and X's inverse when a probe can fall below power 0,
-    that is without a floor or with a floor under 1.  The rung powers Y^-n
-    come from one squaring pass.
+    and every rung reuses them.  This is the one place that tests the
+    aligned pair for unitarity: ``windings`` is (maslov(X), maslov(Y)) of a
+    unitary pair, which gives each rung its winding floor, and None for any
+    other pair.  Only the atoms the probes read are built: Y's inverse
+    (n >= 0), X's forward atom, and X's inverse when a probe can fall below
+    power 0, that is without a floor or with a floor under 1.  The rung
+    powers Y^-n come from one squaring pass.
     """
     for n, p_max in rungs:
         if n < 0 or p_max < 0:
@@ -292,9 +292,9 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float,
     x_up = _forward_atom(x)
     if not cone_holds(x_up.hams, tol):
         raise InputError("X must be dominant for the staircase search")
-    floors = [None] * len(rungs)
+    floors, windings = [None] * len(rungs), None
     if commutes_with_j(x.matrices) and commutes_with_j(y.matrices):
-        mx, my = windings if windings is not None else _unitary_windings(x, y)
+        windings = mx, my = _unitary_windings(x, y)
         floors = [_winding_floor(n, mx, my, x.dim, tol) for n, _ in rungs]
     x_down = None
     if any(floor is None or floor < 1 for floor in floors):
@@ -302,8 +302,9 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float,
     x_atoms = (x_up, x_down)
     y_powers = _signed_powers((None, _inverse_atom(y, _staircase_hams(y))),
                               tuple(-n for n, _ in rungs))
-    return [_least_certified_power(x_atoms, y_minus_n, p_max, tol, floor)
-            for y_minus_n, (_, p_max), floor in zip(y_powers, rungs, floors)]
+    gamma_ns = [_least_certified_power(x_atoms, y_minus_n, p_max, tol, floor)
+                for y_minus_n, (_, p_max), floor in zip(y_powers, rungs, floors)]
+    return gamma_ns, windings
 
 
 def _winding_floor(n: int, mx: float, my: float, dim: int, tol: float) -> int:
@@ -342,46 +343,35 @@ def _least_certified_power(x_atoms: tuple[_PowerAtom, _PowerAtom],
                            floor: int | None = None) -> int | None:
     """Least p in [-p_max, p_max] that :func:`_certified` accepts, else None.
 
-    Bisection between a failing lower and a passing upper power, relying on
-    the certified set being upward closed.  Without a floor above -p_max it
-    probes p_max, -p_max and about log2(p_max) + 1 powers between them.  A
-    winding floor (:func:`_winding_floor`) is probed first, with floor - 1
-    as a self-check, both powers taken from one squaring pass, and the
-    bisection runs above the floor only if the floor fails.  A certified
+    One flow for every pair.  The lowest candidate is probed first: the
+    winding floor (:func:`_winding_floor`) clipped to [-p_max, p_max], or
+    -p_max without a floor.  An in-range floor takes floor - 1 from the same
+    squaring pass as a self-check.  If the candidate fails, p_max is probed
+    and the search bisects between them, relying on the certified set being
+    upward closed: about log2 of their distance more probes.  A certified
     power below the floor raises :class:`ComputationError`, as does a probe
     whose generator overflows.
     """
-    def certified(p: int) -> bool:
-        return _certified(x_atoms, y_minus_n, p, tol)
-
     def below_floor(p: int) -> ComputationError:
         return ComputationError(
             f"the certificate accepts power {p} below the winding floor {floor}")
 
-    if floor is not None and floor > -p_max:
-        if floor > p_max:
-            if certified(p_max):
-                raise below_floor(p_max)
-            return None
-        pair = _signed_powers(x_atoms, (floor, floor - 1))
-        if _probe(pair[0], y_minus_n, tol):
-            if _probe(pair[1], y_minus_n, tol):
-                raise below_floor(floor - 1)
-            return floor
-        del pair
-        if floor == p_max or not certified(p_max):
-            return None
-        lo = floor
-    else:
-        if not certified(p_max):
-            return None
-        if certified(-p_max):
-            return -p_max
-        lo = -p_max
+    lo = -p_max if floor is None else min(max(floor, -p_max), p_max)
+    ks = (lo, lo - 1) if lo == floor and floor > -p_max else (lo,)
+    candidate, *check = _signed_powers(x_atoms, ks)
+    if _probe(candidate, y_minus_n, tol):
+        if floor is not None and lo < floor:
+            raise below_floor(lo)
+        if check and _probe(check[0], y_minus_n, tol):
+            raise below_floor(lo - 1)
+        return lo
+    del candidate, check
+    if lo == p_max or not _certified(x_atoms, y_minus_n, p_max, tol):
+        return None
     hi = p_max  # invariant: lo fails, hi passes
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if certified(mid):
+        if _certified(x_atoms, y_minus_n, mid, tol):
             hi = mid
         else:
             lo = mid
@@ -406,21 +396,21 @@ class GrowthEstimate:
 
 
 def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
-                    p_max: int | None = None, k_max: int = DEFAULT_K_MAX,
-                    c_emp: float = 0.0, tol: float = CONE_TOL) -> GrowthEstimate:
-    """Brute-force growth staircase next to its closed-form prediction."""
+                    p_max: int | None = None, tol: float = CONE_TOL) -> GrowthEstimate:
+    """Brute-force growth staircase next to its closed-form prediction.
+
+    Without ``p_max`` each rung n searches [-P, P] with P = ceil(|gamma| n)
+    + 8, gamma the ratio of homogenized windings at k_max = 8.
+    ``closed_form`` is maslov(Y) / maslov(X) of the aligned pair when it is
+    unitary, else None.
+    """
     ns = tuple(ns)
     if not ns:
         raise InputError("growth estimate needs at least one staircase index n")
-    hint = gamma_closed_symplectic(x, y, k_max, c_emp, tol).value
-    closed = windings = None
-    if commutes_with_j(x.matrices) and commutes_with_j(y.matrices):
-        # both paths passed the cone check inside the hint
-        windings = _unitary_windings(x, y)
-        closed = windings[1] / windings[0]
+    hint = gamma_closed_symplectic(x, y, tol=tol).value
     rungs = [(n, p_max if p_max is not None else int(np.ceil(abs(hint) * n)) + 8)
              for n in ns]
-    gamma_ns = _staircase(x, y, rungs, tol, windings)
+    gamma_ns, windings = _staircase(x, y, rungs, tol)
     if gamma_ns[-1] is None:
         raise ComputationError(
             f"no certified power found at n={ns[-1]} within p_max={rungs[-1][1]}; "
@@ -429,5 +419,6 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
     # certificate is tight; a conservative certificate gives the upper end alone
     top = gamma_ns[-1] / ns[-1]
     limit = Estimate(top, top - 1.0 / ns[-1], top)
+    closed = windings[1] / windings[0] if windings is not None else None
     return GrowthEstimate(ns=ns, gamma_ns=tuple(gamma_ns),
                           limit_estimate=limit, closed_form=closed)

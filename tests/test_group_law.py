@@ -164,19 +164,18 @@ def test_pseudo_distance_is_the_max_of_the_two_closed_forms_bitwise(seed, dim, k
 
 
 @settings(deadline=None, max_examples=10)
-@given(seeds, dims, kinds, kinds, c_emps, st.sampled_from([None, 4, 12]))
-def test_growth_estimate_rungs_are_separate_staircase_calls_bitwise(seed, dim, kx, ky,
-                                                                    c_emp, p_max):
+@given(seeds, dims, kinds, kinds, st.sampled_from([None, 4, 12]))
+def test_growth_estimate_rungs_are_separate_staircase_calls_bitwise(seed, dim, kx, ky, p_max):
     x, y = _dominant_path(seed, dim, 0, kx), _dominant_path(seed, dim, 1, ky)
     ns = (1, 2, 4)
-    hint = growth.gamma_closed_symplectic(x, y, c_emp=c_emp).value
+    hint = growth.gamma_closed_symplectic(x, y).value
     bounds = [p_max if p_max is not None else int(np.ceil(abs(hint) * n)) + 8 for n in ns]
     want = tuple(growth.gamma_n_bruteforce(x, y, n, b) for n, b in zip(ns, bounds))
     if want[-1] is None:
         with pytest.raises(ComputationError, match=f"within p_max={bounds[-1]}"):
-            growth.growth_estimate(x, y, ns=ns, p_max=p_max, c_emp=c_emp)
+            growth.growth_estimate(x, y, ns=ns, p_max=p_max)
         return
-    est = growth.growth_estimate(x, y, ns=ns, p_max=p_max, c_emp=c_emp)
+    est = growth.growth_estimate(x, y, ns=ns, p_max=p_max)
     assert est.gamma_ns == want
     unitary = kx == ky == "unitary"
     assert est.closed_form == (growth.gamma_closed_unitary(x, y) if unitary else None)
@@ -429,11 +428,22 @@ def _eigvalsh_staircase(x, y, n: int, p_max: int, tol: float = paths.CONE_TOL):
     return hi
 
 
-@settings(deadline=None, max_examples=20)
-@given(seeds, st.sampled_from([1, 2]), st.booleans(), st.sampled_from([1, 2, 4, 8]),
-       st.integers(0, 40))
-def test_staircase_equals_an_eigenvalue_bisection(seed, n, proportional, rung, p_max):
-    x, y = _commuting_unitary_pair(seed, n, proportional)
+@settings(deadline=None, max_examples=30)
+@given(seeds, st.sampled_from([1, 2]),
+       st.sampled_from(["proportional", "independent", "positive"]), st.data())
+def test_staircase_equals_an_eigenvalue_bisection(seed, n, kind, data):
+    if kind == "positive":
+        # X off the unitary subgroup has no winding floor, so the search
+        # starts at -p_max; at rungs 1 and 2 with p_max <= 12 the certificate
+        # accepts some power on about a third of the draws, while higher
+        # powers of X amplify the finite-difference error of H_Y past tol
+        x = _dominant_path(seed, 2 * n, 0, "positive")
+        y = _dominant_path(seed, 2 * n, 1, data.draw(kinds))
+        rung, p_max = data.draw(st.sampled_from([1, 2])), data.draw(st.integers(0, 12))
+    else:
+        x, y = _commuting_unitary_pair(seed, n, kind == "proportional")
+        rung = data.draw(st.sampled_from([1, 2, 4, 8]))
+        p_max = data.draw(st.integers(0, 40))
     assert (growth.gamma_n_bruteforce(x, y, rung, p_max)
             == _eigvalsh_staircase(x, y, rung, p_max))
 

@@ -5,6 +5,7 @@ from test_group_law import _eigvalsh_staircase
 from symporder import generators as gen
 from symporder import growth, maslov, paths
 from symporder.errors import ComputationError, InputError
+from symporder.matrices import commutes_with_j
 from symporder.paths import pointwise_power
 
 
@@ -252,6 +253,20 @@ def test_growth_estimate_squares_y_once_and_builds_no_inverse_of_x(monkeypatch):
     # every floor is at least 1, so only Y's inverse atom is built
     assert len(inverse_atoms) == 1
     assert len(squarings) == 6
+
+
+def test_growth_estimate_tests_each_path_for_unitarity_once(loops, monkeypatch):
+    # the staircase tests the aligned pair and hands its windings back
+    calls = []
+
+    def counted(mats):
+        calls.append(mats.shape)
+        return commutes_with_j(mats)
+
+    monkeypatch.setattr(growth, "commutes_with_j", counted)
+    est = growth.growth_estimate(*loops, ns=(1, 2, 4))
+    assert est.gamma_ns == (2, 4, 8) and est.closed_form == pytest.approx(2.0, abs=1e-7)
+    assert calls == [(513, 2, 2)] * 2
 
 
 @pytest.mark.parametrize("r", [-2.0, -0.5, -0.05, 0.05, 0.5])

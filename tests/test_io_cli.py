@@ -295,7 +295,7 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
         (["cone", loop_file, "--tol", "nan"], "finite"),
         (["cw", good_grid, good_grid, "--times", "0,nan"], "finite"),
         (["defect-sample", "--safety", "nan"], "finite"),
-        (["gamma", loop_file, loop_file, "--cemp", "nan"], "finite"),
+        (["gamma", loop_file, loop_file, "--kmax", "3"], "unrecognized arguments: --kmax"),
         (["cw", good_grid, "--weights", "1,2"], "--weights"),
         (["cw", good_grid, "--times", "0,0.5"], "times"),
         (["kdist", loop_file, loop4], "share a dimension"),
@@ -314,7 +314,6 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
         (["zcoord", loop_file, "--cemp", "-1"], "non-negative"),
         (["zcoord", loop_file, "--cemp", "inf"], "finite"),
         (["kdist", loop_file, loop_file, "--cemp", "-0.5"], "non-negative"),
-        (["gamma", loop_file, loop_file, "--cemp", "-1"], "non-negative"),
         (["gamma", loop_file, loop_file, "--pmax", "-1"], "non-negative integer"),
         (["gamma", loop_file, loop_file, "--pmax", "x"], "non-negative integer"),
         (["gamma", loop_file, loop_file, "--pmax", "1.5"], "non-negative integer"),
@@ -545,6 +544,29 @@ def test_cli_gamma_with_csv(tmp_path, capsys):
     assert doc["closed_form"] == pytest.approx(2.0, abs=1e-7)
     with open(csv) as fh:
         assert fh.read() == "n,gamma_n\n1,2\n2,4\n4,8\n"
+
+
+def test_cli_gamma_reports_are_golden(tmp_path, capsys):
+    # a commuting unitary pair searches from its winding floors, a positive X
+    # with a rotation Y has no floor and searches from -p_max
+    ux, uy, px, py = (str(tmp_path / f"{name}.json") for name in ("ux", "uy", "px", "py"))
+    x, y, _ = gen.commuting_unitary_pair(2, np.random.default_rng(3), 257)
+    io.save_path(x, ux)
+    io.save_path(y, uy)
+    io.save_path(maslov.positive_path_to(np.diag([2.0, 0.5]), 257), px)
+    io.save_path(gen.rotation_path(3.0, 257), py)
+    cases = (
+        ([ux, uy], [1, 2, 3, 6, 12, 23, 45],
+         (0.6882572844807983, 0.703125, 0.6875, 0.703125)),
+        ([px, py, "--nmax", "2"], [1, 1], (None, 0.5, 0.0, 0.5)),
+    )
+    for argv, gamma_ns, numbers in cases:
+        code, out, err = run_cli(["gamma", *argv], capsys)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["gamma_ns"] == gamma_ns
+        got = tuple(doc[key] for key in ("closed_form", "limit", "limit_lower", "limit_upper"))
+        assert got == pytest.approx(numbers, abs=1e-12)
 
 
 def test_cli_gamma_pmax_bounds_every_rung(tmp_path, capsys):
