@@ -90,17 +90,11 @@ def _arg(*flags, **options) -> tuple:
     return flags, options
 
 
-def _tol(default: float = CONE_TOL) -> tuple:
-    return _arg("--tol", type=_bound, default=default)
-
-
-def _growth_args() -> tuple:
-    """The ``--kmax/--cemp/--tol`` group of the homogenized-winding commands."""
-    return (_arg("--kmax", type=int, default=DEFAULT_K_MAX),
-            _arg("--cemp", type=_bound, default=0.0), _tol())
-
-
 _PATH = _arg("path", help="path JSON file")
+_TOL = _arg("--tol", type=_bound, default=CONE_TOL)
+# the ``--kmax/--cemp/--tol`` group of the homogenized-winding commands
+_GROWTH_ARGS = (_arg("--kmax", type=int, default=DEFAULT_K_MAX),
+                _arg("--cemp", type=_bound, default=0.0), _TOL)
 
 
 def _verdict_fields(verdict) -> dict:
@@ -147,7 +141,7 @@ def _run_redistribute(args) -> dict:
     from . import maslov
 
     a = io.load_hermitian(args.hermitian)
-    spectrum = maslov.redistribute_eigenvalues(a, args.target_mu, tol=args.tol)
+    spectrum = maslov.redistribute_eigenvalues(a, args.target_mu)
     endpoint_error = float(np.abs(maslov.unitary_endpoint(spectrum)
                                   - maslov.exp_i_hermitian(a)).max())
     return {
@@ -278,11 +272,11 @@ def _run_verify(args) -> int:
 # --out, and ``verify`` is declared apart since it prints lines, not a report
 _COMMANDS = (
     ("maslov", "winding of a sampled path", (_PATH,), _run_maslov),
-    ("cone", "classify a path against the positive cone", (_PATH, _tol()), _run_cone),
+    ("cone", "classify a path against the positive cone", (_PATH, _TOL), _run_cone),
     ("order", "certify X >= Y in the bi-invariant order", (
         _arg("x", help="path JSON file for X"),
         _arg("y", help="path JSON file for Y"),
-        _tol(),
+        _TOL,
     ), _run_order),
     ("synth-positive", "positive path to a positive diagonal target", (
         _arg("target", help="matrix JSON file (positive diagonal, symplectic)"),
@@ -293,7 +287,6 @@ _COMMANDS = (
     ("redistribute", "move Hermitian spectrum to a target winding", (
         _arg("hermitian", help="hermitian JSON file"),
         _arg("target_mu", type=_finite_float, help="target winding, at least 2*pi*n"),
-        _tol(1e-9),
     ), _run_redistribute),
     ("gamma", "relative growth staircase for a pair", (
         _arg("x", help="path JSON file for X (dominant)"),
@@ -302,16 +295,16 @@ _COMMANDS = (
         _arg("--pmax", type=_natural, default=None,
              help="search powers in [-P, P] on every rung (default: ceil(|gamma| n) "
                   "+ 8, gamma the homogenized winding ratio at k_max = 8)"),
-        _tol(),
+        _TOL,
         _arg("--csv", metavar="FILE", help="also write n,gamma_n rows"),
     ), _run_gamma),
     ("kdist", "pseudo-distance between dominant paths", (
         _arg("x", help="path JSON file"),
         _arg("y", help="path JSON file"),
-        *_growth_args(),
+        *_GROWTH_ARGS,
     ), _run_kdist),
     ("zcoord", "coordinate of a dominant path on the metric line",
-     (_PATH, *_growth_args()), _run_zcoord),
+     (_PATH, *_GROWTH_ARGS), _run_zcoord),
     ("defect-sample", "sample the quasimorphism defect empirically", (
         _arg("--dim", type=_dim, default=2, help=f"path dimension 2n (at most {DIM_CAP})"),
         _arg("--pairs", type=int, default=20),

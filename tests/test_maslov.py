@@ -143,6 +143,16 @@ def test_redistribute_preserves_endpoint():
     assert err < 1e-8
 
 
+def test_redistribute_to_a_far_target_keeps_the_endpoint():
+    # the reassembled matrix has entries near 3e8 and is Hermitian only up to
+    # rounding of that size, above an absolute gate of 1e-9
+    a = np.array([[5.0, 0.3 + 0.2j], [0.3 - 0.2j, -1.0]])
+    target = float(np.mod(np.linalg.eigvalsh(a), TWO_PI).sum()) + 10 ** 8 * TWO_PI
+    out = maslov.redistribute_eigenvalues(a, target)
+    err = np.abs(maslov.unitary_endpoint(out) - matrices.exp_i_hermitian(a)).max()
+    assert err < 1e-6
+
+
 def test_redistribute_rejects_low_target():
     with pytest.raises(InputError):
         maslov.redistribute_eigenvalues(np.zeros((2, 2)), np.pi)

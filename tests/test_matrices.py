@@ -62,7 +62,7 @@ def test_real_to_complex_round_trip():
 
 def test_real_to_complex_rejects_non_commuting():
     with pytest.raises(InputError):
-        matrices.real_to_complex(np.diag([2.0, 1.0, 0.5, 1.0]), tol=1e-9)
+        matrices.real_to_complex(np.diag([2.0, 1.0, 0.5, 1.0]))
 
 
 def test_unitary_polar_factor_of_positive_stretch():
@@ -109,3 +109,15 @@ def test_block_formulas_equal_the_products_by_j(seed, n, size, noise, zeros):
     assert np.array_equal(inverse, -j @ np.swapaxes(a, -1, -2) @ j)
     assert inverse.tobytes() == (-j @ np.swapaxes(a, -1, -2) @ j).tobytes()
     assert matrices.commutes_with_j(a) == bool(np.all(np.abs(a @ j - j @ a) <= 1e-9))
+
+
+def test_membership_tests_scale_with_the_terms_and_refuse_overflow():
+    for p in (1e5, 1e9, 1e12, 1e200):
+        assert not matrices.is_symplectic(np.diag([p, 1.0]))
+    shears = np.array([[[1.0, s], [0.0, 1.0]] for s in (1e200, 1e300)])
+    assert matrices.is_symplectic(shears) and matrices.is_symplectic(np.diag([1e200, 1e-200]))
+    assert not matrices.is_symplectic(np.diag([1e200, 1e200]))  # A^T J A - J is inf
+    # a gap of 0.5 is rounding beside an entry of 1e9, and none beside 1.0
+    assert matrices.is_hermitian(np.array([[1e9, 1.5], [1.0, 0.0]]))
+    assert not matrices.is_hermitian(np.array([[1.0, 1.5], [1.0, 0.0]]))
+    assert not matrices.is_hermitian(np.array([[0.0, 1.7e308j], [1.7e308j, 0.0]]))
