@@ -388,6 +388,72 @@ def criterion_calabi_weinstein(seed: int = DEFAULT_SEED) -> CriterionResult:
                            {"max_abs_value": f"{worst:.2e}"})
 
 
+# --------------------------------------------------------------------- C12
+
+UNITARY_STAIRCASE_NS = (8, 64)
+UNITARY_STAIRCASE_SAMPLES = 1025
+# (speeds of X, speeds of Y, gamma_64) of diagonal pairs whose angles turn
+# 2 pi times the speed: the first is a pair of loops
+DIAGONAL_STAIRCASES = (((1.0, 3.0), (3.0, 1.0), 64), ((1.3, 2.9), (3.1, 0.7), 58))
+DIAGONAL_SAMPLES = 513
+
+
+def _unitary_staircase_pair(rng: np.random.Generator, n: int, commuting: bool):
+    """A dominant pair in U(n) inside Sp(2n) with speed profiles that are not
+    multiples of each other: diagonal in one random basis, or each an offset
+    above its own random Hermitian modes (spectral norm at most 2 + 2 sqrt 2)."""
+    if commuting:
+        v = gen.random_unitary_matrix(n, rng)
+        vh = v.conj().T
+
+        def draw():
+            w = rng.uniform(2.0, 4.0, size=n)
+            d = rng.uniform(-0.6, 0.6, size=n) * w
+            return lambda t: (v * (w + d * np.cos(2 * np.pi * t))) @ vh
+    else:
+        def draw():
+            offset, modes = rng.uniform(5.0, 8.0), gen.random_hermitian_generator(n, rng)
+            return lambda t: offset * np.eye(n) + modes(t)
+    return tuple(gen.unitary_path_from_generator(draw(), n, UNITARY_STAIRCASE_SAMPLES)
+                 for _ in range(2))
+
+
+def criterion_unitary_staircase(seed: int = DEFAULT_SEED) -> CriterionResult:
+    """On unitary pairs gamma_n lies between its two proven ends.
+
+    The winding floor L_n is a lower bound (the homogenized winding is
+    monotone), and the endpoint certificate accepts every power p with
+    p maslov(X) - n maslov(Y) >= pi dim, so gamma_n <= ceil((n maslov(Y) +
+    pi dim) / maslov(X)).  The pairs commute or not, in Sp(4) and Sp(6), and
+    their speed profiles are not proportional, where the canonical
+    certificate alone overstates gamma_n.  Two diagonal pairs pin gamma_64.
+    """
+    worst_low, worst_high = -np.inf, -np.inf
+    for i in range(8):
+        rng = np.random.default_rng([seed, 12, i])
+        x, y = _unitary_staircase_pair(rng, 2 + i % 2, i % 4 < 2)
+        mx, my = maslov.maslov_index(x).value, maslov.maslov_index(y).value
+        tops = [int(np.ceil((n * my + np.pi * x.dim) / mx)) for n in UNITARY_STAIRCASE_NS]
+        est = growth.growth_estimate(x, y, ns=UNITARY_STAIRCASE_NS, p_max=max(tops))
+        for gamma_n, floor, top in zip(est.gamma_ns, est.floors, tops):
+            if gamma_n is None:
+                return CriterionResult("C12", "unitary staircase between its ends", False,
+                                       {"failure": f"no certified power for pair {i}"})
+            worst_low = max(worst_low, floor - gamma_n)
+            worst_high = max(worst_high, gamma_n - top)
+    t = gen.uniform_times(DIAGONAL_SAMPLES)
+    pinned = []
+    for a, b, want in DIAGONAL_STAIRCASES:
+        x, y = (gen.diagonal_unitary_path(2 * np.pi * np.outer(t, speeds), t)
+                for speeds in (a, b))
+        pinned.append(growth.gamma_n_bruteforce(x, y, 64, 2 * want) == want)
+    passed = worst_low <= 0 and worst_high <= 0 and all(pinned)
+    return CriterionResult("C12", "unitary staircase between its ends", passed,
+                           {"worst_below_floor": int(worst_low),
+                            "worst_above_top": int(worst_high),
+                            "diagonal_pins": f"{sum(pinned)}/{len(pinned)}"})
+
+
 # ---------------------------------------------------------------------
 
 CRITERIA = {
@@ -402,10 +468,11 @@ CRITERIA = {
     "C9": criterion_rotation_distance,
     "C10": criterion_embedding_isometry,
     "C11": criterion_calabi_weinstein,
+    "C12": criterion_unitary_staircase,
 }
 
 SUITES = {
-    "linear": ("C1", "C2", "C3", "C4", "C5", "C6", "C7"),
+    "linear": ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C12"),
     "quant": ("C8", "C9", "C10", "C11"),
     "all": tuple(CRITERIA),
 }

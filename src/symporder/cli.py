@@ -165,7 +165,9 @@ def _run_gamma(args) -> dict:
                        for n, g in zip(est.ns, est.gamma_ns))
         io.write_text("n,gamma_n\n" + rows, args.csv)
     return {
+        "certificates": list(est.certificates),
         "closed_form": est.closed_form,
+        "floors": list(est.floors),
         "gamma_ns": list(est.gamma_ns),
         "limit": est.limit_estimate.value,
         "limit_lower": est.limit_estimate.lower,

@@ -3,8 +3,11 @@
 For dominant elements f, g the relative growth is the limit of
 ``gamma_n(f, g) / n`` where ``gamma_n`` is the least power p with
 ``f^p >= g^n``.  On the symplectic path groups treated here the limit equals
-the ratio of homogenized windings, which makes the brute-force staircase an
-independent check of the closed form.  ``K(f, g) = max(log gamma(f, g),
+the ratio of homogenized windings, which the brute-force staircase checks
+independently.  The staircase certifies a power two ways: on a unitary pair
+from the endpoint and the winding of ``X^p Y^-n`` alone (an element of the
+universal cover of U(n) is fixed by those two), and on any pair from the
+generator track of the pointwise product.  ``K(f, g) = max(log gamma(f, g),
 log gamma(g, f))`` is a pseudo-distance, and ``log`` of the homogenized
 winding realizes the quotient metric space as the real line.
 
@@ -38,7 +41,7 @@ from .paths import (
     is_uniform_grid,
     pointwise_power,
 )
-from .matrices import commutes_with_j, symplectic_inverse
+from .matrices import commutes_with_j, real_to_complex, symplectic_inverse
 
 GROWTH_NS = (1, 2, 4, 8, 16, 32, 64)
 
@@ -254,35 +257,53 @@ def _signed_powers(atoms: tuple, ks: tuple) -> tuple:
 def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int) -> int | None:
     """Least p in [-p_max, p_max] with a certified X^p >= Y^n, else None.
 
-    The certificate is conservative: it classifies the generator of the
-    canonical pointwise representative, assembled through the exact
-    composition formula from the base tracks of X and Y (so finite-difference
-    error does not grow with p).  Each probe is one batched Cholesky test of
-    H + CONE_TOL I (:func:`paths.cone_holds`) on the generator track of X^p
-    Y^-n alone, and X's dominance is one test of H_X - CONE_TOL I; no
-    eigenvalue is computed.  For a dominant X the certified set of powers is
-    upward closed.  The search (:func:`_least_certified_power`) starts at the
-    lowest candidate power: the winding floor L_n of a unitary pair (both
-    paths commute with J), below which no power can be certified, clipped to
-    [-p_max, p_max], or -p_max without a floor.  An in-range floor is probed
-    with L_n - 1 from the same squaring pass as a self-check
-    (:class:`ComputationError` if the certificate accepts it); a failing
-    candidate is followed by p_max and a bisection between the two.
+    Two sufficient certificates decide a power, and gamma_n is the least
+    power either accepts:
+
+    * the endpoint certificate, for a unitary pair (both aligned paths
+      commute with J).  The winding of a pointwise product is additive, so
+      Z = X^p Y^-n winds p maslov(X) - n maslov(Y), and an element of the
+      universal cover of U(n) is fixed by its endpoint and its winding
+      (Eliashberg-Polterovich).  When that winding exceeds the sum of Z(1)'s
+      eigenphases in [0, 2 pi) by a whole number k >= 0 of 2 pi quanta, a
+      Hermitian A >= 0 has exp(iA) = Z(1) and tr A equal to the winding, and
+      t -> exp(itA) is a nonnegative path in Z's class
+      (:func:`_endpoint_quanta`).  It reads two windings and n x n complex
+      endpoints, no generator track;
+    * the canonical certificate, for every pair: the generator of the
+      pointwise product X(t)^p Y(t)^-n, assembled through the exact
+      composition formula from the base tracks of X and Y (so
+      finite-difference error does not grow with p), lies above -CONE_TOL at
+      every sample, one batched Cholesky test (:func:`paths.cone_holds`) per
+      probe.  It is tight where Y's generator is a multiple of X's, and
+      overstates gamma_n where the two speed profiles differ.
+
+    X's dominance is one Cholesky test of H_X - CONE_TOL I; no eigenvalue of
+    a generator is computed.  :func:`_staircase` runs the search.
     """
     return _staircase(x, y, ((n, p_max),), CONE_TOL)[0][0]
 
 
 def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
-    """(gamma_n for each (n, p_max) rung of one pair, windings).
+    """(gamma_ns, floors, certificates, windings) of one pair, one entry of
+    each list per (n, p_max) rung.
 
-    The grids are aligned, the atoms built and X's dominance checked once,
-    and every rung reuses them.  This is the one place that tests the
-    aligned pair for unitarity: ``windings`` is (maslov(X), maslov(Y)) of a
-    unitary pair, which gives each rung its winding floor, and None for any
-    other pair.  Only the atoms the probes read are built: Y's inverse
-    (n >= 0), X's forward atom, and X's inverse when a probe can fall below
-    power 0, that is without a floor or with a floor under 1.  The rung
-    powers Y^-n come from one squaring pass.
+    The grids are aligned and X's dominance checked once.  This is the one
+    place that tests the aligned pair for unitarity: ``windings`` is
+    (maslov(X), maslov(Y)) of a unitary pair, else None.  On a unitary pair
+    each rung has its winding floor L_n (:func:`_winding_floor`), and the
+    endpoint certificate scans upward from L_n clipped to [-p_max, p_max]
+    (:func:`_least_endpoint_power`).  A rung it certifies at that start is
+    decided without a generator track; otherwise the canonical search
+    (:func:`_least_certified_power`) runs on [start, p_e - 1], p_e the least
+    endpoint-certified power (p_max + 1 without one).  A pair that is not
+    unitary runs the canonical search on [-p_max, p_max].  Atoms are built
+    only for rungs that reach the canonical search: Y's inverse atom with
+    one squaring pass for their powers Y^-n, and X's inverse atom when such
+    a rung can fall below power 0 (no floor, or a floor under 1).
+    ``floors`` holds L_n (None off the unitary subgroup), ``certificates``
+    the test that decided each rung, "endpoint" or "canonical" (None where
+    no power was certified).
     """
     for n, p_max in rungs:
         if n < 0 or p_max < 0:
@@ -292,38 +313,134 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
     x_up = _forward_atom(x)
     if not cone_holds(x_up.hams, tol):
         raise InputError("X must be dominant for the staircase search")
-    floors, windings = [None] * len(rungs), None
+    gamma_ns, floors, certificates = ([None] * len(rungs) for _ in range(3))
+    # the canonical search range of each rung, cut below p_e by the endpoint
+    ranges = [[-p_max, p_max] for _, p_max in rungs]
+    windings = None
     if commutes_with_j(x.matrices) and commutes_with_j(y.matrices):
         windings = mx, my = _unitary_windings(x, y)
-        floors = [_winding_floor(n, mx, my, x.dim, tol) for n, _ in rungs]
-    x_down = None
-    if any(floor is None or floor < 1 for floor in floors):
-        x_down = _inverse_atom(x, x_up.hams)
-    x_atoms = (x_up, x_down)
-    y_powers = _signed_powers((None, _inverse_atom(y, _staircase_hams(y))),
-                              tuple(-n for n, _ in rungs))
-    gamma_ns = [_least_certified_power(x_atoms, y_minus_n, p_max, tol, floor)
-                for y_minus_n, (_, p_max), floor in zip(y_powers, rungs, floors)]
-    return gamma_ns, windings
+        ends = real_to_complex(x.endpoint), real_to_complex(y.endpoint)
+        for i, (n, p_max) in enumerate(rungs):
+            floors[i] = floor = _winding_floor(n, mx, my, x.dim, tol)
+            ranges[i][0] = start = min(max(floor, -p_max), p_max)
+            p = _least_endpoint_power(ends, windings, n, start, p_max, floor)
+            if p is not None:
+                gamma_ns[i], certificates[i], ranges[i][1] = p, "endpoint", p - 1
+    chain = [i for i, (lo, hi) in enumerate(ranges) if lo <= hi]
+    if chain:
+        x_down = None
+        if any(floors[i] is None or floors[i] < 1 for i in chain):
+            x_down = _inverse_atom(x, x_up.hams)
+        y_powers = _signed_powers((None, _inverse_atom(y, _staircase_hams(y))),
+                                  tuple(-rungs[i][0] for i in chain))
+        for i, y_minus_n in zip(chain, y_powers):
+            p = _least_certified_power((x_up, x_down), y_minus_n, *ranges[i], tol, floors[i])
+            if p is not None:
+                gamma_ns[i], certificates[i] = p, "canonical"
+    return gamma_ns, floors, certificates, windings
+
+
+# The endpoint certificate (:func:`_endpoint_quanta`): how far below 2 pi an
+# eigenphase reads as 0, and how far the residue may miss a whole number of
+# 2 pi quanta, relative to the size of the terms it sums
+ENDPOINT_FOLD = 1e-9
+ENDPOINT_CONGRUENCE_TOL = 1e-9
 
 
 def _winding_floor(n: int, mx: float, my: float, dim: int, tol: float) -> int:
-    """Least power p the certificate can accept for X^p >= Y^n on a unitary
-    pair with windings mx = maslov(X) > 0 and my = maslov(Y).
+    """Least power p either certificate can accept for X^p >= Y^n on a
+    unitary pair with windings mx = maslov(X) > 0 and my = maslov(Y).
 
     On the unitary subgroup the winding is the time integral of tr H / 2
     over [0, 1] (:func:`maslov.maslov_via_trace`), and det(X^p Y^-n) =
     det(X)^p det(Y)^-n, so the winding of X^p Y^-n is p mx - n my.  A power
-    the certificate accepts has H + tol I > 0, hence tr H > -dim tol, at
-    every sample; integrating, p mx - n my > -(dim / 2) tol, that is
-    p > n ratio - (dim / 2) tol / mx with ratio = my / mx.  The last term
-    of the slack covers the rounding of n ratio.  The homogenized Maslov
-    quasimorphism is monotone (Eliashberg-Polterovich), so the same floor
-    holds for the order itself.
+    the canonical certificate accepts has H + tol I > 0, hence
+    tr H > -dim tol, at every sample; integrating, its winding exceeds
+    -(dim / 2) tol.  A power the endpoint certificate accepts has winding
+    tr A with A >= -ENDPOINT_FOLD, at least -(dim / 2) ENDPOINT_FOLD.  So
+    p > n ratio - (dim / 2) max(tol, ENDPOINT_FOLD) / mx with ratio =
+    my / mx.  The last term of the slack covers the rounding of n ratio.
+    The homogenized Maslov quasimorphism is monotone
+    (Eliashberg-Polterovich), so the same floor holds for the order itself.
     """
     ratio = my / mx
-    slack = 0.5 * dim * tol / mx + 1e-12 * max(1.0, n * abs(ratio))
+    slack = 0.5 * dim * max(tol, ENDPOINT_FOLD) / mx + 1e-12 * max(1.0, n * abs(ratio))
     return int(np.ceil(n * ratio - slack))
+
+
+def _endpoint_quanta(z_end: np.ndarray, p: int, n: int, windings: tuple) -> int:
+    """Whole number k of 2 pi quanta by which the winding p maslov(X) -
+    n maslov(Y) of Z = X^p Y^-n exceeds the eigenphase sum of its complex
+    endpoint ``z_end``; the endpoint certificate holds when k >= 0.
+
+    With k >= 0, adding k quanta to the eigenphases theta_j in [0, 2 pi)
+    gives a Hermitian A >= 0 with exp(iA) = Z(1) and tr A the winding.
+
+    ``ENDPOINT_FOLD`` reads a phase within 1e-9 below 2 pi as the small
+    negative phase - 2 pi, that is as 0.  An eigenvalue 1 of Z(1), as on
+    loop pairs, comes out with a phase error near (|p| + n) n eps, under
+    1e-11 for powers up to 10^4; read at 2 pi - 1e-15 it would count a whole
+    quantum and refuse the power, the spurious +1 of the (0, 2 pi]
+    convention of :func:`maslov.redistribute_eigenvalues`.  A folded phase
+    lets A have an eigenvalue down to -1e-9: the endpoint analog of the
+    canonical test's -tol band, 1000 times narrower than ``CONE_TOL``, and
+    covered by the winding floor's slack (:func:`_winding_floor`).
+
+    ``ENDPOINT_CONGRUENCE_TOL``: in exact arithmetic the residue is a whole
+    number of quanta, since det Z(1) = exp(i winding).  It collects the
+    rounding of the windings, each a float sum of at most 2^16 per-step
+    increments (about 2^16 eps = 1.5e-11 of the increments' magnitudes,
+    scaled by |p| and n), and of the eigenphases, near (|p| + n) n eps.  The
+    tolerance, 1e-9 of the size 2 pi n + |p maslov(X)| + n |maslov(Y)|,
+    sits above both and stays below half a quantum for sizes under 3e9.  A
+    residue beyond it is a :class:`ComputationError`.
+    """
+    mx, my = windings
+    two_pi = 2.0 * np.pi
+    phases = np.mod(np.angle(np.linalg.eigvals(z_end)), two_pi)
+    phases[phases >= two_pi - ENDPOINT_FOLD] -= two_pi
+    quanta = (p * mx - n * my - phases.sum()) / two_pi
+    k = round(quanta)
+    miss = abs(quanta - k) * two_pi
+    if not miss <= ENDPOINT_CONGRUENCE_TOL * (two_pi * len(z_end) + abs(p * mx) + n * abs(my)):
+        raise ComputationError(
+            f"the endpoint phases of X^{p} Y^-{n} miss its winding by {miss:.3e} rad "
+            "off a whole number of 2 pi quanta")
+    return k
+
+
+def _unitary_power(u: np.ndarray, k: int) -> np.ndarray:
+    return np.linalg.matrix_power(u if k >= 0 else u.conj().T, abs(k))
+
+
+def _least_endpoint_power(ends: tuple, windings: tuple, n: int, start: int, p_max: int,
+                          floor: int) -> int | None:
+    """Least p in [start, p_max] the endpoint certificate accepts, else None.
+
+    ``ends`` are the complex endpoints (X(1), Y(1)).  The scan runs upward,
+    one left product by X(1) per power.  A power with p maslov(X) -
+    n maslov(Y) >= pi dim passes, since the eigenphase sum stays below
+    pi dim, so the scan stops by that power: at most ceil(pi dim / maslov(X))
+    + 1 probes from the floor.  A start at the floor is scanned from
+    floor - 1 as a self-check, and a certified power below the floor raises
+    :class:`ComputationError`.
+    """
+    (x_end, y_end), (mx, my) = ends, windings
+    top = min(p_max, int(np.ceil((n * my + 2.0 * np.pi * len(x_end)) / mx)))
+    first = start - 1 if start == floor else start
+    z = _unitary_power(x_end, first) @ _unitary_power(y_end, -n)
+    for p in range(first, top + 1):
+        if _endpoint_quanta(z, p, n, windings) >= 0:
+            if p < floor:
+                raise _below_floor("endpoint", p, floor)
+            return p
+        z = x_end @ z
+    return None
+
+
+def _below_floor(which: str, p: int, floor: int) -> ComputationError:
+    return ComputationError(
+        f"the {which} certificate accepts power {p} below the winding floor {floor}")
 
 
 def _probe(x_power: _PowerAtom, y_minus_n: _PowerAtom, tol: float) -> bool:
@@ -339,37 +456,31 @@ def _certified(x_atoms: tuple[_PowerAtom, _PowerAtom], y_minus_n: _PowerAtom,
 
 
 def _least_certified_power(x_atoms: tuple[_PowerAtom, _PowerAtom],
-                           y_minus_n: _PowerAtom, p_max: int, tol: float,
-                           floor: int | None = None) -> int | None:
-    """Least p in [-p_max, p_max] that :func:`_certified` accepts, else None.
+                           y_minus_n: _PowerAtom, lo: int, hi: int, tol: float,
+                           floor: int | None) -> int | None:
+    """Least p in [lo, hi] that :func:`_certified` accepts, else None.
 
-    One flow for every pair.  The lowest candidate is probed first: the
-    winding floor (:func:`_winding_floor`) clipped to [-p_max, p_max], or
-    -p_max without a floor.  An in-range floor takes floor - 1 from the same
-    squaring pass as a self-check.  If the candidate fails, p_max is probed
-    and the search bisects between them, relying on the certified set being
-    upward closed: about log2 of their distance more probes.  A certified
-    power below the floor raises :class:`ComputationError`, as does a probe
-    whose generator overflows.
+    One flow for every pair.  ``lo`` is probed first: the winding floor
+    (:func:`_winding_floor`) clipped to [-p_max, p_max], or -p_max without a
+    floor.  A start at the floor takes floor - 1 from the same squaring pass
+    as a self-check.  If ``lo`` fails, ``hi`` is probed and the search
+    bisects between them, relying on the certified set being upward closed:
+    about log2 of their distance more probes.  A certified power below the
+    floor raises :class:`ComputationError`, as does a probe whose generator
+    overflows.
     """
-    def below_floor(p: int) -> ComputationError:
-        return ComputationError(
-            f"the certificate accepts power {p} below the winding floor {floor}")
-
-    lo = -p_max if floor is None else min(max(floor, -p_max), p_max)
-    ks = (lo, lo - 1) if lo == floor and floor > -p_max else (lo,)
+    ks = (lo, lo - 1) if lo == floor else (lo,)
     candidate, *check = _signed_powers(x_atoms, ks)
     if _probe(candidate, y_minus_n, tol):
         if floor is not None and lo < floor:
-            raise below_floor(lo)
+            raise _below_floor("canonical", lo, floor)
         if check and _probe(check[0], y_minus_n, tol):
-            raise below_floor(lo - 1)
+            raise _below_floor("canonical", lo - 1, floor)
         return lo
     del candidate, check
-    if lo == p_max or not _certified(x_atoms, y_minus_n, p_max, tol):
+    if lo == hi or not _certified(x_atoms, y_minus_n, hi, tol):
         return None
-    hi = p_max  # invariant: lo fails, hi passes
-    while hi - lo > 1:
+    while hi - lo > 1:  # invariant: lo fails, hi passes
         mid = (lo + hi) // 2
         if _certified(x_atoms, y_minus_n, mid, tol):
             hi = mid
@@ -382,17 +493,23 @@ def _least_certified_power(x_atoms: tuple[_PowerAtom, _PowerAtom],
 class GrowthEstimate:
     """Staircase gamma_n over a ladder of n, with its limit and closed form.
 
-    ``limit_estimate`` is [gamma_n/n - 1/n, gamma_n/n] at the last rung.  The
-    certificate is conservative, so a certified gamma_n is at least the true
-    one: the upper end bounds the limit from above, while the lower end
-    holds only where the certificate is tight (certified gamma_n = true
-    gamma_n).
+    ``floors`` holds each rung's winding floor L_n (None for a pair that is
+    not unitary) and ``certificates`` the test that decided it, "endpoint"
+    or "canonical" (None where no power was certified); see
+    :func:`gamma_n_bruteforce`.  ``limit_estimate`` is [gamma_n/n - 1/n,
+    gamma_n/n] at the last rung.  Both certificates are sufficient up to
+    their tolerance bands, so a certified gamma_n is at least the true one
+    outside a near-tie: the upper end bounds the limit from above, while the
+    lower end holds only where the certificate is tight (certified gamma_n =
+    true gamma_n).
     """
 
     ns: tuple
     gamma_ns: tuple
     limit_estimate: Estimate
     closed_form: float | None
+    floors: tuple
+    certificates: tuple
 
 
 def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
@@ -410,7 +527,7 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
     hint = gamma_closed_symplectic(x, y, tol=tol).value
     rungs = [(n, p_max if p_max is not None else int(np.ceil(abs(hint) * n)) + 8)
              for n in ns]
-    gamma_ns, windings = _staircase(x, y, rungs, tol)
+    gamma_ns, floors, certificates, windings = _staircase(x, y, rungs, tol)
     if gamma_ns[-1] is None:
         raise ComputationError(
             f"no certified power found at n={ns[-1]} within p_max={rungs[-1][1]}; "
@@ -420,5 +537,6 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
     top = gamma_ns[-1] / ns[-1]
     limit = Estimate(top, top - 1.0 / ns[-1], top)
     closed = windings[1] / windings[0] if windings is not None else None
-    return GrowthEstimate(ns=ns, gamma_ns=tuple(gamma_ns),
-                          limit_estimate=limit, closed_form=closed)
+    return GrowthEstimate(ns=ns, gamma_ns=tuple(gamma_ns), limit_estimate=limit,
+                          closed_form=closed, floors=tuple(floors),
+                          certificates=tuple(certificates))

@@ -194,18 +194,23 @@ def _hamiltonian_track(path: SampledPath, order: int,
     Otherwise they are formed here as a temporary that dies after its one
     product: kept alive to the end, the stack slowed a 2049-sample Sp(4)
     extraction by about 8 %, since the allocator could no longer reuse its
-    memory for the later temporaries.
+    memory for the later temporaries.  Samples near the float range can
+    overflow the differences or the products; that raises
+    :class:`ComputationError` without a numpy warning.
     """
     if order not in (2, 4):
         raise InputError(f"unsupported stencil order {order}")
     j = standard_j(path.half_dim)
-    if order == 4:
-        deriv = _time_derivative4(path.times, path.matrices)
-    else:
-        deriv = np.gradient(path.matrices, path.times, axis=0, edge_order=2)
-    raw = -j @ (deriv @ (symplectic_inverse(path.matrices) if inverse is None else inverse))
-    asym = float(np.abs(raw - np.swapaxes(raw, -1, -2)).max())
-    hams = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if order == 4:
+            deriv = _time_derivative4(path.times, path.matrices)
+        else:
+            deriv = np.gradient(path.matrices, path.times, axis=0, edge_order=2)
+        raw = -j @ (deriv @ (symplectic_inverse(path.matrices) if inverse is None else inverse))
+        asym = float(np.abs(raw - np.swapaxes(raw, -1, -2)).max())
+        hams = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    if not np.isfinite(hams).all():
+        raise ComputationError("generator track holds a non-finite number")
     return HamiltonianTrack(times=path.times, hams=hams, max_asymmetry=asym)
 
 

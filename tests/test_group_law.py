@@ -9,7 +9,9 @@ for bit with the separate closed forms and staircase rungs they stand for,
 and the path integrators, which call their closure once on the whole time
 grid, with the per-step integration they replaced.  Cone verdicts, which the
 package takes from one batched Cholesky factorization, are checked against
-``eigvalsh``, and the staircase bisection against a full scan of powers.
+``eigvalsh``, and the staircase against the least power of two references:
+an ``eigvalsh`` bisection of the canonical certificate and a full scan of
+the endpoint certificate from ``eigvals`` of complex endpoint powers.
 Certified order verdicts are reflexive and transitive on commuting diagonal
 unitary paths whose angle speeds are ordered pointwise.
 """
@@ -407,8 +409,9 @@ def _commuting_unitary_pair(seed: int, n: int, proportional: bool):
     return x, gen.unitary_path_from_generator(h, n, SAMPLES)
 
 
-def _eigvalsh_staircase(x, y, n: int, p_max: int, tol: float = paths.CONE_TOL):
-    """The staircase bisection with every verdict read off ``eigvalsh``."""
+def _canonical_staircase(x, y, n: int, p_max: int, tol: float = paths.CONE_TOL):
+    """The canonical staircase bisection with every verdict read off
+    ``eigvalsh``."""
     x_atoms = growth._atoms(x)
     assert np.linalg.eigvalsh(x_atoms[0].hams).min() >= tol
     (y_minus_n,) = growth._signed_powers(growth._atoms(y), (-n,))
@@ -426,6 +429,35 @@ def _eigvalsh_staircase(x, y, n: int, p_max: int, tol: float = paths.CONE_TOL):
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if certified(mid) else (mid, hi)
     return hi
+
+
+def _endpoint_certified(x, y, n: int, powers) -> list:
+    """The endpoint certificate at each power p, from ``eigvals`` of the
+    complex endpoint X(1)^p Y(1)^-n (inverses by ``np.linalg.inv``): it
+    holds when the winding p maslov(X) - n maslov(Y) reaches the sum of the
+    eigenphases in [0, 2 pi), a phase within the fold below 2 pi read as 0;
+    the two differ by whole quanta up to rounding far below pi."""
+    mx, my = (maslov.maslov_index(path).value for path in (x, y))
+    x1, y1 = (matrices.real_to_complex(path.endpoint) for path in (x, y))
+    y_minus_n = np.linalg.matrix_power(np.linalg.inv(y1), n)
+    verdicts = []
+    for p in powers:
+        phases = np.mod(np.angle(np.linalg.eigvals(np.linalg.matrix_power(x1, p) @ y_minus_n)),
+                        2 * np.pi)
+        phases[phases >= 2 * np.pi - growth.ENDPOINT_FOLD] = 0.0
+        verdicts.append(p * mx - n * my - phases.sum() > -np.pi)
+    return verdicts
+
+
+def _eigvalsh_staircase(x, y, n: int, p_max: int, tol: float = paths.CONE_TOL):
+    """The least power either certificate accepts: the canonical bisection
+    with ``eigvalsh`` verdicts and, on a unitary pair, a full scan of the
+    endpoint certificate over [-p_max, p_max]."""
+    answers = [_canonical_staircase(x, y, n, p_max, tol)]
+    if matrices.commutes_with_j(x.matrices) and matrices.commutes_with_j(y.matrices):
+        powers = range(-p_max, p_max + 1)
+        answers += [p for p, ok in zip(powers, _endpoint_certified(x, y, n, powers)) if ok][:1]
+    return min((p for p in answers if p is not None), default=None)
 
 
 @settings(deadline=None, max_examples=30)
@@ -451,17 +483,47 @@ def test_staircase_equals_an_eigenvalue_bisection(seed, n, kind, data):
 @settings(deadline=None, max_examples=20)
 @given(seeds, st.sampled_from([1, 2]), st.booleans(), st.sampled_from([1, 2, 3, 4]))
 def test_certified_powers_are_upward_closed(seed, n, proportional, rung):
-    # speeds lie in [0.8, 6.4] (times 3 for a multiple), so the scan sees the step
+    # speeds lie in [0.8, 6.4] (times 3 for a multiple), so the scan sees the
+    # step; on a commuting pair the endpoint test passes where the whole
+    # quanta of sum_j (p a_j - rung b_j) reach 0, monotone in p since a_j > 0
     x, y = _commuting_unitary_pair(seed, n, proportional)
     p_max = 24 * rung + 2
     x_atoms = growth._atoms(x)
     (y_minus_n,) = growth._signed_powers(growth._atoms(y), (-rung,))
-    scan = [growth._certified(x_atoms, y_minus_n, p, paths.CONE_TOL)
-            for p in range(-p_max, p_max + 1)]
-    assert scan[-1]
-    first = scan.index(True)
-    assert all(scan[first:])
-    assert growth.gamma_n_bruteforce(x, y, rung, p_max) == first - p_max
+    powers = range(-p_max, p_max + 1)
+    firsts = []
+    for scan in ([growth._certified(x_atoms, y_minus_n, p, paths.CONE_TOL) for p in powers],
+                 _endpoint_certified(x, y, rung, powers)):
+        assert scan[-1]
+        firsts.append(scan.index(True))
+        assert all(scan[firsts[-1]:])
+    assert growth.gamma_n_bruteforce(x, y, rung, p_max) == min(firsts) - p_max
+
+
+@settings(deadline=None, max_examples=25)
+@given(seeds, st.sampled_from([1, 2]),
+       st.sampled_from(["proportional", "independent", "non-commuting"]),
+       st.sampled_from([1, 2, 4, 8]))
+def test_unitary_rungs_lie_between_the_floor_and_the_canonical_answer(seed, n, kind, rung):
+    if kind == "non-commuting":
+        x, y = (_dominant_path(seed, 2 * n, stream, "unitary") for stream in (0, 1))
+    else:
+        x, y = _commuting_unitary_pair(seed, n, kind == "proportional")
+    p_max = 40
+    (gamma_n,), (floor,), (certificate,), windings = growth._staircase(
+        x, y, ((rung, p_max),), paths.CONE_TOL)
+    assert windings is not None and floor is not None
+    canonical = _canonical_staircase(x, y, rung, p_max)
+    if gamma_n is None:
+        assert certificate is None and canonical is None
+        return
+    assert floor <= gamma_n and certificate in ("endpoint", "canonical")
+    if canonical is not None:
+        assert gamma_n <= canonical
+    if certificate == "canonical":
+        assert gamma_n == canonical
+    else:
+        assert _endpoint_certified(x, y, rung, [gamma_n]) == [True]
 
 
 def test_growth_decides_dominance_without_eigenvalues(monkeypatch):

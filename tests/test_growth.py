@@ -172,25 +172,37 @@ def _power_pair(seed: int, n_samples: int, r: float):
                  for scale in (1.0, r))
 
 
+# 64 r = 97.5 as on the benchmark: the endpoint certificate accepts the floor
+# 98 and refuses 97, so no atom is built
+BENCH_R = 97.5 / 64
+# 64 r = 98 + 5e-8, inside the floor's slack: the floor is 98, the endpoint
+# certificate refuses it (X^98 Y^-64 winds about -3e-7) and the canonical
+# certificate accepts it (its generator stays above -tol), refusing 97
+CHAIN_R = (98 + 5e-8) / 64
+
+
 def test_unitary_staircase_probes_the_winding_floor_and_the_power_below(monkeypatch):
-    # 64 r = 97.5 as on the benchmark: the floor 98 is certified, 97 is not
-    x, y = _power_pair(3, 2049, 97.5 / 64)
-    calls = []
+    x, y = _power_pair(3, 2049, BENCH_R)
+    calls, probes = [], []
+    quanta = growth._endpoint_quanta
 
     def counted(hams, shift):
         calls.append(shift)
         return paths.cone_holds(hams, shift)
 
+    def recorded(z_end, p, n, windings):
+        probes.append(p)
+        return quanta(z_end, p, n, windings)
+
     monkeypatch.setattr(growth, "cone_holds", counted)
-    assert growth.gamma_n_bruteforce(x, y, 64, 128) == 98
-    # one dominance check on X (shift +tol), then the probes 98 and 97
-    assert calls == [paths.CONE_TOL, -paths.CONE_TOL, -paths.CONE_TOL]
+    monkeypatch.setattr(growth, "_endpoint_quanta", recorded)
+    assert growth._staircase(x, y, ((64, 128),), paths.CONE_TOL)[:3] == (
+        [98], [98], ["endpoint"])
+    # one dominance check on X (shift +tol); the endpoint probes 97 and 98
+    assert calls == [paths.CONE_TOL] and probes == [97, 98]
 
 
-def test_the_floor_pair_shares_one_squaring_pass(monkeypatch):
-    # Y^-64: 6 squarings; X^98 and X^97 share 6 squarings and take 2 products
-    # each; then one track-only conjugation per probe, 98 and 97
-    x, y = _power_pair(3, 2049, 97.5 / 64)
+def _atom_counts(monkeypatch, x, y) -> dict:
     counts = {"products": 0, "tracks": 0}
     matmul, track = growth._PowerAtom.__matmul__, growth._PowerAtom.hams_of_product
 
@@ -206,13 +218,26 @@ def test_the_floor_pair_shares_one_squaring_pass(monkeypatch):
     monkeypatch.setattr(growth._PowerAtom, "__matmul__", counted_matmul)
     monkeypatch.setattr(growth._PowerAtom, "hams_of_product", counted_track)
     assert growth.gamma_n_bruteforce(x, y, 64, 128) == 98
-    assert counts == {"products": 16, "tracks": 2}
+    monkeypatch.undo()
+    return counts
+
+
+def test_the_floor_pair_shares_one_squaring_pass(monkeypatch):
+    # the benchmark pair takes no atom product; on the chain pair Y^-64 takes
+    # 6 squarings, X^98 and X^97 share 6 squarings and take 2 products each,
+    # then one track-only conjugation per probe, 98 and 97
+    assert _atom_counts(monkeypatch, *_power_pair(3, 2049, BENCH_R)) == {
+        "products": 0, "tracks": 0}
+    x, y = _power_pair(3, 2049, CHAIN_R)
+    assert growth._staircase(x, y, ((64, 128),), paths.CONE_TOL)[:3] == (
+        [98], [98], ["canonical"])
+    assert _atom_counts(monkeypatch, x, y) == {"products": 16, "tracks": 2}
 
 
 def test_the_staircase_inverts_each_path_once(monkeypatch):
-    # X's inverse samples serve its order-4 track and its atom; Y's serve
-    # its track, from which Y^-1's atom is read off Y's own samples
-    x, y = _power_pair(3, 2049, 97.5 / 64)
+    # X's inverse samples serve its order-4 track and its atom; Y's, formed
+    # only for a rung that reaches the canonical search, serve its track,
+    # from which Y^-1's atom is read off Y's own samples
     inverted = []
     invert = paths.symplectic_inverse
 
@@ -222,14 +247,18 @@ def test_the_staircase_inverts_each_path_once(monkeypatch):
 
     for module in (paths, growth):
         monkeypatch.setattr(module, "symplectic_inverse", counted)
-    assert growth.gamma_n_bruteforce(x, y, 64, 128) == 98
-    assert inverted == [(2049, 4, 4)] * 2
+    for r, times in ((BENCH_R, 1), (CHAIN_R, 2)):
+        inverted.clear()
+        x, y = _power_pair(3, 2049, r)
+        assert growth.gamma_n_bruteforce(x, y, 64, 128) == 98
+        assert inverted == [(2049, 4, 4)] * times
 
 
 def test_growth_estimate_squares_y_once_and_builds_no_inverse_of_x(monkeypatch):
-    # ns = 1, 2, ..., 64 are powers of two: one pass of 6 squarings gives
-    # every Y^-n with no further product
-    x, y = _power_pair(3, 513, 1.5)
+    # n r sits 1e-9 n above an integer: the endpoint certificate decides
+    # n = 1 and refuses the floor of n = 2, 4, ..., 64, powers of two, so one
+    # pass of 6 squarings gives every Y^-n with no further product
+    x, y = _power_pair(3, 513, 1.5 + 1e-9)
     inverse_atoms = []
     build = growth._inverse_atom
 
@@ -250,6 +279,8 @@ def test_growth_estimate_squares_y_once_and_builds_no_inverse_of_x(monkeypatch):
     monkeypatch.setattr(growth._PowerAtom, "__matmul__", counted)
     est = growth.growth_estimate(x, y)
     assert est.ns == growth.GROWTH_NS
+    assert est.certificates == ("endpoint",) + ("canonical",) * 6
+    assert est.gamma_ns == est.floors == (2, 3, 6, 12, 24, 48, 96)
     # every floor is at least 1, so only Y's inverse atom is built
     assert len(inverse_atoms) == 1
     assert len(squarings) == 6
@@ -289,12 +320,27 @@ def test_near_ties_agree_with_the_eigenvalue_bisection(eps):
 
 
 def test_a_certified_power_below_the_winding_floor_is_an_error(loops, monkeypatch):
-    # gamma_n = 2n on the loops: the floor is 8 at n = 4 and 16 at n = 8
-    monkeypatch.setattr(growth, "_probe", lambda *args: True)
-    with pytest.raises(ComputationError, match="power 7 below the winding floor 8"):
+    # gamma_n = 2n on the loops: the floor is 8 at n = 4 and 16 at n = 8;
+    # the forced certificate accepts every power, the other none
+    for which in ("endpoint", "canonical"):
+        monkeypatch.setattr(growth, "_endpoint_quanta",
+                            lambda *args: 0 if which == "endpoint" else -1)
+        monkeypatch.setattr(growth, "_probe", lambda *args: which == "canonical")
+        with pytest.raises(ComputationError, match=f"the {which} certificate accepts "
+                                                   "power 7 below the winding floor 8"):
+            growth.gamma_n_bruteforce(*loops, 4, 12)
+        with pytest.raises(ComputationError, match="power 4 below the winding floor 16"):
+            growth.gamma_n_bruteforce(*loops, 8, 4)
+
+
+def test_endpoint_phases_off_the_winding_are_an_error(loops, monkeypatch):
+    # a winding of X off by 0.1 rad leaves the residue 0.1 n rad away from
+    # a whole number of 2 pi quanta at every power
+    windings = growth._unitary_windings
+    monkeypatch.setattr(growth, "_unitary_windings",
+                        lambda x, y: (windings(x, y)[0] + 0.1, windings(x, y)[1]))
+    with pytest.raises(ComputationError, match=r"X\^7 Y\^-4 miss its winding by 7\.000e-01"):
         growth.gamma_n_bruteforce(*loops, 4, 12)
-    with pytest.raises(ComputationError, match="power 4 below the winding floor 16"):
-        growth.gamma_n_bruteforce(*loops, 8, 4)
 
 
 @pytest.mark.xfail(raises=AssertionError,

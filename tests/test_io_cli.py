@@ -419,6 +419,21 @@ def test_cli_overflowing_powers_exit_2_with_one_error_line(tmp_path):
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_cli_cone_and_order_of_a_shear_near_the_float_maximum_exit_2(tmp_path):
+    # the samples pass the symplectic test, but their differences overflow,
+    # so the generator track is not finite: one error line, no numpy warning
+    shear = _write_doc(tmp_path, "shear.json", {
+        "dim": 2, "times": [0.0, 0.5, 1.0],
+        "matrices": [[1.0, 0.0, 0.0, 1.0]] + [[1.0, 1.7e308, 0.0, 1.0]] * 2})
+    rotation = str(tmp_path / "rotation.json")
+    io.save_path(gen.rotation_path(2.0, 3), rotation)
+    for argv in (["cone", shear], ["order", shear, rotation]):
+        proc = subprocess.run([sys.executable, "-m", "symporder.cli", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert proc.stderr == "error: generator track holds a non-finite number\n", argv
+
+
 def test_cli_linear_algebra_failure_exits_2(loop_file, capsys, monkeypatch):
     def fail(path):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -565,18 +580,22 @@ def test_cli_gamma_reports_are_golden(tmp_path, capsys):
     io.save_path(y, uy)
     io.save_path(maslov.positive_path_to(np.diag([2.0, 0.5]), 257), px)
     io.save_path(gen.rotation_path(3.0, 257), py)
+    # each unitary rung is decided by the endpoint certificate at its floor
     cases = (
         ([ux, uy], [1, 2, 3, 6, 12, 23, 45],
-         (0.6882572844807983, 0.703125, 0.6875, 0.703125)),
-        ([px, py, "--nmax", "2"], [1, 1], (None, 0.5, 0.0, 0.5)),
+         (0.6882572844807983, 0.703125, 0.6875, 0.703125),
+         [1, 2, 3, 6, 12, 23, 45], ["endpoint"] * 7),
+        ([px, py, "--nmax", "2"], [1, 1], (None, 0.5, 0.0, 0.5),
+         [None, None], ["canonical"] * 2),
     )
-    for argv, gamma_ns, numbers in cases:
+    for argv, gamma_ns, numbers, floors, certificates in cases:
         code, out, err = run_cli(["gamma", *argv], capsys)
         assert (code, err) == (0, "")
         doc = json.loads(out)
         assert doc["gamma_ns"] == gamma_ns
         got = tuple(doc[key] for key in ("closed_form", "limit", "limit_lower", "limit_upper"))
         assert got == pytest.approx(numbers, abs=1e-12)
+        assert (doc["floors"], doc["certificates"]) == (floors, certificates)
 
 
 def test_cli_gamma_pmax_bounds_every_rung(tmp_path, capsys):
