@@ -144,9 +144,11 @@ def symplectic_path_from_hamiltonian(ham, dim: int,
     """Midpoint product integration of dX/dt = J H(t) X.
 
     ``ham`` is called once, with the step midpoints shaped (N-1, 1, 1); its
-    value must broadcast to (N-1, dim, dim), else :class:`InputError`.  Step
-    factors are exponentials of Hamiltonian matrices, hence exactly
-    symplectic; the samples drift from Sp(2n) only by roundoff.
+    value must broadcast to (N-1, dim, dim), else :class:`InputError`.  The
+    step factors come from one batched :func:`~symporder.matrices.matrix_exp`
+    of the Hamiltonian matrices dt J H(t_mid): diagonal Pade approximants,
+    symplectic in exact arithmetic, so the samples drift from Sp(2n) only by
+    roundoff.
     """
     t = uniform_times(n_samples)
     j = standard_j(dim // 2)

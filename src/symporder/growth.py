@@ -129,13 +129,18 @@ def _unitary_windings(x: SampledPath, y: SampledPath) -> tuple[float, float]:
     return mx, maslov_index(y).value
 
 
-def _dominant_mus(x: SampledPath, y: SampledPath, k_max: int, c_emp: float,
-                  tol: float) -> tuple[Estimate, Estimate]:
-    """Check the dimensions, X, then Y, for dominance; return (mu_tilde(X),
-    mu_tilde(Y)), Y's taken first."""
+def _require_dominant_pair(x: SampledPath, y: SampledPath, tol: float) -> None:
+    """Check the dimensions, then X, then Y, for dominance."""
     _require_same_dim(x, y)
     _require_dominant(x, tol, "X")
     _require_dominant(y, tol, "Y")
+
+
+def _dominant_mus(x: SampledPath, y: SampledPath, k_max: int, c_emp: float,
+                  tol: float) -> tuple[Estimate, Estimate]:
+    """Check the pair (:func:`_require_dominant_pair`); return (mu_tilde(X),
+    mu_tilde(Y)), Y's taken first."""
+    _require_dominant_pair(x, y, tol)
     mu_y = mu_tilde(y, k_max, c_emp)
     return mu_tilde(x, k_max, c_emp), mu_y
 
@@ -517,16 +522,21 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
     """Brute-force growth staircase next to its closed-form prediction.
 
     Without ``p_max`` each rung n searches [-P, P] with P = ceil(|gamma| n)
-    + 8, gamma the ratio of homogenized windings at k_max = 8.
+    + 8, gamma the ratio of homogenized windings at k_max = 8; with it no
+    homogenized winding is taken.  Both paths are checked for dominance
+    either way.
     ``closed_form`` is maslov(Y) / maslov(X) of the aligned pair when it is
     unitary, else None.
     """
     ns = tuple(ns)
     if not ns:
         raise InputError("growth estimate needs at least one staircase index n")
-    hint = gamma_closed_symplectic(x, y, tol=tol).value
-    rungs = [(n, p_max if p_max is not None else int(np.ceil(abs(hint) * n)) + 8)
-             for n in ns]
+    if p_max is None:
+        hint = gamma_closed_symplectic(x, y, tol=tol).value
+        rungs = [(n, int(np.ceil(abs(hint) * n)) + 8) for n in ns]
+    else:
+        _require_dominant_pair(x, y, tol)
+        rungs = [(n, p_max) for n in ns]
     gamma_ns, floors, certificates, windings = _staircase(x, y, rungs, tol)
     if gamma_ns[-1] is None:
         raise ComputationError(

@@ -224,7 +224,8 @@ def resample(path: SampledPath, new_times: np.ndarray) -> SampledPath:
 
     Between stored samples the path is continued with its frozen local
     generator, ``X(t) = exp((t - t_k) J H_seg) X(t_k)``, which keeps every
-    interpolated sample exactly symplectic and is second-order accurate.
+    interpolated sample symplectic up to roundoff and is second-order
+    accurate.
     Original samples are preserved bit-for-bit.
     """
     new_times = np.asarray(new_times, dtype=float)

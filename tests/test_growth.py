@@ -3,8 +3,9 @@ import pytest
 from test_group_law import _eigvalsh_staircase
 
 from symporder import generators as gen
-from symporder import growth, maslov, paths
+from symporder import acceptance, growth, maslov, paths
 from symporder.errors import ComputationError, InputError
+from symporder.growth import mu_tilde
 from symporder.matrices import commutes_with_j
 from symporder.paths import pointwise_power
 
@@ -298,6 +299,34 @@ def test_growth_estimate_tests_each_path_for_unitarity_once(loops, monkeypatch):
     est = growth.growth_estimate(*loops, ns=(1, 2, 4))
     assert est.gamma_ns == (2, 4, 8) and est.closed_form == pytest.approx(2.0, abs=1e-7)
     assert calls == [(513, 2, 2)] * 2
+
+
+def test_growth_estimate_takes_no_homogenized_winding_with_p_max(monkeypatch):
+    # the homogenized-winding ratio only sizes the search ranges, so a given
+    # p_max skips it; the estimate is the one the pair gave while it was taken
+    x, y = acceptance._unitary_staircase_pair(np.random.default_rng([0, 12, 0]), 2, True)
+    calls = []
+
+    def counted(path, *args):
+        calls.append(path.n_samples)
+        return mu_tilde(path, *args)
+
+    monkeypatch.setattr(growth, "mu_tilde", counted)
+    est = growth.growth_estimate(x, y, ns=(8, 64), p_max=200)
+    assert calls == []
+    assert est == growth.GrowthEstimate(
+        ns=(8, 64), gamma_ns=(8, 61), limit_estimate=growth.Estimate(0.953125, 0.9375, 0.953125),
+        closed_form=0.9277963892236496, floors=(8, 60), certificates=("endpoint", "endpoint"))
+    assert growth.growth_estimate(x, y, ns=(8, 64)) == est and len(calls) == 2
+    # the pair is checked the same way, with the same error texts, either way
+    for bad, match in ((gen.rotation_loop(1, 129), "share a dimension"),
+                       (paths.invert(y), "Y must be dominant")):
+        texts = set()
+        for p_max in (None, 200):
+            with pytest.raises(InputError, match=match) as err:
+                growth.growth_estimate(x, bad, ns=(8,), p_max=p_max)
+            texts.add(str(err.value))
+        assert len(texts) == 1, texts
 
 
 @pytest.mark.parametrize("r", [-2.0, -0.5, -0.05, 0.05, 0.5])

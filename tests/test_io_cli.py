@@ -444,19 +444,35 @@ def test_cli_linear_algebra_failure_exits_2(loop_file, capsys, monkeypatch):
     assert err == "error: SVD did not converge\n"
 
 
-def test_cli_loads_scipy_only_for_a_matrix_exponential(loop_file):
-    script = "\n".join([
+def test_no_cli_command_loads_scipy(tmp_path, loop_file):
+    # the matrix exponential is numpy's own, so even the commands that take
+    # one (counted through a wrapper bound before the package imports it)
+    # start without scipy
+    coarse, other = str(tmp_path / "coarse.json"), str(tmp_path / "other.json")
+    # steps of pi - 0.005 sit inside the winding guard band: the grid is refined
+    io.save_path(gen.rotation_path(8 * (np.pi - 0.005), 9), coarse)
+    # 100 samples share only 0 and 1 with the loop's 129: the union resample
+    io.save_path(gen.rotation_loop(1, 100), other)
+    script = [
         "import sys",
+        "from symporder import matrices",
+        "calls = []",
+        "exp = matrices.matrix_exp",
+        "matrices.matrix_exp = lambda a: calls.append(a.shape) or exp(a)",
         "from symporder import cli",
         f"assert cli.run(['cone', {loop_file!r}]) == 0",
         f"assert cli.run(['maslov', {loop_file!r}]) == 0",
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+        "assert calls == [], calls",
         "assert 'symporder.acceptance' not in sys.modules",
-        # random paths are integrated through expm, so the deferred import runs
-        "assert cli.run(['defect-sample', '--pairs', '2']) == 0",
-        "assert 'scipy' in sys.modules",
-    ])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    ]
+    for argv in (["maslov", coarse], ["defect-sample", "--pairs", "2"],
+                 ["order", loop_file, other]):
+        script += ["count = len(calls)", f"assert cli.run({argv!r}) == 0",
+                   f"assert len(calls) > count, {argv!r}"]
+    script.append("assert 'scipy' not in sys.modules, "
+                  "sorted(m for m in sys.modules if 'scipy' in m)")
+    proc = subprocess.run([sys.executable, "-c", "\n".join(script)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

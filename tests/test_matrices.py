@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symporder import matrices
-from symporder.errors import InputError
+from symporder.errors import ComputationError, InputError
 
 
 def random_unitary(n, seed):
@@ -121,3 +123,91 @@ def test_membership_tests_scale_with_the_terms_and_refuse_overflow():
     assert matrices.is_hermitian(np.array([[1e9, 1.5], [1.0, 0.0]]))
     assert not matrices.is_hermitian(np.array([[1.0, 1.5], [1.0, 0.0]]))
     assert not matrices.is_hermitian(np.array([[0.0, 1.7e308j], [1.7e308j, 0.0]]))
+
+
+def _one_norms(a):
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _hamiltonian_stack(rng, n, norms):
+    """Matrices J H, H symmetric, with the given 1-norms."""
+    h = rng.normal(size=(len(norms), 2 * n, 2 * n))
+    a = matrices.standard_j(n) @ (h + np.swapaxes(h, -1, -2))
+    return a * (np.asarray(norms) / _one_norms(a))[:, None, None]
+
+
+# relative tolerance of the exponential's identities and closed forms, on
+# stacks of 1-norm up to 30; the kernel was measured within 2e-14 on the
+# closed forms and 4e-15 on the identities
+EXP_RTOL = 1e-13
+norm_scales = st.lists(st.sampled_from([0.0, 1e-4, 0.1, 0.5, 1.0, 5.0, 30.0]),
+                       min_size=1, max_size=5)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3), norm_scales)
+def test_matrix_exp_of_planar_blocks_is_the_closed_form(seed, n, scales):
+    # a traceless 2x2 block A squares to d I, d = -det A, so exp A = c I + s A
+    # with (c, s) = (cosh r, sinh r / r) for d = r^2 >= 0, (cos r, sin r / r)
+    # for d = -r^2; blocks in the (q_i, p_i) planes of Sp(2n) do not interact
+    rng = np.random.default_rng(seed)
+    bound = np.asarray(scales)[:, None] / 3.0
+    a, b, c = rng.uniform(-1.0, 1.0, size=(3, len(scales), n)) * bound
+    d = a * a + b * c
+    r = np.sqrt(np.abs(d))
+    co = np.where(d >= 0, np.cosh(r), np.cos(r))
+    si = np.where(d >= 0, np.divide(np.sinh(r), r, out=np.ones_like(r), where=r > 0),
+                  np.sinc(r / np.pi))
+    q, p = np.arange(n), n + np.arange(n)
+    gen, want = np.zeros((2, len(scales), 2 * n, 2 * n))
+    gen[:, q, q], gen[:, q, p], gen[:, p, q], gen[:, p, p] = a, b, c, -a
+    want[:, q, q], want[:, q, p] = co + si * a, si * b
+    want[:, p, q], want[:, p, p] = si * c, co - si * a
+    got = matrices.matrix_exp(gen)
+    assert np.all(_one_norms(got - want) <= EXP_RTOL * _one_norms(want))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), norm_scales)
+def test_matrix_exp_of_hamiltonian_stacks_is_symplectic_and_inverts(seed, n, scales):
+    a = _hamiltonian_stack(np.random.default_rng(seed), n, scales)
+    e, f = matrices.matrix_exp(a), matrices.matrix_exp(-a)
+    j = matrices.standard_j(n)
+    size = _one_norms(e)
+    assert np.all(_one_norms(e @ f - np.eye(2 * n)) <= EXP_RTOL * size * _one_norms(f))
+    assert np.all(_one_norms(np.swapaxes(e, -1, -2) @ j @ e - j) <= EXP_RTOL * size ** 2)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), norm_scales)
+def test_matrix_exp_agrees_with_scipy(seed, n, scales):
+    linalg = pytest.importorskip("scipy.linalg")
+    a = _hamiltonian_stack(np.random.default_rng(seed), n, scales)
+    want = linalg.expm(a)
+    rtol = np.where(_one_norms(a) <= 1.0, 1e-14, 1e-11)
+    assert np.all(_one_norms(matrices.matrix_exp(a) - want) <= rtol * _one_norms(want))
+
+
+def test_matrix_exp_keeps_the_shape_of_its_input():
+    a = _hamiltonian_stack(np.random.default_rng(3), 2, [0.5] * 6)
+    stacked = matrices.matrix_exp(a.reshape(2, 3, 4, 4))
+    assert stacked.shape == (2, 3, 4, 4)
+    assert np.array_equal(stacked.reshape(6, 4, 4), matrices.matrix_exp(a))
+    assert np.array_equal(matrices.matrix_exp(a[0]), matrices.matrix_exp(a[:1])[0])
+    assert matrices.matrix_exp(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+    assert np.array_equal(matrices.matrix_exp(np.zeros((4, 4))), np.eye(4))
+
+
+def test_matrix_exp_refuses_overflow_without_a_warning():
+    finite = np.diag([1.0, -1.0])
+    cases = (([[800.0, 0.0], [0.0, -800.0]], "matrix exponential overflows"),
+             ([[0.0, 1e300], [1e300, 0.0]], r"\|A\|\^2 is not finite"),
+             ([[np.inf, 0.0], [0.0, 0.0]], r"\|A\|\^2 is not finite"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big, match in cases:
+            with pytest.raises(ComputationError, match=match):
+                matrices.matrix_exp(np.stack([finite, np.array(big)]))
+        # a shear of any size has |A|^2 = 0, so it is not scaled: exp A = I + A
+        shear = np.array([[0.0, 1e300], [0.0, 0.0]])
+        assert np.array_equal(matrices.matrix_exp(shear), np.eye(2) + shear)

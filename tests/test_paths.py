@@ -116,6 +116,18 @@ def test_resample_interpolates_on_the_group():
     assert np.abs(fine.matrices - exact.matrices).max() < 1e-5
 
 
+@pytest.mark.parametrize("size", [1e6, 1e10, 1e14])
+def test_resample_keeps_the_unit_diagonal_of_large_shears(size):
+    # each step exponential is of a shear, A^2 = 0; scaled by its 1-norm and
+    # squared back, the unit diagonal would drift, by 9e-7 at size 1e10
+    t = gen.uniform_times(129)
+    mats = np.broadcast_to(np.eye(2), (129, 2, 2)).copy()
+    mats[:, 0, 1] = size * t ** 2
+    fine = paths.resample(paths.SampledPath(t, mats), np.union1d(t, gen.uniform_times(100)))
+    diagonal = np.diagonal(fine.matrices, axis1=-2, axis2=-1)
+    assert np.abs(diagonal - 1.0).max() <= 4 * np.finfo(float).eps
+
+
 def test_subsample_selects_stored_samples():
     path = gen.rotation_path(2.0, 65)
     coarse = paths.subsample(path, path.times[::4])
