@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ComputationError, InputError
 # ``homogenize`` is not called here; the binding stays because the benchmark's
 # tracer wraps ``symporder.growth.homogenize`` by name.
-from .maslov import homogenize, maslov_index  # noqa: F401
+from .maslov import _power_winding, homogenize, maslov_index  # noqa: F401
 from .paths import (
     CONE_TOL,
     DEFAULT_K_MAX,
@@ -39,7 +39,6 @@ from .paths import (
     cone_holds,
     extract_hamiltonian,
     is_uniform_grid,
-    pointwise_power,
 )
 from .matrices import commutes_with_j, real_to_complex, symplectic_inverse
 
@@ -85,7 +84,7 @@ def mu_tilde(path: SampledPath, k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0) 
         raise InputError("k_max must be at least 1")
     if not (np.isfinite(c_emp) and c_emp >= 0.0):
         raise InputError(f"c_emp must be a finite non-negative number, got {c_emp}")
-    value = maslov_index(pointwise_power(path, k_max)).value / k_max
+    value = _power_winding(path, k_max).value / k_max
     half = c_emp / k_max
     return Estimate(value, value - half, value + half)
 

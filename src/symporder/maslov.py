@@ -83,8 +83,14 @@ def maslov_index(path: SampledPath, max_samples: int = REFINEMENT_CAP) -> Maslov
     grid is doubled (interpolating with local generators) and the whole
     computation retried, up to ``max_samples`` samples.
     """
-    current = path
+    return _power_winding(path, 1, max_samples)
+
+
+def _power_winding(base: SampledPath, k: int, max_samples: int = REFINEMENT_CAP) -> MaslovResult:
+    """:func:`maslov_index` of the power path X^k, k >= 1.  A refinement doubles
+    the grid of X, whose generators resolve where those of X^k may not."""
     while True:
+        current = base if k == 1 else pointwise_power(base, k)
         phases = _slogdet_of_unitary_factor(current.matrices).sign
         incs = np.angle(phases[1:] * np.conj(phases[:-1]))
         max_step = float(np.abs(incs).max())
@@ -96,7 +102,7 @@ def maslov_index(path: SampledPath, max_samples: int = REFINEMENT_CAP) -> Maslov
             raise ResolutionError(
                 f"winding steps still reach {max_step:.3f} rad at "
                 f"{current.n_samples} samples (cap {max_samples})")
-        current = refine(current, 2)
+        base = refine(base, 2)
 
 
 def maslov_via_trace(path: SampledPath) -> float:
@@ -124,8 +130,7 @@ def homogenize(path: SampledPath, k_max: int) -> np.ndarray:
     """
     if k_max < 1:
         raise InputError("k_max must be at least 1")
-    return np.array([maslov_index(pointwise_power(path, k)).value / k
-                     for k in range(1, k_max + 1)])
+    return np.array([_power_winding(path, k).value / k for k in range(1, k_max + 1)])
 
 
 def quasimorphism_defect_sample(num_pairs: int, dim: int, seed: int) -> float:

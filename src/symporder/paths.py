@@ -11,9 +11,10 @@ Generator bookkeeping under the group operations:
 * inverse:     H_{Y^{-1}} = -Y^T H_Y Y
 * block embed: generators embed block-wise and eigenvalue signs survive
 
-Samples are inverted through the form, ``X^{-1} = -J X^T J``.  That identity
-holds exactly on Sp(2n), and :class:`SampledPath` validates every sample as
-symplectic, so no general-purpose (and possibly singular) solve is needed.
+Samples are inverted through the form, ``X^{-1} = -J X^T J``, exact on Sp(2n),
+so no general (possibly singular) solve is needed.  Sp(2n) membership is
+checked where data enters, in :class:`SampledPath`; the group operations here
+keep it by algebra and build through :func:`_derived`, which checks the grid only.
 Integer powers of samples and of generator-carrying staircase atoms share one
 repeated-squaring routine, :func:`binary_powers`, which forms several powers
 of one base from a single pass of squarings.
@@ -57,32 +58,17 @@ class SampledPath:
     Invariants checked at construction: finite entries, strictly increasing
     times covering [0, 1], first sample within ``DEFAULT_TOL`` of the
     identity, and every sample symplectic up to rounding
-    (:func:`symporder.matrices.is_symplectic`).
+    (:func:`symporder.matrices.is_symplectic`), which :func:`_derived` skips.
     """
 
     times: np.ndarray
     matrices: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        mats = np.asarray(self.matrices, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "matrices", mats)
-        if times.ndim != 1 or mats.ndim != 3 or len(times) != len(mats):
-            raise InputError("need matching 1-d times and 3-d matrix stack")
-        if not (np.isfinite(times).all() and np.isfinite(mats).all()):
-            raise InputError("times and samples must be finite")
-        if len(times) < 3:
-            raise InputError("need at least 3 samples for derivative stencils")
-        if not (times[0] == 0.0 and times[-1] == 1.0):
-            raise InputError("times must start at 0 and end at 1")
-        if np.any(np.diff(times) <= 0):
-            raise InputError("times must be strictly increasing")
-        dim = 2 * _check_even_dim(mats)
-        if np.abs(mats[0] - np.eye(dim)).max() > DEFAULT_TOL:
-            raise InputError("path must start at the identity")
-        if not is_symplectic(mats):
-            raise InputError(f"samples leave Sp({dim}) by {symplectic_defect(mats).max():.3e}")
+        _set_grid(self, self.times, self.matrices, InputError("times and samples must be finite"))
+        if not is_symplectic(self.matrices):
+            raise InputError(f"samples leave Sp({self.dim}) by "
+                             f"{symplectic_defect(self.matrices).max():.3e}")
 
     @property
     def dim(self) -> int:
@@ -99,6 +85,36 @@ class SampledPath:
     @property
     def endpoint(self) -> np.ndarray:
         return self.matrices[-1]
+
+
+def _set_grid(path: SampledPath, times, mats, nonfinite: Exception) -> SampledPath:
+    """Store float arrays on ``path``, check its grid; a non-finite sample raises ``nonfinite``."""
+    times = np.asarray(times, dtype=float)
+    mats = np.asarray(mats, dtype=float)
+    object.__setattr__(path, "times", times)
+    object.__setattr__(path, "matrices", mats)
+    if times.ndim != 1 or mats.ndim != 3 or len(times) != len(mats):
+        raise InputError("need matching 1-d times and 3-d matrix stack")
+    if not np.isfinite(times).all():
+        raise InputError("times and samples must be finite")
+    if not np.isfinite(mats).all():
+        raise nonfinite
+    if len(times) < 3:
+        raise InputError("need at least 3 samples for derivative stencils")
+    if not (times[0] == 0.0 and times[-1] == 1.0):
+        raise InputError("times must start at 0 and end at 1")
+    if np.any(np.diff(times) <= 0):
+        raise InputError("times must be strictly increasing")
+    dim = 2 * _check_even_dim(mats)
+    if np.abs(mats[0] - np.eye(dim)).max() > DEFAULT_TOL:
+        raise InputError("path must start at the identity")
+    return path
+
+
+def _derived(times, mats) -> SampledPath:
+    """A path computed by an operation that keeps Sp(2n): no residual check."""
+    return _set_grid(object.__new__(SampledPath), times, mats,
+                     ComputationError("computed path samples overflow"))
 
 
 @dataclass(frozen=True)
@@ -216,7 +232,7 @@ def _hamiltonian_track(path: SampledPath, order: int,
 
 def invert(path: SampledPath) -> SampledPath:
     """Pointwise inverse path t -> X(t)^{-1}."""
-    return SampledPath(path.times, symplectic_inverse(path.matrices))
+    return _derived(path.times, symplectic_inverse(path.matrices))
 
 
 def resample(path: SampledPath, new_times: np.ndarray) -> SampledPath:
@@ -225,20 +241,18 @@ def resample(path: SampledPath, new_times: np.ndarray) -> SampledPath:
     Between stored samples the path is continued with its frozen local
     generator, ``X(t) = exp((t - t_k) J H_seg) X(t_k)``, which keeps every
     interpolated sample symplectic up to roundoff and is second-order
-    accurate.
-    Original samples are preserved bit-for-bit.
+    accurate.  Original samples are preserved bit-for-bit; no time outside
+    (0, 1) is extrapolated, so the grid check refuses it as bad input.
     """
     new_times = np.asarray(new_times, dtype=float)
     pos = np.searchsorted(path.times, new_times)
     exact = (pos < len(path.times)) & (path.times[np.minimum(pos, len(path.times) - 1)] == new_times)
-    if not exact[0] or not exact[-1]:
-        raise InputError("refined grid must contain the endpoints 0 and 1")
     track = extract_hamiltonian(path)
     j = standard_j(path.half_dim)
-    seg = np.clip(np.searchsorted(path.times, new_times, side="right") - 1, 0, len(path.times) - 2)
-    out = np.empty((len(new_times), path.dim, path.dim))
+    seg = np.searchsorted(path.times, new_times, side="right") - 1
+    out = np.zeros((len(new_times), path.dim, path.dim))
     out[exact] = path.matrices[pos[exact]]
-    todo = ~exact
+    todo = ~exact & (new_times > 0.0) & (new_times < 1.0)
     if np.any(todo):
         k = seg[todo]
         dt = new_times[todo] - path.times[k]
@@ -248,7 +262,7 @@ def resample(path: SampledPath, new_times: np.ndarray) -> SampledPath:
         h_seg = track.hams[k] + (track.hams[k + 1] - track.hams[k]) * (frac / 2.0)[:, None, None]
         steps = matrix_exp(dt[:, None, None] * (j @ h_seg))
         out[todo] = steps @ path.matrices[k]
-    return SampledPath(new_times, out)
+    return _derived(new_times, out)
 
 
 def subsample(path: SampledPath, times: np.ndarray) -> SampledPath:
@@ -256,7 +270,7 @@ def subsample(path: SampledPath, times: np.ndarray) -> SampledPath:
     idx = np.searchsorted(path.times, times)
     if np.any(idx >= path.n_samples) or np.any(path.times[idx] != times):
         raise InputError("subsample times must be existing sample times")
-    return SampledPath(times, path.matrices[idx])
+    return _derived(times, path.matrices[idx])
 
 
 def align_grids(x: SampledPath, y: SampledPath) -> tuple[SampledPath, SampledPath]:
@@ -292,7 +306,8 @@ def compose(x: SampledPath, y: SampledPath) -> SampledPath:
     if x.dim != y.dim:
         raise InputError(f"dimension mismatch: {x.dim} vs {y.dim}")
     x, y = align_grids(x, y)
-    return SampledPath(x.times, x.matrices @ y.matrices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _derived(x.times, x.matrices @ y.matrices)
 
 
 def pointwise_power(path: SampledPath, k: int) -> SampledPath:
@@ -301,13 +316,10 @@ def pointwise_power(path: SampledPath, k: int) -> SampledPath:
     A power whose samples overflow raises :class:`ComputationError`.
     """
     if k == 0:
-        eye = np.broadcast_to(np.eye(path.dim), path.matrices.shape)
-        return SampledPath(path.times, eye.copy())
+        return _derived(path.times, np.broadcast_to(np.eye(path.dim), path.matrices.shape).copy())
     base = symplectic_inverse(path.matrices) if k < 0 else path.matrices
     (mats,) = binary_powers(base, (abs(k),))
-    if not np.isfinite(mats).all():
-        raise ComputationError(f"power {k} of the path overflows")
-    return SampledPath(path.times, mats)
+    return _derived(path.times, mats)
 
 
 def binary_powers(base, ks: tuple) -> tuple:
@@ -345,8 +357,7 @@ def embed_block(path: SampledPath, block: int, n: int) -> SampledPath:
         raise InputError("block embedding expects an Sp(2) path")
     if not (1 <= block <= n):
         raise InputError(f"block index {block} outside 1..{n}")
-    return SampledPath(path.times,
-                       _plane_stack(path.n_samples, n, {block - 1: path.matrices}))
+    return _derived(path.times, _plane_stack(path.n_samples, n, {block - 1: path.matrices}))
 
 
 def _plane_stack(n_samples: int, n: int, planes: dict) -> np.ndarray:

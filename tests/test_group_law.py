@@ -18,7 +18,7 @@ unitary paths whose angle speeds are ordered pointwise.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symporder import generators as gen
@@ -167,6 +167,9 @@ def test_pseudo_distance_is_the_max_of_the_two_closed_forms_bitwise(seed, dim, k
 
 @settings(deadline=None, max_examples=10)
 @given(seeds, dims, kinds, kinds, st.sampled_from([None, 4, 12]))
+# at seed 18 the winding of Y^8 refines: the grid of Y is doubled, not the
+# under-resolved grid of Y^8
+@example(seed=18, dim=4, kx="positive", ky="positive", p_max=None)
 def test_growth_estimate_rungs_are_separate_staircase_calls_bitwise(seed, dim, kx, ky, p_max):
     x, y = _dominant_path(seed, dim, 0, kx), _dominant_path(seed, dim, 1, ky)
     ns = (1, 2, 4)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symporder import cli, generators as gen, io, maslov, paths, prequant
+from symporder import cli, generators as gen, io, maslov, matrices, paths, prequant
 from symporder.errors import ComputationError, InputError
 
 
@@ -417,6 +417,23 @@ def test_cli_overflowing_powers_exit_2_with_one_error_line(tmp_path):
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (2, ""), argv
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_cli_zcoord_refines_the_base_path_of_an_unresolved_power(tmp_path):
+    # a positive path to a random positive Sp(4) target on 257 samples (the
+    # seed-18 draw of the group-law tests) winds 8 pi; its 8th power turns
+    # 3.13 rad in one step, which the power's own finite differences do not
+    # resolve, so the winding refines the grid of the path itself
+    rng = np.random.default_rng([18, 1])
+    v = matrices.complex_to_real(gen.random_unitary_matrix(2, rng))
+    target = v @ gen.random_positive_diagonal_target(2, rng) @ v.T
+    name = str(tmp_path / "y.json")
+    io.save_path(maslov.positive_path_to(0.5 * (target + target.T), 257), name)
+    proc = subprocess.run([sys.executable, "-m", "symporder.cli", "zcoord", name],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["coordinate"] == 3.224171427529236
+    assert 3.224171427529236 == float(np.log(8 * np.pi))
 
 
 def test_cli_cone_and_order_of_a_shear_near_the_float_maximum_exit_2(tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symporder import generators as gen
-from symporder import paths
-from symporder.errors import InputError
+from symporder import maslov, matrices, paths
+from symporder.errors import ComputationError, InputError
 
 
 def test_validation_requires_identity_start():
@@ -230,3 +232,67 @@ def test_order_leq_is_reflexive_up_to_tolerance():
     path = gen.rotation_path(1.3, 257)
     verdict = paths.order_leq(path, path)
     assert verdict.certifies
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 4]), st.integers(-8, 8),
+       st.sampled_from([17, 20, 50, 65]))
+def test_derived_paths_stay_symplectic(seed, dim, k, samples):
+    # the group operations build their results without the residual check of
+    # the public constructor; products, symplectic inverses and exponentials
+    # of Hamiltonian matrices keep Sp(2n) by algebra, up to rounding
+    rng = np.random.default_rng(seed)
+    x = gen.random_symplectic_path(dim, rng, scale=1.0, n_samples=65)
+    y = gen.random_symplectic_path(dim, rng, scale=1.0, n_samples=samples)
+    derived = [paths.invert(x), paths.compose(x, y), paths.compose(x, paths.invert(y)),
+               paths.pointwise_power(x, k), paths.pointwise_power(y, k),
+               paths.resample(x, np.union1d(x.times, rng.uniform(0.0, 1.0, 20))),
+               paths.refine(y, 3), paths.subsample(x, x.times[::2]), *paths.align_grids(x, y)]
+    if dim == 2:
+        derived.append(paths.embed_block(y, 2, 3))
+    for path in derived:
+        assert matrices.is_symplectic(path.matrices)
+
+
+def test_product_of_powers_of_a_hyperbolic_pair_builds():
+    # X^16 Y^-8 with Y = X^2 is the identity path; its rounding, about
+    # eps |X^16| |Y^-8|, is above what the public constructor accepts
+    x = maslov.positive_path_to(np.diag([2.0, 0.5]), 2049)
+    y = paths.pointwise_power(x, 2)
+    with pytest.raises(InputError, match="leave Sp"):
+        paths.SampledPath(x.times, paths.pointwise_power(x, 16).matrices
+                          @ paths.pointwise_power(y, -8).matrices)
+    z = paths.compose(paths.pointwise_power(x, 16), paths.pointwise_power(y, -8))
+    assert z.n_samples == 2049
+    assert np.abs(z.matrices - np.eye(2)).max() < 1e-6
+
+
+def test_overflowing_power_is_a_computation_error():
+    x = maslov.positive_path_to(np.diag([2.0, 0.5]), 65)
+    for k in (2000, -2000):
+        with pytest.raises(ComputationError):
+            paths.pointwise_power(x, k)
+    # 2^600 is finite, though its residual overflows the constructor's check;
+    # the product of two such powers overflows, without a numpy warning
+    big = paths.pointwise_power(x, 600)
+    with pytest.raises(ComputationError):
+        paths.compose(big, big)
+
+
+def test_resample_and_subsample_refuse_bad_grids():
+    path = gen.rotation_path(2.0, 65)
+    shuffled = path.times.copy()
+    shuffled[[10, 20]] = shuffled[[20, 10]]
+    for bad, match in ((shuffled, "increasing"), (path.times[1:], "start at 0"),
+                       (path.times[:-1], "end at 1")):
+        for op in (paths.resample, paths.subsample):
+            with pytest.raises(InputError, match=match):
+                op(path, bad)
+    with pytest.raises(InputError, match="start at 0"):
+        paths.resample(path, np.union1d(path.times[1:], [0.001]))
+    # a time far outside [0, 1] is refused, not extrapolated until it overflows
+    hyperbolic = maslov.positive_path_to(np.diag([2.0, 0.5]), 65)
+    with pytest.raises(InputError, match="end at 1"):
+        paths.resample(hyperbolic, np.array([0.0, 0.5, 1e5]))
+    with pytest.raises(InputError, match="finite"):
+        paths.resample(hyperbolic, np.array([0.0, np.nan, 1.0]))
