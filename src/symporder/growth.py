@@ -4,9 +4,9 @@ For dominant elements f, g the relative growth is the limit of
 ``gamma_n(f, g) / n`` where ``gamma_n`` is the least power p with
 ``f^p >= g^n``.  On the symplectic path groups treated here the limit equals
 the ratio of homogenized windings, which the brute-force staircase checks
-independently.  The staircase certifies a power two ways: on a unitary pair
-from the endpoint and the winding of ``X^p Y^-n`` alone (an element of the
-universal cover of U(n) is fixed by those two), and on any pair from the
+independently.  The staircase certifies a power on a unitary pair from the
+endpoint and the winding of ``X^p Y^-n`` alone (an element of the universal
+cover of U(n) is fixed by those two), and on any other pair from the
 generator track of the pointwise product.  ``K(f, g) = max(log gamma(f, g),
 log gamma(g, f))`` is a pseudo-distance, and ``log`` of the homogenized
 winding realizes the quotient metric space as the real line.
@@ -261,22 +261,32 @@ def _signed_powers(atoms: tuple, ks: tuple) -> tuple:
 def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int) -> int | None:
     """Least p in [-p_max, p_max] with a certified X^p >= Y^n, else None.
 
-    Two sufficient certificates decide a power, and gamma_n is the least
-    power either accepts:
+    One sufficient certificate decides each pair:
 
     * the endpoint certificate, for a unitary pair (both aligned paths
       commute with J).  The winding of a pointwise product is additive, so
       Z = X^p Y^-n winds p maslov(X) - n maslov(Y), and an element of the
       universal cover of U(n) is fixed by its endpoint and its winding
-      (Eliashberg-Polterovich).  When that winding exceeds the sum of Z(1)'s
-      eigenphases in [0, 2 pi) by a whole number k >= 0 of 2 pi quanta, a
-      Hermitian A >= 0 has exp(iA) = Z(1) and tr A equal to the winding, and
-      t -> exp(itA) is a nonnegative path in Z's class
+      (Eliashberg-Polterovich).  Read Z(1)'s eigenphases in [-fold,
+      2 pi - fold), fold = max(CONE_TOL, ENDPOINT_FOLD).  When the winding
+      exceeds their sum by a whole number k >= 0 of 2 pi quanta, a Hermitian
+      A >= -fold has exp(iA) = Z(1) and tr A equal to the winding, and
+      t -> exp(itA) is a path in Z's class with generator above -fold
       (:func:`_endpoint_quanta`).  It reads two windings and n x n complex
-      endpoints, no generator track;
-    * the canonical certificate, for every pair: the generator of the
-      pointwise product X(t)^p Y(t)^-n, assembled through the exact
-      composition formula from the base tracks of X and Y (so
+      endpoints, no generator track.
+
+      It accepts every power whose generator h lies above -CONE_TOL.  Z
+      stays in U(n), and each eigenphase of Z(t), followed continuously, has
+      derivative <v, h v> >= -CONE_TOL at its unit eigenvector v
+      (Hellmann-Feynman; through a crossing by continuity).  So the lifted
+      phases at t = 1 are at least -CONE_TOL >= -fold, their sum is the
+      winding, and each exceeds its phase in [-fold, 2 pi - fold) by a whole
+      number of quanta that cannot be negative: k >= 0.  The same argument
+      on X(t) exp(itA), whose generator lies above CONE_TOL - fold, makes
+      the accepted powers upward closed, on commuting pairs or not;
+    * the canonical certificate, for a pair off the unitary subgroup: the
+      generator of the pointwise product X(t)^p Y(t)^-n, assembled through
+      the exact composition formula from the base tracks of X and Y (so
       finite-difference error does not grow with p), lies above -CONE_TOL at
       every sample, one batched Cholesky test (:func:`paths.cone_holds`) per
       probe.  It is tight where Y's generator is a multiple of X's, and
@@ -296,18 +306,14 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
     place that tests the aligned pair for unitarity: ``windings`` is
     (maslov(X), maslov(Y)) of a unitary pair, else None.  On a unitary pair
     each rung has its winding floor L_n (:func:`_winding_floor`), and the
-    endpoint certificate scans upward from L_n clipped to [-p_max, p_max]
-    (:func:`_least_endpoint_power`).  A rung it certifies at that start is
-    decided without a generator track; otherwise the canonical search
-    (:func:`_least_certified_power`) runs on [start, p_e - 1], p_e the least
-    endpoint-certified power (p_max + 1 without one).  A pair that is not
-    unitary runs the canonical search on [-p_max, p_max].  Atoms are built
-    only for rungs that reach the canonical search: Y's inverse atom with
-    one squaring pass for their powers Y^-n, and X's inverse atom when such
-    a rung can fall below power 0 (no floor, or a floor under 1).
-    ``floors`` holds L_n (None off the unitary subgroup), ``certificates``
-    the test that decided each rung, "endpoint" or "canonical" (None where
-    no power was certified).
+    endpoint certificate alone decides it, scanning upward from L_n clipped
+    to [-p_max, p_max] (:func:`_least_endpoint_power`); no atom is built.  A
+    pair that is not unitary runs the canonical search on [-p_max, p_max]
+    (:func:`_least_certified_power`) with the atoms of X and X^-1 and one
+    squaring pass over Y^-1's atom for the rung powers Y^-n.  ``floors``
+    holds L_n (None off the unitary subgroup), ``certificates`` the test
+    that decided each rung, "endpoint" or "canonical" (None where no power
+    was certified).
     """
     for n, p_max in rungs:
         if n < 0 or p_max < 0:
@@ -317,78 +323,70 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
     x_up = _forward_atom(x)
     if not cone_holds(x_up.hams, tol):
         raise InputError("X must be dominant for the staircase search")
-    gamma_ns, floors, certificates = ([None] * len(rungs) for _ in range(3))
-    # the canonical search range of each rung, cut below p_e by the endpoint
-    ranges = [[-p_max, p_max] for _, p_max in rungs]
     windings = None
     if commutes_with_j(x.matrices) and commutes_with_j(y.matrices):
         windings = mx, my = _unitary_windings(x, y)
         ends = real_to_complex(x.endpoint), real_to_complex(y.endpoint)
-        for i, (n, p_max) in enumerate(rungs):
-            floors[i] = floor = _winding_floor(n, mx, my, x.dim, tol)
-            ranges[i][0] = start = min(max(floor, -p_max), p_max)
-            p = _least_endpoint_power(ends, windings, n, start, p_max, floor)
-            if p is not None:
-                gamma_ns[i], certificates[i], ranges[i][1] = p, "endpoint", p - 1
-    chain = [i for i, (lo, hi) in enumerate(ranges) if lo <= hi]
-    if chain:
-        x_down = None
-        if any(floors[i] is None or floors[i] < 1 for i in chain):
-            x_down = _inverse_atom(x, x_up.hams)
+        fold = max(tol, ENDPOINT_FOLD)
+        floors = [_winding_floor(n, mx, my, x.dim, tol) for n, _ in rungs]
+        gamma_ns = [_least_endpoint_power(ends, windings, n, p_max, floor, fold)
+                    for (n, p_max), floor in zip(rungs, floors)]
+        kind = "endpoint"
+    else:
+        floors = [None] * len(rungs)
+        x_atoms = x_up, _inverse_atom(x, x_up.hams)
         y_powers = _signed_powers((None, _inverse_atom(y, _staircase_hams(y))),
-                                  tuple(-rungs[i][0] for i in chain))
-        for i, y_minus_n in zip(chain, y_powers):
-            p = _least_certified_power((x_up, x_down), y_minus_n, *ranges[i], tol, floors[i])
-            if p is not None:
-                gamma_ns[i], certificates[i] = p, "canonical"
+                                  tuple(-n for n, _ in rungs))
+        gamma_ns = [_least_certified_power(x_atoms, y_minus_n, p_max, tol)
+                    for (_, p_max), y_minus_n in zip(rungs, y_powers)]
+        kind = "canonical"
+    certificates = [None if p is None else kind for p in gamma_ns]
     return gamma_ns, floors, certificates, windings
 
 
-# The endpoint certificate (:func:`_endpoint_quanta`): how far below 2 pi an
-# eigenphase reads as 0, and how far the residue may miss a whole number of
-# 2 pi quanta, relative to the size of the terms it sums
+# The endpoint certificate (:func:`_endpoint_quanta`): the least fold (how
+# far below 2 pi an eigenphase reads as 0), and how far the residue may miss
+# a whole number of 2 pi quanta, relative to the size of the terms it sums
 ENDPOINT_FOLD = 1e-9
 ENDPOINT_CONGRUENCE_TOL = 1e-9
 
 
 def _winding_floor(n: int, mx: float, my: float, dim: int, tol: float) -> int:
-    """Least power p either certificate can accept for X^p >= Y^n on a
-    unitary pair with windings mx = maslov(X) > 0 and my = maslov(Y).
+    """Least power p the endpoint certificate can accept for X^p >= Y^n on
+    a unitary pair with windings mx = maslov(X) > 0 and my = maslov(Y).
 
     On the unitary subgroup the winding is the time integral of tr H / 2
     over [0, 1] (:func:`maslov.maslov_via_trace`), and det(X^p Y^-n) =
     det(X)^p det(Y)^-n, so the winding of X^p Y^-n is p mx - n my.  A power
-    the canonical certificate accepts has H + tol I > 0, hence
-    tr H > -dim tol, at every sample; integrating, its winding exceeds
-    -(dim / 2) tol.  A power the endpoint certificate accepts has winding
-    tr A with A >= -ENDPOINT_FOLD, at least -(dim / 2) ENDPOINT_FOLD.  So
-    p > n ratio - (dim / 2) max(tol, ENDPOINT_FOLD) / mx with ratio =
-    my / mx.  The last term of the slack covers the rounding of n ratio.
-    The homogenized Maslov quasimorphism is monotone
-    (Eliashberg-Polterovich), so the same floor holds for the order itself.
+    the endpoint certificate accepts has winding tr A with A >= -fold,
+    fold = max(tol, ENDPOINT_FOLD), so at least -(dim / 2) fold.  Hence
+    p > n ratio - (dim / 2) fold / mx with ratio = my / mx.  The last term
+    of the slack covers the rounding of n ratio.  The homogenized Maslov
+    quasimorphism is monotone (Eliashberg-Polterovich), so the same floor
+    holds for the order itself.
     """
     ratio = my / mx
     slack = 0.5 * dim * max(tol, ENDPOINT_FOLD) / mx + 1e-12 * max(1.0, n * abs(ratio))
     return int(np.ceil(n * ratio - slack))
 
 
-def _endpoint_quanta(z_end: np.ndarray, p: int, n: int, windings: tuple) -> int:
+def _endpoint_quanta(z_end: np.ndarray, p: int, n: int, windings: tuple, fold: float) -> int:
     """Whole number k of 2 pi quanta by which the winding p maslov(X) -
     n maslov(Y) of Z = X^p Y^-n exceeds the eigenphase sum of its complex
     endpoint ``z_end``; the endpoint certificate holds when k >= 0.
 
-    With k >= 0, adding k quanta to the eigenphases theta_j in [0, 2 pi)
-    gives a Hermitian A >= 0 with exp(iA) = Z(1) and tr A the winding.
-
-    ``ENDPOINT_FOLD`` reads a phase within 1e-9 below 2 pi as the small
-    negative phase - 2 pi, that is as 0.  An eigenvalue 1 of Z(1), as on
-    loop pairs, comes out with a phase error near (|p| + n) n eps, under
-    1e-11 for powers up to 10^4; read at 2 pi - 1e-15 it would count a whole
-    quantum and refuse the power, the spurious +1 of the (0, 2 pi]
-    convention of :func:`maslov.redistribute_eigenvalues`.  A folded phase
-    lets A have an eigenvalue down to -1e-9: the endpoint analog of the
-    canonical test's -tol band, 1000 times narrower than ``CONE_TOL``, and
-    covered by the winding floor's slack (:func:`_winding_floor`).
+    Each eigenphase is read in [-fold, 2 pi - fold): a phase within ``fold``
+    below 2 pi is the small negative phase - 2 pi.  With k >= 0, adding k
+    quanta to these phases gives a Hermitian A >= -fold with exp(iA) = Z(1)
+    and tr A the winding.  The staircase folds by max(tol, ENDPOINT_FOLD),
+    the band of the generator test the certificate stands in for
+    (:func:`gamma_n_bruteforce`), which the winding floor's slack covers
+    (:func:`_winding_floor`).  ``ENDPOINT_FOLD`` is the least fold, for
+    tol = 0: an eigenvalue 1 of Z(1), as on loop pairs, comes out with a
+    phase error near (|p| + n) n eps, under 1e-11 for powers up to 10^4;
+    read at 2 pi - 1e-15 it would count a whole quantum and refuse the
+    power, the spurious +1 of the (0, 2 pi] convention of
+    :func:`maslov.redistribute_eigenvalues`.
 
     ``ENDPOINT_CONGRUENCE_TOL``: in exact arithmetic the residue is a whole
     number of quanta, since det Z(1) = exp(i winding).  It collects the
@@ -402,7 +400,7 @@ def _endpoint_quanta(z_end: np.ndarray, p: int, n: int, windings: tuple) -> int:
     mx, my = windings
     two_pi = 2.0 * np.pi
     phases = np.mod(np.angle(np.linalg.eigvals(z_end)), two_pi)
-    phases[phases >= two_pi - ENDPOINT_FOLD] -= two_pi
+    phases[phases >= two_pi - fold] -= two_pi
     quanta = (p * mx - n * my - phases.sum()) / two_pi
     k = round(quanta)
     miss = abs(quanta - k) * two_pi
@@ -417,71 +415,54 @@ def _unitary_power(u: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.matrix_power(u if k >= 0 else u.conj().T, abs(k))
 
 
-def _least_endpoint_power(ends: tuple, windings: tuple, n: int, start: int, p_max: int,
-                          floor: int) -> int | None:
-    """Least p in [start, p_max] the endpoint certificate accepts, else None.
+def _least_endpoint_power(ends: tuple, windings: tuple, n: int, p_max: int, floor: int,
+                          fold: float) -> int | None:
+    """Least p in [start, p_max] the endpoint certificate accepts, else None,
+    with start the winding floor clipped to [-p_max, p_max].
 
     ``ends`` are the complex endpoints (X(1), Y(1)).  The scan runs upward,
     one left product by X(1) per power.  A power with p maslov(X) -
-    n maslov(Y) >= pi dim passes, since the eigenphase sum stays below
-    pi dim, so the scan stops by that power: at most ceil(pi dim / maslov(X))
-    + 1 probes from the floor.  A start at the floor is scanned from
-    floor - 1 as a self-check, and a certified power below the floor raises
-    :class:`ComputationError`.
+    n maslov(Y) >= pi dim passes, since the folded eigenphase sum stays
+    below pi dim, so the scan stops by that power or at start, whichever is
+    higher: at most ceil(pi dim / maslov(X)) + 1 probes from the floor.  A
+    start at the floor is scanned from floor - 1 as a self-check, and a
+    certified power below the floor raises :class:`ComputationError`.
     """
     (x_end, y_end), (mx, my) = ends, windings
+    start = min(max(floor, -p_max), p_max)
     top = min(p_max, int(np.ceil((n * my + 2.0 * np.pi * len(x_end)) / mx)))
     first = start - 1 if start == floor else start
     z = _unitary_power(x_end, first) @ _unitary_power(y_end, -n)
-    for p in range(first, top + 1):
-        if _endpoint_quanta(z, p, n, windings) >= 0:
+    for p in range(first, max(top, start) + 1):
+        if _endpoint_quanta(z, p, n, windings, fold) >= 0:
             if p < floor:
-                raise _below_floor("endpoint", p, floor)
+                raise ComputationError(
+                    f"the endpoint certificate accepts power {p} below the winding floor {floor}")
             return p
         z = x_end @ z
     return None
 
 
-def _below_floor(which: str, p: int, floor: int) -> ComputationError:
-    return ComputationError(
-        f"the {which} certificate accepts power {p} below the winding floor {floor}")
-
-
-def _probe(x_power: _PowerAtom, y_minus_n: _PowerAtom, tol: float) -> bool:
-    """Whether the generator of X^p Y^-n, from the atoms of X^p and Y^-n,
-    lies above -tol at every sample."""
+def _certified(x_atoms: tuple[_PowerAtom, _PowerAtom], y_minus_n: _PowerAtom,
+               p: int, tol: float) -> bool:
+    """Whether the generator of X^p Y^-n, from the atoms of X and X^-1 and
+    the atom of Y^-n, lies above -tol at every sample."""
+    x_power = _signed_powers(x_atoms, (p,))[0]
     return cone_holds(x_power.hams_of_product(y_minus_n), -tol)
 
 
-def _certified(x_atoms: tuple[_PowerAtom, _PowerAtom], y_minus_n: _PowerAtom,
-               p: int, tol: float) -> bool:
-    """Whether the generator of X^p Y^-n lies above -tol at every sample."""
-    return _probe(_signed_powers(x_atoms, (p,))[0], y_minus_n, tol)
-
-
 def _least_certified_power(x_atoms: tuple[_PowerAtom, _PowerAtom],
-                           y_minus_n: _PowerAtom, lo: int, hi: int, tol: float,
-                           floor: int | None) -> int | None:
-    """Least p in [lo, hi] that :func:`_certified` accepts, else None.
+                           y_minus_n: _PowerAtom, p_max: int, tol: float) -> int | None:
+    """Least p in [-p_max, p_max] that :func:`_certified` accepts, else None.
 
-    One flow for every pair.  ``lo`` is probed first: the winding floor
-    (:func:`_winding_floor`) clipped to [-p_max, p_max], or -p_max without a
-    floor.  A start at the floor takes floor - 1 from the same squaring pass
-    as a self-check.  If ``lo`` fails, ``hi`` is probed and the search
+    -p_max is probed first.  If it fails, p_max is probed and the search
     bisects between them, relying on the certified set being upward closed:
-    about log2 of their distance more probes.  A certified power below the
-    floor raises :class:`ComputationError`, as does a probe whose generator
-    overflows.
+    about log2(2 p_max) more probes.  A probe whose generator overflows
+    raises :class:`ComputationError`.
     """
-    ks = (lo, lo - 1) if lo == floor else (lo,)
-    candidate, *check = _signed_powers(x_atoms, ks)
-    if _probe(candidate, y_minus_n, tol):
-        if floor is not None and lo < floor:
-            raise _below_floor("canonical", lo, floor)
-        if check and _probe(check[0], y_minus_n, tol):
-            raise _below_floor("canonical", lo - 1, floor)
+    lo, hi = -p_max, p_max
+    if _certified(x_atoms, y_minus_n, lo, tol):
         return lo
-    del candidate, check
     if lo == hi or not _certified(x_atoms, y_minus_n, hi, tol):
         return None
     while hi - lo > 1:  # invariant: lo fails, hi passes
@@ -499,13 +480,13 @@ class GrowthEstimate:
 
     ``floors`` holds each rung's winding floor L_n (None for a pair that is
     not unitary) and ``certificates`` the test that decided it, "endpoint"
-    or "canonical" (None where no power was certified); see
-    :func:`gamma_n_bruteforce`.  ``limit_estimate`` is [gamma_n/n - 1/n,
-    gamma_n/n] at the last rung.  Both certificates are sufficient up to
-    their tolerance bands, so a certified gamma_n is at least the true one
-    outside a near-tie: the upper end bounds the limit from above, while the
-    lower end holds only where the certificate is tight (certified gamma_n =
-    true gamma_n).
+    on a unitary pair and "canonical" off it (None where no power was
+    certified); see :func:`gamma_n_bruteforce`.  ``limit_estimate`` is
+    [gamma_n/n - 1/n, gamma_n/n] at the last rung.  Each certificate is
+    sufficient up to its tolerance band, so a certified gamma_n is at least
+    the true one outside a near-tie: the upper end bounds the limit from
+    above, while the lower end holds only where the certificate is tight
+    (certified gamma_n = true gamma_n).
     """
 
     ns: tuple

@@ -434,12 +434,14 @@ def _canonical_staircase(x, y, n: int, p_max: int, tol: float = paths.CONE_TOL):
     return hi
 
 
-def _endpoint_certified(x, y, n: int, powers) -> list:
+def _endpoint_certified(x, y, n: int, powers, tol: float = paths.CONE_TOL) -> list:
     """The endpoint certificate at each power p, from ``eigvals`` of the
     complex endpoint X(1)^p Y(1)^-n (inverses by ``np.linalg.inv``): it
     holds when the winding p maslov(X) - n maslov(Y) reaches the sum of the
-    eigenphases in [0, 2 pi), a phase within the fold below 2 pi read as 0;
-    the two differ by whole quanta up to rounding far below pi."""
+    eigenphases in [0, 2 pi), a phase within the fold max(tol,
+    ENDPOINT_FOLD) below 2 pi read as 0; the two differ by whole quanta up
+    to rounding far below pi."""
+    fold = max(tol, growth.ENDPOINT_FOLD)
     mx, my = (maslov.maslov_index(path).value for path in (x, y))
     x1, y1 = (matrices.real_to_complex(path.endpoint) for path in (x, y))
     y_minus_n = np.linalg.matrix_power(np.linalg.inv(y1), n)
@@ -447,19 +449,28 @@ def _endpoint_certified(x, y, n: int, powers) -> list:
     for p in powers:
         phases = np.mod(np.angle(np.linalg.eigvals(np.linalg.matrix_power(x1, p) @ y_minus_n)),
                         2 * np.pi)
-        phases[phases >= 2 * np.pi - growth.ENDPOINT_FOLD] = 0.0
+        phases[phases >= 2 * np.pi - fold] = 0.0
         verdicts.append(p * mx - n * my - phases.sum() > -np.pi)
     return verdicts
+
+
+def _endpoint_staircase(x, y, n: int, p_max: int, tol: float = paths.CONE_TOL):
+    """The least power in [-p_max, p_max] that :func:`_endpoint_certified`
+    accepts, else None."""
+    powers = range(-p_max, p_max + 1)
+    return next((p for p, ok in zip(powers, _endpoint_certified(x, y, n, powers, tol)) if ok),
+                None)
 
 
 def _eigvalsh_staircase(x, y, n: int, p_max: int, tol: float = paths.CONE_TOL):
     """The least power either certificate accepts: the canonical bisection
     with ``eigvalsh`` verdicts and, on a unitary pair, a full scan of the
-    endpoint certificate over [-p_max, p_max]."""
+    endpoint certificate over [-p_max, p_max] (:func:`_endpoint_staircase`).
+    On a unitary pair the staircase runs only the endpoint scan, so this
+    also checks that the canonical certificate accepts no lower power."""
     answers = [_canonical_staircase(x, y, n, p_max, tol)]
     if matrices.commutes_with_j(x.matrices) and matrices.commutes_with_j(y.matrices):
-        powers = range(-p_max, p_max + 1)
-        answers += [p for p, ok in zip(powers, _endpoint_certified(x, y, n, powers)) if ok][:1]
+        answers.append(_endpoint_staircase(x, y, n, p_max, tol))
     return min((p for p in answers if p is not None), default=None)
 
 
@@ -520,13 +531,12 @@ def test_unitary_rungs_lie_between_the_floor_and_the_canonical_answer(seed, n, k
     if gamma_n is None:
         assert certificate is None and canonical is None
         return
-    assert floor <= gamma_n and certificate in ("endpoint", "canonical")
+    # the endpoint certificate decides every unitary rung, and accepts every
+    # power the canonical certificate does
+    assert floor <= gamma_n and certificate == "endpoint"
     if canonical is not None:
         assert gamma_n <= canonical
-    if certificate == "canonical":
-        assert gamma_n == canonical
-    else:
-        assert _endpoint_certified(x, y, rung, [gamma_n]) == [True]
+    assert _endpoint_certified(x, y, rung, [gamma_n]) == [True]
 
 
 def test_growth_decides_dominance_without_eigenvalues(monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from test_group_law import _eigvalsh_staircase
+from test_group_law import (_canonical_staircase, _endpoint_certified, _endpoint_staircase,
+                            _eigvalsh_staircase)
 
 from symporder import generators as gen
 from symporder import acceptance, growth, maslov, paths
@@ -176,10 +177,17 @@ def _power_pair(seed: int, n_samples: int, r: float):
 # 64 r = 97.5 as on the benchmark: the endpoint certificate accepts the floor
 # 98 and refuses 97, so no atom is built
 BENCH_R = 97.5 / 64
-# 64 r = 98 + 5e-8, inside the floor's slack: the floor is 98, the endpoint
-# certificate refuses it (X^98 Y^-64 winds about -3e-7) and the canonical
-# certificate accepts it (its generator stays above -tol), refusing 97
+# 64 r = 98 + 5e-8, inside the floor's slack: the floor is 98, and X^98 Y^-64
+# winds about -3e-7, inside the fold of tol, so the endpoint certificate
+# accepts 98 and refuses 97
 CHAIN_R = (98 + 5e-8) / 64
+
+
+def _golden_pair():
+    """The non-unitary pair of the golden ``gamma`` report: a positive path to
+    diag(2, 1/2) against a rotation, decided by the canonical certificate."""
+    return (maslov.positive_path_to(np.diag([2.0, 0.5]), 257),
+            gen.rotation_path(3.0, 257))
 
 
 def test_unitary_staircase_probes_the_winding_floor_and_the_power_below(monkeypatch):
@@ -191,9 +199,9 @@ def test_unitary_staircase_probes_the_winding_floor_and_the_power_below(monkeypa
         calls.append(shift)
         return paths.cone_holds(hams, shift)
 
-    def recorded(z_end, p, n, windings):
+    def recorded(z_end, p, n, *rest):
         probes.append(p)
-        return quanta(z_end, p, n, windings)
+        return quanta(z_end, p, n, *rest)
 
     monkeypatch.setattr(growth, "cone_holds", counted)
     monkeypatch.setattr(growth, "_endpoint_quanta", recorded)
@@ -203,9 +211,16 @@ def test_unitary_staircase_probes_the_winding_floor_and_the_power_below(monkeypa
     assert calls == [paths.CONE_TOL] and probes == [97, 98]
 
 
-def _atom_counts(monkeypatch, x, y) -> dict:
-    counts = {"products": 0, "tracks": 0}
+def _atom_counts(monkeypatch, x, y, rungs) -> tuple:
+    """The staircase of (x, y) over ``rungs``, and how many inverse atoms,
+    atom products and track-only products it built."""
+    counts = {"inverse_atoms": 0, "products": 0, "tracks": 0}
     matmul, track = growth._PowerAtom.__matmul__, growth._PowerAtom.hams_of_product
+    inverse_atom = growth._inverse_atom
+
+    def counted_inverse(path, hams):
+        counts["inverse_atoms"] += 1
+        return inverse_atom(path, hams)
 
     def counted_matmul(self, other):
         counts["products"] += 1
@@ -216,50 +231,38 @@ def _atom_counts(monkeypatch, x, y) -> dict:
         counts["tracks"] += 1
         return track(self, other)
 
+    monkeypatch.setattr(growth, "_inverse_atom", counted_inverse)
     monkeypatch.setattr(growth._PowerAtom, "__matmul__", counted_matmul)
     monkeypatch.setattr(growth._PowerAtom, "hams_of_product", counted_track)
-    assert growth.gamma_n_bruteforce(x, y, 64, 128) == 98
+    result = growth._staircase(x, y, rungs, paths.CONE_TOL)[:3]
     monkeypatch.undo()
-    return counts
+    return result, counts
 
 
-def test_the_floor_pair_shares_one_squaring_pass(monkeypatch):
-    # the benchmark pair takes no atom product; on the chain pair Y^-64 takes
-    # 6 squarings, X^98 and X^97 share 6 squarings and take 2 products each,
-    # then one track-only conjugation per probe, 98 and 97
-    assert _atom_counts(monkeypatch, *_power_pair(3, 2049, BENCH_R)) == {
-        "products": 0, "tracks": 0}
-    x, y = _power_pair(3, 2049, CHAIN_R)
-    assert growth._staircase(x, y, ((64, 128),), paths.CONE_TOL)[:3] == (
-        [98], [98], ["canonical"])
-    assert _atom_counts(monkeypatch, x, y) == {"products": 16, "tracks": 2}
+def test_unitary_pairs_build_no_atom(monkeypatch):
+    # the endpoint certificate decides every unitary rung, at the floor or
+    # above it, commuting or not, with floors under -p_max clipped
+    pairs = (
+        (_power_pair(3, 2049, BENCH_R), ((64, 128),), ([98], [98])),
+        (_power_pair(3, 2049, CHAIN_R), ((64, 128),), ([98], [98])),
+        (acceptance._unitary_staircase_pair(np.random.default_rng([0, 12, 1]), 2, False),
+         ((8, 200), (64, 200)), None),
+        (_power_pair(5, 257, -2.0), ((8, 12),), ([-12], [-16])),
+    )
+    zero = {"inverse_atoms": 0, "products": 0, "tracks": 0}
+    for (x, y), rungs, want in pairs:
+        (gamma_ns, floors, certificates), counts = _atom_counts(monkeypatch, x, y, rungs)
+        assert counts == zero
+        assert certificates == ["endpoint"] * len(rungs)
+        if want is not None:
+            assert (gamma_ns, floors) == want
 
 
-def test_the_staircase_inverts_each_path_once(monkeypatch):
-    # X's inverse samples serve its order-4 track and its atom; Y's, formed
-    # only for a rung that reaches the canonical search, serve its track,
-    # from which Y^-1's atom is read off Y's own samples
-    inverted = []
-    invert = paths.symplectic_inverse
-
-    def counted(mats):
-        inverted.append(mats.shape)
-        return invert(mats)
-
-    for module in (paths, growth):
-        monkeypatch.setattr(module, "symplectic_inverse", counted)
-    for r, times in ((BENCH_R, 1), (CHAIN_R, 2)):
-        inverted.clear()
-        x, y = _power_pair(3, 2049, r)
-        assert growth.gamma_n_bruteforce(x, y, 64, 128) == 98
-        assert inverted == [(2049, 4, 4)] * times
-
-
-def test_growth_estimate_squares_y_once_and_builds_no_inverse_of_x(monkeypatch):
-    # n r sits 1e-9 n above an integer: the endpoint certificate decides
-    # n = 1 and refuses the floor of n = 2, 4, ..., 64, powers of two, so one
-    # pass of 6 squarings gives every Y^-n with no further product
-    x, y = _power_pair(3, 513, 1.5 + 1e-9)
+def test_the_canonical_search_squares_y_once(monkeypatch):
+    # off the unitary subgroup every rung runs on [-p_max, p_max]: the atoms
+    # of X and X^-1 and Y^-1's atom are built once, and one pass of 6
+    # squarings gives every Y^-n for n = 1, 2, 4, ..., 64
+    x, y = _golden_pair()
     inverse_atoms = []
     build = growth._inverse_atom
 
@@ -273,18 +276,49 @@ def test_growth_estimate_squares_y_once_and_builds_no_inverse_of_x(monkeypatch):
 
     def counted(self, other):
         product = matmul(self, other)
-        if self is other and any(self is atom for atom in inverse_atoms + squarings):
+        # X^-1's atom comes first, then Y^-1's, the base of the squarings
+        if self is other and any(self is atom for atom in inverse_atoms[1:] + squarings):
             squarings.append(product)
         return product
 
     monkeypatch.setattr(growth._PowerAtom, "__matmul__", counted)
-    est = growth.growth_estimate(x, y)
-    assert est.ns == growth.GROWTH_NS
-    assert est.certificates == ("endpoint",) + ("canonical",) * 6
-    assert est.gamma_ns == est.floors == (2, 3, 6, 12, 24, 48, 96)
-    # every floor is at least 1, so only Y's inverse atom is built
-    assert len(inverse_atoms) == 1
+    rungs = tuple((n, 9) for n in growth.GROWTH_NS)
+    gamma_ns, floors, certificates, windings = growth._staircase(x, y, rungs, paths.CONE_TOL)
+    assert gamma_ns == [1, 1] + [None] * 5 and windings is None
+    assert floors == [None] * 7 and certificates == ["canonical"] * 2 + [None] * 5
+    assert len(inverse_atoms) == 2
     assert len(squarings) == 6
+
+
+def test_the_canonical_probes_count_their_products(monkeypatch):
+    # at n = 1, p_max = 9: -9 fails, 9 passes, and the bisection probes 0,
+    # 4, 2 and 1.  Each probe forms its own power of X by squaring: 4
+    # products for X^9 and X^-9, 2 for X^4, 1 for X^2, none for X^0 and X^1;
+    # Y^-1 is Y's inverse atom itself.  Then one track-only product per probe
+    x, y = _golden_pair()
+    assert _atom_counts(monkeypatch, x, y, ((1, 9),)) == (
+        ([1], [None], ["canonical"]), {"inverse_atoms": 2, "products": 11, "tracks": 6})
+
+
+def test_the_staircase_inverts_each_path_once(monkeypatch):
+    # X's inverse samples serve its order-4 track and its atom; on a pair off
+    # the unitary subgroup Y's serve its track, from which Y^-1's atom is read
+    # off Y's own samples; a unitary pair inverts only X's, for its dominance
+    inverted = []
+    invert = paths.symplectic_inverse
+
+    def counted(mats):
+        inverted.append(mats.shape)
+        return invert(mats)
+
+    for module in (paths, growth):
+        monkeypatch.setattr(module, "symplectic_inverse", counted)
+    for (x, y), (n, p_max, want), shapes in (
+            (_power_pair(3, 2049, BENCH_R), (64, 128, 98), [(2049, 4, 4)]),
+            (_golden_pair(), (1, 9, 1), [(257, 2, 2)] * 2)):
+        inverted.clear()
+        assert growth.gamma_n_bruteforce(x, y, n, p_max) == want
+        assert inverted == shapes
 
 
 def test_growth_estimate_tests_each_path_for_unitarity_once(loops, monkeypatch):
@@ -331,35 +365,52 @@ def test_growth_estimate_takes_no_homogenized_winding_with_p_max(monkeypatch):
 
 @pytest.mark.parametrize("r", [-2.0, -0.5, -0.05, 0.05, 0.5])
 def test_floors_under_one_take_each_power_from_its_own_direction(r):
-    # at n = 8 the floors are -16 (at most -p_max: no floor), -4, 0, 1 and 4,
-    # so the floor pair straddles power 0 or lies below it
+    # at n = 8 the floors are -16 (under -p_max, so the scan starts at -12
+    # past its stop power), -4, 0, 1 and 4, so the scan's first power
+    # straddles power 0 or lies below it; negative powers of X(1) come from
+    # its adjoint
     x, y = _power_pair(5, 257, r)
-    assert growth.gamma_n_bruteforce(x, y, 8, 12) == _eigvalsh_staircase(x, y, 8, 12)
+    (gamma_n,), _, (certificate,), _ = growth._staircase(x, y, ((8, 12),), paths.CONE_TOL)
+    assert certificate == "endpoint"
+    assert gamma_n == _eigvalsh_staircase(x, y, 8, 12)
 
 
 @pytest.mark.parametrize("eps", [0.0, *np.geomspace(1e-12, 2e-6, 40),
                                  *np.linspace(5e-9, 6e-9, 5)])
 def test_near_ties_agree_with_the_eigenvalue_bisection(eps):
-    # Y = X^(1.5 + eps): at n = 64 the certificate stops accepting 96 near
-    # eps = 5.5e-9 and the floor moves from 96 to 97 just above; a slack
-    # without the tolerance band makes the floor 97 while 96 is still accepted
+    # Y = X^(1.5 + eps): at n = 64 the endpoint certificate stops accepting
+    # 96 near eps = 5.2e-9 and the floor moves from 96 to 97 just above; a
+    # slack without the tolerance band makes the floor 97 while 96 is still
+    # accepted.  The reference is the full endpoint scan of ``eigvals``.
     x, y = _power_pair(5, 513, 1.5 + eps)
     for n in (8, 64):
-        assert growth.gamma_n_bruteforce(x, y, n, 2 * n) == _eigvalsh_staircase(x, y, n, 2 * n)
+        assert growth.gamma_n_bruteforce(x, y, n, 2 * n) == _endpoint_staircase(x, y, n, 2 * n)
+
+
+# the two parameters of the test above whose gamma_64 the canonical track
+# once decided as 96
+@pytest.mark.parametrize("eps", [5.199864762804707e-09, 5.25e-09])
+def test_near_tie_rungs_that_rested_on_finite_difference_error(eps):
+    # Z = X^96 Y^-64 has an endpoint eigenphase of -1.009e-6, below -tol (its
+    # exact generator reaches -1.1576e-6), so gamma_64 = 97.  The order-4
+    # track on 513 samples reads -9.83e-7 and accepts 96; on 2049 samples it
+    # reads -1.1567e-6 and refuses 96 as well
+    x, y = _power_pair(5, 513, 1.5 + eps)
+    assert growth.gamma_n_bruteforce(x, y, 64, 128) == 97
+    assert _endpoint_certified(x, y, 64, [96, 97]) == [False, True]
+    assert _canonical_staircase(x, y, 64, 128) == 96
+    assert _canonical_staircase(*_power_pair(5, 2049, 1.5 + eps), 64, 128) == 97
 
 
 def test_a_certified_power_below_the_winding_floor_is_an_error(loops, monkeypatch):
     # gamma_n = 2n on the loops: the floor is 8 at n = 4 and 16 at n = 8;
-    # the forced certificate accepts every power, the other none
-    for which in ("endpoint", "canonical"):
-        monkeypatch.setattr(growth, "_endpoint_quanta",
-                            lambda *args: 0 if which == "endpoint" else -1)
-        monkeypatch.setattr(growth, "_probe", lambda *args: which == "canonical")
-        with pytest.raises(ComputationError, match=f"the {which} certificate accepts "
-                                                   "power 7 below the winding floor 8"):
-            growth.gamma_n_bruteforce(*loops, 4, 12)
-        with pytest.raises(ComputationError, match="power 4 below the winding floor 16"):
-            growth.gamma_n_bruteforce(*loops, 8, 4)
+    # the forced endpoint certificate accepts every power
+    monkeypatch.setattr(growth, "_endpoint_quanta", lambda *args: 0)
+    with pytest.raises(ComputationError, match="the endpoint certificate accepts "
+                                               "power 7 below the winding floor 8"):
+        growth.gamma_n_bruteforce(*loops, 4, 12)
+    with pytest.raises(ComputationError, match="power 4 below the winding floor 16"):
+        growth.gamma_n_bruteforce(*loops, 8, 4)
 
 
 def test_endpoint_phases_off_the_winding_are_an_error(loops, monkeypatch):
