@@ -92,8 +92,9 @@ def mu_tilde(path: SampledPath, k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0) 
 def _require_dominant(path: SampledPath, tol: float, who: str) -> None:
     """Refuse a path that ``classify_cone`` does not call dominant.
 
-    A Cholesky pass accepts the path without eigenvalues; only a path it
-    refuses is classified, which gives the error its eigenvalue and keeps
+    A Cholesky pass over the generator stack (:func:`paths.cone_holds`)
+    accepts the path without eigenvalues; only a path it refuses is
+    classified, which gives the error its eigenvalue and keeps
     ``classify_cone``'s verdict inside the rounding band.
     """
     if cone_holds(extract_hamiltonian(path).hams, tol):
@@ -288,12 +289,15 @@ def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int) -> in
       generator of the pointwise product X(t)^p Y(t)^-n, assembled through
       the exact composition formula from the base tracks of X and Y (so
       finite-difference error does not grow with p), lies above -CONE_TOL at
-      every sample, one batched Cholesky test (:func:`paths.cone_holds`) per
-      probe.  It is tight where Y's generator is a multiple of X's, and
-      overstates gamma_n where the two speed profiles differ.
+      every sample, one Cholesky factorization of the probe's whole track
+      (:func:`paths.cone_holds`) per probe.  It is tight where Y's generator
+      is a multiple of X's, and overstates gamma_n where the two speed
+      profiles differ.
 
-    X's dominance is one Cholesky test of H_X - CONE_TOL I; no eigenvalue of
-    a generator is computed.  :func:`_staircase` runs the search.
+    X's dominance is one Cholesky factorization of the stack H_X - CONE_TOL I
+    (the sample-axis kernel of :func:`symporder.matrices.positive_definite`
+    up to dimension 8); no eigenvalue of a generator is computed.
+    :func:`_staircase` runs the search.
     """
     return _staircase(x, y, ((n, p_max),), CONE_TOL)[0][0]
 

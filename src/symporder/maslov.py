@@ -12,7 +12,9 @@ The phase needs no polar decomposition (McDuff-Salamon, *Introduction to
 Symplectic Topology*, section 2.2, the map rho): for ``X = U P`` the
 complex-linear part ``(X - J X J) / 2`` equals ``U (P + P^-1) / 2``, whose
 second factor is Hermitian with eigenvalues at least 1, so its complex
-determinant has the phase of ``det u`` and a modulus of at least 1.
+determinant has the phase of ``det u`` and a modulus of at least 1.  That
+phase comes from :func:`symporder.matrices.det_phase`, the product of the
+unit pivots of a pivoted elimination run over all samples at once.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 
 from .errors import InputError, ResolutionError
 from .generators import _rotations, random_symplectic_path
-from .matrices import (DEFAULT_TOL, commutes_with_j, exp_i_hermitian, is_hermitian,
-                       is_symplectic, standard_j, symplectic_defect)
+from .matrices import (DEFAULT_TOL, commutes_with_j, det_phase, exp_i_hermitian,
+                       is_hermitian, is_symplectic, standard_j, symplectic_defect)
 
 # ``unitary_polar_factor`` is not called here; the binding stays because the
 # benchmark's tracer wraps ``symporder.maslov.unitary_polar_factor`` by name.
@@ -47,9 +49,9 @@ CONGRUENCE_TOL = 1e-7
 class MaslovResult:
     """Winding of the determinant of the unitary polar factor, in radians.
 
-    Each sample's phase is read in closed form as the sign of the complex
-    ``slogdet`` of its complex-linear part, with no SVD (see the module
-    docstring).
+    Each sample's phase is read in closed form as the determinant phase
+    (:func:`symporder.matrices.det_phase`) of its complex-linear part, with
+    no SVD and no logarithm (see the module docstring).
     ``value`` is exactly the float sum of ``per_step_increments`` and
     ``max_step`` is strictly below pi, otherwise the grid was refined before
     this result was produced.
@@ -64,15 +66,15 @@ class MaslovResult:
         return self.value / (2.0 * np.pi)
 
 
-def _slogdet_of_unitary_factor(mats: np.ndarray):
-    # (sign, log |det|) of det_C of 2 C_X: the sign has the phase of det_C U,
-    # since 2 C_X = U (P + P^-1) with (P + P^-1) Hermitian positive definite,
-    # and the log-modulus is at least n log 2; read in logs, no sample is too
-    # large for its determinant
+def _unitary_factor_phase(mats: np.ndarray) -> np.ndarray:
+    # det_C of 2 C_X, C_X the complex-linear part, has the phase of det_C U,
+    # since 2 C_X = U (P + P^-1) with (P + P^-1) Hermitian positive definite;
+    # ``det_phase`` forms no product of moduli, so no sample is too large
     n = mats.shape[-1] // 2
-    a11, a12 = mats[..., :n, :n], mats[..., :n, n:]
-    a21, a22 = mats[..., n:, :n], mats[..., n:, n:]
-    return np.linalg.slogdet((a11 + a22) + 1j * (a21 - a12))
+    two_c = np.empty(mats.shape[:-2] + (n, n), complex)
+    np.add(mats[..., :n, :n], mats[..., n:, n:], out=two_c.real)
+    np.subtract(mats[..., n:, :n], mats[..., :n, n:], out=two_c.imag)
+    return det_phase(two_c)
 
 
 def maslov_index(path: SampledPath, max_samples: int = REFINEMENT_CAP) -> MaslovResult:
@@ -91,7 +93,7 @@ def _power_winding(base: SampledPath, k: int, max_samples: int = REFINEMENT_CAP)
     the grid of X, whose generators resolve where those of X^k may not."""
     while True:
         current = base if k == 1 else pointwise_power(base, k)
-        phases = _slogdet_of_unitary_factor(current.matrices).sign
+        phases = _unitary_factor_phase(current.matrices)
         incs = np.angle(phases[1:] * np.conj(phases[:-1]))
         max_step = float(np.abs(incs).max())
         if max_step < np.pi - STEP_GUARD:

@@ -124,6 +124,104 @@ def unitary_polar_factor(a: np.ndarray) -> np.ndarray:
     return w1 @ w2h
 
 
+# Largest real dimension (2n for complex n-by-n) at which the sample-axis
+# kernels below beat one LAPACK call per matrix on 2049-sample stacks; larger
+# matrices go to ``np.linalg``.  CHANGES.md holds the timings behind it.
+SAMPLE_AXIS_MAX_DIM = 8
+
+
+def _samples_last(a: np.ndarray) -> np.ndarray:
+    """Copy of a stack (..., m, m) laid out as (m, m, samples), so that one
+    numpy operation on an entry acts on every sample."""
+    return np.moveaxis(a.reshape((-1,) + a.shape[-2:]), 0, -1).copy()
+
+
+def _pivot_to_top(a: np.ndarray, k: int, offsets: np.ndarray) -> np.ndarray:
+    """Step k of partial pivoting on a C-ordered ``a`` (rows, columns,
+    samples): swap into row k of each sample, from column k on, its first row
+    at or below k whose entry in column k is largest in |Re| + |Im|, the
+    pivot of LAPACK's ``izamax``.  ``offsets[j, s]`` is the flat position of
+    ``a[0, j, s]``.  Returns where the rows were swapped."""
+    n, _, count = a.shape
+    parts = np.abs(a[k:, k].view(float))  # |Re| and |Im| interleaved
+    mag = parts[:, 0::2] + parts[:, 1::2]
+    best, row = mag[0], np.full(count, k)
+    for r in range(1, n - k):
+        larger = mag[r] > best
+        row[larger] = k + r
+        best = np.where(larger, mag[r], best)
+    at = row * (n * count) + offsets[k:]
+    flat = a.reshape(-1)
+    pivot_row = flat[at]
+    flat[at] = a[k, k:]
+    a[k, k:] = pivot_row
+    return row != k
+
+
+def det_phase(c: np.ndarray) -> np.ndarray:
+    """det C / |det C| of each nonsingular complex matrix C of a stack
+    (..., n, n).
+
+    Gaussian elimination with partial pivoting (:func:`_pivot_to_top`) runs
+    with the sample axis last; the phase is the product of the unit pivots
+    times the sign of the row permutation.  It takes no logarithm and forms
+    no product of moduli, so a matrix whose determinant overflows (entries
+    far beyond 1e154) still has its phase.  Above ``SAMPLE_AXIS_MAX_DIM``
+    (2n > 8) the sign of ``np.linalg.slogdet`` is returned instead.
+    """
+    c = np.asarray(c, dtype=complex)
+    n = c.shape[-1]
+    if 2 * n > SAMPLE_AXIS_MAX_DIM:
+        return np.linalg.slogdet(c).sign
+    with np.errstate(all="ignore"):
+        a = _samples_last(c)
+        count = a.shape[-1]
+        offsets = np.arange(n)[:, None] * count + np.arange(count)
+        odd = np.zeros(count, bool)
+        for k in range(n - 1):
+            odd ^= _pivot_to_top(a, k, offsets)
+            factors = a[k + 1:, k] * (1.0 / a[k, k])
+            a[k + 1:, k + 1:] -= factors[:, None] * a[k, None, k + 1:]
+        pivots = a[np.arange(n), np.arange(n)]
+        units = np.empty(pivots.shape, complex)
+        mod = np.abs(pivots)
+        np.divide(pivots.real, mod, out=units.real)
+        np.divide(pivots.imag, mod, out=units.imag)
+        phase = np.prod(units, axis=0)
+        np.negative(phase, out=phase, where=odd)
+    return phase.reshape(c.shape[:-2])
+
+
+def positive_definite(h: np.ndarray) -> bool:
+    """True when every matrix of a real stack (..., m, m) is positive
+    definite, read from its lower triangle.
+
+    A right-looking Cholesky factorization runs with the sample axis last and
+    stops at the first step where some sample's pivot is not positive, the
+    rule of LAPACK's ``potrf``; a NaN pivot is not positive.  It computes no
+    eigenvalue, so it gives the verdict only.  Above ``SAMPLE_AXIS_MAX_DIM``
+    (m > 8) ``np.linalg.cholesky`` decides.
+    """
+    h = np.asarray(h, dtype=float)
+    m = h.shape[-1]
+    if m > SAMPLE_AXIS_MAX_DIM:
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    with np.errstate(all="ignore"):
+        a = _samples_last(h)
+        for k in range(m):
+            pivot = a[k, k]
+            if not (pivot > 0.0).all():
+                return False
+            column = a[k + 1:, k] / np.sqrt(pivot)
+            for i in range(k + 1, m):  # the lower triangle of the trailing block
+                a[i, k + 1:i + 1] -= column[i - k - 1] * column[:i - k]
+    return True
+
+
 # Higham (2005), Table 2.3: the largest size at which the [m/m] Pade
 # approximant of exp meets double precision without scaling
 _PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),

@@ -20,10 +20,12 @@ repeated-squaring routine, :func:`binary_powers`, which forms several powers
 of one base from a single pass of squarings.
 
 Cone membership is decided two ways.  A yes/no verdict comes from
-:func:`cone_holds`, one batched Cholesky factorization of the whole generator
-stack; a margin comes from ``eigvalsh`` (:func:`min_generator_eigenvalue`,
-:func:`classify_cone`, :func:`order_leq`).  The two tests agree except inside
-a rounding band of about n^2 eps ||H|| around the threshold.
+:func:`cone_holds`, one Cholesky factorization of the whole generator stack
+(:func:`symporder.matrices.positive_definite`, a sample-axis kernel up to
+dimension 8 and LAPACK above); a margin comes from ``eigvalsh``
+(:func:`min_generator_eigenvalue`, :func:`classify_cone`, :func:`order_leq`).
+The two tests agree except inside a rounding band of about n^2 eps ||H||
+around the threshold, for either Cholesky route.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, InputError
-from .matrices import (DEFAULT_TOL, _check_even_dim, is_symplectic, matrix_exp, standard_j,
-                       symplectic_defect, symplectic_inverse)
+from .matrices import (DEFAULT_TOL, _check_even_dim, is_symplectic, matrix_exp,
+                       positive_definite, standard_j, symplectic_defect, symplectic_inverse)
 
 # Classification tolerance: FD-extracted generators carry O(dt^2) noise, so
 # the cone test uses a comfortably wider dead band than the structural checks.
@@ -378,20 +380,19 @@ def min_generator_eigenvalue(path: SampledPath) -> float:
 def cone_holds(hams: np.ndarray, shift: float) -> bool:
     """True when every H_k - shift I of the generator stack is positive definite.
 
-    One batched Cholesky factorization decides; it computes no eigenvalues,
-    so it gives the verdict only, never the margin.  A stack holding inf or
-    NaN raises :class:`ComputationError`: LAPACK's ``potrf`` factors such a
-    matrix without reporting an error.
+    One Cholesky factorization of the whole stack decides
+    (:func:`symporder.matrices.positive_definite`); it computes no
+    eigenvalues, so it gives the verdict only, never the margin.  A stack
+    holding inf or NaN raises :class:`ComputationError`: the factorization
+    reads only the lower triangle, and a NaN pivot is not positive, so it
+    would skip such an entry or read the track as outside the cone instead
+    of reporting it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         shifted = hams - shift * np.eye(hams.shape[-1])
     if not np.isfinite(shifted).all():
         raise ComputationError("generator track holds a non-finite number")
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return positive_definite(shifted)
 
 
 def classify_verdict(min_eig: float, tol: float) -> ConeVerdict:

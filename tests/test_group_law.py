@@ -130,11 +130,13 @@ def test_one_squaring_pass_gives_every_power_bitwise(seed, dim, ks, p, n):
 @given(seeds, st.sampled_from([1, 2, 4]), st.integers(1, 8))
 def test_closed_form_phase_matches_the_polar_factor(seed, n, k):
     x = paths.pointwise_power(_random_path(seed, 2 * n, 0), k).matrices
-    closed = maslov._slogdet_of_unitary_factor(x)
+    closed = maslov._unitary_factor_phase(x)
     polar = np.linalg.det(matrices.real_to_complex(matrices.unitary_polar_factor(x)))
-    assert np.abs(np.angle(closed.sign * np.conj(polar))).max() <= 1e-12
-    # |det_C| of 2 C_X is at least 2^n, so the phase is never ill-defined
-    assert closed.logabsdet.min() >= n * np.log(2.0) - 1e-12
+    assert np.abs(np.angle(closed * np.conj(polar))).max() <= 1e-12
+    # |det_C| of 2 C_X = X - J X J is at least 2^n, so the phase is never ill-defined
+    j = matrices.standard_j(n)
+    two_c = matrices.real_to_complex(x - j @ x @ j)
+    assert np.linalg.slogdet(two_c).logabsdet.min() >= n * np.log(2.0) - 1e-12
 
 
 def _dominant_path(seed: int, dim: int, stream: int, kind: str) -> paths.SampledPath:
@@ -350,10 +352,11 @@ def test_mode_closures_take_a_scalar_or_the_midpoint_array(n):
         assert all(_same_bits(stacked[k], h(tm)) for k, tm in enumerate(mids))
 
 
-# Cone verdicts come from one batched Cholesky factorization; ``eigvalsh`` is
-# their reference here.  The two may disagree only within rounding of the
-# threshold, so the comparison skips stacks whose smallest eigenvalue lies
-# within 1e-9 max(1, ||H||) of it.
+# Cone verdicts come from one Cholesky factorization of the stack, the
+# sample-axis kernel up to matrices.SAMPLE_AXIS_MAX_DIM (8) and LAPACK above;
+# ``eigvalsh`` and ``np.linalg.cholesky`` are their references here.  They may
+# disagree only within rounding of the threshold, so the comparison skips
+# stacks whose smallest eigenvalue lies within 1e-9 max(1, ||H||) of it.
 
 def _symmetric_stack(rng: np.random.Generator, dim: int, size: int, kind: str) -> np.ndarray:
     a = rng.normal(size=(size, dim, dim))
@@ -369,7 +372,7 @@ shifts = st.one_of(st.sampled_from([0.0, 1e-6, -1e-6, paths.CONE_TOL]),
 
 
 @settings(deadline=None, max_examples=200)
-@given(seeds, st.integers(2, 8), st.integers(1, 5),
+@given(seeds, st.integers(2, 16), st.integers(1, 5),
        st.sampled_from(["indefinite", "semidefinite", "definite"]), shifts, st.booleans())
 def test_cholesky_cone_verdict_matches_the_eigenvalue_route(seed, dim, size, kind, shift,
                                                             offset):
@@ -382,6 +385,12 @@ def test_cholesky_cone_verdict_matches_the_eigenvalue_route(seed, dim, size, kin
     lam = float(eigs.min())
     if abs(lam - shift) > 1e-9 * max(1.0, float(np.abs(eigs).max())):
         assert verdict == (lam > shift)
+        try:
+            np.linalg.cholesky(h - shift * np.eye(dim))
+        except np.linalg.LinAlgError:
+            assert not verdict
+        else:
+            assert verdict
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

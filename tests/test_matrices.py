@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symporder import matrices
+from symporder import generators, maslov, matrices, paths
 from symporder.errors import ComputationError, InputError
 
 
@@ -211,3 +211,70 @@ def test_matrix_exp_refuses_overflow_without_a_warning():
         # a shear of any size has |A|^2 = 0, so it is not scaled: exp A = I + A
         shear = np.array([[0.0, 1e300], [0.0, 0.0]])
         assert np.array_equal(matrices.matrix_exp(shear), np.eye(2) + shear)
+
+
+# The sample-axis kernels against LAPACK on both sides of their size cutoff:
+# real dimension 2n <= SAMPLE_AXIS_MAX_DIM (8) runs the kernels, larger
+# matrices run np.linalg.
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 6),
+       st.sampled_from([1.0, 1e-300, 1e300]))
+def test_det_phase_is_the_sign_of_slogdet(seed, n, size, scale):
+    rng = np.random.default_rng(seed)
+    gauss = scale * (rng.normal(size=(size, n, n)) + 1j * rng.normal(size=(size, n, n)))
+    # a zero leading entry forces a row exchange at the first step: a cyclic
+    # permutation unitary (for n > 1), and a matrix whose first column is 0
+    # down to its last row
+    perm = np.roll(np.eye(n), 1, axis=0) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    low = gauss.copy()
+    low[:, :-1, 0] = 0.0
+    stack = np.concatenate([gauss, perm[None], low])
+    phase = matrices.det_phase(stack)
+    assert phase.shape == (2 * size + 1,)
+    assert np.abs(phase - np.linalg.slogdet(stack).sign).max() <= 1e-12
+    # the winding reads the complex-linear part of complex_to_real(U), U itself
+    assert abs(maslov._unitary_factor_phase(matrices.complex_to_real(perm)[None])[0]
+               - np.linalg.det(perm)) <= 1e-12
+
+
+def test_kernels_call_lapack_only_above_the_cutoff(monkeypatch):
+    rng = np.random.default_rng(3)
+    cut = matrices.SAMPLE_AXIS_MAX_DIM
+    cases = []
+    for dim in range(2, cut + 5, 2):
+        path = generators.random_symplectic_path(dim, rng, n_samples=9)
+        cases.append((dim, path, paths.extract_hamiltonian(path).hams))
+    calls = []
+
+    def recorded(name):
+        lapack = getattr(np.linalg, name)
+
+        def call(a):
+            calls.append((name, a.shape[-1]))
+            return lapack(a)
+        return call
+
+    for name in ("cholesky", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, recorded(name))
+    for dim, path, hams in cases:
+        maslov.maslov_index(path)
+        assert paths.cone_holds(hams, -1e3) and not paths.cone_holds(hams, 1e3)
+    above = [dim for dim, _, _ in cases if dim > cut]
+    assert above and calls == [call for dim in above for call in
+                               (("slogdet", dim // 2), ("cholesky", dim), ("cholesky", dim))]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 9, 16])
+def test_one_indefinite_sample_refuses_the_stack(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(6, dim, dim))
+    stack = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(dim)
+    assert matrices.positive_definite(stack)
+    for sample in range(len(stack)):
+        for entry in range(dim):  # a non-positive pivot at each step of the factorization
+            bad = stack.copy()
+            bad[sample, entry, entry] -= np.linalg.eigvalsh(bad[sample]).max() * dim
+            assert not matrices.positive_definite(bad)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(bad)
