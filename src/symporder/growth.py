@@ -296,7 +296,8 @@ def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int) -> in
 
     X's dominance is one Cholesky factorization of the stack H_X - CONE_TOL I
     (the sample-axis kernel of :func:`symporder.matrices.positive_definite`
-    up to dimension 8); no eigenvalue of a generator is computed.
+    up to dimension 8 on stacks of at least 512 matrices); no eigenvalue of
+    a generator is computed.
     :func:`_staircase` runs the search.
     """
     return _staircase(x, y, ((n, p_max),), CONE_TOL)[0][0]

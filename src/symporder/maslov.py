@@ -14,7 +14,8 @@ complex-linear part ``(X - J X J) / 2`` equals ``U (P + P^-1) / 2``, whose
 second factor is Hermitian with eigenvalues at least 1, so its complex
 determinant has the phase of ``det u`` and a modulus of at least 1.  That
 phase comes from :func:`symporder.matrices.det_phase`, the product of the
-unit pivots of a pivoted elimination run over all samples at once.
+unit pivots of a pivoted elimination run over all samples at once (on
+stacks of at least 512 samples; shorter ones take LAPACK's ``slogdet``).
 """
 
 from __future__ import annotations

@@ -125,9 +125,22 @@ def unitary_polar_factor(a: np.ndarray) -> np.ndarray:
 
 
 # Largest real dimension (2n for complex n-by-n) at which the sample-axis
-# kernels below beat one LAPACK call per matrix on 2049-sample stacks; larger
-# matrices go to ``np.linalg``.  CHANGES.md holds the timings behind it.
+# kernels below beat one LAPACK call per matrix on 2049-sample stacks, and
+# the fewest matrices on which they do: each call costs a fixed 30-90 numpy
+# operations, so at 257 samples LAPACK is faster from real dimension 4 up
+# and at 65 samples 2-4.5 times faster, while at 513 samples the kernels win
+# or tie at every dimension up to 8.  Other stacks go to ``np.linalg``.
+# CHANGES.md holds the timings behind both.
 SAMPLE_AXIS_MAX_DIM = 8
+SAMPLE_AXIS_MIN_SAMPLES = 512
+
+
+def _lapack_route(a: np.ndarray, real_dim: int) -> bool:
+    """True when the stack ``a`` goes to ``np.linalg``: its matrices have a
+    real dimension above ``SAMPLE_AXIS_MAX_DIM``, or it holds fewer than
+    ``SAMPLE_AXIS_MIN_SAMPLES`` of them."""
+    return (real_dim > SAMPLE_AXIS_MAX_DIM
+            or a.size < SAMPLE_AXIS_MIN_SAMPLES * a.shape[-1] ** 2)
 
 
 def _samples_last(a: np.ndarray) -> np.ndarray:
@@ -167,11 +180,12 @@ def det_phase(c: np.ndarray) -> np.ndarray:
     times the sign of the row permutation.  It takes no logarithm and forms
     no product of moduli, so a matrix whose determinant overflows (entries
     far beyond 1e154) still has its phase.  Above ``SAMPLE_AXIS_MAX_DIM``
-    (2n > 8) the sign of ``np.linalg.slogdet`` is returned instead.
+    (2n > 8), and on stacks of fewer than ``SAMPLE_AXIS_MIN_SAMPLES``
+    matrices, the sign of ``np.linalg.slogdet`` is returned instead.
     """
     c = np.asarray(c, dtype=complex)
     n = c.shape[-1]
-    if 2 * n > SAMPLE_AXIS_MAX_DIM:
+    if _lapack_route(c, 2 * n):
         return np.linalg.slogdet(c).sign
     with np.errstate(all="ignore"):
         a = _samples_last(c)
@@ -200,11 +214,12 @@ def positive_definite(h: np.ndarray) -> bool:
     stops at the first step where some sample's pivot is not positive, the
     rule of LAPACK's ``potrf``; a NaN pivot is not positive.  It computes no
     eigenvalue, so it gives the verdict only.  Above ``SAMPLE_AXIS_MAX_DIM``
-    (m > 8) ``np.linalg.cholesky`` decides.
+    (m > 8), and on stacks of fewer than ``SAMPLE_AXIS_MIN_SAMPLES``
+    matrices, ``np.linalg.cholesky`` decides.
     """
     h = np.asarray(h, dtype=float)
     m = h.shape[-1]
-    if m > SAMPLE_AXIS_MAX_DIM:
+    if _lapack_route(h, m):
         try:
             np.linalg.cholesky(h)
         except np.linalg.LinAlgError:

@@ -22,8 +22,9 @@ of one base from a single pass of squarings.
 Cone membership is decided two ways.  A yes/no verdict comes from
 :func:`cone_holds`, one Cholesky factorization of the whole generator stack
 (:func:`symporder.matrices.positive_definite`, a sample-axis kernel up to
-dimension 8 and LAPACK above); a margin comes from ``eigvalsh``
-(:func:`min_generator_eigenvalue`, :func:`classify_cone`, :func:`order_leq`).
+dimension 8 on stacks of at least 512 matrices, LAPACK otherwise); a margin
+comes from ``eigvalsh`` (:func:`min_generator_eigenvalue`,
+:func:`classify_cone`, :func:`order_leq`).
 The two tests agree except inside a rounding band of about n^2 eps ||H||
 around the threshold, for either Cholesky route.
 """

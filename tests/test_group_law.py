@@ -243,8 +243,9 @@ def test_certified_order_is_reflexive_and_transitive(seed, n):
 
 
 # The integrators as they were before they evaluated their closure once on the
-# whole time grid: one closure call per step, then the serial product loop.
-# Together with the old mode draws they are the reference for bitwise samples.
+# whole time grid: one closure call per step, then the product, here one
+# single-matrix ``@`` at a time in the order of the doubling levels.  Together
+# with the old mode draws they are the reference for bitwise samples.
 
 def _old_hermitian(n: int, rng: np.random.Generator, scale: float) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -268,12 +269,8 @@ def _per_step_unitary(h, n: int, n_samples: int) -> np.ndarray:
     mids = 0.5 * (t[:-1] + t[1:])
     dts = np.diff(t)
     gens = np.stack([dt * h(tm) for dt, tm in zip(dts, mids)])
-    steps = matrices.exp_i_hermitian(gens)
-    u = np.empty((n_samples, n, n), dtype=complex)
-    u[0] = np.eye(n)
-    for k in range(n_samples - 1):
-        u[k + 1] = steps[k] @ u[k]
-    return matrices.complex_to_real(u)
+    steps = matrices.complex_to_real(matrices.exp_i_hermitian(gens))
+    return _from_left_blocks(_doubling_reference(steps), n)
 
 
 def _per_step_symplectic(ham, dim: int, n_samples: int) -> np.ndarray:
@@ -282,12 +279,33 @@ def _per_step_symplectic(ham, dim: int, n_samples: int) -> np.ndarray:
     mids = 0.5 * (t[:-1] + t[1:])
     dts = np.diff(t)
     gens = np.stack([dt * (j @ ham(tm)) for dt, tm in zip(dts, mids)])
-    steps = matrices.matrix_exp(gens)
-    mats = np.empty((n_samples, dim, dim))
-    mats[0] = np.eye(dim)
-    for k in range(n_samples - 1):
-        mats[k + 1] = steps[k] @ mats[k]
-    return mats
+    return _doubling_reference(matrices.matrix_exp(gens))
+
+
+def _doubling_reference(steps: np.ndarray) -> np.ndarray:
+    """I, then the partial products of the doubling levels d = 1, 2, 4, ...
+    (P_k -> P_k P_{k-d} for k >= d), one single-matrix product at a time."""
+    acc = list(steps)
+    d = 1
+    while d < len(acc):
+        acc = acc[:d] + [acc[k] @ acc[k - d] for k in range(d, len(acc))]
+        d *= 2
+    return np.stack([np.eye(steps.shape[-1])] + acc)
+
+
+def _sequential_product(steps: np.ndarray) -> np.ndarray:
+    """I, then steps[k] X_k, one step at a time."""
+    out = [np.eye(steps.shape[-1])]
+    for step in steps:
+        out.append(step @ out[-1])
+    return np.stack(out)
+
+
+def _from_left_blocks(mats: np.ndarray, n: int) -> np.ndarray:
+    """[[A, -B], [B, A]] from the left block column [A; B] of each matrix."""
+    u = np.empty(mats.shape[:-2] + (n, n), dtype=complex)
+    u.real, u.imag = mats[..., :n, :n], mats[..., n:, :n]
+    return matrices.complex_to_real(u)
 
 
 def _offset_modes(offset: float, modes: list, scale: float):
@@ -334,6 +352,71 @@ def test_integrators_equal_the_per_step_reference_bitwise(seed, n, n_samples):
                       _per_step_symplectic(ham, dim, n_samples))
 
 
+def _step_factors(seed: int, dim: int, n_samples: int, unitary: bool) -> np.ndarray:
+    """The integrators' midpoint step factors of a random mode closure; unitary
+    ones as their real embeddings, the stack the unitary integrator scans."""
+    rng = np.random.default_rng([seed, 2])
+    t = gen.uniform_times(n_samples)
+    mids, dts = 0.5 * (t[:-1] + t[1:])[:, None, None], np.diff(t)[:, None, None]
+    if unitary:
+        h = gen.random_hermitian_generator(dim // 2, rng)
+        return matrices.complex_to_real(matrices.exp_i_hermitian(dts * h(mids)))
+    ham = gen._mode_closure(rng, dim, 1.5, False)
+    return matrices.matrix_exp(dts * (matrices.standard_j(dim // 2) @ ham(mids)))
+
+
+integration_sizes = st.sampled_from([3, 65, 256, 2049])
+
+
+@settings(deadline=None, max_examples=20)
+@given(seeds, st.sampled_from([2, 4, 6, 8]), integration_sizes, st.booleans())
+def test_doubling_product_is_the_sequential_product_within_rounding(
+        seed, dim, n_samples, unitary):
+    # any association of a product of N - 1 matrices of order m has an error
+    # of at most gamma |S_{N-2}| ... |S_0| entrywise, gamma = k u / (1 - k u)
+    # with k = (N - 1) m (Higham, Accuracy and Stability, section 3.5), so
+    # the two orders differ by at most twice that
+    steps = _step_factors(seed, dim, n_samples, unitary)
+    k = (n_samples - 1) * dim * np.finfo(float).eps / 2
+    bound = 2 * k / (1 - k) * _sequential_product(np.abs(steps))
+    gap = np.abs(gen._ordered_product(steps.copy()) - _sequential_product(steps))
+    assert np.all(gap <= bound)
+
+
+@settings(deadline=None, max_examples=20)
+@given(seeds, st.sampled_from([2, 4, 6, 8]), integration_sizes, st.booleans(), st.data())
+def test_doubling_product_of_a_prefix_is_a_prefix_bitwise(seed, dim, n_samples,
+                                                          unitary, data):
+    steps = _step_factors(seed, dim, n_samples, unitary)
+    k = data.draw(st.integers(0, n_samples - 1))
+    assert _same_bits(gen._ordered_product(steps[:k].copy()),
+                      gen._ordered_product(steps)[:k + 1])
+
+
+@settings(deadline=None, max_examples=10)
+@given(seeds, st.sampled_from([1, 2, 3, 4]), integration_sizes)
+def test_unitary_samples_have_exact_complex_blocks(seed, n, n_samples):
+    mats = gen.random_unitary_path(n, np.random.default_rng([seed, 0]), n_samples).matrices
+    assert _same_bits(mats[:, n:, n:], mats[:, :n, :n])
+    assert _same_bits(mats[:, :n, n:], -mats[:, n:, :n])
+
+
+def test_integrators_raise_on_overflow_and_on_non_finite_closures():
+    # J H = diag(-800, 800): the product overflows near t = 0.89, a numerical
+    # failure, raised without a numpy warning (a warning fails this suite)
+    with pytest.raises(ComputationError, match="overflows"):
+        gen.symplectic_path_from_hamiltonian(lambda t: [[0.0, 800.0], [800.0, 0.0]], 2, 65)
+    # spectral steps are exactly unitary, so no generator makes that product
+    # overflow: a huge one still integrates to a path in U(2)
+    huge = gen.unitary_path_from_generator(lambda t: np.diag([1e300, -1e300]), 2, 65)
+    assert matrices.commutes_with_j(huge.matrices)
+    for value in (np.inf, np.nan):
+        with pytest.raises(InputError, match="generator values must be finite"):
+            gen.unitary_path_from_generator(lambda t: np.full((2, 2), value), 2, 9)
+        with pytest.raises(InputError, match="generator values must be finite"):
+            gen.symplectic_path_from_hamiltonian(lambda t: np.full((2, 2), value), 2, 9)
+
+
 def test_integrators_refuse_a_closure_that_does_not_broadcast():
     with pytest.raises(InputError, match=r"\(8, 3, 3\).*\(8, 2, 2\)"):
         gen.unitary_path_from_generator(lambda t: np.eye(3) * t, 2, 9)
@@ -353,10 +436,18 @@ def test_mode_closures_take_a_scalar_or_the_midpoint_array(n):
 
 
 # Cone verdicts come from one Cholesky factorization of the stack, the
-# sample-axis kernel up to matrices.SAMPLE_AXIS_MAX_DIM (8) and LAPACK above;
+# sample-axis kernel up to matrices.SAMPLE_AXIS_MAX_DIM (8) on stacks of at
+# least matrices.SAMPLE_AXIS_MIN_SAMPLES matrices, LAPACK otherwise; each
+# stack is decided short and repeated up to that floor, so both routes run.
 # ``eigvalsh`` and ``np.linalg.cholesky`` are their references here.  They may
 # disagree only within rounding of the threshold, so the comparison skips
 # stacks whose smallest eigenvalue lies within 1e-9 max(1, ||H||) of it.
+
+def _at_the_floor(stack: np.ndarray) -> np.ndarray:
+    """``stack`` repeated until it holds SAMPLE_AXIS_MIN_SAMPLES matrices, the
+    fewest that the sample-axis kernels take."""
+    return np.concatenate([stack] * max(1, -(-matrices.SAMPLE_AXIS_MIN_SAMPLES // len(stack))))
+
 
 def _symmetric_stack(rng: np.random.Generator, dim: int, size: int, kind: str) -> np.ndarray:
     a = rng.normal(size=(size, dim, dim))
@@ -380,17 +471,17 @@ def test_cholesky_cone_verdict_matches_the_eigenvalue_route(seed, dim, size, kin
     if offset:  # a semidefinite stack then sits exactly on the threshold
         h = h + shift * np.eye(dim)
     eigs = np.linalg.eigvalsh(h)
-    verdict = paths.cone_holds(h, shift)
-    assert isinstance(verdict, bool)
+    verdicts = [paths.cone_holds(stack, shift) for stack in (h, _at_the_floor(h))]
+    assert all(isinstance(verdict, bool) for verdict in verdicts)
     lam = float(eigs.min())
     if abs(lam - shift) > 1e-9 * max(1.0, float(np.abs(eigs).max())):
-        assert verdict == (lam > shift)
+        assert verdicts == [lam > shift] * 2
         try:
             np.linalg.cholesky(h - shift * np.eye(dim))
         except np.linalg.LinAlgError:
-            assert not verdict
+            assert verdicts == [False] * 2
         else:
-            assert verdict
+            assert verdicts == [True] * 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -350,7 +350,7 @@ def test_growth_estimate_takes_no_homogenized_winding_with_p_max(monkeypatch):
     assert calls == []
     assert est == growth.GrowthEstimate(
         ns=(8, 64), gamma_ns=(8, 61), limit_estimate=growth.Estimate(0.953125, 0.9375, 0.953125),
-        closed_form=0.9277963892236499, floors=(8, 60), certificates=("endpoint", "endpoint"))
+        closed_form=0.9277963892236493, floors=(8, 60), certificates=("endpoint", "endpoint"))
     assert growth.growth_estimate(x, y, ns=(8, 64)) == est and len(calls) == 2
     # the pair is checked the same way, with the same error texts, either way
     for bad, match in ((gen.rotation_loop(1, 129), "share a dimension"),

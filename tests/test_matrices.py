@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_group_law import _at_the_floor
 
 from symporder import generators, maslov, matrices, paths
 from symporder.errors import ComputationError, InputError
@@ -213,9 +214,10 @@ def test_matrix_exp_refuses_overflow_without_a_warning():
         assert np.array_equal(matrices.matrix_exp(shear), np.eye(2) + shear)
 
 
-# The sample-axis kernels against LAPACK on both sides of their size cutoff:
-# real dimension 2n <= SAMPLE_AXIS_MAX_DIM (8) runs the kernels, larger
-# matrices run np.linalg.
+# The sample-axis kernels against LAPACK on both sides of their size cutoffs:
+# real dimension 2n <= SAMPLE_AXIS_MAX_DIM (8) on stacks of at least
+# SAMPLE_AXIS_MIN_SAMPLES matrices runs the kernels, other stacks np.linalg.
+# Short stacks are also repeated up to that floor, so both routes run.
 
 @settings(deadline=None, max_examples=150)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 6),
@@ -230,21 +232,24 @@ def test_det_phase_is_the_sign_of_slogdet(seed, n, size, scale):
     low = gauss.copy()
     low[:, :-1, 0] = 0.0
     stack = np.concatenate([gauss, perm[None], low])
-    phase = matrices.det_phase(stack)
-    assert phase.shape == (2 * size + 1,)
-    assert np.abs(phase - np.linalg.slogdet(stack).sign).max() <= 1e-12
+    for each in (stack, _at_the_floor(stack)):
+        phase = matrices.det_phase(each)
+        assert phase.shape == (len(each),)
+        assert np.abs(phase - np.linalg.slogdet(each).sign).max() <= 1e-12
     # the winding reads the complex-linear part of complex_to_real(U), U itself
     assert abs(maslov._unitary_factor_phase(matrices.complex_to_real(perm)[None])[0]
                - np.linalg.det(perm)) <= 1e-12
 
 
 def test_kernels_call_lapack_only_above_the_cutoff(monkeypatch):
+    # above the dimension cutoff, or below the sample floor, and nowhere else
     rng = np.random.default_rng(3)
-    cut = matrices.SAMPLE_AXIS_MAX_DIM
+    cut, floor = matrices.SAMPLE_AXIS_MAX_DIM, matrices.SAMPLE_AXIS_MIN_SAMPLES
     cases = []
     for dim in range(2, cut + 5, 2):
-        path = generators.random_symplectic_path(dim, rng, n_samples=9)
-        cases.append((dim, path, paths.extract_hamiltonian(path).hams))
+        for n_samples in (floor - 1, floor):
+            path = generators.random_symplectic_path(dim, rng, n_samples=n_samples)
+            cases.append((dim, n_samples, path, paths.extract_hamiltonian(path).hams))
     calls = []
 
     def recorded(name):
@@ -257,24 +262,26 @@ def test_kernels_call_lapack_only_above_the_cutoff(monkeypatch):
 
     for name in ("cholesky", "slogdet"):
         monkeypatch.setattr(np.linalg, name, recorded(name))
-    for dim, path, hams in cases:
+    for dim, _, path, hams in cases:
         maslov.maslov_index(path)
         assert paths.cone_holds(hams, -1e3) and not paths.cone_holds(hams, 1e3)
-    above = [dim for dim, _, _ in cases if dim > cut]
-    assert above and calls == [call for dim in above for call in
-                               (("slogdet", dim // 2), ("cholesky", dim), ("cholesky", dim))]
+    lapack = [dim for dim, n_samples, _, _ in cases if dim > cut or n_samples < floor]
+    assert lapack == [2, 4, 6, 8, 10, 10, 12, 12]
+    assert calls == [call for dim in lapack for call in
+                     (("slogdet", dim // 2), ("cholesky", dim), ("cholesky", dim))]
 
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 9, 16])
 def test_one_indefinite_sample_refuses_the_stack(dim):
     rng = np.random.default_rng(dim)
     a = rng.normal(size=(6, dim, dim))
-    stack = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(dim)
-    assert matrices.positive_definite(stack)
-    for sample in range(len(stack)):
+    stack = _at_the_floor(a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(dim))
+    assert matrices.positive_definite(stack) and matrices.positive_definite(stack[:6])
+    for sample in range(6):
         for entry in range(dim):  # a non-positive pivot at each step of the factorization
             bad = stack.copy()
             bad[sample, entry, entry] -= np.linalg.eigvalsh(bad[sample]).max() * dim
             assert not matrices.positive_definite(bad)
+            assert not matrices.positive_definite(bad[:6])
             with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.cholesky(bad)
+                np.linalg.cholesky(bad[:6])
