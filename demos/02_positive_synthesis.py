@@ -23,8 +23,7 @@ targets["rotated stretch"] = np.kron(np.eye(2), rot) @ np.diag([2.0, 5.0, 0.5, 0
 for name, target in targets.items():
     n = target.shape[0] // 2
     path = positive_path_to(target, n_samples=512)
-    track = extract_hamiltonian(path)
-    eig_min = float(np.linalg.eigvalsh(track.hams).min())
+    eig_min = float(np.linalg.eigvalsh(extract_hamiltonian(path)).min())
     winding = maslov_index(path).value
     print(f"{name} (Sp({2 * n}))")
     print(f"  endpoint error     {np.abs(path.endpoint - target).max():.2e}")
@@ -34,9 +33,8 @@ for name, target in targets.items():
 
 print("positivity is visible sample by sample: the generator spectrum")
 path = positive_path_to(np.diag([2.0, 0.5]), n_samples=512)
-track = extract_hamiltonian(path)
-eigs = np.linalg.eigvalsh(track.hams)
+eigs = np.linalg.eigvalsh(extract_hamiltonian(path))
 for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-    k = int(frac * (len(track.times) - 1))
+    k = int(frac * (path.n_samples - 1))
     lo, hi = eigs[k]
-    print(f"  t = {track.times[k]:.2f}:  eigenvalues [{lo:8.3f}, {hi:8.3f}]")
+    print(f"  t = {path.times[k]:.2f}:  eigenvalues [{lo:8.3f}, {hi:8.3f}]")

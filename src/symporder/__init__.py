@@ -42,9 +42,9 @@ _EXPORTS = {
         "symplectic_defect", "symplectic_inverse", "unitary_polar_factor",
     ),
     "paths": (
-        "ConeStatus", "ConeVerdict", "HamiltonianTrack", "SampledPath", "classify_cone",
-        "compose", "embed_block", "extract_hamiltonian", "invert", "order_leq",
-        "pointwise_power", "refine", "resample",
+        "ConeStatus", "ConeVerdict", "SampledPath", "classify_cone", "compose",
+        "embed_block", "extract_hamiltonian", "invert", "order_leq", "pointwise_power",
+        "refine", "resample",
     ),
     "prequant": (
         "HoferProfile", "LeafFunction", "QuantElement", "RotationCurveDistance",

@@ -127,10 +127,9 @@ def _run_synth_positive(args) -> dict:
     target = io.load_matrix(args.target)
     path = maslov.positive_path_to(target, n_samples=args.grid)
     io.save_path(path, args.dest)
-    track = extract_hamiltonian(path)
     return {
         "endpoint_error": float(np.abs(path.endpoint - target).max()),
-        "min_generator_eigenvalue": float(np.linalg.eigvalsh(track.hams).min()),
+        "min_generator_eigenvalue": float(np.linalg.eigvalsh(extract_hamiltonian(path)).min()),
         "samples": path.n_samples,
         "winding": maslov.maslov_index(path).value,
         "winding_budget": 4.0 * np.pi * path.half_dim,

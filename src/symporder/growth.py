@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, InputError
+from .errors import ComputationError, InputError, finite
 # ``homogenize`` is not called here; the binding stays because the benchmark's
 # tracer wraps ``symporder.growth.homogenize`` by name.
 from .maslov import _power_winding, homogenize, maslov_index  # noqa: F401
@@ -97,7 +97,7 @@ def _require_dominant(path: SampledPath, tol: float, who: str) -> None:
     classified, which gives the error its eigenvalue and keeps
     ``classify_cone``'s verdict inside the rounding band.
     """
-    if cone_holds(extract_hamiltonian(path).hams, tol):
+    if cone_holds(extract_hamiltonian(path), tol):
         return
     verdict = classify_cone(path, tol)
     if verdict.status is not ConeStatus.DOMINANT:
@@ -218,7 +218,7 @@ def _staircase_hams(path: SampledPath, inverse: np.ndarray | None = None) -> np.
     # fourth-order stencils where the grid allows: staircase decisions sit at
     # the cone boundary, where second-order FD noise would flip verdicts
     order4 = is_uniform_grid(path.times) and path.n_samples >= MIN_SAMPLES_ORDER4
-    return _hamiltonian_track(path, 4 if order4 else 2, inverse).hams
+    return _hamiltonian_track(path, 4 if order4 else 2, inverse)
 
 
 def _forward_atom(path: SampledPath) -> _PowerAtom:
@@ -372,7 +372,7 @@ def _winding_floor(n: int, mx: float, my: float, dim: int, tol: float) -> int:
     """
     ratio = my / mx
     slack = 0.5 * dim * max(tol, ENDPOINT_FOLD) / mx + 1e-12 * max(1.0, n * abs(ratio))
-    return int(np.ceil(n * ratio - slack))
+    return int(np.ceil(finite(n * ratio - slack, f"the winding floor at n={n}")))
 
 
 def _endpoint_quanta(z_end: np.ndarray, p: int, n: int, windings: tuple, fold: float) -> int:
@@ -435,7 +435,8 @@ def _least_endpoint_power(ends: tuple, windings: tuple, n: int, p_max: int, floo
     """
     (x_end, y_end), (mx, my) = ends, windings
     start = min(max(floor, -p_max), p_max)
-    top = min(p_max, int(np.ceil((n * my + 2.0 * np.pi * len(x_end)) / mx)))
+    top = min(p_max, int(np.ceil(finite((n * my + 2.0 * np.pi * len(x_end)) / mx,
+                                        f"the top of the endpoint scan at n={n}"))))
     first = start - 1 if start == floor else start
     z = _unitary_power(x_end, first) @ _unitary_power(y_end, -n)
     for p in range(first, max(top, start) + 1):
@@ -518,7 +519,8 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
         raise InputError("growth estimate needs at least one staircase index n")
     if p_max is None:
         hint = gamma_closed_symplectic(x, y, tol=tol).value
-        rungs = [(n, int(np.ceil(abs(hint) * n)) + 8) for n in ns]
+        rungs = [(n, int(np.ceil(finite(abs(hint) * n, f"the search bound at n={n}"))) + 8)
+                 for n in ns]
     else:
         _require_dominant_pair(x, y, tol)
         rungs = [(n, p_max) for n in ns]

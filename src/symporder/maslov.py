@@ -120,9 +120,8 @@ def maslov_via_trace(path: SampledPath) -> float:
     if not commutes_with_j(path.matrices):
         raise InputError("trace route requires a unitary path "
                          "(samples must commute with J)")
-    track = extract_hamiltonian(path)
-    traces = 0.5 * np.trace(track.hams, axis1=-2, axis2=-1)
-    return float(np.trapezoid(traces, track.times))
+    traces = 0.5 * np.trace(extract_hamiltonian(path), axis1=-2, axis2=-1)
+    return float(np.trapezoid(traces, path.times))
 
 
 def homogenize(path: SampledPath, k_max: int) -> np.ndarray:

@@ -120,19 +120,6 @@ def _derived(times, mats) -> SampledPath:
                      ComputationError("computed path samples overflow"))
 
 
-@dataclass(frozen=True)
-class HamiltonianTrack:
-    """Symmetric generator samples H(t_k) plus a finite-difference quality metric.
-
-    ``max_asymmetry`` records the worst |H - H^T| entry before symmetrization;
-    it scales with the square of the sampling step on smooth paths.
-    """
-
-    times: np.ndarray
-    hams: np.ndarray
-    max_asymmetry: float
-
-
 class ConeStatus(enum.Enum):
     DOMINANT = "dominant"
     SEMIPOSITIVE = "semipositive"
@@ -189,8 +176,9 @@ def _time_derivative4(times: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return d
 
 
-def extract_hamiltonian(path: SampledPath, order: int = 2) -> HamiltonianTrack:
-    """Recover the generator track H(t_k) = sym(-J dX/dt X^{-1}).
+def extract_hamiltonian(path: SampledPath, order: int = 2) -> np.ndarray:
+    """Recover the generator track H(t_k) = sym(-J dX/dt X^{-1}), an
+    (N, d, d) stack of symmetric matrices on ``path.times``.
 
     The default derivatives come from ``numpy.gradient`` with
     ``edge_order=2``: 3-point differences inside the grid (non-uniform grids
@@ -198,15 +186,13 @@ def extract_hamiltonian(path: SampledPath, order: int = 2) -> HamiltonianTrack:
     track converges at O(dt^2) on smooth paths.  ``order=4`` switches to
     5-point stencils (uniform grids of at least ``MIN_SAMPLES_ORDER4``
     samples only) for boundary-sensitive consumers such as the order
-    staircase.  The
-    pre-symmetrization asymmetry is reported, not hidden: it is the caller's
-    resolution diagnostic.
+    staircase.
     """
     return _hamiltonian_track(path, order, None)
 
 
 def _hamiltonian_track(path: SampledPath, order: int,
-                       inverse: np.ndarray | None) -> HamiltonianTrack:
+                       inverse: np.ndarray | None) -> np.ndarray:
     """:func:`extract_hamiltonian`, reading the inverse samples X^{-1} from
     ``inverse`` when the caller holds them.
 
@@ -226,11 +212,10 @@ def _hamiltonian_track(path: SampledPath, order: int,
         else:
             deriv = np.gradient(path.matrices, path.times, axis=0, edge_order=2)
         raw = -j @ (deriv @ (symplectic_inverse(path.matrices) if inverse is None else inverse))
-        asym = float(np.abs(raw - np.swapaxes(raw, -1, -2)).max())
         hams = 0.5 * (raw + np.swapaxes(raw, -1, -2))
     if not np.isfinite(hams).all():
         raise ComputationError("generator track holds a non-finite number")
-    return HamiltonianTrack(times=path.times, hams=hams, max_asymmetry=asym)
+    return hams
 
 
 def invert(path: SampledPath) -> SampledPath:
@@ -250,7 +235,7 @@ def resample(path: SampledPath, new_times: np.ndarray) -> SampledPath:
     new_times = np.asarray(new_times, dtype=float)
     pos = np.searchsorted(path.times, new_times)
     exact = (pos < len(path.times)) & (path.times[np.minimum(pos, len(path.times) - 1)] == new_times)
-    track = extract_hamiltonian(path)
+    hams = extract_hamiltonian(path)
     j = standard_j(path.half_dim)
     seg = np.searchsorted(path.times, new_times, side="right") - 1
     out = np.zeros((len(new_times), path.dim, path.dim))
@@ -262,7 +247,7 @@ def resample(path: SampledPath, new_times: np.ndarray) -> SampledPath:
         span = path.times[k + 1] - path.times[k]
         frac = dt / span
         # generator averaged over [t_k, t]: linear model of H on the segment
-        h_seg = track.hams[k] + (track.hams[k + 1] - track.hams[k]) * (frac / 2.0)[:, None, None]
+        h_seg = hams[k] + (hams[k + 1] - hams[k]) * (frac / 2.0)[:, None, None]
         steps = matrix_exp(dt[:, None, None] * (j @ h_seg))
         out[todo] = steps @ path.matrices[k]
     return _derived(new_times, out)
@@ -374,8 +359,7 @@ def _plane_stack(n_samples: int, n: int, planes: dict) -> np.ndarray:
 
 def min_generator_eigenvalue(path: SampledPath) -> float:
     """Smallest eigenvalue of H(t_k) over all samples."""
-    track = extract_hamiltonian(path)
-    return float(np.linalg.eigvalsh(track.hams).min())
+    return float(np.linalg.eigvalsh(extract_hamiltonian(path)).min())
 
 
 def cone_holds(hams: np.ndarray, shift: float) -> bool:

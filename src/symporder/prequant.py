@@ -20,11 +20,12 @@ trigonometric polynomials below the Nyquist degree.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, finite
 
 NORMALIZATION_TOL = 1e-12
 
@@ -161,18 +162,21 @@ def gamma_quant(a: QuantElement, b: QuantElement) -> float:
     _check_same_grid(a, b)
     if not a.is_dominant:
         raise InputError("gamma_quant needs a dominant first argument")
-    return float((b.generator / a.generator).max())
+    with np.errstate(over="ignore"):
+        return finite(float((b.generator / a.generator).max()), "gamma_quant(a, b)")
 
 
 def gamma_n_quant_bruteforce(a: QuantElement, b: QuantElement, n: int) -> int:
     """Least integer m with m * generator(a) >= n * generator(b) on the grid.
 
     This is the ceiling of n * gamma_quant(a, b) with exact-integer boundaries
-    kept (a tie within 1e-9 lands on the smaller integer).
+    kept (a tie within 1e-9 lands on the smaller integer).  An n above the
+    largest float is an InputError, a product that overflows a ComputationError.
     """
-    if n < 1:
-        raise InputError("n must be positive")
-    return int(np.ceil(n * gamma_quant(a, b) - 1e-9))
+    if not 1 <= n <= sys.float_info.max:
+        raise InputError(f"n must be positive and at most {sys.float_info.max:.6g}")
+    product = finite(n * gamma_quant(a, b), f"n * gamma_quant(a, b) at n = {n:.6g}")
+    return int(np.ceil(product - 1e-9))
 
 
 def k_quant(a: QuantElement, b: QuantElement) -> float:

@@ -49,11 +49,11 @@ def _rel_err(got: np.ndarray, want: np.ndarray) -> float:
 @given(seeds, dims, orders)
 def test_product_generator_formula_matches_finite_differences(seed, dim, order):
     x, y = _random_path(seed, dim, 0), _random_path(seed, dim, 1)
-    hx = paths.extract_hamiltonian(x, order).hams
-    hy = paths.extract_hamiltonian(y, order).hams
+    hx = paths.extract_hamiltonian(x, order)
+    hy = paths.extract_hamiltonian(y, order)
     xinv = np.linalg.inv(x.matrices)
     predicted = hx + np.swapaxes(xinv, -1, -2) @ hy @ xinv
-    measured = paths.extract_hamiltonian(paths.compose(x, y), order).hams
+    measured = paths.extract_hamiltonian(paths.compose(x, y), order)
     assert _rel_err(predicted, measured) < FD_TOL[order]
 
 
@@ -61,11 +61,11 @@ def test_product_generator_formula_matches_finite_differences(seed, dim, order):
 @given(seeds, dims, orders)
 def test_inverse_generator_formula_matches_finite_differences(seed, dim, order):
     y = _random_path(seed, dim, 0)
-    hy = paths.extract_hamiltonian(y, order).hams
+    hy = paths.extract_hamiltonian(y, order)
     predicted = -np.swapaxes(y.matrices, -1, -2) @ hy @ y.matrices
     inverse = paths.invert(y)
     assert _rel_err(inverse.matrices, np.linalg.inv(y.matrices)) < 1e-12
-    measured = paths.extract_hamiltonian(inverse, order).hams
+    measured = paths.extract_hamiltonian(inverse, order)
     assert _rel_err(predicted, measured) < FD_TOL[order]
 
 
@@ -84,7 +84,7 @@ def test_atom_chain_gives_the_generator_of_the_formed_path(seed, dim, p, n):
              @ growth._signed_powers(growth._atoms(y), (-n,))[0])
     formed = paths.compose(paths.pointwise_power(x, p), paths.pointwise_power(y, -n))
     assert _rel_err(chain.inv, np.linalg.inv(formed.matrices)) < 1e-9
-    measured = paths.extract_hamiltonian(formed, order=4).hams
+    measured = paths.extract_hamiltonian(formed, order=4)
     assert _rel_err(chain.hams, measured) < FD_TOL[4]
 
 

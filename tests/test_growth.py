@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_group_law import (_canonical_staircase, _endpoint_certified, _endpoint_staircase,
                             _eigvalsh_staircase)
 
@@ -423,6 +425,19 @@ def test_endpoint_phases_off_the_winding_are_an_error(loops, monkeypatch):
         growth.gamma_n_bruteforce(*loops, 4, 12)
 
 
+def test_staircase_bounds_beyond_the_float_range_are_computation_errors():
+    # maslov(X) = 1e-307 under maslov(Y) = 10: |gamma| n, the winding floor
+    # (inf - inf) and the top of the endpoint scan leave the float range
+    x, y = gen.rotation_path(1e-307, 9), gen.rotation_path(10.0, 9)
+    with pytest.raises(ComputationError, match=r"search bound at n=\d+ .*\(inf\)"):
+        growth.growth_estimate(x, y, tol=0.0)
+    with pytest.raises(ComputationError, match=r"winding floor at n=2 .*\(nan\)"):
+        growth.growth_estimate(x, y, p_max=5, tol=0.0)
+    ends = np.eye(1, dtype=complex), np.eye(1, dtype=complex)
+    with pytest.raises(ComputationError, match=r"top of the endpoint scan at n=1 .*\(inf\)"):
+        growth._least_endpoint_power(ends, (1e-308, 10.0), 1, 5, 5, growth.ENDPOINT_FOLD)
+
+
 @pytest.mark.xfail(raises=AssertionError,
                    reason="the atom chain conjugates the finite-difference error "
                           "of H_Y by X^-p, about 2^(2p) here, so rungs n >= 4 find "
@@ -457,3 +472,20 @@ def test_z_coordinate_does_not_alias_at_large_k_max():
         except ComputationError:
             continue
         assert point.coordinate == pytest.approx(np.log(8.0), rel=1e-9)
+
+
+@settings(deadline=None, max_examples=24)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.booleans())
+def test_unitary_staircase_is_nondecreasing_and_subadditive(seed, n, commuting):
+    # Y is dominant and the order is bi-invariant and transitive, so
+    # X^p >= Y^m gives X^p >= Y^(m-1), and X^a >= Y^m with X^b >= Y^k gives
+    # X^(a+b) >= Y^m X^b >= Y^(m+k): gamma_m <= gamma_(m+1) and
+    # gamma_(m+k) <= gamma_m + gamma_k for the certified staircase
+    x, y = acceptance._unitary_staircase_pair(np.random.default_rng(seed), n, commuting)
+    ns = range(1, 13)
+    gamma_ns, _, certificates, _ = growth._staircase(x, y, [(m, 400) for m in ns],
+                                                     paths.CONE_TOL)
+    assert certificates == ["endpoint"] * len(ns)
+    gamma = dict(zip(ns, gamma_ns))
+    assert all(gamma[m] <= gamma[m + 1] for m in ns[:-1])
+    assert all(gamma[m + k] <= gamma[m] + gamma[k] for m in ns for k in ns if m + k in gamma)

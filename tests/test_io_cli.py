@@ -419,6 +419,29 @@ def test_cli_overflowing_powers_exit_2_with_one_error_line(tmp_path):
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_cli_staircase_and_quant_bounds_that_overflow_exit_with_one_error_line(tmp_path):
+    # maslov(X) = 1e-307 under maslov(Y) = 10: the search bound |gamma| n, the
+    # winding floor and the quant product n gamma leave the float range
+    x, y = str(tmp_path / "x.json"), str(tmp_path / "y.json")
+    io.save_path(gen.rotation_path(1e-307, 9), x)
+    io.save_path(gen.rotation_path(10.0, 9), y)
+    a = _write_doc(tmp_path, "a.json", {"grid_shape": [4], "values": [0, 0, 0, 0],
+                                        "shift": 1e-310})
+    b = _write_doc(tmp_path, "b.json", {"grid_shape": [4], "values": [0, 0, 0, 0],
+                                        "shift": 1.0})
+    for argv, code, text in (
+            (["gamma", x, y, "--tol", "0"], 2, "the search bound at n="),
+            (["gamma", x, y, "--tol", "0", "--pmax", "5"], 2, "the winding floor at n=2"),
+            (["quant-gamma", a, b], 2, "gamma_quant(a, b) is not a finite number"),
+            (["quant-gamma", a, b, "--n", "3"], 2, "gamma_quant(a, b) is not a finite number"),
+            (["quant-gamma", b, b, "--n", str(10 ** 400)], 1, "n must be positive and at most")):
+        proc = subprocess.run([sys.executable, "-m", "symporder.cli", *argv],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (code, ""), argv
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert text in proc.stderr, proc.stderr
+
+
 def test_cli_zcoord_refines_the_base_path_of_an_unresolved_power(tmp_path):
     # a positive path to a random positive Sp(4) target on 257 samples (the
     # seed-18 draw of the group-law tests) winds 8 pi; its 8th power turns
@@ -629,6 +652,52 @@ def test_cli_gamma_reports_are_golden(tmp_path, capsys):
         got = tuple(doc[key] for key in ("closed_form", "limit", "limit_lower", "limit_upper"))
         assert got == pytest.approx(numbers, abs=1e-12)
         assert (doc["floors"], doc["certificates"]) == (floors, certificates)
+
+
+def test_cli_reports_fed_by_extraction_and_winding_are_golden(tmp_path, capsys):
+    # the pairs of the golden gamma test; every field is pinned bit for bit
+    ux, uy, px, py = (str(tmp_path / f"{name}.json") for name in ("ux", "uy", "px", "py"))
+    x, y, _ = gen.commuting_unitary_pair(2, np.random.default_rng(3), 257)
+    io.save_path(x, ux)
+    io.save_path(y, uy)
+    io.save_path(maslov.positive_path_to(np.diag([2.0, 0.5]), 257), px)
+    io.save_path(gen.rotation_path(3.0, 257), py)
+    target = _write_doc(tmp_path, "target.json", {"dim": 2, "matrix": [2.0, 0.0, 0.0, 0.5]})
+    synth = str(tmp_path / "synth.json")
+    cases = (
+        (["cone", ux], {"certifies": True, "min_eigenvalue": 1.302215249998321,
+                        "status": "dominant", "tol": 1e-06}),
+        (["cone", px], {"certifies": True, "min_eigenvalue": 7.8328348200171805,
+                        "status": "dominant", "tol": 1e-06}),
+        (["order", ux, uy], {"certifies": True, "min_eigenvalue": 0.4059576988103269,
+                             "status": "dominant", "tol": 1e-06}),
+        (["order", px, py], {"certifies": True, "min_eigenvalue": 7.054474566056908,
+                             "status": "dominant", "tol": 1e-06}),
+        (["synth-positive", target, synth, "--grid", "257"], {
+            "endpoint_error": 6.123233995736765e-16,
+            "min_generator_eigenvalue": 7.8328348200171805, "samples": 257,
+            "winding": 12.566370614359172, "winding_budget": 12.566370614359172}),
+        (["maslov", ux], {"max_step": 0.02967223104239914, "turns": 0.944546078508443,
+                          "value": 5.934758042438345}),
+        (["maslov", px], {"max_step": 0.04908738521234225, "turns": 2.0,
+                          "value": 12.566370614359172}),
+        (["zcoord", ux], {"c_emp": 0.0, "coordinate": 1.7808262593179343, "k_max": 8,
+                          "lower": 1.7808262593179343, "upper": 1.7808262593179343}),
+        (["zcoord", px, "--cemp", "0.5"], {
+            "c_emp": 0.5, "coordinate": 2.5310242469692907, "k_max": 8,
+            "lower": 2.526038245525586, "upper": 2.5359855114899403}),
+        (["kdist", ux, uy], {"c_emp": 0.0, "k_max": 8, "lower": 0.3735925509532466,
+                             "upper": 0.3735925509532466, "value": 0.3735925509532466}),
+        (["kdist", px, py, "--cemp", "0.5"], {
+            "c_emp": 0.5, "k_max": 8, "lower": 1.4068066696547405,
+            "upper": 1.4584266320196628, "value": 1.432411958301181}),
+    )
+    for argv, fields in cases:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, ""), argv
+        doc = json.loads(out)
+        assert doc == {"command": argv[0], "convention": cli.CONVENTION,
+                       "version": doc["version"], **fields}, argv
 
 
 def test_cli_gamma_pmax_bounds_every_rung(tmp_path, capsys):

@@ -171,8 +171,7 @@ def test_positive_path_reaches_diagonal_target():
     target = np.diag([3.0, 0.25, 1.0 / 3.0, 4.0])
     path = maslov.positive_path_to(target, n_samples=257)
     assert np.abs(path.endpoint - target).max() < 1e-8
-    track = paths.extract_hamiltonian(path)
-    assert np.linalg.eigvalsh(track.hams).min() > 1.0
+    assert np.linalg.eigvalsh(paths.extract_hamiltonian(path)).min() > 1.0
     assert maslov.maslov_index(path).value <= 4 * TWO_PI + 1e-6
 
 
@@ -205,7 +204,7 @@ def test_positive_path_to_unitarily_conjugated_eigenvalue_one_clusters(seed, n, 
     target = 0.5 * (target + target.T)
     path = maslov.positive_path_to(target, n_samples=129)
     assert np.abs(path.endpoint - target).max() <= 2 * spread + 1e-13
-    assert np.linalg.eigvalsh(paths.extract_hamiltonian(path).hams).min() > 1.0
+    assert np.linalg.eigvalsh(paths.extract_hamiltonian(path)).min() > 1.0
 
 
 def test_positive_path_general_spd_symplectic():
@@ -215,7 +214,7 @@ def test_positive_path_general_spd_symplectic():
     p = r @ np.diag([2.0, 0.5]) @ r.T
     path = maslov.positive_path_to(p, n_samples=257)
     assert np.abs(path.endpoint - p).max() < 1e-8
-    assert np.linalg.eigvalsh(paths.extract_hamiltonian(path).hams).min() > 1.0
+    assert np.linalg.eigvalsh(paths.extract_hamiltonian(path)).min() > 1.0
 
 
 def test_positive_path_rejects_non_spd():

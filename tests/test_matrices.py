@@ -249,7 +249,7 @@ def test_kernels_call_lapack_only_above_the_cutoff(monkeypatch):
     for dim in range(2, cut + 5, 2):
         for n_samples in (floor - 1, floor):
             path = generators.random_symplectic_path(dim, rng, n_samples=n_samples)
-            cases.append((dim, n_samples, path, paths.extract_hamiltonian(path).hams))
+            cases.append((dim, n_samples, path, paths.extract_hamiltonian(path)))
     calls = []
 
     def recorded(name):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symporder import prequant
-from symporder.errors import InputError
+from symporder.errors import ComputationError, InputError
 
 
 def cosine_leaf(n=256):
@@ -116,6 +116,18 @@ def test_gamma_n_staircase_values():
     assert prequant.gamma_n_quant_bruteforce(a, b, 1) == 2
     assert prequant.gamma_n_quant_bruteforce(a, b, 2) == 3
     assert prequant.gamma_n_quant_bruteforce(a, b, 4) == 6
+
+
+def test_gamma_n_refuses_an_n_or_a_product_beyond_the_float_range():
+    a = prequant.fiber_rotation(1e-300, (4,))
+    b = prequant.fiber_rotation(1.0, (4,))
+    with pytest.raises(InputError, match="n must be positive and at most 1.79769e"):
+        prequant.gamma_n_quant_bruteforce(b, b, 10 ** 400)
+    assert prequant.gamma_quant(a, b) == 1.0 / 1e-300
+    with pytest.raises(ComputationError, match="n \\* gamma_quant\\(a, b\\) at n = 1e\\+10"):
+        prequant.gamma_n_quant_bruteforce(a, b, 10 ** 10)
+    with pytest.raises(ComputationError, match="gamma_quant\\(a, b\\) is not a finite number"):
+        prequant.gamma_quant(prequant.fiber_rotation(1e-310, (4,)), b)
 
 
 @settings(deadline=None)
