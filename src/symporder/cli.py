@@ -32,10 +32,27 @@ CONVENTION = "radians; the full rotation loop in Sp(2) scores 2*pi"
 VERIFY_SUITES = ("all", "linear", "quant")
 
 
+# an argument error quotes a longer token by this many characters and its length
+QUOTE_CHARS = 40
+
+
+def _quote(token: str) -> str:
+    if len(token) <= QUOTE_CHARS:
+        return repr(token)
+    return f"{token[:QUOTE_CHARS]!r}... ({len(token)} characters)"
+
+
 class _Parser(argparse.ArgumentParser):
-    """Argument errors raise InputError so they exit 1 like other bad input."""
+    """Argument errors exit 1 as InputError, long tokens cut by :func:`_quote`, longest first."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._tokens = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
+        for token in sorted(self._tokens, key=len, reverse=True):
+            if len(token) > QUOTE_CHARS:
+                message = message.replace(repr(token), _quote(token)).replace(token, _quote(token))
         raise InputError(message)
 
 
@@ -60,7 +77,7 @@ def _checked(convert, accept, expected: str):
         except ValueError:
             value = None
         if value is None or not accept(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {_quote(text)}")
         return value
     return parse
 

@@ -25,14 +25,13 @@ import numpy as np
 from .errors import ComputationError, InputError, finite
 # ``homogenize`` is not called here; the binding stays because the benchmark's
 # tracer wraps ``symporder.growth.homogenize`` by name.
-from .maslov import _power_winding, homogenize, maslov_index  # noqa: F401
+from .maslov import homogenize, maslov_index  # noqa: F401
 from .paths import (
     CONE_TOL,
     DEFAULT_K_MAX,
     MIN_SAMPLES_ORDER4,
     ConeStatus,
     SampledPath,
-    _hamiltonian_track,
     align_grids,
     binary_powers,
     classify_cone,
@@ -84,7 +83,7 @@ def mu_tilde(path: SampledPath, k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0) 
         raise InputError("k_max must be at least 1")
     if not (np.isfinite(c_emp) and c_emp >= 0.0):
         raise InputError(f"c_emp must be a finite non-negative number, got {c_emp}")
-    value = _power_winding(path, k_max).value / k_max
+    value = maslov_index(path, k_max).value / k_max
     half = c_emp / k_max
     return Estimate(value, value - half, value + half)
 
@@ -212,19 +211,12 @@ class _PowerAtom:
         return _PowerAtom(inv=other.inv @ self.inv, hams=self.hams_of_product(other))
 
 
-def _staircase_hams(path: SampledPath, inverse: np.ndarray | None = None) -> np.ndarray:
-    """Generator track the staircase certifies with, from the inverse samples
-    when the caller holds them."""
+def _staircase_hams(path: SampledPath) -> np.ndarray:
+    """Generator track the staircase certifies with."""
     # fourth-order stencils where the grid allows: staircase decisions sit at
     # the cone boundary, where second-order FD noise would flip verdicts
     order4 = is_uniform_grid(path.times) and path.n_samples >= MIN_SAMPLES_ORDER4
-    return _hamiltonian_track(path, 4 if order4 else 2, inverse)
-
-
-def _forward_atom(path: SampledPath) -> _PowerAtom:
-    """Atom of X; its inverse samples, formed once, also give its track."""
-    inv = symplectic_inverse(path.matrices)
-    return _PowerAtom(inv, _staircase_hams(path, inv))
+    return extract_hamiltonian(path, 4 if order4 else 2)
 
 
 def _inverse_atom(path: SampledPath, hams: np.ndarray) -> _PowerAtom:
@@ -233,9 +225,9 @@ def _inverse_atom(path: SampledPath, hams: np.ndarray) -> _PowerAtom:
 
 
 def _atoms(path: SampledPath) -> tuple[_PowerAtom, _PowerAtom]:
-    """Atoms of X and of X^{-1}, both read off the samples of X."""
-    up = _forward_atom(path)
-    return up, _inverse_atom(path, up.hams)
+    """Atoms of X and of X^{-1}, read off the samples and the track of X."""
+    hams = _staircase_hams(path)
+    return _PowerAtom(symplectic_inverse(path.matrices), hams), _inverse_atom(path, hams)
 
 
 def _signed_powers(atoms: tuple, ks: tuple) -> tuple:
@@ -307,29 +299,31 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
     """(gamma_ns, floors, certificates, windings) of one pair, one entry of
     each list per (n, p_max) rung.
 
-    The grids are aligned and X's dominance checked once.  This is the one
-    place that tests the aligned pair for unitarity: ``windings`` is
-    (maslov(X), maslov(Y)) of a unitary pair, else None.  On a unitary pair
-    each rung has its winding floor L_n (:func:`_winding_floor`), and the
-    endpoint certificate alone decides it, scanning upward from L_n clipped
-    to [-p_max, p_max] (:func:`_least_endpoint_power`); no atom is built.  A
-    pair that is not unitary runs the canonical search on [-p_max, p_max]
-    (:func:`_least_certified_power`) with the atoms of X and X^-1 and one
-    squaring pass over Y^-1's atom for the rung powers Y^-n.  ``floors``
-    holds L_n (None off the unitary subgroup), ``certificates`` the test
-    that decided each rung, "endpoint" or "canonical" (None where no power
-    was certified).
+    The grids are aligned and X's dominance checked once, on its staircase
+    track.  This is the one place that tests the aligned pair for
+    unitarity: ``windings`` is (maslov(X), maslov(Y)) of a unitary pair,
+    else None.  On a unitary pair each rung has its winding floor L_n
+    (:func:`_winding_floor`), and the endpoint certificate alone decides
+    it, scanning upward from L_n clipped to [-p_max, p_max]
+    (:func:`_least_endpoint_power`); no atom is built.  A pair that is not
+    unitary runs the canonical search on [-p_max, p_max]
+    (:func:`_least_certified_power`) with the atoms of X and X^-1, built
+    from that track, and one squaring pass over Y^-1's atom for the rung
+    powers Y^-n.  ``floors`` holds L_n (None off the unitary subgroup),
+    ``certificates`` the test that decided each rung, "endpoint" or
+    "canonical" (None where no power was certified).
     """
     for n, p_max in rungs:
         if n < 0 or p_max < 0:
             raise InputError("n and p_max must be nonnegative")
     _require_same_dim(x, y)
     x, y = align_grids(x, y)
-    x_up = _forward_atom(x)
-    if not cone_holds(x_up.hams, tol):
+    unitary = commutes_with_j(x.matrices) and commutes_with_j(y.matrices)
+    x_atoms = None if unitary else _atoms(x)
+    if not cone_holds(_staircase_hams(x) if unitary else x_atoms[0].hams, tol):
         raise InputError("X must be dominant for the staircase search")
     windings = None
-    if commutes_with_j(x.matrices) and commutes_with_j(y.matrices):
+    if unitary:
         windings = mx, my = _unitary_windings(x, y)
         ends = real_to_complex(x.endpoint), real_to_complex(y.endpoint)
         fold = max(tol, ENDPOINT_FOLD)
@@ -339,7 +333,6 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
         kind = "endpoint"
     else:
         floors = [None] * len(rungs)
-        x_atoms = x_up, _inverse_atom(x, x_up.hams)
         y_powers = _signed_powers((None, _inverse_atom(y, _staircase_hams(y))),
                                   tuple(-n for n, _ in rungs))
         gamma_ns = [_least_certified_power(x_atoms, y_minus_n, p_max, tol)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ResolutionError
+from .errors import ComputationError, InputError, ResolutionError
 from .generators import _rotations, random_symplectic_path
 from .matrices import (DEFAULT_TOL, commutes_with_j, det_phase, exp_i_hermitian,
                        is_hermitian, is_symplectic, standard_j, symplectic_defect)
@@ -39,11 +39,13 @@ from .paths import (DEFECT_SAFETY, REFINEMENT_CAP, SampledPath, _plane_stack, co
 # boundary at pi
 STEP_GUARD = 1e-2
 # ``redistribute_eigenvalues``: how far a target may sit below 2*pi*n, the
-# width below which a reduced eigenvalue folds to 2*pi, and how far the trace
-# deficit may miss a whole number of 2*pi quanta
+# width below which a reduced eigenvalue folds to 2*pi, how far the trace
+# deficit may miss a whole number of 2*pi quanta, and the deficit, 2^27
+# quanta, from which one ulp of it in radians exceeds that tolerance
 TARGET_SLACK = 1e-9
 FOLD_CUTOFF = 1e-9
 CONGRUENCE_TOL = 1e-7
+QUANTA_LIMIT = 2.0 ** (53 + np.floor(np.log2(CONGRUENCE_TOL / (2.0 * np.pi))))
 
 
 @dataclass(frozen=True)
@@ -78,22 +80,17 @@ def _unitary_factor_phase(mats: np.ndarray) -> np.ndarray:
     return det_phase(two_c)
 
 
-def maslov_index(path: SampledPath, max_samples: int = REFINEMENT_CAP) -> MaslovResult:
-    """Winding of arg det of the unitary polar factor along the path.
+def maslov_index(path: SampledPath, power: int = 1) -> MaslovResult:
+    """Winding of arg det of the unitary polar factor along t -> X(t)^power.
 
     Increments between consecutive samples are taken as principal arguments;
     whenever one comes within ``STEP_GUARD`` of the aliasing boundary pi the
-    grid is doubled (interpolating with local generators) and the whole
-    computation retried, up to ``max_samples`` samples.
+    grid of X is doubled (interpolating with local generators, which resolve
+    where those of X^power may not) and the whole computation retried, up to
+    ``REFINEMENT_CAP`` samples.
     """
-    return _power_winding(path, 1, max_samples)
-
-
-def _power_winding(base: SampledPath, k: int, max_samples: int = REFINEMENT_CAP) -> MaslovResult:
-    """:func:`maslov_index` of the power path X^k, k >= 1.  A refinement doubles
-    the grid of X, whose generators resolve where those of X^k may not."""
     while True:
-        current = base if k == 1 else pointwise_power(base, k)
+        current = path if power == 1 else pointwise_power(path, power)
         phases = _unitary_factor_phase(current.matrices)
         incs = np.angle(phases[1:] * np.conj(phases[:-1]))
         max_step = float(np.abs(incs).max())
@@ -101,11 +98,11 @@ def _power_winding(base: SampledPath, k: int, max_samples: int = REFINEMENT_CAP)
             return MaslovResult(value=float(incs.sum()),
                                 per_step_increments=incs,
                                 max_step=max_step)
-        if 2 * (current.n_samples - 1) + 1 > max_samples:
+        if 2 * (current.n_samples - 1) + 1 > REFINEMENT_CAP:
             raise ResolutionError(
                 f"winding steps still reach {max_step:.3f} rad at "
-                f"{current.n_samples} samples (cap {max_samples})")
-        base = refine(base, 2)
+                f"{current.n_samples} samples (cap {REFINEMENT_CAP})")
+        path = refine(path)
 
 
 def maslov_via_trace(path: SampledPath) -> float:
@@ -132,7 +129,7 @@ def homogenize(path: SampledPath, k_max: int) -> np.ndarray:
     """
     if k_max < 1:
         raise InputError("k_max must be at least 1")
-    return np.array([_power_winding(path, k).value / k for k in range(1, k_max + 1)])
+    return np.array([maslov_index(path, k).value / k for k in range(1, k_max + 1)])
 
 
 def quasimorphism_defect_sample(num_pairs: int, dim: int, seed: int) -> float:
@@ -190,6 +187,11 @@ def redistribute_eigenvalues(a: np.ndarray, target_mu: float) -> RedistributedSp
     window no wider than 2*pi*n.  Requires ``target_mu >= 2*pi*n``; k = 0 is
     a valid no-op.  ``a`` must pass :func:`symporder.matrices.is_hermitian`;
     the returned trace is ``target_mu`` to within ``CONGRUENCE_TOL``.
+
+    A deficit of ``QUANTA_LIMIT`` = 2^27 quanta or more (targets from about
+    8.4e8), where no target can be told congruent or not, raises
+    :class:`ComputationError`.  Below it exp(iA) drifts by about one ulp of
+    the eigenvalues: on a 2 x 2 input 2e-11 at a target of 6e4, 1e-7 at 8e8.
     """
     a = np.asarray(a)
     n = a.shape[-1]
@@ -205,6 +207,10 @@ def redistribute_eigenvalues(a: np.ndarray, target_mu: float) -> RedistributedSp
     reduced = np.mod(w, two_pi)
     reduced[reduced <= FOLD_CUTOFF] += two_pi  # (0, 2*pi] convention
     k_float = (target_mu - reduced.sum()) / two_pi
+    if not k_float < QUANTA_LIMIT:
+        raise ComputationError(
+            f"target {target_mu:.6g} is {k_float:.6g} quanta of 2*pi above the spectrum, at or "
+            f"beyond the limit 2^{np.log2(QUANTA_LIMIT):.0f} of the congruence tolerance")
     k = int(round(k_float))
     if abs(k_float - k) * two_pi > CONGRUENCE_TOL:
         raise InputError(

@@ -186,20 +186,10 @@ def extract_hamiltonian(path: SampledPath, order: int = 2) -> np.ndarray:
     track converges at O(dt^2) on smooth paths.  ``order=4`` switches to
     5-point stencils (uniform grids of at least ``MIN_SAMPLES_ORDER4``
     samples only) for boundary-sensitive consumers such as the order
-    staircase.
-    """
-    return _hamiltonian_track(path, order, None)
-
-
-def _hamiltonian_track(path: SampledPath, order: int,
-                       inverse: np.ndarray | None) -> np.ndarray:
-    """:func:`extract_hamiltonian`, reading the inverse samples X^{-1} from
-    ``inverse`` when the caller holds them.
-
-    Otherwise they are formed here as a temporary that dies after its one
-    product: kept alive to the end, the stack slowed a 2049-sample Sp(4)
-    extraction by about 8 %, since the allocator could no longer reuse its
-    memory for the later temporaries.  Samples near the float range can
+    staircase.  The inverse samples X^{-1} are a temporary that dies after
+    its one product: kept alive to the end, the stack slowed a 2049-sample
+    Sp(4) extraction by about 8 %, since the allocator could no longer reuse
+    its memory for the later temporaries.  Samples near the float range can
     overflow the differences or the products; that raises
     :class:`ComputationError` without a numpy warning.
     """
@@ -211,7 +201,7 @@ def _hamiltonian_track(path: SampledPath, order: int,
             deriv = _time_derivative4(path.times, path.matrices)
         else:
             deriv = np.gradient(path.matrices, path.times, axis=0, edge_order=2)
-        raw = -j @ (deriv @ (symplectic_inverse(path.matrices) if inverse is None else inverse))
+        raw = -j @ (deriv @ symplectic_inverse(path.matrices))
         hams = 0.5 * (raw + np.swapaxes(raw, -1, -2))
     if not np.isfinite(hams).all():
         raise ComputationError("generator track holds a non-finite number")
@@ -280,13 +270,10 @@ def align_grids(x: SampledPath, y: SampledPath) -> tuple[SampledPath, SampledPat
     return resample(x, merged), resample(y, merged)
 
 
-def refine(path: SampledPath, factor: int = 2) -> SampledPath:
-    """Insert ``factor - 1`` equally spaced samples into every interval."""
+def refine(path: SampledPath) -> SampledPath:
+    """Insert the midpoint of every interval."""
     t = path.times
-    pieces = [t]
-    for i in range(1, factor):
-        pieces.append(t[:-1] + np.diff(t) * (i / factor))
-    return resample(path, np.unique(np.concatenate(pieces)))
+    return resample(path, np.unique(np.concatenate([t, t[:-1] + np.diff(t) * 0.5])))
 
 
 def compose(x: SampledPath, y: SampledPath) -> SampledPath:

@@ -15,3 +15,11 @@ def test_criterion(cid, capsys):
     with capsys.disabled():
         print(result.summary())
     assert result.passed, result.summary()
+
+
+def test_redistribution_criterion_keeps_its_figures():
+    # every C4 target lies far below the 2^27-quanta limit of
+    # ``maslov.redistribute_eigenvalues``
+    assert acceptance.criterion_redistribution().details == {
+        "max_trace_err": "7.11e-15", "min_eigenvalue": "0.803",
+        "max_gap_excess": "-2.04e+00", "max_endpoint_err": "1.92e-14"}

@@ -303,9 +303,10 @@ def test_the_canonical_probes_count_their_products(monkeypatch):
 
 
 def test_the_staircase_inverts_each_path_once(monkeypatch):
-    # X's inverse samples serve its order-4 track and its atom; on a pair off
-    # the unitary subgroup Y's serve its track, from which Y^-1's atom is read
-    # off Y's own samples; a unitary pair inverts only X's, for its dominance
+    # a unitary pair inverts only X's samples, for the track of its
+    # dominance check; a pair off the unitary subgroup inverts X's again for
+    # its atom, and Y's for its track, from which Y^-1's atom is read off Y's
+    # own samples
     inverted = []
     invert = paths.symplectic_inverse
 
@@ -317,10 +318,41 @@ def test_the_staircase_inverts_each_path_once(monkeypatch):
         monkeypatch.setattr(module, "symplectic_inverse", counted)
     for (x, y), (n, p_max, want), shapes in (
             (_power_pair(3, 2049, BENCH_R), (64, 128, 98), [(2049, 4, 4)]),
-            (_golden_pair(), (1, 9, 1), [(257, 2, 2)] * 2)):
+            (_golden_pair(), (1, 9, 1), [(257, 2, 2)] * 3)):
         inverted.clear()
         assert growth.gamma_n_bruteforce(x, y, n, p_max) == want
         assert inverted == shapes
+
+
+def test_windings_and_tracks_go_through_the_public_names(loops, monkeypatch):
+    # a winding of X^k is one ``maslov_index(X, k)`` call and a staircase
+    # track one ``extract_hamiltonian(X, order)`` call, through the module
+    # bindings that the benchmark's tracer wraps
+    calls = {"growth.maslov_index": [], "maslov.maslov_index": [],
+             "growth.extract_hamiltonian": []}
+
+    def recorded(name, fn):
+        def call(path, *args):
+            calls[name].append(args)
+            return fn(path, *args)
+        return call
+
+    for name in calls:
+        module, attr = name.split(".")
+        module = {"growth": growth, "maslov": maslov}[module]
+        monkeypatch.setattr(module, attr, recorded(name, getattr(module, attr)))
+    x, y = loops
+    growth.pseudo_distance_k(x, y)
+    growth.z_coordinate(x)
+    growth.z_coordinate(y)
+    assert calls["growth.maslov_index"] == [(growth.DEFAULT_K_MAX,)] * 4
+    maslov.homogenize(x, 3)
+    assert calls["maslov.maslov_index"] == [(1,), (2,), (3,)]
+    calls["growth.maslov_index"].clear()
+    calls["growth.extract_hamiltonian"].clear()
+    assert growth.gamma_n_bruteforce(*_power_pair(3, 2049, BENCH_R), 64, 128) == 98
+    assert calls["growth.extract_hamiltonian"] == [(4,)]
+    assert calls["growth.maslov_index"] == [(), ()]
 
 
 def test_growth_estimate_tests_each_path_for_unitarity_once(loops, monkeypatch):

@@ -612,6 +612,64 @@ def test_cli_redistribute_refuses_a_target_off_the_congruence_class(tmp_path, ca
     assert "not congruent" in err
 
 
+def test_cli_redistribute_keeps_a_1e4_report_and_refuses_1e16(tmp_path, capsys):
+    herm = _write_doc(tmp_path, "herm.json", {"n": 2, "real": [5.0, 0.3, 0.3, -1.0],
+                                              "imag": [0.0, -0.2, 0.2, 0.0]})
+    code, out, _ = run_cli(["redistribute", herm, "10006.831009029902"], capsys)
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "redistribute", "convention": cli.CONVENTION, "version": "0.1.0",
+        "eigenvalues": [5006.677100836182, 5000.153908193718],
+        "endpoint_error": 5.294145662932972e-12, "target_mu": 10006.831009029902,
+        "trace": 10006.8310090299}
+    proc = subprocess.run([sys.executable, "-m", "symporder.cli", "redistribute", herm, "1e16"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "limit 2^27" in proc.stderr
+
+
+def test_cli_argument_errors_quote_a_long_token_by_its_head_and_length(tmp_path):
+    # one fresh process runs ``main`` on each argument list; a 5,001-character
+    # token, past Python's 4,300-digit int limit, is quoted by 40 characters
+    # and its length, and a token of at most 40 keeps its whole repr
+    x = _write_doc(tmp_path, "x.json", {})
+    long = "7" * 5001
+    cases = [["quant-gamma", x, x, "--n", long], ["gamma", x, x, "--nmax", long],
+             ["kdist", x, x, "--kmax", long], ["defect-sample", "--pairs", long],
+             ["gamma", x, x, "--pmax", long], ["defect-sample", "--seed", long],
+             ["defect-sample", "--dim", long], ["redistribute", x, long],
+             ["verify", "--suite", long], [long], ["maslov", x, long]]
+    short = {"error: argument --nmax: invalid int value: 'x'\n": ["gamma", x, x, "--nmax", "x"],
+             "error: argument target_mu: expected a finite number, got 'x'\n":
+                 ["redistribute", x, "x"],
+             "error: unrecognized arguments: b c\n": ["maslov", x, "b", "c"],
+             f"error: argument --suite: invalid choice: '{'a' * 40}' (choose from 'all', "
+             "'linear', 'quant')\n": ["verify", "--suite", "a" * 40]}
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from symporder import cli\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    sys.argv, err = ['symporder', *argv], io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            cli.main()\n"
+        "        except SystemExit as exc:\n"
+        "            print(json.dumps([exc.code, err.getvalue()]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          input=json.dumps(cases + list(short.values())))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(results) == len(cases) + len(short)
+    for argv, (code, err) in zip(cases, results):
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert "'77777" in err and "(5001 characters)" in err, err
+        # the subcommand error also lists the 15 subcommands, fixed text of 175
+        # characters after the token
+        assert len(err.split(" (choose from ")[0]) <= 200, err
+    assert [err for _, err in results[len(cases):]] == list(short)
+
+
 def test_cli_gamma_with_csv(tmp_path, capsys):
     # exact-tie staircase rungs need a fine grid to come out sharp
     slow, fast = str(tmp_path / "slow.json"), str(tmp_path / "fast.json")

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from symporder import generators as gen
 from symporder import maslov, matrices, paths
-from symporder.errors import InputError, ResolutionError
+from symporder.errors import ComputationError, InputError, ResolutionError
 
 TWO_PI = 2.0 * np.pi
 
@@ -74,9 +74,10 @@ def test_refinement_resolves_fast_smooth_segments():
     assert len(result.per_step_increments) > 64
 
 
-def test_refinement_cap_raises():
+def test_refinement_cap_raises(monkeypatch):
+    monkeypatch.setattr(maslov, "REFINEMENT_CAP", 80)
     with pytest.raises(ResolutionError):
-        maslov.maslov_index(_spiky_unitary_path(), max_samples=80)
+        maslov.maslov_index(_spiky_unitary_path())
 
 
 def test_genuinely_undersampled_loop_raises_instead_of_guessing():
@@ -151,6 +152,18 @@ def test_redistribute_to_a_far_target_keeps_the_endpoint():
     out = maslov.redistribute_eigenvalues(a, target)
     err = np.abs(maslov.unitary_endpoint(out) - matrices.exp_i_hermitian(a)).max()
     assert err < 1e-6
+
+
+def test_redistribute_refuses_a_deficit_of_2_to_the_27_quanta_or_more():
+    # one ulp of a deficit of 2^27 quanta, read in radians, is 1.9e-7, above
+    # CONGRUENCE_TOL; at 1e17 the answer would miss exp(iA) by 1.7
+    a = np.array([[5.0, 0.3 + 0.2j], [0.3 - 0.2j, -1.0]])
+    base = float(np.mod(np.linalg.eigvalsh(a), TWO_PI).sum())
+    below = maslov.redistribute_eigenvalues(a, base + (2 ** 27 - 1) * TWO_PI)
+    assert below.eigenvalues.min() > 0.0
+    for target in (base + 2 ** 27 * TWO_PI, 1e16, 1e17, np.inf):
+        with pytest.raises(ComputationError, match=r"limit 2\^27"):
+            maslov.redistribute_eigenvalues(a, target)
 
 
 def test_redistribute_rejects_low_target():
