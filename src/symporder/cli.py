@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, io
-from .errors import ComputationError, InputError
+from .errors import QUOTE_CHARS, ComputationError, InputError, quote
 # the parser reads only ``paths`` constants, and each handler imports the
 # ``growth``, ``maslov`` or ``prequant`` it calls, so a call loads only the
 # modules its subcommand reads; the three functions stay module-level
@@ -32,18 +32,9 @@ CONVENTION = "radians; the full rotation loop in Sp(2) scores 2*pi"
 VERIFY_SUITES = ("all", "linear", "quant")
 
 
-# an argument error quotes a longer token by this many characters and its length
-QUOTE_CHARS = 40
-
-
-def _quote(token: str) -> str:
-    if len(token) <= QUOTE_CHARS:
-        return repr(token)
-    return f"{token[:QUOTE_CHARS]!r}... ({len(token)} characters)"
-
-
 class _Parser(argparse.ArgumentParser):
-    """Argument errors exit 1 as InputError, long tokens cut by :func:`_quote`, longest first."""
+    """Argument errors exit 1 as InputError, long tokens cut by
+    :func:`symporder.errors.quote`, longest first."""
 
     def parse_known_args(self, args=None, namespace=None):
         self._tokens = sys.argv[1:] if args is None else list(args)
@@ -52,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         for token in sorted(self._tokens, key=len, reverse=True):
             if len(token) > QUOTE_CHARS:
-                message = message.replace(repr(token), _quote(token)).replace(token, _quote(token))
+                message = message.replace(repr(token), quote(token)).replace(token, quote(token))
         raise InputError(message)
 
 
@@ -77,7 +68,7 @@ def _checked(convert, accept, expected: str):
         except ValueError:
             value = None
         if value is None or not accept(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {_quote(text)}")
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {quote(text)}")
         return value
     return parse
 

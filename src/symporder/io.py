@@ -15,6 +15,9 @@ Loaders accept only positive JSON integers for ``dim``, ``n`` and the
 booleans or strings, which numpy would read as numbers); anything
 else is an :class:`InputError` that names the file, as is a file that cannot
 be opened, decoded as UTF-8 or written (only :func:`write_text` writes).
+Errors stay one short line: a file name or passed-on message longer than
+255 characters (:func:`symporder.errors.echo`) and a value longer than 40
+(:func:`symporder.errors.quote`) are shown by their head and length.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, echo, quote
 from .paths import SampledPath
 
 if TYPE_CHECKING:
@@ -37,34 +40,35 @@ def _load_json(filename: str) -> dict:
         with open(filename, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise InputError(f"{filename}: {exc.strerror}") from exc
+        raise InputError(f"{echo(filename)}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{filename}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise InputError(f"{echo(filename)}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, over-long integer, deep nesting
-        raise InputError(f"{filename}: {exc}") from exc
+        raise InputError(f"{echo(filename)}: {echo(str(exc))}") from exc
     if not isinstance(data, dict):
-        raise InputError(f"{filename}: expected a JSON object at top level")
+        raise InputError(f"{echo(filename)}: expected a JSON object at top level")
     return data
 
 
 def _require(data: dict, key: str, filename: str):
     if key not in data:
-        raise InputError(f"{filename}: missing required key {key!r}")
+        raise InputError(f"{echo(filename)}: missing required key {key!r}")
     return data[key]
 
 
 def _require_count(data: dict, key: str, filename: str) -> int:
     value = _require(data, key, filename)
     if type(value) is not int or value < 1:
-        raise InputError(f"{filename}: {key!r} must be a positive integer, got {value!r}")
+        raise InputError(f"{echo(filename)}: {key!r} must be a positive integer, "
+                         f"got {quote(value)}")
     return value
 
 
 def _require_shape(data: dict, filename: str) -> tuple:
     shape = _require(data, "grid_shape", filename)
     if not isinstance(shape, list) or any(type(n) is not int or n < 1 for n in shape):
-        raise InputError(f"{filename}: 'grid_shape' must be a list of positive "
-                         f"integers, got {shape!r}")
+        raise InputError(f"{echo(filename)}: 'grid_shape' must be a list of positive "
+                         f"integers, got {quote(shape)}")
     return tuple(shape)
 
 
@@ -73,16 +77,16 @@ def _require_floats(data: dict, key: str, filename: str) -> np.ndarray:
     try:
         values = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{filename}: {key!r} must hold numbers ({exc})") from exc
+        raise InputError(f"{echo(filename)}: {key!r} must hold numbers ({echo(str(exc))})") from exc
     # a conversion that succeeds leaves a regular nest of values.ndim lists
     leaves = [raw]
     for _ in range(values.ndim):
         leaves = itertools.chain.from_iterable(leaves)
     if not set(map(type, leaves)) <= {int, float}:
-        raise InputError(f"{filename}: {key!r} must hold only numbers, "
+        raise InputError(f"{echo(filename)}: {key!r} must hold only numbers, "
                          "not booleans, strings or null")
     if not np.isfinite(values).all():
-        raise InputError(f"{filename}: {key!r} holds a non-finite number")
+        raise InputError(f"{echo(filename)}: {key!r} holds a non-finite number")
     return values
 
 
@@ -94,12 +98,12 @@ def load_path(filename: str) -> SampledPath:
     try:
         mats = mats.reshape(times.size, dim, dim)
     except ValueError as exc:
-        raise InputError(f"{filename}: matrices do not form "
+        raise InputError(f"{echo(filename)}: matrices do not form "
                          f"{times.size} x {dim} x {dim} samples ({exc})") from exc
     try:
         return SampledPath(times, mats)
     except InputError as exc:
-        raise InputError(f"{filename}: {exc}") from exc
+        raise InputError(f"{echo(filename)}: {exc}") from exc
 
 
 def write_text(text: str, filename: str) -> None:
@@ -108,7 +112,7 @@ def write_text(text: str, filename: str) -> None:
         with open(filename, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError(f"{filename}: {exc.strerror}") from exc
+        raise InputError(f"{echo(filename)}: {exc.strerror}") from exc
 
 
 def _save_json(doc: dict, filename: str) -> None:
@@ -129,7 +133,8 @@ def _read_grid(data: dict, filename: str) -> np.ndarray:
     try:
         return values.reshape(shape)
     except ValueError as exc:
-        raise InputError(f"{filename}: values do not fill grid {shape} ({exc})") from exc
+        raise InputError(f"{echo(filename)}: values do not fill grid {quote(shape)} "
+                         f"({echo(str(exc))})") from exc
 
 
 def load_grid(filename: str) -> LeafFunction:
@@ -159,13 +164,13 @@ def load_quant_element(filename: str) -> QuantElement:
     data = _load_json(filename)
     shift = _require_floats(data, "shift", filename)
     if shift.shape != ():
-        raise InputError(f"{filename}: 'shift' must be a single number")
+        raise InputError(f"{echo(filename)}: 'shift' must be a single number")
     values = _read_grid(data, filename)
     try:
         mean, leaf = _fold_mean(values)
         return QuantElement(float(shift) + mean, leaf)
     except ValueError as exc:
-        raise InputError(f"{filename}: {exc}") from exc
+        raise InputError(f"{echo(filename)}: {exc}") from exc
 
 
 def save_quant_element(element: QuantElement, filename: str) -> None:
@@ -179,7 +184,7 @@ def load_matrix(filename: str) -> np.ndarray:
     try:
         return flat.reshape(dim, dim)
     except ValueError as exc:
-        raise InputError(f"{filename}: matrix is not {dim} x {dim} ({exc})") from exc
+        raise InputError(f"{echo(filename)}: matrix is not {dim} x {dim} ({exc})") from exc
 
 
 def load_hermitian(filename: str) -> np.ndarray:
@@ -190,4 +195,4 @@ def load_hermitian(filename: str) -> np.ndarray:
     try:
         return re.reshape(n, n) + 1j * im.reshape(n, n)
     except ValueError as exc:
-        raise InputError(f"{filename}: blocks are not {n} x {n} ({exc})") from exc
+        raise InputError(f"{echo(filename)}: blocks are not {n} x {n} ({exc})") from exc

@@ -12,7 +12,9 @@ The phase needs no polar decomposition (McDuff-Salamon, *Introduction to
 Symplectic Topology*, section 2.2, the map rho): for ``X = U P`` the
 complex-linear part ``(X - J X J) / 2`` equals ``U (P + P^-1) / 2``, whose
 second factor is Hermitian with eigenvalues at least 1, so its complex
-determinant has the phase of ``det u`` and a modulus of at least 1.  That
+determinant has the phase of ``det u`` and a modulus of at least 1.  Its
+real and imaginary parts ``P + S`` and ``R - Q`` come from one entry-map
+product up to real dimension 8 (:func:`symporder.matrices._by_entry_map`).  That
 phase comes from :func:`symporder.matrices.det_phase`, the product of the
 unit pivots of a pivoted elimination run over all samples at once (on
 stacks of at least 512 samples; shorter ones take LAPACK's ``slogdet``).
@@ -26,8 +28,9 @@ import numpy as np
 
 from .errors import ComputationError, InputError, ResolutionError
 from .generators import _rotations, random_symplectic_path
-from .matrices import (DEFAULT_TOL, commutes_with_j, det_phase, exp_i_hermitian,
-                       is_hermitian, is_symplectic, standard_j, symplectic_defect)
+from .matrices import (DEFAULT_TOL, _by_entry_map, commutes_with_j, det_phase,
+                       exp_i_hermitian, is_hermitian, is_symplectic, standard_j,
+                       symplectic_defect)
 
 # ``unitary_polar_factor`` is not called here; the binding stays because the
 # benchmark's tracer wraps ``symporder.maslov.unitary_polar_factor`` by name.
@@ -36,8 +39,10 @@ from .paths import (DEFECT_SAFETY, REFINEMENT_CAP, SampledPath, _plane_stack, co
                     extract_hamiltonian, pointwise_power, refine)
 
 # refuse to trust per-step determinant increments this close to the aliasing
-# boundary at pi
+# boundary at pi, and a refined grid whose largest increment is above this
+# share of the coarser grid's: a resolving refinement about halves it
 STEP_GUARD = 1e-2
+REFINE_SHRINK = 0.75
 # ``redistribute_eigenvalues``: how far a target may sit below 2*pi*n, the
 # width below which a reduced eigenvalue folds to 2*pi, how far the trace
 # deficit may miss a whole number of 2*pi quanta, and the deficit, 2^27
@@ -69,15 +74,21 @@ class MaslovResult:
         return self.value / (2.0 * np.pi)
 
 
+def _two_complex_part(mats: np.ndarray) -> np.ndarray:
+    """2 C_X = (P + S) + i (R - Q) of each X = [[P, Q], [R, S]], its real and
+    imaginary parts interleaved on a last axis of length 2."""
+    n = mats.shape[-1] // 2
+    out = np.empty(mats.shape[:-2] + (n, n, 2))
+    np.add(mats[..., :n, :n], mats[..., n:, n:], out=out[..., 0])
+    np.subtract(mats[..., n:, :n], mats[..., :n, n:], out=out[..., 1])
+    return out
+
+
 def _unitary_factor_phase(mats: np.ndarray) -> np.ndarray:
     # det_C of 2 C_X, C_X the complex-linear part, has the phase of det_C U,
     # since 2 C_X = U (P + P^-1) with (P + P^-1) Hermitian positive definite;
     # ``det_phase`` forms no product of moduli, so no sample is too large
-    n = mats.shape[-1] // 2
-    two_c = np.empty(mats.shape[:-2] + (n, n), complex)
-    np.add(mats[..., :n, :n], mats[..., n:, n:], out=two_c.real)
-    np.subtract(mats[..., n:, :n], mats[..., :n, n:], out=two_c.imag)
-    return det_phase(two_c)
+    return det_phase(_by_entry_map(_two_complex_part, mats).view(complex)[..., 0])
 
 
 def maslov_index(path: SampledPath, power: int = 1) -> MaslovResult:
@@ -87,13 +98,24 @@ def maslov_index(path: SampledPath, power: int = 1) -> MaslovResult:
     whenever one comes within ``STEP_GUARD`` of the aliasing boundary pi the
     grid of X is doubled (interpolating with local generators, which resolve
     where those of X^power may not) and the whole computation retried, up to
-    ``REFINEMENT_CAP`` samples.
+    ``REFINEMENT_CAP`` samples.  A doubled grid whose largest increment is
+    above ``REFINE_SHRINK`` times the coarser grid's raises
+    :class:`ResolutionError`: across a step near pi the finite-difference
+    generator reads about sin(step) / dt, so the midpoints stay near the
+    segment start, the step creeps instead of halving, and the guard would
+    pass by chance with a winding wrong by whole turns.
     """
+    previous = None
     while True:
         current = path if power == 1 else pointwise_power(path, power)
         phases = _unitary_factor_phase(current.matrices)
         incs = np.angle(phases[1:] * np.conj(phases[:-1]))
         max_step = float(np.abs(incs).max())
+        if previous is not None and max_step > REFINE_SHRINK * previous:
+            raise ResolutionError(
+                f"refining to {current.n_samples} samples left the largest winding step "
+                f"at {max_step:.4f} rad (from {previous:.4f}); the samples cannot "
+                f"resolve the winding")
         if max_step < np.pi - STEP_GUARD:
             return MaslovResult(value=float(incs.sum()),
                                 per_step_increments=incs,
@@ -102,6 +124,7 @@ def maslov_index(path: SampledPath, power: int = 1) -> MaslovResult:
             raise ResolutionError(
                 f"winding steps still reach {max_step:.3f} rad at "
                 f"{current.n_samples} samples (cap {REFINEMENT_CAP})")
+        previous = max_step
         path = refine(path)
 
 

@@ -15,6 +15,7 @@ the trailing two axes.
 
 from __future__ import annotations
 
+from functools import cache
 from math import factorial
 
 import numpy as np
@@ -78,16 +79,19 @@ def is_hermitian(a: np.ndarray) -> bool:
     return bool(np.all(gap <= DEFAULT_TOL * (1.0 + np.abs(a).max(axis=(-1, -2)))))
 
 
-def commutes_with_j(a: np.ndarray) -> bool:
-    """True when every matrix in the stack commutes with the form matrix J.
+def _commutator_blocks(a: np.ndarray) -> np.ndarray:
+    """Blocks Q + R and S - P of each A = [[P, Q], [R, S]], an (..., 2, n, n)
+    stack: AJ - JA = [[Q + R, S - P], [S - P, -(Q + R)]]."""
+    n = a.shape[-1] // 2
+    return np.stack([a[..., :n, n:] + a[..., n:, :n], a[..., n:, n:] - a[..., :n, :n]], axis=-3)
 
-    For A = [[P, Q], [R, S]] the commutator is AJ - JA = [[Q + R, S - P],
-    [S - P, -(Q + R)]], so the blocks are compared without forming it.
-    """
-    n = _check_even_dim(a)
-    p, q = a[..., :n, :n], a[..., :n, n:]
-    r, s = a[..., n:, :n], a[..., n:, n:]
-    return bool(np.all(np.abs(q + r) <= DEFAULT_TOL) and np.all(np.abs(s - p) <= DEFAULT_TOL))
+
+def commutes_with_j(a: np.ndarray) -> bool:
+    """True when every matrix in the stack commutes with the form matrix J:
+    the blocks of its commutator (:func:`_commutator_blocks`, through
+    :func:`_by_entry_map`) are finite and within ``DEFAULT_TOL`` of 0."""
+    blocks = _by_entry_map(_commutator_blocks, a)
+    return bool(np.abs(blocks).max(initial=0.0) <= DEFAULT_TOL)
 
 
 def complex_to_real(u: np.ndarray) -> np.ndarray:
@@ -130,7 +134,9 @@ def unitary_polar_factor(a: np.ndarray) -> np.ndarray:
 # operations, so at 257 samples LAPACK is faster from real dimension 4 up
 # and at 65 samples 2-4.5 times faster, while at 513 samples the kernels win
 # or tie at every dimension up to 8.  Other stacks go to ``np.linalg``.
-# CHANGES.md holds the timings behind both.
+# The J-structure maps of ``_by_entry_map`` take the same dimension cap, with
+# no sample floor: above it their O(d^4) product is slower than the block
+# code.  CHANGES.md and the BENCH_23 and BENCH_26 records hold the timings.
 SAMPLE_AXIS_MAX_DIM = 8
 SAMPLE_AXIS_MIN_SAMPLES = 512
 
@@ -141,6 +147,41 @@ def _lapack_route(a: np.ndarray, real_dim: int) -> bool:
     ``SAMPLE_AXIS_MIN_SAMPLES`` of them."""
     return (real_dim > SAMPLE_AXIS_MAX_DIM
             or a.size < SAMPLE_AXIS_MIN_SAMPLES * a.shape[-1] ** 2)
+
+
+@cache
+def _entry_map(formula, n: int) -> np.ndarray:
+    """``formula`` applied to the 4n^2 unit matrices of size 2n: for a map
+    linear in the entries of each matrix, its matrix on that basis, of shape
+    (4n^2,) + the shape ``formula`` gives one matrix."""
+    d = 2 * n
+    m = formula(np.eye(d * d).reshape(d * d, d, d))
+    m.flags.writeable = False  # one array serves every caller
+    return m
+
+
+def _by_entry_map(formula, a: np.ndarray) -> np.ndarray:
+    """``formula(a)`` for a ``formula`` linear in the entries of each 2n x 2n
+    matrix of the stack ``a`` whose matrix (:func:`_entry_map`) holds only
+    0, +-1 and +-1/2: the J-structure maps.
+
+    Up to real dimension ``SAMPLE_AXIS_MAX_DIM`` it is one product of the
+    (samples, 4n^2) view of ``a`` with that matrix, in place of ``formula``'s
+    strided block copies and products by J.  For finite entries each output
+    then gets one nonzero term, or two exact halves whose sum rounds as
+    0.5 (x + y) does (above the subnormal range), plus exact zeros: the bits
+    of ``formula``'s entry, except that a zero may lose its sign, since a
+    BLAS product sums from +0.0.  An inf or NaN entry of a matrix turns its
+    outputs NaN.  Larger matrices, where the product's O(d^4) work costs
+    more than the copies, take ``formula`` itself.  The maps are cached per
+    formula and n.
+    """
+    n = _check_even_dim(a)
+    if 2 * n > SAMPLE_AXIS_MAX_DIM:
+        return formula(a)
+    m = _entry_map(formula, n)
+    flat = a.reshape(-1, m.shape[0]) @ m.reshape(m.shape[0], -1)
+    return flat.reshape(a.shape[:-2] + m.shape[1:])
 
 
 def _samples_last(a: np.ndarray) -> np.ndarray:
@@ -329,20 +370,23 @@ def exp_i_hermitian(a: np.ndarray) -> np.ndarray:
     return (v * phases[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def symplectic_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symplectic matrix through the form: A^{-1} = -J A^T J.
-
-    For A = [[P, Q], [R, S]] that is [[S^T, -Q^T], [-R^T, P^T]]: every entry
-    of -J A^T J is one entry of A up to sign, so the blocks are copied
-    instead of multiplied.
-    """
-    n = _check_even_dim(a)
+def _inverse_blocks(a: np.ndarray) -> np.ndarray:
+    """-J A^T J of each A = [[P, Q], [R, S]]: [[S^T, -Q^T], [-R^T, P^T]],
+    every entry one entry of A up to sign, copied block by block."""
+    n = a.shape[-1] // 2
     t = np.swapaxes(a, -1, -2)
     out = np.empty(t.shape, dtype=np.result_type(t, 0.0))
     out[..., :n, :n] = t[..., n:, n:]
     np.negative(t[..., n:, :n], out=out[..., :n, n:])
     np.negative(t[..., :n, n:], out=out[..., n:, :n])
     out[..., n:, n:] = t[..., :n, :n]
+    return out
+
+
+def symplectic_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a symplectic matrix through the form: A^{-1} = -J A^T J,
+    :func:`_inverse_blocks` through :func:`_by_entry_map`, no solve."""
+    out = _by_entry_map(_inverse_blocks, a)
     # adding 0.0 turns -0.0 into 0.0, the zero that -J A^T J computed as a
     # matrix product gives, so inverse samples keep the bytes of that product
     out += 0.0

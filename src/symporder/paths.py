@@ -12,7 +12,11 @@ Generator bookkeeping under the group operations:
 * block embed: generators embed block-wise and eigenvalue signs survive
 
 Samples are inverted through the form, ``X^{-1} = -J X^T J``, exact on Sp(2n),
-so no general (possibly singular) solve is needed.  Sp(2n) membership is
+so no general (possibly singular) solve is needed.  The inverse and the
+symmetrized generator sym(-J dX/dt X^{-1}) are fixed maps on the entries of
+a sample: up to real dimension 8 each is one BLAS product with its entry map
+(:func:`symporder.matrices._by_entry_map`), with the bits of the block copies
+and products by J that larger dimensions run.  Sp(2n) membership is
 checked where data enters, in :class:`SampledPath`; the group operations here
 keep it by algebra and build through :func:`_derived`, which checks the grid only.
 Integer powers of samples and of generator-carrying staircase atoms share one
@@ -37,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, InputError
-from .matrices import (DEFAULT_TOL, _check_even_dim, is_symplectic, matrix_exp,
-                       positive_definite, standard_j, symplectic_defect, symplectic_inverse)
+from .matrices import (DEFAULT_TOL, _by_entry_map, _check_even_dim, is_symplectic,
+                       matrix_exp, positive_definite, standard_j, symplectic_defect,
+                       symplectic_inverse)
 
 # Classification tolerance: FD-extracted generators carry O(dt^2) noise, so
 # the cone test uses a comfortably wider dead band than the structural checks.
@@ -164,7 +169,13 @@ def _time_derivative4(times: np.ndarray, mats: np.ndarray) -> np.ndarray:
         raise InputError("fourth-order stencils require a uniform grid")
     h = times[1] - times[0]
     d = np.empty_like(mats)
-    d[2:-2] = (mats[:-4] - 8 * mats[1:-3] + 8 * mats[3:-1] - mats[4:]) / (12 * h)
+    # (X_{k-2} - 8 X_{k-1} + 8 X_{k+1} - X_{k+2}) / 12h in place, in that order
+    inner = d[2:-2]
+    np.multiply(mats[1:-3], 8, out=inner)
+    np.subtract(mats[:-4], inner, out=inner)
+    inner += 8 * mats[3:-1]
+    inner -= mats[4:]
+    inner /= 12 * h
     d[0] = (-137 / 60 * mats[0] + 5 * mats[1] - 5 * mats[2]
             + 10 / 3 * mats[3] - 5 / 4 * mats[4] + 1 / 5 * mats[5]) / h
     d[1] = (-1 / 5 * mats[0] - 13 / 12 * mats[1] + 2 * mats[2]
@@ -174,6 +185,12 @@ def _time_derivative4(times: np.ndarray, mats: np.ndarray) -> np.ndarray:
     d[-2] = (1 / 5 * mats[-1] + 13 / 12 * mats[-2] - 2 * mats[-3]
              + mats[-4] - 1 / 3 * mats[-5] + 1 / 20 * mats[-6]) / h
     return d
+
+
+def _symmetric_generator(p: np.ndarray) -> np.ndarray:
+    """sym(-J P) = (R + R^T) / 2, R = -J P, of each matrix P = dX/dt X^{-1}."""
+    raw = -standard_j(p.shape[-1] // 2) @ p
+    return 0.5 * (raw + np.swapaxes(raw, -1, -2))
 
 
 def extract_hamiltonian(path: SampledPath, order: int = 2) -> np.ndarray:
@@ -195,14 +212,13 @@ def extract_hamiltonian(path: SampledPath, order: int = 2) -> np.ndarray:
     """
     if order not in (2, 4):
         raise InputError(f"unsupported stencil order {order}")
-    j = standard_j(path.half_dim)
     with np.errstate(over="ignore", invalid="ignore"):
         if order == 4:
             deriv = _time_derivative4(path.times, path.matrices)
         else:
             deriv = np.gradient(path.matrices, path.times, axis=0, edge_order=2)
-        raw = -j @ (deriv @ symplectic_inverse(path.matrices))
-        hams = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+        hams = _by_entry_map(_symmetric_generator,
+                             deriv @ symplectic_inverse(path.matrices))
     if not np.isfinite(hams).all():
         raise ComputationError("generator track holds a non-finite number")
     return hams

@@ -489,8 +489,10 @@ def test_no_cli_command_loads_scipy(tmp_path, loop_file):
     # one (counted through a wrapper bound before the package imports it)
     # start without scipy
     coarse, other = str(tmp_path / "coarse.json"), str(tmp_path / "other.json")
-    # steps of pi - 0.005 sit inside the winding guard band: the grid is refined
-    io.save_path(gen.rotation_path(8 * (np.pi - 0.005), 9), coarse)
+    # steps of pi - 0.005, shared by 4 planes, sit inside the winding guard
+    # band: the grid is refined once
+    t = gen.uniform_times(9)
+    io.save_path(gen.diagonal_unitary_path(np.outer(t, [2 * (np.pi - 0.005)] * 4), t), coarse)
     # 100 samples share only 0 and 1 with the loop's 129: the union resample
     io.save_path(gen.rotation_loop(1, 100), other)
     script = [
@@ -668,6 +670,29 @@ def test_cli_argument_errors_quote_a_long_token_by_its_head_and_length(tmp_path)
         # characters after the token
         assert len(err.split(" (choose from ")[0]) <= 200, err
     assert [err for _, err in results[len(cases):]] == list(short)
+
+
+def test_cli_file_errors_quote_a_long_name_or_value_by_its_head_and_length(tmp_path, capsys):
+    # a 5,001-character file name (too long to open) and a 5,000-character
+    # string for "dim" each give one line naming 40 characters and the length
+    long_name = str(tmp_path / ("a" * 5001))
+    assert run_cli(["maslov", long_name], capsys) == (
+        1, "", f"error: {long_name[:40]!r}... ({len(long_name)} characters): "
+               "File name too long\n")
+    dim_file = _write_doc(tmp_path, "dim.json", {"dim": "d" * 5000, "times": [], "matrices": []})
+    assert run_cli(["maslov", dim_file], capsys) == (
+        1, "", f"error: {dim_file}: 'dim' must be a positive integer, got "
+               f"'{'d' * 40}'... (5000 characters)\n")
+
+
+def test_cli_refuses_a_winding_its_samples_cannot_decide(tmp_path, capsys):
+    # steps of pi +- 0.005 in one plane creep on refining instead of halving
+    name = str(tmp_path / "coarse.json")
+    for angle in (8 * (np.pi + 0.005), 8 * (np.pi - 0.005)):
+        io.save_path(gen.rotation_path(angle, 9), name)
+        assert run_cli(["maslov", name], capsys) == (
+            2, "", "error: refining to 17 samples left the largest winding step at 3.1341 "
+                   "rad (from 3.1366); the samples cannot resolve the winding\n")
 
 
 def test_cli_gamma_with_csv(tmp_path, capsys):

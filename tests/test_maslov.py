@@ -60,24 +60,41 @@ def test_conjugation_moves_open_path_index_boundedly():
     assert abs(maslov.maslov_index(conj).value - base) < TWO_PI
 
 
-def _spiky_unitary_path(n_samples=65):
-    # angle velocity peaks at 64*pi, putting coarse steps at the aliasing
-    # boundary while staying smooth enough for the stencils to resolve
+def _spiky_unitary_path(n_samples=65, modes=1):
+    # angle velocity peaks at 64*pi, shared by ``modes`` equal planes, putting
+    # coarse steps of the determinant at the aliasing boundary while staying
+    # smooth enough for the stencils to resolve
     t = gen.uniform_times(n_samples)
     theta = (32.0 * (1.0 - np.cos(2 * np.pi * t)))[:, None]
-    return gen.diagonal_unitary_path(theta, t)
+    return gen.diagonal_unitary_path(np.repeat(theta / modes, modes, axis=1), t)
 
 
 def test_refinement_resolves_fast_smooth_segments():
-    result = maslov.maslov_index(_spiky_unitary_path())
+    # split over 4 planes, each plane turns by at most pi/4 per step, which
+    # the local generators resolve: one level halves the largest step
+    # (3.1365 -> 1.73)
+    result = maslov.maslov_index(_spiky_unitary_path(modes=4))
     assert result.value == pytest.approx(0.0, abs=1e-9)
-    assert len(result.per_step_increments) > 64
+    assert len(result.per_step_increments) == 128
+    # in one plane each step is near pi, where a central difference reads
+    # about sin(step) / dt: refinement creeps (3.1365 -> 3.1321) and is refused
+    with pytest.raises(ResolutionError, match=r"129 samples .* 3\.1321 rad \(from 3\.1365\)"):
+        maslov.maslov_index(_spiky_unitary_path())
 
 
 def test_refinement_cap_raises(monkeypatch):
     monkeypatch.setattr(maslov, "REFINEMENT_CAP", 80)
     with pytest.raises(ResolutionError):
         maslov.maslov_index(_spiky_unitary_path())
+
+
+def test_a_refinement_that_does_not_shrink_the_step_raises():
+    # 8 (pi +- 0.005) over 8 steps: the largest step creeps 3.1366 -> 3.1341
+    # on refining; unrefused, pi + 0.005 wound -25.09 where the path winds
+    # +25.17
+    for angle in (8 * (np.pi + 0.005), 8 * (np.pi - 0.005)):
+        with pytest.raises(ResolutionError, match=r"17 samples .* 3\.1341 rad \(from 3\.1366\)"):
+            maslov.maslov_index(gen.rotation_path(angle, 9))
 
 
 def test_genuinely_undersampled_loop_raises_instead_of_guessing():

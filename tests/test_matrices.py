@@ -95,23 +95,51 @@ def test_symplectic_inverse_agrees_with_inverse():
     assert np.abs(matrices.symplectic_inverse(m) - np.linalg.inv(m)).max() < 1e-10
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 5),
-       st.sampled_from([0.0, 1e-10, 1e-9, 2e-9, 1.0]), st.booleans())
-def test_block_formulas_equal_the_products_by_j(seed, n, size, noise, zeros):
-    # the inverse and the commutator test read blocks; the products by J are
-    # their reference, on any stack (symplectic or not) of dim 2n
+def _near_unitary_stack(seed, n, size, noise, zeros):
+    """Stack of complex_to_real(Z) plus noise, 40 % of its entries +-0 if ``zeros``."""
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(size, n, n)) + 1j * rng.normal(size=(size, n, n))
     a = matrices.complex_to_real(z) + noise * rng.normal(size=(size, 2 * n, 2 * n))
     if zeros:
         hit = rng.random(a.shape) < 0.4
         a[hit] = rng.choice([0.0, -0.0], size=int(hit.sum()))
+    return a
+
+
+_STACKS = (st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 5),
+           st.sampled_from([0.0, 1e-10, 1e-9, 2e-9, 1.0]), st.booleans())
+
+
+@settings(deadline=None, max_examples=200)
+@given(*_STACKS)
+def test_block_formulas_equal_the_products_by_j(seed, n, size, noise, zeros):
+    # the inverse and the commutator test are entry maps up to dim 8 and
+    # block code above; the products by J are their reference, on any stack
+    # (symplectic or not) of dim 2n
+    a = _near_unitary_stack(seed, n, size, noise, zeros)
     j = matrices.standard_j(n)
     inverse = matrices.symplectic_inverse(a)
     assert np.array_equal(inverse, -j @ np.swapaxes(a, -1, -2) @ j)
     assert inverse.tobytes() == (-j @ np.swapaxes(a, -1, -2) @ j).tobytes()
     assert matrices.commutes_with_j(a) == bool(np.all(np.abs(a @ j - j @ a) <= 1e-9))
+
+
+@settings(deadline=None, max_examples=200)
+@given(*_STACKS)
+def test_complex_part_map_equals_the_block_sums(seed, n, size, noise, zeros):
+    # 2 C_X = (P + S) + i (R - Q), read by the winding; above dim 8 it is the
+    # block code itself, bit for bit; up to dim 8 the entry map's BLAS product
+    # sums from +0.0, so a zero whose two terms give -0.0 there (-0 + -0, or
+    # -0 - +0) comes out +0.0, and every other bit is the block sum's
+    a = _near_unitary_stack(seed, n, size, noise, zeros)
+    part = matrices._by_entry_map(maslov._two_complex_part, a).view(complex)[..., 0]
+    p, q, r, s = a[..., :n, :n], a[..., :n, n:], a[..., n:, :n], a[..., n:, n:]
+    reference = np.empty(part.shape, complex)
+    reference.real, reference.imag = p + s, r - q
+    if 2 * n <= matrices.SAMPLE_AXIS_MAX_DIM:
+        reference.real += 0.0
+        reference.imag += 0.0
+    assert part.tobytes() == reference.tobytes()
 
 
 def test_membership_tests_scale_with_the_terms_and_refuse_overflow():

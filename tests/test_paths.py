@@ -62,6 +62,43 @@ def test_fourth_order_stencil_beats_second_order():
     assert err4 < err2 / 100.0
 
 
+def _reference_track(path, order):
+    """0.5 (R + R^T), R = -J (dX/dt X^-1), with X^-1 = -J X^T J and the
+    order-4 interior stencil written as whole-array expressions."""
+    j = matrices.standard_j(path.half_dim)
+    m, t = path.matrices, path.times
+    if order == 4:
+        deriv = paths._time_derivative4(t, m)
+        deriv[2:-2] = (m[:-4] - 8 * m[1:-3] + 8 * m[3:-1] - m[4:]) / (12 * (t[1] - t[0]))
+    else:
+        deriv = np.gradient(m, t, axis=0, edge_order=2)
+    raw = -j @ (deriv @ (-j @ np.swapaxes(m, -1, -2) @ j))
+    return 0.5 * (raw + np.swapaxes(raw, -1, -2))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.sampled_from([7, 9, 33]),
+       st.sampled_from(["dense", "planes"]), st.booleans())
+def test_generator_tracks_equal_the_products_by_j(seed, n, n_samples, kind, signed_zeros):
+    # the entry map up to dim 8 and the block code above give the bytes of
+    # the reference, both stencil orders, on dense paths and on direct sums of
+    # Sp(2) planes, whose many zero entries may carry either sign
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        mats = gen.random_symplectic_path(2 * n, rng, n_samples=n_samples).matrices
+    else:
+        planes = {i: gen.random_symplectic_path(2, rng, n_samples=n_samples).matrices
+                  for i in range(n) if rng.random() < 0.6}
+        mats = paths._plane_stack(n_samples, n, planes)
+    if signed_zeros:
+        zero = mats == 0.0
+        mats[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    path = paths.SampledPath(gen.uniform_times(n_samples), mats)
+    for order in (2, 4):
+        assert paths.extract_hamiltonian(path, order).tobytes() == \
+            _reference_track(path, order).tobytes()
+
+
 def test_extract_hamiltonian_convergence_order():
     errs = []
     for n in (65, 129, 257):
