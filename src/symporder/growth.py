@@ -77,7 +77,11 @@ def mu_tilde(path: SampledPath, k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0) 
     """Homogenized winding estimate maslov(X^k_max)/k_max with +-c_emp/k_max.
 
     This is the last entry of ``homogenize(path, k_max)``, bit for bit,
-    without the k_max - 1 windings before it.
+    without the k_max - 1 windings before it.  On a unitary path the winding
+    of X^k_max is k_max times X's (:func:`symporder.maslov.maslov_index`),
+    so the estimate is maslov(X) up to one rounding per increment, and bit
+    for bit when k_max is a power of 2; no power path is formed and a large
+    k_max does not alias.  Any other path still winds X^k_max.
     """
     if k_max < 1:
         raise InputError("k_max must be at least 1")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, InputError, ResolutionError
+from .errors import ComputationError, InputError, ResolutionError, quote
 from .generators import _rotations, random_symplectic_path
 from .matrices import (DEFAULT_TOL, _by_entry_map, commutes_with_j, det_phase,
                        exp_i_hermitian, is_hermitian, is_symplectic, standard_j,
@@ -43,6 +43,10 @@ from .paths import (DEFECT_SAFETY, REFINEMENT_CAP, SampledPath, _plane_stack, co
 # share of the coarser grid's: a resolving refinement about halves it
 STEP_GUARD = 1e-2
 REFINE_SHRINK = 0.75
+# the largest power whose winding on a unitary path is taken as a multiple of
+# the path's: every integer up to 2^53 is exact as a float, so each scaled
+# increment is one rounding of the exact product
+EXACT_POWER = 2 ** 53
 # ``redistribute_eigenvalues``: how far a target may sit below 2*pi*n, the
 # width below which a reduced eigenvalue folds to 2*pi, how far the trace
 # deficit may miss a whole number of 2*pi quanta, and the deficit, 2^27
@@ -60,14 +64,19 @@ class MaslovResult:
     Each sample's phase is read in closed form as the determinant phase
     (:func:`symporder.matrices.det_phase`) of its complex-linear part, with
     no SVD and no logarithm (see the module docstring).
-    ``value`` is exactly the float sum of ``per_step_increments`` and
-    ``max_step`` is strictly below pi, otherwise the grid was refined before
-    this result was produced.
+    ``value`` is exactly the float sum of ``per_step_increments``.
+    ``max_step`` is the largest step the refinement guard read, strictly
+    below pi: the step of the power path, or of X itself where the winding
+    of a power of a unitary path is a multiple of X's (:func:`maslov_index`).
+    ``refinements`` counts the doublings of X's grid before this result and
+    ``n_samples`` is the size of the grid that was read.
     """
 
     value: float
     per_step_increments: np.ndarray
     max_step: float
+    refinements: int
+    n_samples: int
 
     @property
     def turns(self) -> float:
@@ -104,10 +113,24 @@ def maslov_index(path: SampledPath, power: int = 1) -> MaslovResult:
     generator reads about sin(step) / dt, so the midpoints stay near the
     segment start, the step creeps instead of halving, and the guard would
     pass by chance with a winding wrong by whole turns.
+
+    On a path whose samples commute with J (its endpoint is tested first)
+    the determinant winding is a homomorphism of the universal cover of
+    U(n), so for ``power`` other than 0 and 1 the increments are ``power``
+    times those of X itself: no power path is formed, the guard reads X's
+    steps, and no power aliases.  A power beyond ``EXACT_POWER`` raises
+    :class:`ComputationError` there.  Any other path winds the pointwise
+    power X^power.
     """
+    unitary = (power not in (0, 1) and commutes_with_j(path.matrices[-1])
+               and commutes_with_j(path.matrices))
+    if unitary and abs(power) > EXACT_POWER:
+        raise ComputationError(f"power {quote(power)} of a unitary path is beyond 2^53, "
+                               f"above which a power has no exact float")
     previous = None
+    refinements = 0
     while True:
-        current = path if power == 1 else pointwise_power(path, power)
+        current = path if power == 1 or unitary else pointwise_power(path, power)
         phases = _unitary_factor_phase(current.matrices)
         incs = np.angle(phases[1:] * np.conj(phases[:-1]))
         max_step = float(np.abs(incs).max())
@@ -117,14 +140,17 @@ def maslov_index(path: SampledPath, power: int = 1) -> MaslovResult:
                 f"at {max_step:.4f} rad (from {previous:.4f}); the samples cannot "
                 f"resolve the winding")
         if max_step < np.pi - STEP_GUARD:
-            return MaslovResult(value=float(incs.sum()),
-                                per_step_increments=incs,
-                                max_step=max_step)
+            if unitary:
+                incs = power * incs
+            return MaslovResult(value=float(incs.sum()), per_step_increments=incs,
+                                max_step=max_step, refinements=refinements,
+                                n_samples=current.n_samples)
         if 2 * (current.n_samples - 1) + 1 > REFINEMENT_CAP:
             raise ResolutionError(
                 f"winding steps still reach {max_step:.3f} rad at "
                 f"{current.n_samples} samples (cap {REFINEMENT_CAP})")
         previous = max_step
+        refinements += 1
         path = refine(path)
 
 

@@ -37,8 +37,10 @@ def test_each_workload_passes_its_check_under_the_tracer(name, tmp_path, monkeyp
     finally:
         tracer.uninstall()
     calls = tracer.times("ops")[2]
-    # the windings of X^k and the staircase's order-4 track are seen by name
+    # the windings of X^k and the staircase's order-4 track are seen by name;
+    # the powers wound are of unitary paths, which form no power path
     if name == "winding":
         assert calls["maslov.winding"] == 7
+        assert calls.get("paths.power", 0) == 0
     elif name == "staircase":
         assert calls["paths.extract4"] == 1

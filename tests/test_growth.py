@@ -491,19 +491,26 @@ def test_closed_forms_refuse_paths_of_different_dimension():
             call(x, y)
 
 
-@pytest.mark.xfail(raises=AssertionError,
-                   reason="maslov(X^k_max) aliases once the power turns more than pi "
-                          "between samples: k_max = 10**6 gives -8.82 (ROADMAP item 4)")
 def test_z_coordinate_does_not_alias_at_large_k_max():
-    # theta = (3t, 5t) winds 8 radians, so an honest coordinate is log 8
+    # theta = (3t, 5t) winds 8 radians, so an honest coordinate is log 8; the
+    # winding of X^k of a unitary path is k times X's, so no power aliases
     t = np.linspace(0.0, 1.0, 129)
     x = gen.diagonal_unitary_path(np.outer(t, [3.0, 5.0]), t)
     for k_max in (64, 10**6):
-        try:
-            point = growth.z_coordinate(x, k_max=k_max)
-        except ComputationError:
-            continue
+        point = growth.z_coordinate(x, k_max=k_max)
         assert point.coordinate == pytest.approx(np.log(8.0), rel=1e-9)
+
+
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="maslov(X^k_max) of a non-unitary path aliases once the power "
+                          "turns more than pi between samples: k_max = 64 gives 2.50731 "
+                          "(ROADMAP item 4)")
+def test_z_coordinate_of_a_hyperbolic_dominant_does_not_alias_at_k_max_64():
+    # the positive path to diag(2, 1/2) winds 4 pi and is not unitary, so its
+    # homogenized winding still forms X^64
+    x = maslov.positive_path_to(np.diag([2.0, 0.5]), 2049)
+    point = growth.z_coordinate(x, k_max=64)
+    assert point.coordinate == pytest.approx(np.log(4.0 * np.pi), rel=1e-9)
 
 
 @settings(deadline=None, max_examples=24)

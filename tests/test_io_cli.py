@@ -459,6 +459,19 @@ def test_cli_zcoord_refines_the_base_path_of_an_unresolved_power(tmp_path):
     assert 3.224171427529236 == float(np.log(8 * np.pi))
 
 
+def test_cli_zcoord_of_a_unitary_path_does_not_alias_at_a_large_kmax(tmp_path):
+    # theta = (3t, 5t) winds 8 radians over 129 samples: X^(10^6) turns far
+    # more than pi between samples, but a unitary path's power winds 10^6
+    # times X's, so the coordinate is log 8 (a power path read -8.82)
+    t = np.linspace(0.0, 1.0, 129)
+    name = str(tmp_path / "u.json")
+    io.save_path(gen.diagonal_unitary_path(np.outer(t, [3.0, 5.0]), t), name)
+    proc = subprocess.run([sys.executable, "-m", "symporder.cli", "zcoord", name,
+                           "--kmax", "1000000"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["coordinate"] == pytest.approx(np.log(8.0), rel=1e-12)
+
+
 def test_cli_cone_and_order_of_a_shear_near_the_float_maximum_exit_2(tmp_path):
     # the samples pass the symplectic test, but their differences overflow,
     # so the generator track is not finite: one error line, no numpy warning
@@ -764,15 +777,15 @@ def test_cli_reports_fed_by_extraction_and_winding_are_golden(tmp_path, capsys):
                           "value": 5.934758042438345}),
         (["maslov", px], {"max_step": 0.04908738521234225, "turns": 2.0,
                           "value": 12.566370614359172}),
-        (["zcoord", ux], {"c_emp": 0.0, "coordinate": 1.7808262593179343, "k_max": 8,
-                          "lower": 1.7808262593179343, "upper": 1.7808262593179343}),
+        (["zcoord", ux], {"c_emp": 0.0, "coordinate": 1.7808262593179345, "k_max": 8,
+                          "lower": 1.7808262593179345, "upper": 1.7808262593179345}),
         (["zcoord", px, "--cemp", "0.5"], {
             "c_emp": 0.5, "coordinate": 2.5310242469692907, "k_max": 8,
             "lower": 2.526038245525586, "upper": 2.5359855114899403}),
-        (["kdist", ux, uy], {"c_emp": 0.0, "k_max": 8, "lower": 0.3735925509532466,
-                             "upper": 0.3735925509532466, "value": 0.3735925509532466}),
+        (["kdist", ux, uy], {"c_emp": 0.0, "k_max": 8, "lower": 0.37359255095324695,
+                             "upper": 0.37359255095324695, "value": 0.37359255095324695}),
         (["kdist", px, py, "--cemp", "0.5"], {
-            "c_emp": 0.5, "k_max": 8, "lower": 1.4068066696547405,
+            "c_emp": 0.5, "k_max": 8, "lower": 1.4068066696547403,
             "upper": 1.4584266320196628, "value": 1.432411958301181}),
     )
     for argv, fields in cases:

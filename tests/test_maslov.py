@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symporder import generators as gen
-from symporder import maslov, matrices, paths
+from symporder import growth, maslov, matrices, paths
 from symporder.errors import ComputationError, InputError, ResolutionError
 
 TWO_PI = 2.0 * np.pi
@@ -76,6 +76,12 @@ def test_refinement_resolves_fast_smooth_segments():
     result = maslov.maslov_index(_spiky_unitary_path(modes=4))
     assert result.value == pytest.approx(0.0, abs=1e-9)
     assert len(result.per_step_increments) == 128
+    assert (result.refinements, result.n_samples) == (1, 129)
+    # a power of the unitary path refines X's grid by X's own steps
+    powered = maslov.maslov_index(_spiky_unitary_path(modes=4), -3)
+    assert (powered.refinements, powered.n_samples, powered.max_step) == (
+        1, 129, result.max_step)
+    assert np.array_equal(powered.per_step_increments, -3 * result.per_step_increments)
     # in one plane each step is near pi, where a central difference reads
     # about sin(step) / dt: refinement creeps (3.1365 -> 3.1321) and is refused
     with pytest.raises(ResolutionError, match=r"129 samples .* 3\.1321 rad \(from 3\.1365\)"):
@@ -103,6 +109,61 @@ def test_genuinely_undersampled_loop_raises_instead_of_guessing():
     # answer
     with pytest.raises(ResolutionError):
         maslov.maslov_index(gen.rotation_loop(8, 17))
+
+
+def _unitary_path(family: str, n: int, n_samples: int, rng) -> paths.SampledPath:
+    if family == "loop":
+        return gen.unitary_loop(rng.integers(-2, 3, size=n), gen.random_unitary_matrix(n, rng),
+                                n_samples)
+    if family == "pair":
+        return gen.commuting_unitary_pair(n, rng, n_samples)[int(rng.integers(2))]
+    t = gen.uniform_times(n_samples)
+    angles = (np.outer(t, rng.uniform(-6.0, 6.0, size=n))
+              + np.outer(np.sin(2 * np.pi * t), rng.uniform(-1.0, 1.0, size=n)))
+    return gen.diagonal_unitary_path(angles, t)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["loop", "pair", "diagonal"]),
+       st.integers(1, 4), st.sampled_from([129, 257, 1025]),
+       st.integers(1, 64), st.booleans())
+def test_windings_of_powers_of_unitary_paths_are_multiples(seed, family, n, n_samples, k,
+                                                           negative):
+    # det is a homomorphism on the universal cover of U(n), so the winding of
+    # X^k is k times X's, read from X's own samples
+    k = -k if negative else k
+    x = _unitary_path(family, n, n_samples, np.random.default_rng(seed))
+    base, power = maslov.maslov_index(x), maslov.maslov_index(x, k)
+    assert abs(power.value - k * base.value) <= 1e-12 * abs(k)
+    assert float(power.per_step_increments.sum()) == power.value
+    assert (power.max_step, power.refinements, power.n_samples) == (
+        base.max_step, base.refinements, base.n_samples)
+    assert growth.mu_tilde(x, 8).value == base.value
+    zero = maslov.maslov_index(x, 0).value
+    assert zero == 0.0 and np.copysign(1.0, zero) == 1.0
+    # the power path X^k aliases only where k times X's largest step reaches
+    # the guard; below it, the two routes read the same winding
+    if abs(k) * base.max_step < np.pi - maslov.STEP_GUARD:
+        formed = maslov.maslov_index(paths.pointwise_power(x, k))
+        assert formed.refinements == 0
+        assert abs(formed.value - power.value) <= 1e-9
+
+
+def test_a_power_of_a_unitary_path_beyond_2_to_the_53_raises():
+    loop = gen.rotation_loop(1, 65)
+    assert maslov.maslov_index(loop, -maslov.EXACT_POWER).value == pytest.approx(
+        -maslov.EXACT_POWER * TWO_PI, rel=1e-12)
+    for k in (maslov.EXACT_POWER + 1, -10**400):
+        with pytest.raises(ComputationError, match=r"beyond 2\^53"):
+            maslov.maslov_index(loop, k)
+
+
+def test_powers_of_a_non_unitary_path_wind_the_power_path():
+    x = gen.random_symplectic_path(4, np.random.default_rng(5), n_samples=257)
+    for k in (-2, 3):
+        direct, formed = maslov.maslov_index(x, k), maslov.maslov_index(paths.pointwise_power(x, k))
+        assert direct.value == formed.value and direct.max_step == formed.max_step
+        assert np.array_equal(direct.per_step_increments, formed.per_step_increments)
 
 
 def test_trace_route_matches_index_route():
