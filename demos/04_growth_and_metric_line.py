@@ -10,7 +10,7 @@ its homogenized winding, and coordinate differences reproduce K.
 import numpy as np
 
 from symporder import (
-    gamma_closed_unitary,
+    gamma_closed_symplectic,
     growth_estimate,
     pseudo_distance_k,
     rotation_loop,
@@ -53,6 +53,6 @@ pairs = ((slow, fast, "1 loop vs 2 loops"),
 for x, y, label in pairs:
     dist = pseudo_distance_k(x, y)
     dz = abs(z_coordinate(x).coordinate - z_coordinate(y).coordinate)
-    gamma = gamma_closed_unitary(x, y)
+    gamma = gamma_closed_symplectic(x, y).value
     print(f"  {label}:  K = {dist.value:.6f}   |dz| = {dz:.6f}"
           f"   gamma = {gamma:.4f}")

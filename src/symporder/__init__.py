@@ -25,8 +25,8 @@ _EXPORTS = {
     ),
     "growth": (
         "Estimate", "GrowthEstimate", "ZPoint", "gamma_closed_symplectic",
-        "gamma_closed_unitary", "gamma_n_bruteforce", "growth_estimate", "mu_tilde",
-        "pseudo_distance_k", "z_coordinate",
+        "gamma_n_bruteforce", "growth_estimate", "mu_tilde", "pseudo_distance_k",
+        "z_coordinate",
     ),
     "io": (
         "load_grid", "load_hermitian", "load_matrix", "load_path", "load_quant_element",

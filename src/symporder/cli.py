@@ -21,10 +21,11 @@ from . import __version__, io
 from .errors import QUOTE_CHARS, ComputationError, InputError, quote
 # the parser reads only ``paths`` constants, and each handler imports the
 # ``growth``, ``maslov`` or ``prequant`` it calls, so a call loads only the
-# modules its subcommand reads; the three functions stay module-level
-# bindings because the benchmark's tracer wraps ``symporder.cli``'s by name
+# modules its subcommand reads; of the three bindings the benchmark's tracer
+# wraps in ``symporder.cli`` by name, ``classify_cone`` and ``order_leq`` are
+# called here and ``extract_hamiltonian`` is kept for the tracer alone
 from .paths import (CONE_TOL, DEFAULT_K_MAX, DEFECT_SAFETY, REFINEMENT_CAP, classify_cone,
-                    extract_hamiltonian, order_leq)
+                    extract_hamiltonian, min_generator_eigenvalue, order_leq)  # noqa: F401
 
 CONVENTION = "radians; the full rotation loop in Sp(2) scores 2*pi"
 # the suites of ``acceptance.SUITES``, named here so that only ``verify``
@@ -137,7 +138,7 @@ def _run_synth_positive(args) -> dict:
     io.save_path(path, args.dest)
     return {
         "endpoint_error": float(np.abs(path.endpoint - target).max()),
-        "min_generator_eigenvalue": float(np.linalg.eigvalsh(extract_hamiltonian(path)).min()),
+        "min_generator_eigenvalue": min_generator_eigenvalue(path),
         "samples": path.n_samples,
         "winding": maslov.maslov_index(path).value,
         "winding_budget": 4.0 * np.pi * path.half_dim,

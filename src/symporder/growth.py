@@ -113,17 +113,6 @@ def _require_same_dim(x: SampledPath, y: SampledPath) -> None:
         raise InputError("paths must share a dimension")
 
 
-def gamma_closed_unitary(x: SampledPath, y: SampledPath) -> float:
-    """Relative growth of a dominant unitary pair: maslov(Y) / maslov(X)."""
-    _require_same_dim(x, y)
-    for path, who in ((x, "X"), (y, "Y")):
-        if not commutes_with_j(path.matrices):
-            raise InputError(f"{who} is not a unitary path")
-        _require_dominant(path, CONE_TOL, who)
-    mx, my = _unitary_windings(x, y)
-    return my / mx
-
-
 def _unitary_windings(x: SampledPath, y: SampledPath) -> tuple[float, float]:
     """(maslov(X), maslov(Y)) of a unitary pair, X's positive."""
     mx = maslov_index(x).value
@@ -507,13 +496,17 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
     Without ``p_max`` each rung n searches [-P, P] with P = ceil(|gamma| n)
     + 8, gamma the ratio of homogenized windings at k_max = 8; with it no
     homogenized winding is taken.  Both paths are checked for dominance
-    either way.
+    either way, after every index n is checked to be at least 1: the limit
+    divides by the last one.
     ``closed_form`` is maslov(Y) / maslov(X) of the aligned pair when it is
     unitary, else None.
     """
     ns = tuple(ns)
     if not ns:
         raise InputError("growth estimate needs at least one staircase index n")
+    for n in ns:
+        if n < 1:
+            raise InputError(f"staircase index n must be at least 1, got n={n}")
     if p_max is None:
         hint = gamma_closed_symplectic(x, y, tol=tol).value
         rungs = [(n, int(np.ceil(finite(abs(hint) * n, f"the search bound at n={n}"))) + 8)

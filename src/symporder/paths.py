@@ -19,6 +19,9 @@ a sample: up to real dimension 8 each is one BLAS product with its entry map
 and products by J that larger dimensions run.  Sp(2n) membership is
 checked where data enters, in :class:`SampledPath`; the group operations here
 keep it by algebra and build through :func:`_derived`, which checks the grid only.
+A path moves to another grid only through :func:`resample`, which keeps
+stored samples bit for bit and interpolates the rest; :func:`align_grids`
+and :func:`refine` call it, and a restriction to stored times is exact.
 Integer powers of samples and of generator-carrying staircase atoms share one
 repeated-squaring routine, :func:`binary_powers`, which forms several powers
 of one base from a single pass of squarings.
@@ -230,60 +233,58 @@ def invert(path: SampledPath) -> SampledPath:
 
 
 def resample(path: SampledPath, new_times: np.ndarray) -> SampledPath:
-    """Interpolate a path onto a finer grid containing its own sample times.
+    """The path on another grid: stored samples kept bit for bit, the rest
+    interpolated.
 
-    Between stored samples the path is continued with its frozen local
-    generator, ``X(t) = exp((t - t_k) J H_seg) X(t_k)``, which keeps every
-    interpolated sample symplectic up to roundoff and is second-order
-    accurate.  Original samples are preserved bit-for-bit; no time outside
-    (0, 1) is extrapolated, so the grid check refuses it as bad input.
+    A grid of stored times thus restricts the path exactly, for one copy and
+    no generator track.  Between stored samples the path is continued with
+    its frozen local generator, ``X(t) = exp((t - t_k) J H_seg) X(t_k)``,
+    which keeps every interpolated sample symplectic up to roundoff and is
+    second-order accurate.  The grid is checked before any track is
+    extracted: a bad grid, or a time outside [0, 1], is refused as bad
+    input, never extrapolated.
     """
     new_times = np.asarray(new_times, dtype=float)
     pos = np.searchsorted(path.times, new_times)
     exact = (pos < len(path.times)) & (path.times[np.minimum(pos, len(path.times) - 1)] == new_times)
-    hams = extract_hamiltonian(path)
-    j = standard_j(path.half_dim)
-    seg = np.searchsorted(path.times, new_times, side="right") - 1
     out = np.zeros((len(new_times), path.dim, path.dim))
     out[exact] = path.matrices[pos[exact]]
-    todo = ~exact & (new_times > 0.0) & (new_times < 1.0)
-    if np.any(todo):
-        k = seg[todo]
-        dt = new_times[todo] - path.times[k]
-        span = path.times[k + 1] - path.times[k]
-        frac = dt / span
-        # generator averaged over [t_k, t]: linear model of H on the segment
-        h_seg = hams[k] + (hams[k + 1] - hams[k]) * (frac / 2.0)[:, None, None]
-        steps = matrix_exp(dt[:, None, None] * (j @ h_seg))
-        out[todo] = steps @ path.matrices[k]
+    # the grid is checked first; once it holds, every time not stored lies in (0, 1)
+    restricted = _derived(new_times, out)
+    if exact.all():
+        return restricted
+    todo = ~exact
+    hams = extract_hamiltonian(path)
+    j = standard_j(path.half_dim)
+    k = np.searchsorted(path.times, new_times[todo], side="right") - 1
+    dt = new_times[todo] - path.times[k]
+    span = path.times[k + 1] - path.times[k]
+    frac = dt / span
+    # generator averaged over [t_k, t]: linear model of H on the segment
+    h_seg = hams[k] + (hams[k + 1] - hams[k]) * (frac / 2.0)[:, None, None]
+    steps = matrix_exp(dt[:, None, None] * (j @ h_seg))
+    out[todo] = steps @ path.matrices[k]
     return _derived(new_times, out)
 
 
-def subsample(path: SampledPath, times: np.ndarray) -> SampledPath:
-    """Restrict a path to a subset of its own sample times, exactly."""
-    idx = np.searchsorted(path.times, times)
-    if np.any(idx >= path.n_samples) or np.any(path.times[idx] != times):
-        raise InputError("subsample times must be existing sample times")
-    return _derived(times, path.matrices[idx])
-
-
 def align_grids(x: SampledPath, y: SampledPath) -> tuple[SampledPath, SampledPath]:
-    """Put two paths on one grid, preferring exact downsampling.
+    """Put two paths on one grid with one :func:`resample` each, preferring
+    exact restriction.
 
     Differentiating a path whose samples alternate between stored and
     interpolated values turns the interpolation error into a sawtooth that
     finite differences amplify by the sampling rate, which ruins cone
     certification.  When the grids nest (or share a rich intersection) both
-    paths are therefore restricted to the common times instead; only
-    genuinely incompatible grids fall back to interpolating onto the union.
+    paths are therefore restricted to the common times, which extracts no
+    generator track; only genuinely incompatible grids fall back to
+    interpolating onto the union.
     """
     if x.times.shape == y.times.shape and np.array_equal(x.times, y.times):
         return x, y
-    common = np.intersect1d(x.times, y.times)
-    if len(common) >= max(3, min(x.n_samples, y.n_samples) // 2):
-        return subsample(x, common), subsample(y, common)
-    merged = np.union1d(x.times, y.times)
-    return resample(x, merged), resample(y, merged)
+    grid = np.intersect1d(x.times, y.times)
+    if len(grid) < max(3, min(x.n_samples, y.n_samples) // 2):
+        grid = np.union1d(x.times, y.times)
+    return resample(x, grid), resample(y, grid)
 
 
 def refine(path: SampledPath) -> SampledPath:

@@ -184,8 +184,8 @@ def test_growth_estimate_rungs_are_separate_staircase_calls_bitwise(seed, dim, k
         return
     est = growth.growth_estimate(x, y, ns=ns, p_max=p_max)
     assert est.gamma_ns == want
-    unitary = kx == ky == "unitary"
-    assert est.closed_form == (growth.gamma_closed_unitary(x, y) if unitary else None)
+    closed = growth.gamma_closed_symplectic(x, y).value if kx == ky == "unitary" else None
+    assert est.closed_form == closed
 
 
 def _message(call) -> str:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,16 +51,32 @@ def test_mu_tilde_rejects_a_defect_bound_that_is_negative_or_not_finite(loops, c
         growth.mu_tilde(loops[0], k_max=4, c_emp=c_emp)
 
 
-def test_gamma_closed_unitary_on_loops(loops):
-    loop1, loop2 = loops
-    assert growth.gamma_closed_unitary(loop1, loop2) == pytest.approx(2.0, abs=1e-8)
-    assert growth.gamma_closed_unitary(loop2, loop1) == pytest.approx(0.5, abs=1e-8)
+def _assert_one_closed_form(x, y):
+    """On a dominant unitary pair the homogenized ratio, the winding ratio and
+    the staircase's closed form are one number, bit for bit."""
+    gamma = growth.gamma_closed_symplectic(x, y).value
+    assert gamma == maslov.maslov_index(y).value / maslov.maslov_index(x).value
+    assert gamma == growth.growth_estimate(x, y, ns=(1,)).closed_form
 
 
-def test_gamma_closed_unitary_requires_dominant(loops):
-    loop1, _ = loops
-    with pytest.raises(InputError):
-        growth.gamma_closed_unitary(loop1, gen.rotation_path(-1.0, 513))
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(129, 2049),
+       st.sampled_from(["commuting_unitary_pair", "staircase commuting", "staircase"]))
+def test_gamma_of_a_unitary_pair_is_the_ratio_of_windings(seed, n, samples, source):
+    rng = np.random.default_rng(seed)
+    if source == "commuting_unitary_pair":
+        x, y, _ = gen.commuting_unitary_pair(n, rng, n_samples=samples)
+    else:
+        with mock.patch.object(acceptance, "UNITARY_STAIRCASE_SAMPLES", samples):
+            x, y = acceptance._unitary_staircase_pair(rng, n, source == "staircase commuting")
+    _assert_one_closed_form(x, y)
+
+
+def test_gamma_of_the_c5_pairs_is_the_ratio_of_windings():
+    for i in range(20):
+        rng = np.random.default_rng([acceptance.DEFAULT_SEED, 5, i])
+        x, y, _ = gen.commuting_unitary_pair(2, rng, n_samples=acceptance.STAIRCASE_SAMPLES)
+        _assert_one_closed_form(x, y)
 
 
 def test_gamma_closed_symplectic_brackets_power_ratio():
@@ -159,6 +177,25 @@ def test_growth_estimate_refuses_an_empty_ladder_before_any_work(loops, monkeypa
     monkeypatch.setattr(growth, "_staircase", unreachable)
     with pytest.raises(InputError, match="at least one staircase index"):
         growth.growth_estimate(*loops, ns=())
+
+
+@pytest.mark.parametrize("p_max", [None, 4])
+@pytest.mark.parametrize("ns", [(0,), (1, 0), (0, 2), (-1,)])
+def test_growth_estimate_refuses_a_staircase_index_below_1_before_any_work(
+        ns, p_max, monkeypatch):
+    # the limit divides by the last index; n = 0 is a rung only the bare staircase takes
+    x, y = gen.rotation_loop(1, 129), gen.rotation_loop(2, 129)
+    assert growth.gamma_n_bruteforce(x, y, 0, 4) == 0
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the pair was examined")
+
+    for name in ("gamma_closed_symplectic", "_require_dominant_pair", "maslov_index",
+                 "_staircase"):
+        monkeypatch.setattr(growth, name, unreachable)
+    bad = next(n for n in ns if n < 1)
+    with pytest.raises(InputError, match=f"at least 1, got n={bad}$"):
+        growth.growth_estimate(x, y, ns=ns, p_max=p_max)
 
 
 def _power_pair(seed: int, n_samples: int, r: float):
@@ -485,8 +522,7 @@ def test_staircase_of_a_hyperbolic_dominant_and_its_square():
 def test_closed_forms_refuse_paths_of_different_dimension():
     x = gen.rotation_loop(1, 129)
     y = gen.unitary_loop([1, 2], n_samples=129)
-    for call in (growth.gamma_closed_unitary, growth.gamma_closed_symplectic,
-                 growth.pseudo_distance_k):
+    for call in (growth.gamma_closed_symplectic, growth.pseudo_distance_k):
         with pytest.raises(InputError, match="share a dimension"):
             call(x, y)
 

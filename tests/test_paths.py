@@ -166,12 +166,29 @@ def test_resample_keeps_the_unit_diagonal_of_large_shears(size):
     assert np.abs(diagonal - 1.0).max() <= 4 * np.finfo(float).eps
 
 
-def test_subsample_selects_stored_samples():
+def _count_tracks(monkeypatch) -> list:
+    """Record each generator track that ``paths`` extracts."""
+    calls = []
+    extract = paths.extract_hamiltonian
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(paths, "extract_hamiltonian", counted)
+    return calls
+
+
+def test_resample_onto_stored_times_restricts_without_a_track(monkeypatch):
+    tracks = _count_tracks(monkeypatch)
     path = gen.rotation_path(2.0, 65)
-    coarse = paths.subsample(path, path.times[::4])
-    assert np.abs(coarse.matrices - path.matrices[::4]).max() == 0.0
-    with pytest.raises(InputError):
-        paths.subsample(path, np.array([0.0, 0.1234, 1.0]))
+    coarse = paths.resample(path, path.times[::4])
+    assert coarse.times.tobytes() == path.times[::4].tobytes()
+    assert coarse.matrices.tobytes() == path.matrices[::4].tobytes()
+    a, b = paths.align_grids(gen.rotation_path(1.0, 129), path)
+    assert a.n_samples == b.n_samples == 65 and tracks == []
+    # a time between samples takes the one track of the path it interpolates
+    assert paths.refine(path).n_samples == 129 and len(tracks) == 1
 
 
 def test_align_grids_downsamples_nested_grids():
@@ -186,7 +203,7 @@ def test_align_grids_downsamples_nested_grids():
 
 
 def test_order_and_compose_interpolate_onto_the_union_of_unrelated_grids():
-    # 100 and 151 samples share only t = 0, 1/3, 2/3, 1, too few to subsample
+    # 100 and 151 samples share only t = 0, 1/3, 2/3, 1, too few to restrict to
     x = gen.rotation_path(1.0, 100)
     y = gen.rotation_path(0.5, 151)
     aligned, _ = paths.align_grids(x, y)
@@ -283,7 +300,7 @@ def test_derived_paths_stay_symplectic(seed, dim, k, samples):
     derived = [paths.invert(x), paths.compose(x, y), paths.compose(x, paths.invert(y)),
                paths.pointwise_power(x, k), paths.pointwise_power(y, k),
                paths.resample(x, np.union1d(x.times, rng.uniform(0.0, 1.0, 20))),
-               paths.refine(y), paths.subsample(x, x.times[::2]), *paths.align_grids(x, y)]
+               paths.refine(y), paths.resample(x, x.times[::2]), *paths.align_grids(x, y)]
     if dim == 2:
         derived.append(paths.embed_block(y, 2, 3))
     for path in derived:
@@ -315,20 +332,21 @@ def test_overflowing_power_is_a_computation_error():
         paths.compose(big, big)
 
 
-def test_resample_and_subsample_refuse_bad_grids():
+def test_resample_refuses_bad_grids_before_any_track(monkeypatch):
+    tracks = _count_tracks(monkeypatch)
     path = gen.rotation_path(2.0, 65)
     shuffled = path.times.copy()
     shuffled[[10, 20]] = shuffled[[20, 10]]
     for bad, match in ((shuffled, "increasing"), (path.times[1:], "start at 0"),
                        (path.times[:-1], "end at 1")):
-        for op in (paths.resample, paths.subsample):
+        # with and without a time that is not stored, which would need a track
+        for grid in (bad, np.insert(bad, 1, 0.001)):
             with pytest.raises(InputError, match=match):
-                op(path, bad)
-    with pytest.raises(InputError, match="start at 0"):
-        paths.resample(path, np.union1d(path.times[1:], [0.001]))
+                paths.resample(path, grid)
     # a time far outside [0, 1] is refused, not extrapolated until it overflows
     hyperbolic = maslov.positive_path_to(np.diag([2.0, 0.5]), 65)
     with pytest.raises(InputError, match="end at 1"):
         paths.resample(hyperbolic, np.array([0.0, 0.5, 1e5]))
     with pytest.raises(InputError, match="finite"):
         paths.resample(hyperbolic, np.array([0.0, np.nan, 1.0]))
+    assert tracks == []
