@@ -16,14 +16,7 @@ import numpy as np
 
 from . import generators as gen
 from . import growth, maslov, prequant
-from .paths import (
-    ConeStatus,
-    classify_cone,
-    compose,
-    min_generator_eigenvalue,
-    order_leq,
-    pointwise_power,
-)
+from .paths import ConeStatus, compose, min_generator_eigenvalue, order_leq, pointwise_power
 
 DEFAULT_SEED = 7
 

@@ -49,8 +49,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(command: str, fields: dict, out: str | None) -> None:
-    doc = {"command": command, "convention": CONVENTION, "version": __version__}
-    doc.update(fields)
+    doc = {"command": command, "convention": CONVENTION, "version": __version__, **fields}
     try:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -107,12 +106,8 @@ _GROWTH_ARGS = (_arg("--kmax", type=int, default=DEFAULT_K_MAX),
 
 
 def _verdict_fields(verdict) -> dict:
-    return {
-        "certifies": verdict.certifies,
-        "min_eigenvalue": verdict.min_eigenvalue,
-        "status": verdict.status.value,
-        "tol": verdict.tol,
-    }
+    return {"certifies": verdict.certifies, "min_eigenvalue": verdict.min_eigenvalue,
+            "status": verdict.status.value, "tol": verdict.tol}
 
 
 def _run_maslov(args) -> dict:
@@ -206,21 +201,14 @@ def _run_defect_sample(args) -> dict:
     from . import maslov
 
     raw = maslov.quasimorphism_defect_sample(args.pairs, args.dim, args.seed)
-    return {
-        "c_emp": args.safety * raw,
-        "dim": args.dim,
-        "max_defect": raw,
-        "pairs": args.pairs,
-        "safety": args.safety,
-        "seed": args.seed,
-    }
+    return {"c_emp": args.safety * raw, "dim": args.dim, "max_defect": raw,
+            "pairs": args.pairs, "safety": args.safety, "seed": args.seed}
 
 
 def _run_quant_gamma(args) -> dict:
     from . import prequant
 
-    a = io.load_quant_element(args.a)
-    b = io.load_quant_element(args.b)
+    a, b = io.load_quant_element(args.a), io.load_quant_element(args.b)
     fields = {"gamma": prequant.gamma_quant(a, b), "n": args.n, "gamma_n": None}
     if args.n is not None:
         fields["gamma_n"] = prequant.gamma_n_quant_bruteforce(a, b, args.n)
@@ -303,8 +291,9 @@ _COMMANDS = (
         _arg("y", help="path JSON file for Y"),
         _arg("--nmax", type=int, default=64, help="largest staircase index (default 64)"),
         _arg("--pmax", type=_natural, default=None,
-             help="search powers in [-P, P] on every rung (default: ceil(|gamma| n) "
-                  "+ 8, gamma the homogenized winding ratio at k_max = 8)"),
+             help="search powers in [-P, P] on every rung (default: ceil(|gamma| n) + 8, "
+                  "gamma the homogenized winding ratio at k_max = 8, on a unitary pair "
+                  "raised to the endpoint scan's top ceil((n mu(Y) + pi dim) / mu(X)))"),
         _TOL,
         _arg("--csv", metavar="FILE", help="also write n,gamma_n rows"),
     ), _run_gamma),

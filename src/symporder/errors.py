@@ -1,6 +1,7 @@
 """Exception taxonomy shared by the library and the command line tool."""
 
 import math
+import operator
 
 
 class InputError(ValueError):
@@ -35,6 +36,14 @@ def quote(value) -> str:
 def echo(text: str) -> str:
     """``text`` itself up to ``ECHO_CHARS`` characters, else :func:`quote` of it."""
     return text if len(text) <= ECHO_CHARS else quote(text)
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer, else an InputError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {quote(value)}") from None
 
 
 def finite(value: float, name: str) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, InputError, finite
+from .errors import ComputationError, InputError, finite, integer
 # ``homogenize`` is not called here; the binding stays because the benchmark's
 # tracer wraps ``symporder.growth.homogenize`` by name.
 from .maslov import homogenize, maslov_index  # noqa: F401
@@ -83,7 +83,7 @@ def mu_tilde(path: SampledPath, k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0) 
     for bit when k_max is a power of 2; no power path is formed and a large
     k_max does not alias.  Any other path still winds X^k_max.
     """
-    if k_max < 1:
+    if integer(k_max, "k_max") < 1:
         raise InputError("k_max must be at least 1")
     if not (np.isfinite(c_emp) and c_emp >= 0.0):
         raise InputError(f"c_emp must be a finite non-negative number, got {c_emp}")
@@ -108,11 +108,6 @@ def _require_dominant(path: SampledPath, tol: float, who: str) -> None:
                          f"(min generator eigenvalue {verdict.min_eigenvalue:.3e})")
 
 
-def _require_same_dim(x: SampledPath, y: SampledPath) -> None:
-    if x.dim != y.dim:
-        raise InputError("paths must share a dimension")
-
-
 def _unitary_windings(x: SampledPath, y: SampledPath) -> tuple[float, float]:
     """(maslov(X), maslov(Y)) of a unitary pair, X's positive."""
     mx = maslov_index(x).value
@@ -123,7 +118,8 @@ def _unitary_windings(x: SampledPath, y: SampledPath) -> tuple[float, float]:
 
 def _require_dominant_pair(x: SampledPath, y: SampledPath, tol: float) -> None:
     """Check the dimensions, then X, then Y, for dominance."""
-    _require_same_dim(x, y)
+    if x.dim != y.dim:
+        raise InputError("paths must share a dimension")
     _require_dominant(x, tol, "X")
     _require_dominant(y, tol, "Y")
 
@@ -280,10 +276,7 @@ def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int) -> in
       profiles differ.
 
     X's dominance is one Cholesky factorization of the stack H_X - CONE_TOL I
-    (the sample-axis kernel of :func:`symporder.matrices.positive_definite`
-    up to dimension 8 on stacks of at least 512 matrices); no eigenvalue of
-    a generator is computed.
-    :func:`_staircase` runs the search.
+    (:func:`paths.cone_holds`), no eigenvalue; :func:`_staircase` searches.
     """
     return _staircase(x, y, ((n, p_max),), CONE_TOL)[0][0]
 
@@ -307,9 +300,10 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
     "canonical" (None where no power was certified).
     """
     for n, p_max in rungs:
-        if n < 0 or p_max < 0:
+        if integer(n, "n") < 0 or integer(p_max, "p_max") < 0:
             raise InputError("n and p_max must be nonnegative")
-    _require_same_dim(x, y)
+    if x.dim != y.dim:
+        raise InputError("paths must share a dimension")
     x, y = align_grids(x, y)
     unitary = commutes_with_j(x.matrices) and commutes_with_j(y.matrices)
     x_atoms = None if unitary else _atoms(x)
@@ -336,10 +330,11 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
 
 
 # The endpoint certificate (:func:`_endpoint_quanta`): the least fold (how
-# far below 2 pi an eigenphase reads as 0), and how far the residue may miss
-# a whole number of 2 pi quanta, relative to the size of the terms it sums
+# far below 2 pi an eigenphase reads as 0), how far the residue may miss a
+# whole number of 2 pi quanta, relative to the size of the terms it sums
 ENDPOINT_FOLD = 1e-9
 ENDPOINT_CONGRUENCE_TOL = 1e-9
+ENDPOINT_SIZE_LIMIT = np.pi / ENDPOINT_CONGRUENCE_TOL  # the size where it is half a quantum
 
 
 def _winding_floor(n: int, mx: float, my: float, dim: int, tol: float) -> int:
@@ -385,8 +380,9 @@ def _endpoint_quanta(z_end: np.ndarray, p: int, n: int, windings: tuple, fold: f
     increments (about 2^16 eps = 1.5e-11 of the increments' magnitudes,
     scaled by |p| and n), and of the eigenphases, near (|p| + n) n eps.  The
     tolerance, 1e-9 of the size 2 pi n + |p maslov(X)| + n |maslov(Y)|,
-    sits above both and stays below half a quantum for sizes under 3e9.  A
-    residue beyond it is a :class:`ComputationError`.
+    sits above both and stays below half a quantum for sizes under
+    ``ENDPOINT_SIZE_LIMIT``, about 3.1e9, beyond which k is a guess and the
+    rung is refused.  A residue beyond it is a :class:`ComputationError`.
     """
     mx, my = windings
     two_pi = 2.0 * np.pi
@@ -406,6 +402,12 @@ def _unitary_power(u: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.matrix_power(u if k >= 0 else u.conj().T, abs(k))
 
 
+def _endpoint_top(n: int, windings: tuple, half_dim: int) -> int:
+    """Least p with p maslov(X) - n maslov(Y) >= pi dim, a power the endpoint certificate takes."""
+    return int(np.ceil(finite((n * windings[1] + 2.0 * np.pi * half_dim) / windings[0],
+                              f"the top of the endpoint scan at n={n}")))
+
+
 def _least_endpoint_power(ends: tuple, windings: tuple, n: int, p_max: int, floor: int,
                           fold: float) -> int | None:
     """Least p in [start, p_max] the endpoint certificate accepts, else None,
@@ -413,19 +415,23 @@ def _least_endpoint_power(ends: tuple, windings: tuple, n: int, p_max: int, floo
 
     ``ends`` are the complex endpoints (X(1), Y(1)).  The scan runs upward,
     one left product by X(1) per power.  A power with p maslov(X) -
-    n maslov(Y) >= pi dim passes, since the folded eigenphase sum stays
-    below pi dim, so the scan stops by that power or at start, whichever is
-    higher: at most ceil(pi dim / maslov(X)) + 1 probes from the floor.  A
-    start at the floor is scanned from floor - 1 as a self-check, and a
-    certified power below the floor raises :class:`ComputationError`.
+    n maslov(Y) >= pi dim passes (the folded eigenphase sum stays below
+    pi dim), so the scan stops by that power, top (:func:`_endpoint_top`), or
+    at start: at most ceil(pi dim / maslov(X)) + 1 probes from the floor,
+    scanned from floor - 1 as a self-check.  A certified
+    power below the floor, and before the scan a congruence size of
+    ``ENDPOINT_SIZE_LIMIT`` (:func:`_endpoint_quanta`), raise ComputationError.
     """
     (x_end, y_end), (mx, my) = ends, windings
+    top = _endpoint_top(n, windings, len(x_end))
     start = min(max(floor, -p_max), p_max)
-    top = min(p_max, int(np.ceil(finite((n * my + 2.0 * np.pi * len(x_end)) / mx,
-                                        f"the top of the endpoint scan at n={n}"))))
-    first = start - 1 if start == floor else start
+    first, last = start - 1 if start == floor else start, max(min(p_max, top), start)
+    size = 2.0 * np.pi * len(x_end) + max(abs(first), abs(last)) * mx + n * abs(my)
+    if not size < ENDPOINT_SIZE_LIMIT:
+        raise ComputationError(f"the endpoint scan at n={n} sums terms of size {size:.3e}, "
+                               f"at or beyond the limit {ENDPOINT_SIZE_LIMIT:.3e}")
     z = _unitary_power(x_end, first) @ _unitary_power(y_end, -n)
-    for p in range(first, max(top, start) + 1):
+    for p in range(first, last + 1):
         if _endpoint_quanta(z, p, n, windings, fold) >= 0:
             if p < floor:
                 raise ComputationError(
@@ -473,8 +479,8 @@ class GrowthEstimate:
     ``floors`` holds each rung's winding floor L_n (None for a pair that is
     not unitary) and ``certificates`` the test that decided it, "endpoint"
     on a unitary pair and "canonical" off it (None where no power was
-    certified); see :func:`gamma_n_bruteforce`.  ``limit_estimate`` is
-    [gamma_n/n - 1/n, gamma_n/n] at the last rung.  Each certificate is
+    certified); see :func:`gamma_n_bruteforce`.  ``limit_estimate`` is read
+    off the last rung, [gamma_n/n - 1/n, gamma_n/n].  Each certificate is
     sufficient up to its tolerance band, so a certified gamma_n is at least
     the true one outside a near-tie: the upper end bounds the limit from
     above, while the lower end holds only where the certificate is tight
@@ -483,10 +489,14 @@ class GrowthEstimate:
 
     ns: tuple
     gamma_ns: tuple
-    limit_estimate: Estimate
     closed_form: float | None
     floors: tuple
     certificates: tuple
+
+    @property
+    def limit_estimate(self) -> Estimate:
+        top = self.gamma_ns[-1] / self.ns[-1]
+        return Estimate(top, top - 1.0 / self.ns[-1], top)
 
 
 def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
@@ -494,18 +504,19 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
     """Brute-force growth staircase next to its closed-form prediction.
 
     Without ``p_max`` each rung n searches [-P, P] with P = ceil(|gamma| n)
-    + 8, gamma the ratio of homogenized windings at k_max = 8; with it no
-    homogenized winding is taken.  Both paths are checked for dominance
-    either way, after every index n is checked to be at least 1: the limit
-    divides by the last one.
-    ``closed_form`` is maslov(Y) / maslov(X) of the aligned pair when it is
-    unitary, else None.
+    + 8, gamma the ratio of homogenized windings at k_max = 8, raised on a
+    unitary pair to the endpoint scan's proven top ceil((n maslov(Y) +
+    pi dim) / maslov(X)) when a rung finds no power in the first range;
+    with it no homogenized winding is taken.  Both paths are checked for
+    dominance either way, after every index n is checked to be an integer of
+    at least 1.  ``closed_form`` is maslov(Y) / maslov(X) of the aligned
+    pair when it is unitary, else None.
     """
     ns = tuple(ns)
     if not ns:
         raise InputError("growth estimate needs at least one staircase index n")
     for n in ns:
-        if n < 1:
+        if integer(n, "staircase index n") < 1:
             raise InputError(f"staircase index n must be at least 1, got n={n}")
     if p_max is None:
         hint = gamma_closed_symplectic(x, y, tol=tol).value
@@ -515,15 +526,14 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
         _require_dominant_pair(x, y, tol)
         rungs = [(n, p_max) for n in ns]
     gamma_ns, floors, certificates, windings = _staircase(x, y, rungs, tol)
+    if p_max is None and windings is not None and None in gamma_ns:
+        # a unitary rung that certified in the first range keeps its power
+        rungs = [(n, max(bound, _endpoint_top(n, windings, x.dim // 2))) for n, bound in rungs]
+        gamma_ns, floors, certificates, windings = _staircase(x, y, rungs, tol)
     if gamma_ns[-1] is None:
         raise ComputationError(
             f"no certified power found at n={ns[-1]} within p_max={rungs[-1][1]}; "
             "raise p_max (symporder gamma --pmax)")
-    # the staircase pins gamma into [gamma_n/n - 1/n, gamma_n/n] only when the
-    # certificate is tight; a conservative certificate gives the upper end alone
-    top = gamma_ns[-1] / ns[-1]
-    limit = Estimate(top, top - 1.0 / ns[-1], top)
     closed = windings[1] / windings[0] if windings is not None else None
-    return GrowthEstimate(ns=ns, gamma_ns=tuple(gamma_ns), limit_estimate=limit,
-                          closed_form=closed, floors=tuple(floors),
-                          certificates=tuple(certificates))
+    return GrowthEstimate(ns=ns, gamma_ns=tuple(gamma_ns), closed_form=closed,
+                          floors=tuple(floors), certificates=tuple(certificates))

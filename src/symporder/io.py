@@ -139,10 +139,9 @@ def _read_grid(data: dict, filename: str) -> np.ndarray:
 
 def load_grid(filename: str) -> LeafFunction:
     # the path commands never read a grid, so they never load ``prequant``
-    from .prequant import LeafFunction, is_normalized
+    from .prequant import LeafFunction
 
-    values = _read_grid(_load_json(filename), filename)
-    return LeafFunction(values, normalized=is_normalized(values))
+    return LeafFunction(_read_grid(_load_json(filename), filename))
 
 
 def _grid_doc(leaf: LeafFunction) -> dict:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, InputError, ResolutionError, quote
+from .errors import ComputationError, InputError, ResolutionError, integer, quote
 from .generators import _rotations, random_symplectic_path
 from .matrices import (DEFAULT_TOL, _by_entry_map, commutes_with_j, det_phase,
                        exp_i_hermitian, is_hermitian, is_symplectic, standard_j,
@@ -122,7 +122,7 @@ def maslov_index(path: SampledPath, power: int = 1) -> MaslovResult:
     :class:`ComputationError` there.  Any other path winds the pointwise
     power X^power.
     """
-    unitary = (power not in (0, 1) and commutes_with_j(path.matrices[-1])
+    unitary = (integer(power, "power") not in (0, 1) and commutes_with_j(path.matrices[-1])
                and commutes_with_j(path.matrices))
     if unitary and abs(power) > EXACT_POWER:
         raise ComputationError(f"power {quote(power)} of a unitary path is beyond 2^53, "
@@ -176,7 +176,7 @@ def homogenize(path: SampledPath, k_max: int) -> np.ndarray:
     The sequence converges to the homogeneous quasimorphism at rate C/k,
     with C the quasimorphism defect; on unitary paths it is constant.
     """
-    if k_max < 1:
+    if integer(k_max, "k_max") < 1:
         raise InputError("k_max must be at least 1")
     return np.array([maslov_index(path, k).value / k for k in range(1, k_max + 1)])
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, InputError
+from .errors import ComputationError, InputError, integer
 from .matrices import (DEFAULT_TOL, _by_entry_map, _check_even_dim, is_symplectic,
                        matrix_exp, positive_definite, standard_j, symplectic_defect,
                        symplectic_inverse)
@@ -138,15 +138,21 @@ class ConeStatus(enum.Enum):
 class ConeVerdict:
     """Outcome of testing a path against the nonnegative-generator cone.
 
-    ``min_eigenvalue`` is the minimum over samples of the smallest eigenvalue
-    of H(t_k).  Statuses: ``dominant`` needs min >= +tol, ``semipositive``
-    needs min >= -tol, ``negative`` means the canonical representative is
-    refuted (min < -tol).
+    It holds the evidence, ``min_eigenvalue`` (the least eigenvalue of H(t_k)
+    over the samples) and the dead band ``tol``; ``status`` reads the verdict
+    off them: ``dominant`` needs min >= +tol, ``semipositive`` min >= -tol
+    (roundoff keeps the identity path in the cone), and ``negative``
+    refutes the canonical representative.
     """
 
-    status: ConeStatus
     min_eigenvalue: float
     tol: float
+
+    @property
+    def status(self) -> ConeStatus:
+        m, tol = self.min_eigenvalue, self.tol
+        return (ConeStatus.DOMINANT if m >= tol else ConeStatus.SEMIPOSITIVE if m >= -tol
+                else ConeStatus.NEGATIVE)
 
     @property
     def certifies(self) -> bool:
@@ -307,7 +313,7 @@ def pointwise_power(path: SampledPath, k: int) -> SampledPath:
 
     A power whose samples overflow raises :class:`ComputationError`.
     """
-    if k == 0:
+    if integer(k, "power") == 0:
         return _derived(path.times, np.broadcast_to(np.eye(path.dim), path.matrices.shape).copy())
     base = symplectic_inverse(path.matrices) if k < 0 else path.matrices
     (mats,) = binary_powers(base, (abs(k),))
@@ -384,25 +390,9 @@ def cone_holds(hams: np.ndarray, shift: float) -> bool:
     return positive_definite(shifted)
 
 
-def classify_verdict(min_eig: float, tol: float) -> ConeVerdict:
-    """Map a minimum generator eigenvalue to a cone verdict.
-
-    The dead band [-tol, +tol) classifies as semipositive: a vanishing
-    generator (the constant identity path) is a legitimate cone member and
-    must not be pushed into the negative bucket by roundoff.
-    """
-    if min_eig >= tol:
-        status = ConeStatus.DOMINANT
-    elif min_eig >= -tol:
-        status = ConeStatus.SEMIPOSITIVE
-    else:
-        status = ConeStatus.NEGATIVE
-    return ConeVerdict(status=status, min_eigenvalue=min_eig, tol=tol)
-
-
 def classify_cone(path: SampledPath, tol: float = CONE_TOL) -> ConeVerdict:
     """Test a path against the cone of nonnegative generators."""
-    return classify_verdict(min_generator_eigenvalue(path), tol)
+    return ConeVerdict(min_generator_eigenvalue(path), tol)
 
 
 def order_leq(y: SampledPath, x: SampledPath, tol: float = CONE_TOL) -> ConeVerdict:

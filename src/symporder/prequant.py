@@ -21,35 +21,36 @@ trigonometric polynomials below the Nyquist degree.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, finite
+from .errors import InputError, finite, integer
 
 NORMALIZATION_TOL = 1e-12
 
 
 def is_normalized(values: np.ndarray) -> bool:
     """Zero grid mean within ``NORMALIZATION_TOL`` times the largest |value|
-    (at least 1), which covers the rounding left by subtracting a float mean."""
+    (at least 1), the rounding left by subtracting a float mean; an overflow fails."""
     values = np.asarray(values, dtype=float)
     scale = max(1.0, float(np.abs(values).max()))
-    return bool(abs(values.mean()) <= NORMALIZATION_TOL * scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(abs(values.mean()) <= NORMALIZATION_TOL * scale)
 
 
 @dataclass(frozen=True)
 class LeafFunction:
     """Real function sampled on a periodic torus grid.
 
-    ``normalized`` asserts zero grid mean (:func:`is_normalized`); only
-    normalized functions generate elements of the strict quantomorphism
-    group, unnormalized ones appear as raw data (Calabi-Weinstein inputs,
-    embedding pre-images).
+    ``normalized`` is read off the values (:func:`is_normalized`, zero grid
+    mean), never passed in; only normalized functions generate elements of
+    the strict quantomorphism group, unnormalized ones appear as raw data
+    (Calabi-Weinstein inputs, embedding pre-images).
     """
 
     values: np.ndarray
-    normalized: bool = False
+    normalized: bool = field(init=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -58,9 +59,7 @@ class LeafFunction:
             raise InputError("leaf function needs a nonempty grid")
         if not np.isfinite(values).all():
             raise InputError("leaf function values must be finite")
-        if self.normalized and not is_normalized(values):
-            raise InputError(
-                f"claimed normalized but grid mean is {values.mean():.3e}")
+        object.__setattr__(self, "normalized", is_normalized(values))
 
     @property
     def grid_shape(self) -> tuple:
@@ -86,7 +85,7 @@ def _fold_mean(values: np.ndarray) -> tuple[float, LeafFunction]:
         residual = float(centered.mean())
         centered = centered - residual
         mean += residual
-    return mean, LeafFunction(centered, normalized=True)
+    return mean, LeafFunction(centered)
 
 
 def torus_grid(shape) -> list[np.ndarray]:
@@ -118,7 +117,7 @@ class QuantElement:
 
 def fiber_rotation(shift: float, grid_shape) -> QuantElement:
     """Pure rotation e^{i shift} as a quantomorphism element."""
-    return QuantElement(shift, LeafFunction(np.zeros(grid_shape), normalized=True))
+    return QuantElement(shift, LeafFunction(np.zeros(grid_shape)))
 
 
 @dataclass(frozen=True)
@@ -137,13 +136,13 @@ class HoferProfile:
 def hofer_norms(f: LeafFunction) -> HoferProfile:
     if not f.normalized:
         raise InputError("Hofer norms are defined for normalized leaf functions")
-    plus = float(f.values.max())
-    minus = float(-f.values.min())
-    return HoferProfile(plus=plus, minus=minus)
+    return HoferProfile(plus=float(f.values.max()), minus=float(-f.values.min()))
 
 
 def order_bridge(s: float, f: LeafFunction) -> tuple[bool, bool]:
     """(e^{is} f >= 1, e^{is} f <= 1) decided through the Hofer profile."""
+    if not np.isfinite(s):
+        raise InputError(f"fiber shift must be finite, got {s}")
     norms = hofer_norms(f)
     return norms.minus <= s, norms.plus <= -s
 
@@ -170,10 +169,10 @@ def gamma_n_quant_bruteforce(a: QuantElement, b: QuantElement, n: int) -> int:
     """Least integer m with m * generator(a) >= n * generator(b) on the grid.
 
     This is the ceiling of n * gamma_quant(a, b) with exact-integer boundaries
-    kept (a tie within 1e-9 lands on the smaller integer).  An n above the
-    largest float is an InputError, a product that overflows a ComputationError.
+    kept (a tie within 1e-9 lands on the smaller integer).  A non-integer n,
+    or one above the largest float, is an InputError, an overflow a ComputationError.
     """
-    if not 1 <= n <= sys.float_info.max:
+    if not 1 <= integer(n, "n") <= sys.float_info.max:
         raise InputError(f"n must be positive and at most {sys.float_info.max:.6g}")
     product = finite(n * gamma_quant(a, b), f"n * gamma_quant(a, b) at n = {n:.6g}")
     return int(np.ceil(product - 1e-9))
@@ -205,14 +204,13 @@ def rotation_curve_distance(s: float, f: LeafFunction) -> RotationCurveDistance:
     Equals half the log of (s + plus asymptotic norm) / (s - minus asymptotic
     norm); requires the element to be dominant (s > minus norm).
     """
+    if not np.isfinite(s):
+        raise InputError(f"fiber shift must be finite, got {s}")
     norms = hofer_norms(f)
-    hi = s + norms.plus
-    lo = s - norms.minus
+    hi, lo = s + norms.plus, s - norms.minus
     if lo <= 0.0:
         raise InputError("element is not dominant: rotation distance undefined")
-    value = 0.5 * float(np.log(hi / lo))
-    t_star = float(np.sqrt(hi * lo))
-    return RotationCurveDistance(value=value, t_star=t_star)
+    return RotationCurveDistance(0.5 * float(np.log(hi / lo)), float(np.sqrt(hi * lo)))
 
 
 def embed_into_z(f: LeafFunction) -> QuantElement:
@@ -234,9 +232,11 @@ def calabi_weinstein(funcs, weights: np.ndarray | None = None,
                      times: np.ndarray | None = None) -> float:
     """Calabi-Weinstein invariant of a time-sampled family of leaf functions.
 
-    Trapezoid rule in time of the volume-weighted grid mean; ``weights``
-    defaults to ones, the uniform unit-volume measure.  The invariant
-    vanishes on families that are normalized at every time slice.
+    Trapezoid rule in time of the volume-weighted grid mean (summed over the
+    shares of the weights scaled by their largest magnitude where the total
+    or the plain weighted sum overflows); ``weights`` defaults to
+    ones, the uniform unit-volume measure.  The invariant vanishes on
+    families that are normalized at every time slice.
     """
     funcs = list(funcs)
     if not funcs:
@@ -254,10 +254,16 @@ def calabi_weinstein(funcs, weights: np.ndarray | None = None,
     weights = np.ones(shape) if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != shape:
         raise InputError(f"weights shape {weights.shape} does not match grid {shape}")
-    total = weights.sum()
-    if total <= 0:
-        raise InputError("weights must have positive total volume")
-    means = np.array([float((weights * f.values).sum() / total) for f in funcs])
+    if not (np.isfinite(times).all() and np.isfinite(weights).all()):
+        raise InputError("times and weights must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = weights.sum()
+        if total <= 0:
+            raise InputError("weights must have positive total volume")
+        shares = (scaled := weights / np.abs(weights).max()) / scaled.sum()
+        plain = [float((weights * f.values).sum() / total) for f in funcs]
+        means = np.array([m if np.isfinite(total) and np.isfinite(m)
+                          else float((shares * f.values).sum()) for m, f in zip(plain, funcs)])
     if len(funcs) == 1:
         return float(means[0])
     return float(np.trapezoid(means, times))

@@ -8,6 +8,7 @@ module would take the wrapped binding's place unseen.  The tracer is loaded
 from its file as it is.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -41,3 +42,26 @@ def test_every_wrapped_binding_is_its_defining_modules_function():
                 if len({id(f) for f in held.values()}) > 1
                 or getattr(importlib.import_module(fn.__module__), attr, None) is not fn]
     assert bindings and shadowed == []
+
+
+def _unused_imports(source: str) -> set:
+    """Names a module binds by import and never reads (``__future__`` aside)."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_every_unused_import_is_a_binding_the_tracer_wraps():
+    # such a binding stays only for the tracer; when a wrap goes, the name
+    # this test reports is the import to delete
+    wrapped = set(_wrapped_bindings())
+    package = Path(__file__).resolve().parents[1] / "src" / "symporder"
+    unused = {(f"symporder.{source.stem}", name)
+              for source in sorted(package.glob("*.py"))
+              for name in _unused_imports(source.read_text())}
+    assert unused and sorted(unused - wrapped) == []

@@ -420,8 +420,9 @@ def test_growth_estimate_takes_no_homogenized_winding_with_p_max(monkeypatch):
     est = growth.growth_estimate(x, y, ns=(8, 64), p_max=200)
     assert calls == []
     assert est == growth.GrowthEstimate(
-        ns=(8, 64), gamma_ns=(8, 61), limit_estimate=growth.Estimate(0.953125, 0.9375, 0.953125),
-        closed_form=0.9277963892236493, floors=(8, 60), certificates=("endpoint", "endpoint"))
+        ns=(8, 64), gamma_ns=(8, 61), closed_form=0.9277963892236493, floors=(8, 60),
+        certificates=("endpoint", "endpoint"))
+    assert est.limit_estimate == growth.Estimate(0.953125, 0.9375, 0.953125)
     assert growth.growth_estimate(x, y, ns=(8, 64)) == est and len(calls) == 2
     # the pair is checked the same way, with the same error texts, either way
     for bad, match in ((gen.rotation_loop(1, 129), "share a dimension"),
@@ -564,3 +565,113 @@ def test_unitary_staircase_is_nondecreasing_and_subadditive(seed, n, commuting):
     gamma = dict(zip(ns, gamma_ns))
     assert all(gamma[m] <= gamma[m + 1] for m in ns[:-1])
     assert all(gamma[m + k] <= gamma[m] + gamma[k] for m in ns for k in ns if m + k in gamma)
+
+
+def _conjugated(path, p):
+    return paths.SampledPath(path.times, p @ path.matrices @ np.linalg.inv(p))
+
+
+def test_conjugating_by_a_constant_keeps_canonical_rungs_above_the_exact_ones():
+    # gamma_n(P X P^-1, P Y P^-1) = gamma_n(X, Y) for a constant symplectic P,
+    # and the endpoint certificate gives the exact gamma_n of the unitary pair
+    t = gen.uniform_times(1025)
+    wobble = np.sin(2 * np.pi * t) / (2 * np.pi)
+    x, y = (gen.diagonal_unitary_path(theta[:, None], t)
+            for theta in (3 * t + 0.3 * wobble, 5 * t - 0.5 * wobble))
+    sp2 = np.diag([4.0, 0.25])
+    ns = (1, 2, 4, 8, 16)
+    assert growth.growth_estimate(x, y, ns=ns).gamma_ns == (2, 4, 7, 14, 27)
+    est = growth.growth_estimate(_conjugated(x, sp2), _conjugated(y, sp2), ns=ns)
+    assert est.gamma_ns == (3, 5, 9, 17, 33) and est.certificates == ("canonical",) * 5
+    sp4 = np.diag([4.0, 1.0, 0.25, 1.0])
+    for seed in (0, 1, 4):
+        x, y = acceptance._unitary_staircase_pair(np.random.default_rng([seed, 21, 8, 1]), 2,
+                                                  seed % 2 == 0)
+        exact = growth.growth_estimate(x, y, ns=(1, 2, 4, 8), p_max=400)
+        est = growth.growth_estimate(_conjugated(x, sp4), _conjugated(y, sp4), ns=(1, 2, 4, 8),
+                                     p_max=400)
+        assert est.certificates == ("canonical",) * 4
+        assert all(c >= e for c, e in zip(est.gamma_ns, exact.gamma_ns)), (seed, est, exact)
+
+
+def test_the_canonical_search_returns_minus_p_max_when_it_certifies():
+    # X^p Y^-1 = X^(p + 5) is dominant already at p = -2 = -p_max
+    x = maslov.positive_path_to(np.diag([2.0, 0.5]), 129)
+    y = pointwise_power(x, -5)
+    assert growth._staircase(x, y, ((1, 2),), paths.CONE_TOL)[:3] == ([-2], [None], ["canonical"])
+
+
+def test_the_staircase_refuses_a_negative_n_or_p_max(loops):
+    for n, p_max in ((-1, 4), (1, -1)):
+        with pytest.raises(InputError, match="n and p_max must be nonnegative"):
+            growth.gamma_n_bruteforce(*loops, n, p_max)
+
+
+def test_log_estimate_refuses_an_interval_reaching_zero():
+    with pytest.raises(ComputationError, match="reaching zero"):
+        growth.log_estimate(growth.Estimate(1.0, 0.0, 2.0))
+
+
+@pytest.mark.parametrize("exponent", [56, 60])
+def test_a_rung_beyond_the_endpoint_size_limit_raises_before_its_scan(exponent, monkeypatch):
+    # past the limit the congruence test cannot tell whole quanta: an
+    # unrefused scan answered 2n - 8 at n = 2^56, below the true gamma_n = 2n
+    x, y = gen.rotation_loop(1, 129), gen.rotation_loop(2, 129)
+    quanta = mock.Mock(side_effect=growth._endpoint_quanta)
+    monkeypatch.setattr(growth, "_endpoint_quanta", quanta)
+    n = 2 ** exponent
+    with pytest.raises(ComputationError, match=rf"n={n} .* limit 3\.142e\+09"):
+        growth.gamma_n_bruteforce(x, y, n, 4 * n)
+    assert quanta.call_count == 0
+    assert growth.gamma_n_bruteforce(x, y, 64, 256) == 128
+
+
+def test_the_default_range_of_a_unitary_pair_reaches_the_top_of_its_scan():
+    # ceil(|gamma| n) + 8 = 57 at n = 8 fell short of gamma_8 = 59, which
+    # the scan's proven top ceil((n maslov(Y) + pi dim) / maslov(X)) reaches
+    t = gen.uniform_times(513)
+    x = gen.diagonal_unitary_path(np.outer(t, [0.25, 0.25]), t)
+    y = gen.diagonal_unitary_path(np.outer(t, [2.0198, 1.0284]), t)
+    est = growth.growth_estimate(x, y)
+    assert est.gamma_ns == (9, 17, 33, 59, 105, 208, 392)
+    assert est.certificates == ("endpoint",) * 7
+    # a rung that certified within ceil(|gamma| n) + 8 keeps its power
+    hint = growth.gamma_closed_symplectic(x, y).value
+    first = [growth.gamma_n_bruteforce(x, y, n, int(np.ceil(hint * n)) + 8) for n in est.ns]
+    assert None in first and all(f in (None, g) for f, g in zip(first, est.gamma_ns))
+    # an explicit p_max still bounds every rung
+    assert growth.gamma_n_bruteforce(x, y, 8, 58) is None
+    assert growth.gamma_n_bruteforce(x, y, 8, 59) == 59
+
+
+def test_records_read_their_conclusions_off_their_evidence(loops):
+    est = growth.growth_estimate(*loops, ns=(1, 8))
+    assert est.limit_estimate == growth.Estimate(2.0, 2.0 - 1 / 8, 2.0)
+    assert growth.GrowthEstimate(ns=(8,), gamma_ns=(61,), closed_form=None, floors=(None,),
+                                 certificates=("canonical",)).limit_estimate.upper == 61 / 8
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: maslov.maslov_index(x, 2.5),
+    lambda x: maslov.homogenize(x, 2.0),
+    lambda x: growth.mu_tilde(x, 2.5),
+    lambda x: pointwise_power(x, 2.5),
+    lambda x: growth.growth_estimate(x, x, ns=(1.5,)),
+    lambda x: growth.growth_estimate(x, x, ns=(1,), p_max=2.5),
+    lambda x: growth.gamma_n_bruteforce(x, x, 2.5, 4),
+    lambda x: growth.gamma_n_bruteforce(x, x, 1, 4.0),
+])
+def test_indices_must_be_integers(loops, call):
+    # a unitary and a non-unitary path: the non-unitary power used to fail
+    # in the repeated squaring with a TypeError
+    for path in (loops[0], maslov.positive_path_to(np.diag([2.0, 0.5]), 65)):
+        with pytest.raises(InputError, match="must be an integer"):
+            call(path)
+
+
+def test_numpy_integer_indices_stay_accepted(loops):
+    x, y = loops
+    assert maslov.maslov_index(x, np.int64(3)).value == maslov.maslov_index(x, 3).value
+    assert growth.mu_tilde(x, np.int32(8)) == growth.mu_tilde(x, 8)
+    assert growth.gamma_n_bruteforce(x, y, np.int64(4), np.int16(16)) == 8
+    assert growth.growth_estimate(x, y, ns=np.array([1, 2])).gamma_ns == (2, 4)

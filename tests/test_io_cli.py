@@ -128,7 +128,7 @@ def normalized_leaves(draw) -> prequant.LeafFunction:
     if draw(st.booleans()):
         halves = draw(st.lists(finite_floats, min_size=1, max_size=3))
         values = np.array([x for v in halves for x in (v, -v)])
-        return prequant.LeafFunction(values, normalized=True)
+        return prequant.LeafFunction(values)
     shape = draw(grid_shapes)
     moderate = st.floats(-1e6, 1e6, allow_nan=False)
     values = draw(st.lists(moderate, min_size=int(np.prod(shape)),
@@ -1032,3 +1032,27 @@ def test_cli_exits_1_on_any_malformed_file(tmp_path_factory, case):
     code, out, err = _run_quietly(_LOADER_CALLS[kind][1](str(name), tmp))
     assert (code, out) == (1, ""), err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_gamma_default_range_reaches_the_scan_top_on_a_unitary_pair(tmp_path, capsys):
+    # ceil(|gamma| n) + 8 = 57 at n = 8 misses gamma_8 = 59: a range cut
+    # there printed null rungs at n = 8 and 32
+    t = gen.uniform_times(513)
+    for name, speeds in (("x", [0.25, 0.25]), ("y", [2.0198, 1.0284])):
+        io.save_path(gen.diagonal_unitary_path(np.outer(t, speeds), t), str(tmp_path / name))
+    code, out, err = run_cli(["gamma", str(tmp_path / "x"), str(tmp_path / "y")], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["gamma_ns"] == [9, 17, 33, 59, 105, 208, 392]
+
+
+def test_cli_grid_whose_mean_overflows(tmp_path, capsys):
+    big = _write_doc(tmp_path, "big.json", {"grid_shape": [2], "values": [1e308, 1e308]})
+    code, out, err = run_cli(["cw", big], capsys)
+    assert (code, err, json.loads(out)["value"]) == (0, "", 1e308)
+    pair = _write_doc(tmp_path, "pair.json", {"grid_shape": [2], "values": [1.0, 3.0]})
+    code, out, err = run_cli(["cw", pair, "--weights", "1e308,1e308"], capsys)
+    assert (code, err, json.loads(out)["value"]) == (0, "", 2.0)
+    for argv, expected in ((["rot-distance", "1.0", big], "normalized leaf functions"),
+                           (["embed", big, str(tmp_path / "e.json")], "exceeds")):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == "" and err.count("\n") == 1 and expected in err

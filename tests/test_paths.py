@@ -265,11 +265,11 @@ def test_classify_cone_negative_rotation():
     assert not verdict.certifies
 
 
-def test_classify_verdict_dead_band():
+def test_cone_verdict_dead_band():
     tol = 1e-6
-    assert paths.classify_verdict(2 * tol, tol).status is paths.ConeStatus.DOMINANT
-    assert paths.classify_verdict(0.0, tol).status is paths.ConeStatus.SEMIPOSITIVE
-    assert paths.classify_verdict(-2 * tol, tol).status is paths.ConeStatus.NEGATIVE
+    assert paths.ConeVerdict(2 * tol, tol).status is paths.ConeStatus.DOMINANT
+    assert paths.ConeVerdict(0.0, tol).status is paths.ConeStatus.SEMIPOSITIVE
+    assert paths.ConeVerdict(-2 * tol, tol).status is paths.ConeStatus.NEGATIVE
 
 
 def test_order_leq_on_rotations():

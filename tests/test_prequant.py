@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +19,6 @@ def test_torus_grid_shapes_and_range():
     assert x.shape == (4, 8) and y.shape == (4, 8)
     assert x.min() == 0.0 and x.max() == 0.75
     assert y[0, 1] == 0.125
-
-
-def test_leaf_function_rejects_false_normalization_claim():
-    with pytest.raises(ValueError):
-        prequant.LeafFunction(np.ones(8), normalized=True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -162,7 +159,7 @@ def test_rotation_curve_distance_cosine_closed_form():
 
 
 def test_rotation_curve_distance_zero_leaf():
-    zero = prequant.LeafFunction(np.zeros(32), normalized=True)
+    zero = prequant.LeafFunction(np.zeros(32))
     for s in (0.3, 1.0, 4.0):
         result = prequant.rotation_curve_distance(s, zero)
         assert result.value == 0.0
@@ -230,3 +227,54 @@ def test_calabi_weinstein_checks_times_of_a_single_slice():
     assert prequant.calabi_weinstein(family, times=np.array([0.5])) == 2.0
     with pytest.raises(InputError, match="times"):
         prequant.calabi_weinstein(family, times=np.array([0.0, 0.5]))
+
+
+def test_leaf_function_reads_normalized_off_its_values():
+    assert prequant.LeafFunction(np.zeros(8)).normalized
+    assert not prequant.LeafFunction(np.ones(8)).normalized
+    assert prequant.normalize_leaf(np.ones(8) + np.arange(8.0)).normalized
+    # a mean that overflows is simply not normalized, without a numpy warning
+    assert not prequant.LeafFunction(np.full(2, 1e308)).normalized
+    # the flag is no constructor argument, so no caller can claim it
+    assert [f.name for f in dataclasses.fields(prequant.LeafFunction) if f.init] == ["values"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_order_bridge_and_rotation_distance_refuse_a_non_finite_shift(bad):
+    for call in (prequant.order_bridge, prequant.rotation_curve_distance):
+        with pytest.raises(InputError, match="fiber shift must be finite"):
+            call(bad, cosine_leaf(16))
+
+
+def test_quant_staircase_index_must_be_an_integer():
+    a = prequant.fiber_rotation(1.0, (8,))
+    b = prequant.fiber_rotation(2.0, (8,))
+    with pytest.raises(InputError, match="n must be an integer, got 2.5"):
+        prequant.gamma_n_quant_bruteforce(a, b, 2.5)
+    assert prequant.gamma_n_quant_bruteforce(a, b, np.int64(3)) == 6
+
+
+def test_calabi_weinstein_refuses_non_finite_times_and_weights():
+    family = [cosine_leaf(8)] * 2
+    with pytest.raises(InputError, match="times and weights must be finite"):
+        prequant.calabi_weinstein(family, times=[0.0, np.nan])
+    with pytest.raises(InputError, match="times and weights must be finite"):
+        prequant.calabi_weinstein(family, weights=np.r_[np.nan, np.ones(7)])
+
+
+def test_calabi_weinstein_mean_does_not_overflow_and_keeps_finite_bits():
+    assert prequant.calabi_weinstein([prequant.LeafFunction(np.full(2, 1e308))]) == 1e308
+    rng = np.random.default_rng(5)
+    values, weights = rng.normal(size=(3, 16)) * 1e3, rng.uniform(0.1, 2.0, size=16)
+    family = [prequant.LeafFunction(v) for v in values]
+    means = [float((weights * v).sum() / weights.sum()) for v in values]
+    assert prequant.calabi_weinstein(family, weights=weights) == float(
+        np.trapezoid(means, np.linspace(0.0, 1.0, 3)))
+
+
+def test_calabi_weinstein_weights_whose_total_overflows():
+    # the total 2e308 overflows; the plain means read NaN or a finite 0.25
+    weights = np.full(2, 1e308)
+    for values, mean in (([1.0, 3.0], 2.0), ([0.5, 0.5], 0.5), ([1.0, 1.0], 1.0)):
+        leaf = prequant.LeafFunction(np.array(values))
+        assert prequant.calabi_weinstein([leaf], weights=weights) == mean
