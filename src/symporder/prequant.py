@@ -15,7 +15,8 @@ metric line Z all become pointwise formulas in ``generator = shift + func``:
 
 Grids sample the unit torus at ``p_j = j / N`` per axis (no duplicated
 endpoint), so the plain mean is the exact uniform volume integral for
-trigonometric polynomials below the Nyquist degree.
+trigonometric polynomials below the Nyquist degree.  Every average whose sum
+overflows is taken again on values scaled by a power of two (:func:`_scaled`).
 """
 
 from __future__ import annotations
@@ -30,13 +31,27 @@ from .errors import InputError, finite, integer
 NORMALIZATION_TOL = 1e-12
 
 
-def is_normalized(values: np.ndarray) -> bool:
-    """Zero grid mean within ``NORMALIZATION_TOL`` times the largest |value|
-    (at least 1), the rounding left by subtracting a float mean; an overflow fails."""
-    values = np.asarray(values, dtype=float)
-    scale = max(1.0, float(np.abs(values).max()))
+def _unit(values) -> tuple[np.ndarray, int]:
+    """(2^-e values, e), 2^e the power of two that takes the largest |value| into [1, 2)."""
+    e = int(np.frexp(np.max(np.abs(values)))[1]) - 1
+    return np.ldexp(values, -e), e
+
+
+def _scaled(reduce, values):
+    """``reduce(values)`` where finite, else 2^e reduce(2^-e values) as in :func:`_unit`:
+    exact for reductions homogeneous of degree 1, so a result that fits keeps its bits."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return bool(abs(values.mean()) <= NORMALIZATION_TOL * scale)
+        if np.isfinite(result := reduce(values)).all():
+            return result
+        unit, e = _unit(values)
+        return np.ldexp(reduce(unit), e)
+
+
+def is_normalized(values: np.ndarray) -> bool:
+    """Zero grid mean within ``NORMALIZATION_TOL`` times the largest |value|, the rounding
+    left by subtracting a float mean, read at :func:`_unit`'s scale: F and 2^k F agree."""
+    unit, _ = _unit(values)
+    return bool(abs(unit.mean()) <= NORMALIZATION_TOL * np.abs(unit).max())
 
 
 @dataclass(frozen=True)
@@ -72,19 +87,18 @@ def normalize_leaf(values: np.ndarray) -> LeafFunction:
 
 
 def _fold_mean(values: np.ndarray) -> tuple[float, LeafFunction]:
-    """(subtracted mean, normalized leaf function) of a grid.
-
-    A large common offset leaves a residual mean near the offset's ulp, which
-    can exceed the tolerance relative to the centered values; one more
-    subtraction of that residual brings it to rounding of the result, and the
-    returned mean includes it."""
+    """(subtracted mean, normalized leaf function) of a grid.  The residual mean
+    that a large common offset leaves is subtracted once more and folded into
+    the mean; centered values beyond the float range are an InputError."""
     values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
-    centered = values - mean
-    if not is_normalized(centered):
-        residual = float(centered.mean())
-        centered = centered - residual
-        mean += residual
+    mean = float(_scaled(np.mean, values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = values - mean
+        if not is_normalized(centered):
+            residual = float(_scaled(np.mean, centered))
+            centered, mean = centered - residual, mean + residual
+    if not np.isfinite(centered).all():
+        raise InputError("leaf function values minus their grid mean leave the float range")
     return mean, LeafFunction(centered)
 
 
@@ -95,20 +109,19 @@ def torus_grid(shape) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class QuantElement:
-    """Lift e^{i shift} compose flow-of-func, with func a normalized leaf function."""
+    """Lift e^{i shift} compose flow-of-func: func normalized, generator shift + func finite."""
 
     shift: float
     func: LeafFunction
+    generator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not np.isfinite(self.shift):
-            raise InputError(f"fiber shift must be finite, got {self.shift}")
         if not self.func.normalized:
             raise InputError("quantomorphism elements need a normalized leaf function")
-
-    @property
-    def generator(self) -> np.ndarray:
-        return self.shift + self.func.values
+        with np.errstate(over="ignore"):
+            object.__setattr__(self, "generator", self.shift + self.func.values)
+        if not np.isfinite(self.generator).all():
+            raise InputError("the generator shift + F of a quantomorphism must be finite")
 
     @property
     def is_dominant(self) -> bool:
@@ -207,24 +220,25 @@ def rotation_curve_distance(s: float, f: LeafFunction) -> RotationCurveDistance:
     if not np.isfinite(s):
         raise InputError(f"fiber shift must be finite, got {s}")
     norms = hofer_norms(f)
-    hi, lo = s + norms.plus, s - norms.minus
+    # one power of two scales s and both norms, so hi / lo keeps its value
+    (s, plus, minus), e = _unit([s, norms.plus, norms.minus])
+    hi, lo = s + plus, s - minus
     if lo <= 0.0:
         raise InputError("element is not dominant: rotation distance undefined")
-    return RotationCurveDistance(0.5 * float(np.log(hi / lo)), float(np.sqrt(hi * lo)))
+    with np.errstate(over="ignore"):  # a minimizer beyond the float range reads inf
+        return RotationCurveDistance(0.5 * float(np.log(hi / lo)),
+                                     float(np.ldexp(np.sqrt(hi * lo), e)))
 
 
 def embed_into_z(f: LeafFunction) -> QuantElement:
     """Isometric embedding of sup-norm function space into the metric space.
 
     ``F`` maps to the element with generator ``exp(F)``; distances become
-    ``k_quant(embed(F), embed(G)) = max |F - G|`` exactly.  On a grid of N
-    points, values above ``log(max float / 2N)`` would overflow the mean.
+    ``k_quant(embed(F), embed(G)) = max |F - G|`` exactly; F above log(max float) is refused.
     """
-    bound = float(np.log(np.finfo(float).max / (2 * f.values.size)))
-    top = float(f.values.max())
+    bound, top = float(np.log(np.finfo(float).max)), float(f.values.max())
     if top > bound:
-        raise InputError(f"leaf function value {top!r} exceeds {bound!r}, the bound "
-                         f"log(max float / 2N) for exp on a grid of N = {f.values.size}")
+        raise InputError(f"leaf function value {top!r} exceeds log(max float) = {bound!r}")
     return QuantElement(*_fold_mean(np.exp(f.values)))
 
 
@@ -232,11 +246,10 @@ def calabi_weinstein(funcs, weights: np.ndarray | None = None,
                      times: np.ndarray | None = None) -> float:
     """Calabi-Weinstein invariant of a time-sampled family of leaf functions.
 
-    Trapezoid rule in time of the volume-weighted grid mean (summed over the
-    shares of the weights scaled by their largest magnitude where the total
-    or the plain weighted sum overflows); ``weights`` defaults to
-    ones, the uniform unit-volume measure.  The invariant vanishes on
-    families that are normalized at every time slice.
+    Trapezoid rule in time of the grid mean weighted by ``weights`` (a volume
+    density >= 0, scaled by a power of two; ones by default), kept within each
+    slice's values, which float rounding can leave.  It vanishes on families
+    normalized at every time slice.
     """
     funcs = list(funcs)
     if not funcs:
@@ -245,25 +258,17 @@ def calabi_weinstein(funcs, weights: np.ndarray | None = None,
     for f in funcs:
         if f.grid_shape != shape:
             raise InputError("all time slices must share the grid shape")
-    if times is None:
-        times = np.linspace(0.0, 1.0, len(funcs))
-    else:
-        times = np.asarray(times, dtype=float)
-        if len(times) != len(funcs) or np.any(np.diff(times) <= 0):
-            raise InputError("times must be strictly increasing and match the family")
+    times = np.linspace(0.0, 1.0, len(funcs)) if times is None else np.asarray(times, dtype=float)
+    if len(times) != len(funcs) or np.any(times[1:] <= times[:-1]):
+        raise InputError("times must be strictly increasing and match the family")
     weights = np.ones(shape) if weights is None else np.asarray(weights, dtype=float)
     if weights.shape != shape:
         raise InputError(f"weights shape {weights.shape} does not match grid {shape}")
     if not (np.isfinite(times).all() and np.isfinite(weights).all()):
         raise InputError("times and weights must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = weights.sum()
-        if total <= 0:
-            raise InputError("weights must have positive total volume")
-        shares = (scaled := weights / np.abs(weights).max()) / scaled.sum()
-        plain = [float((weights * f.values).sum() / total) for f in funcs]
-        means = np.array([m if np.isfinite(total) and np.isfinite(m)
-                          else float((shares * f.values).sum()) for m, f in zip(plain, funcs)])
-    if len(funcs) == 1:
-        return float(means[0])
-    return float(np.trapezoid(means, times))
+    weights, _ = _unit(weights)
+    if weights.min() < 0 or (total := weights.sum()) <= 0:
+        raise InputError("weights must be nonnegative with a positive total volume")
+    means = np.array([np.clip(_scaled(lambda v: (weights * v).sum() / total, f.values),
+                              f.values.min(), f.values.max()) for f in funcs])
+    return float(means[0] if len(means) == 1 else _scaled(lambda m: np.trapezoid(m, times), means))

@@ -7,10 +7,9 @@ symporder import *`` and ``symporder.<name>``.
 """
 
 import importlib
-import subprocess
-import sys
 
 import symporder
+from children import run_python
 
 
 def test_every_export_resolves():
@@ -40,5 +39,5 @@ def test_star_import_binds_every_export():
         "assert missing == [], missing",
         "assert all(namespace[name] is getattr(symporder, name) for name in symporder.__all__)",
     ])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = run_python(["-c", script])
     assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,6 @@
 import contextlib
 import copy
 import json
-import subprocess
-import sys
 from io import StringIO
 
 import numpy as np
@@ -12,6 +10,8 @@ from hypothesis import strategies as st
 
 from symporder import cli, generators as gen, io, maslov, matrices, paths, prequant
 from symporder.errors import ComputationError, InputError
+
+from children import run_python
 
 
 @pytest.fixture()
@@ -112,13 +112,9 @@ def test_grid_round_trip_is_bitwise_for_any_finite_value(tmp_path_factory, data,
     leaf = prequant.LeafFunction(values.reshape(shape))
     name = str(tmp_path_factory.mktemp("grid") / "g.json")
     io.save_grid(leaf, name)
-    # the mean of values near the largest float overflows; such a grid is
-    # simply not normalized
-    with np.errstate(over="ignore", invalid="ignore"):
-        loaded = io.load_grid(name)
-        normalized = prequant.is_normalized(leaf.values)
+    loaded = io.load_grid(name)
     assert _same_bits(loaded.values, leaf.values)
-    assert loaded.normalized == normalized
+    assert loaded.normalized == prequant.is_normalized(leaf.values)
 
 
 @st.composite
@@ -139,6 +135,13 @@ def normalized_leaves(draw) -> prequant.LeafFunction:
 @settings(deadline=None, max_examples=60)
 @given(shift=finite_floats, leaf=normalized_leaves())
 def test_quant_round_trip_is_bitwise_up_to_the_mean_fold(tmp_path_factory, shift, leaf):
+    with np.errstate(over="ignore"):
+        generator_fits = bool(np.isfinite(shift + leaf.values).all())
+    if not generator_fits:
+        # an element whose generator shift + F leaves the float range is refused
+        with pytest.raises(InputError, match="generator shift"):
+            prequant.QuantElement(shift, leaf)
+        return
     element = prequant.QuantElement(shift, leaf)
     name = str(tmp_path_factory.mktemp("quant") / "q.json")
     io.save_quant_element(element, name)
@@ -199,9 +202,9 @@ def test_cli_out_flag_writes_file(tmp_path, loop_file, capsys):
 
 
 def test_cli_is_deterministic_across_processes(loop_file):
-    cmd = [sys.executable, "-m", "symporder.cli", "maslov", loop_file]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    cmd = ["-m", "symporder.cli", "maslov", loop_file]
+    first = run_python(cmd, text=False, check=True)
+    second = run_python(cmd, text=False, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
 
@@ -364,8 +367,7 @@ def test_cli_exit_codes(tmp_path, loop_file, capsys):
 
 def test_cli_malformed_file_exits_1_in_a_fresh_process(tmp_path, loop_file):
     argv, _ = _malformed_inputs(tmp_path, loop_file)[0]
-    proc = subprocess.run([sys.executable, "-m", "symporder.cli", *argv],
-                          capture_output=True, text=True)
+    proc = run_python(["-m", "symporder.cli", *argv])
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
@@ -377,8 +379,7 @@ def test_cli_maslov_of_huge_symplectic_samples_warns_nothing(tmp_path):
     with open(name, "w") as fh:
         json.dump({"dim": 2, "times": [0.0, 0.5, 1.0],
                    "matrices": [[1.0, s, 0.0, 1.0] for s in (0.0, 1e200, 1e300)]}, fh)
-    proc = subprocess.run([sys.executable, "-m", "symporder.cli", "maslov", name],
-                          capture_output=True, text=True)
+    proc = run_python(["-m", "symporder.cli", "maslov", name])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["value"] == pytest.approx(-np.pi / 2, abs=1e-15)
 
@@ -396,8 +397,7 @@ def test_cli_maslov_of_huge_sp4_shears_warns_nothing(tmp_path):
     with open(name, "w") as fh:
         json.dump({"dim": 4, "times": np.linspace(0.0, 1.0, 4).tolist(),
                    "matrices": mats}, fh)
-    proc = subprocess.run([sys.executable, "-m", "symporder.cli", "maslov", name],
-                          capture_output=True, text=True)
+    proc = run_python(["-m", "symporder.cli", "maslov", name])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["value"] == pytest.approx(-np.pi, abs=1e-15)
 
@@ -413,8 +413,7 @@ def test_cli_overflowing_powers_exit_2_with_one_error_line(tmp_path):
     io.save_path(paths.pointwise_power(x, 2), hy)
     for argv in (["zcoord", synth, "--kmax", "1000"],
                  ["gamma", hx, hy, "--nmax", "8", "--pmax", "512"]):
-        proc = subprocess.run([sys.executable, "-m", "symporder.cli", *argv],
-                              capture_output=True, text=True)
+        proc = run_python(["-m", "symporder.cli", *argv])
         assert (proc.returncode, proc.stdout) == (2, ""), argv
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
@@ -435,8 +434,7 @@ def test_cli_staircase_and_quant_bounds_that_overflow_exit_with_one_error_line(t
             (["quant-gamma", a, b], 2, "gamma_quant(a, b) is not a finite number"),
             (["quant-gamma", a, b, "--n", "3"], 2, "gamma_quant(a, b) is not a finite number"),
             (["quant-gamma", b, b, "--n", str(10 ** 400)], 1, "n must be positive and at most")):
-        proc = subprocess.run([sys.executable, "-m", "symporder.cli", *argv],
-                              capture_output=True, text=True)
+        proc = run_python(["-m", "symporder.cli", *argv])
         assert (proc.returncode, proc.stdout) == (code, ""), argv
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert text in proc.stderr, proc.stderr
@@ -452,8 +450,7 @@ def test_cli_zcoord_refines_the_base_path_of_an_unresolved_power(tmp_path):
     target = v @ gen.random_positive_diagonal_target(2, rng) @ v.T
     name = str(tmp_path / "y.json")
     io.save_path(maslov.positive_path_to(0.5 * (target + target.T), 257), name)
-    proc = subprocess.run([sys.executable, "-m", "symporder.cli", "zcoord", name],
-                          capture_output=True, text=True)
+    proc = run_python(["-m", "symporder.cli", "zcoord", name])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["coordinate"] == 3.224171427529236
     assert 3.224171427529236 == float(np.log(8 * np.pi))
@@ -466,8 +463,7 @@ def test_cli_zcoord_of_a_unitary_path_does_not_alias_at_a_large_kmax(tmp_path):
     t = np.linspace(0.0, 1.0, 129)
     name = str(tmp_path / "u.json")
     io.save_path(gen.diagonal_unitary_path(np.outer(t, [3.0, 5.0]), t), name)
-    proc = subprocess.run([sys.executable, "-m", "symporder.cli", "zcoord", name,
-                           "--kmax", "1000000"], capture_output=True, text=True)
+    proc = run_python(["-m", "symporder.cli", "zcoord", name, "--kmax", "1000000"])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["coordinate"] == pytest.approx(np.log(8.0), rel=1e-12)
 
@@ -481,8 +477,7 @@ def test_cli_cone_and_order_of_a_shear_near_the_float_maximum_exit_2(tmp_path):
     rotation = str(tmp_path / "rotation.json")
     io.save_path(gen.rotation_path(2.0, 3), rotation)
     for argv in (["cone", shear], ["order", shear, rotation]):
-        proc = subprocess.run([sys.executable, "-m", "symporder.cli", *argv],
-                              capture_output=True, text=True)
+        proc = run_python(["-m", "symporder.cli", *argv])
         assert (proc.returncode, proc.stdout) == (2, ""), argv
         assert proc.stderr == "error: generator track holds a non-finite number\n", argv
 
@@ -526,8 +521,7 @@ def test_no_cli_command_loads_scipy(tmp_path, loop_file):
                    f"assert len(calls) > count, {argv!r}"]
     script.append("assert 'scipy' not in sys.modules, "
                   "sorted(m for m in sys.modules if 'scipy' in m)")
-    proc = subprocess.run([sys.executable, "-c", "\n".join(script)],
-                          capture_output=True, text=True)
+    proc = run_python(["-c", "\n".join(script)])
     assert proc.returncode == 0, proc.stderr
 
 
@@ -567,7 +561,7 @@ def test_each_cli_command_loads_only_the_modules_it_reads(tmp_path, loop_file, c
         ]),
     ]
     for script in scripts:
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        proc = run_python(["-c", script])
         assert proc.returncode == 0, proc.stderr
 
 
@@ -637,8 +631,7 @@ def test_cli_redistribute_keeps_a_1e4_report_and_refuses_1e16(tmp_path, capsys):
         "eigenvalues": [5006.677100836182, 5000.153908193718],
         "endpoint_error": 5.294145662932972e-12, "target_mu": 10006.831009029902,
         "trace": 10006.8310090299}
-    proc = subprocess.run([sys.executable, "-m", "symporder.cli", "redistribute", herm, "1e16"],
-                          capture_output=True, text=True)
+    proc = run_python(["-m", "symporder.cli", "redistribute", herm, "1e16"])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert "limit 2^27" in proc.stderr
@@ -671,8 +664,7 @@ def test_cli_argument_errors_quote_a_long_token_by_its_head_and_length(tmp_path)
         "            cli.main()\n"
         "        except SystemExit as exc:\n"
         "            print(json.dumps([exc.code, err.getvalue()]))\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          input=json.dumps(cases + list(short.values())))
+    proc = run_python(["-c", script], input=json.dumps(cases + list(short.values())))
     assert (proc.returncode, proc.stderr) == (0, "")
     results = [json.loads(line) for line in proc.stdout.splitlines()]
     assert len(results) == len(cases) + len(short)
@@ -873,13 +865,66 @@ def test_cli_embed_refuses_values_whose_exp_overflows(tmp_path):
     # every value is finite, but exp(800) is not; the refusal names the
     # value and the bound, and numpy prints no warning on the way
     grid = _write_doc(tmp_path, "hot.json", {"grid_shape": [4], "values": [800.0, 0.0, 0.0, 0.0]})
-    proc = subprocess.run([sys.executable, "-m", "symporder.cli", "embed", grid,
-                           str(tmp_path / "embedded.json")], capture_output=True, text=True)
+    proc = run_python(["-m", "symporder.cli", "embed", grid, str(tmp_path / "embedded.json")])
     assert (proc.returncode, proc.stdout) == (1, "")
-    bound = float(np.log(np.finfo(float).max / 8))
-    assert proc.stderr == (f"error: leaf function value 800.0 exceeds {bound!r}, the bound "
-                           "log(max float / 2N) for exp on a grid of N = 4\n")
+    bound = float(np.log(np.finfo(float).max))
+    assert proc.stderr == f"error: leaf function value 800.0 exceeds log(max float) = {bound!r}\n"
     assert not (tmp_path / "embedded.json").exists()
+
+
+# (documents, argv, exit code, report fields or the one error line): grid and
+# time averages near the float maximum, and generators beyond it, each of
+# which printed a numpy RuntimeWarning, a wrong refusal or a wrong answer
+_NEAR_THE_FLOAT_MAXIMUM = {
+    "quant mean": ({"q.json": {"shift": 0.0, "grid_shape": [2], "values": [1e308, 1e308]}},
+                   ["quant-k", "q.json", "q.json"], 0, {"value": 0.0}),
+    "cw trapezoid": ({"big.json": {"grid_shape": [2], "values": [1e308, 1e308]}},
+                     ["cw", "big.json", "big.json"], 0, {"slices": 2, "value": 1e308}),
+    "rot minimizer": ({"small.json": {"grid_shape": [2], "values": [0.5, -0.5]}},
+                      ["rot-distance", "1e200", "small.json"], 0,
+                      {"minimizer": 1e200, "shift": 1e200, "value": 0.0}),
+    "rot hi": ({"zero.json": {"grid_shape": [4],
+                              "values": [1.5e308, 1.5e308, -1.5e308, -1.5e308]}},
+               ["rot-distance", "1.6e308", "zero.json"], 0,
+               {"minimizer": pytest.approx(np.sqrt(31.0) * 1e307, rel=1e-14), "shift": 1.6e308,
+                "value": pytest.approx(0.5 * np.log(31.0), rel=1e-14)}),
+    "embed": ({"hot.json": {"grid_shape": [4], "values": [709.5] * 4}},
+              ["embed", "hot.json", "e.json"], 0,
+              {"grid_shape": [4], "shift": float(np.exp(709.5))}),
+    "generator": ({"a.json": {"shift": 1.7e308, "grid_shape": [2], "values": [2e307, -2e307]},
+                   "b.json": {"shift": 1.0, "grid_shape": [2], "values": [0.5, -0.5]}},
+                  ["quant-k", "a.json", "b.json"], 1,
+                  "{tmp}/a.json: the generator shift + F of a quantomorphism must be finite"),
+    "folded shift": ({"q.json": {"shift": 1e308, "grid_shape": [2], "values": [1e308, 1e308]}},
+                     ["quant-k", "q.json", "q.json"], 1,
+                     "{tmp}/q.json: the generator shift + F of a quantomorphism must be finite"),
+    "centered": ({"q.json": {"shift": 0.0, "grid_shape": [3],
+                             "values": [1.7e308, -1.7e308, -1.7e308]}},
+                 ["quant-k", "q.json", "q.json"], 1,
+                 "{tmp}/q.json: leaf function values minus their grid mean leave the float range"),
+    # the mean equals the scale here, as for [1, 3]; a floor of 1 on the
+    # tolerance called the tiny grid normalized
+    "tiny": ({"tiny.json": {"grid_shape": [2], "values": [1e-20, 3e-20]}},
+             ["rot-distance", "1", "tiny.json"], 1,
+             "Hofer norms are defined for normalized leaf functions"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NEAR_THE_FLOAT_MAXIMUM))
+def test_cli_near_the_float_maximum_in_a_fresh_process(tmp_path, case):
+    docs, argv, code, expected = _NEAR_THE_FLOAT_MAXIMUM[case]
+    for name, doc in docs.items():
+        _write_doc(tmp_path, name, doc)
+    proc = run_python(["-m", "symporder.cli",
+                       *(str(tmp_path / a) if a.endswith(".json") else a for a in argv)])
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert {key: doc[key] for key in expected} == expected
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {expected.format(tmp=tmp_path)}\n"
 
 
 def test_cli_embed_isometry_through_files(tmp_path, capsys):

@@ -233,7 +233,7 @@ def test_leaf_function_reads_normalized_off_its_values():
     assert prequant.LeafFunction(np.zeros(8)).normalized
     assert not prequant.LeafFunction(np.ones(8)).normalized
     assert prequant.normalize_leaf(np.ones(8) + np.arange(8.0)).normalized
-    # a mean that overflows is simply not normalized, without a numpy warning
+    # a grid whose sum overflows has the mean 1e308: not normalized, and no numpy warning
     assert not prequant.LeafFunction(np.full(2, 1e308)).normalized
     # the flag is no constructor argument, so no caller can claim it
     assert [f.name for f in dataclasses.fields(prequant.LeafFunction) if f.init] == ["values"]
@@ -278,3 +278,85 @@ def test_calabi_weinstein_weights_whose_total_overflows():
     for values, mean in (([1.0, 3.0], 2.0), ([0.5, 0.5], 0.5), ([1.0, 1.0], 1.0)):
         leaf = prequant.LeafFunction(np.array(values))
         assert prequant.calabi_weinstein([leaf], weights=weights) == mean
+
+
+_MAX = float(np.finfo(float).max)
+# any finite float, the edges of the float range among them
+_floats = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1e308, -1e308, _MAX, -_MAX]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_near_max = st.floats(1e307, _MAX).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@st.composite
+def grids(draw) -> np.ndarray:
+    """Finite grids of 1 to 12 values: any floats, values near the float
+    maximum, or cancelling pairs v, -v."""
+    how = draw(st.sampled_from(["any", "near max", "cancelling"]))
+    if how == "cancelling":
+        halves = draw(st.lists(_floats, min_size=1, max_size=6))
+        return np.array([x for v in halves for x in (v, -v)])
+    return np.array(draw(st.lists(_floats if how == "any" else _near_max,
+                                  min_size=1, max_size=12)))
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(values=grids(), weights=st.lists(st.floats(0.0, _MAX), min_size=12, max_size=12))
+def test_scaled_reduction_keeps_the_bits_of_every_finite_plain_reduction(values, weights):
+    w = np.asarray(weights[:values.size]) + 1.0
+    times = np.arange(values.size) + w / _MAX
+    for reduce in (np.mean, np.sum, lambda v: (w * v).sum() / w.sum(),
+                   lambda v: np.trapezoid(v, times)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = reduce(values)
+        scaled = prequant._scaled(reduce, values)
+        if np.isfinite(plain):
+            assert _same_bits(scaled, plain)
+
+
+@settings(deadline=None, max_examples=300)
+@given(values=grids(), weights=st.lists(st.floats(0.0, _MAX), min_size=12, max_size=12))
+def test_grid_and_weighted_means_are_finite_and_within_the_values(values, weights):
+    w = np.asarray(weights[:values.size])
+    w[0] = max(w[0], 5e-324)
+    lo, hi = float(values.min()), float(values.max())
+    # the grid mean may leave the values by the rounding of a float mean
+    slack = 4 * values.size * float(np.finfo(float).eps) * float(np.abs(values).max())
+    mean = float(prequant._scaled(np.mean, values))
+    assert np.isfinite(mean) and lo - slack <= mean <= hi + slack
+    # the volume-weighted mean is kept within the values
+    weighted = prequant.calabi_weinstein([prequant.LeafFunction(values)], weights=w)
+    assert np.isfinite(weighted) and lo <= weighted <= hi
+
+
+@settings(deadline=None, max_examples=300)
+@given(values=grids(), k=st.integers(-1100, 1100))
+def test_normalization_does_not_depend_on_a_power_of_two_scale(values, k):
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(values, k)
+    # 2^k F is a float grid only where the scaling neither overflows nor rounds
+    if np.isfinite(scaled).all() and np.array_equal(np.ldexp(scaled, -k), values):
+        assert prequant.is_normalized(scaled) == prequant.is_normalized(values)
+
+
+def test_values_beyond_the_float_range_after_centering_or_shifting_are_refused():
+    with pytest.raises(InputError, match="minus their grid mean leave the float range"):
+        prequant.normalize_leaf(np.array([1.7e308, -1.7e308, -1.7e308]))
+    leaf = prequant.LeafFunction(np.array([2e307, -2e307]))
+    with pytest.raises(InputError, match="generator shift"):
+        prequant.QuantElement(1.7e308, leaf)
+    assert prequant.QuantElement(1.5e308, leaf).generator.max() == 1.7e308
+
+
+def test_calabi_weinstein_means_stay_within_the_values_and_refuse_negative_weights():
+    # three 0.1 sum to 0.30000000000000004; the mean of a constant slice is the constant
+    assert prequant.calabi_weinstein([prequant.LeafFunction(np.full(3, 0.1))]) == 0.1
+    # the weighted mean of values at the float maximum rounded past it
+    leaf = prequant.LeafFunction(np.array([_MAX, 0.0, _MAX]))
+    weights = np.array([4.042492750468912e+307, 0.0, 4.967699365681443e+307])
+    assert prequant.calabi_weinstein([leaf], weights=weights) == _MAX
+    with pytest.raises(InputError, match="weights must be nonnegative"):
+        prequant.calabi_weinstein([leaf], weights=np.array([2.0, -1.0, 0.0]))
