@@ -291,9 +291,8 @@ _COMMANDS = (
         _arg("y", help="path JSON file for Y"),
         _arg("--nmax", type=int, default=64, help="largest staircase index (default 64)"),
         _arg("--pmax", type=_natural, default=None,
-             help="search powers in [-P, P] on every rung (default: ceil(|gamma| n) + 8, "
-                  "gamma the homogenized winding ratio at k_max = 8, on a unitary pair "
-                  "raised to the endpoint scan's top ceil((n mu(Y) + pi dim) / mu(X)))"),
+             help="search powers in [-P, P] on every rung (default: up to the endpoint "
+                  "scan's proven top on a unitary pair, else ceil(|gamma| n) + 8)"),
         _TOL,
         _arg("--csv", metavar="FILE", help="also write n,gamma_n rows"),
     ), _run_gamma),

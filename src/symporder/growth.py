@@ -124,21 +124,13 @@ def _require_dominant_pair(x: SampledPath, y: SampledPath, tol: float) -> None:
     _require_dominant(y, tol, "Y")
 
 
-def _dominant_mus(x: SampledPath, y: SampledPath, k_max: int, c_emp: float,
-                  tol: float) -> tuple[Estimate, Estimate]:
-    """Check the pair (:func:`_require_dominant_pair`); return (mu_tilde(X),
-    mu_tilde(Y)), Y's taken first."""
-    _require_dominant_pair(x, y, tol)
-    mu_y = mu_tilde(y, k_max, c_emp)
-    return mu_tilde(x, k_max, c_emp), mu_y
-
-
 def gamma_closed_symplectic(x: SampledPath, y: SampledPath,
                             k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0,
                             tol: float = CONE_TOL) -> Estimate:
     """Relative growth via homogenized windings, with propagated uncertainty."""
-    mu_x, mu_y = _dominant_mus(x, y, k_max, c_emp, tol)
-    return ratio_estimate(mu_y, mu_x)
+    _require_dominant_pair(x, y, tol)
+    mu_y = mu_tilde(y, k_max, c_emp)
+    return ratio_estimate(mu_y, mu_tilde(x, k_max, c_emp))
 
 
 def pseudo_distance_k(x: SampledPath, y: SampledPath,
@@ -146,9 +138,11 @@ def pseudo_distance_k(x: SampledPath, y: SampledPath,
                       tol: float = CONE_TOL) -> Estimate:
     """K(X, Y) = max(log gamma(X, Y), log gamma(Y, X)) for dominants.
 
-    Both ratios come from one cone check and one mu_tilde per path.
+    Both ratios come from one cone check and one mu_tilde per path, Y's first.
     """
-    mu_x, mu_y = _dominant_mus(x, y, k_max, c_emp, tol)
+    _require_dominant_pair(x, y, tol)
+    mu_y = mu_tilde(y, k_max, c_emp)
+    mu_x = mu_tilde(x, k_max, c_emp)
     gxy = ratio_estimate(mu_y, mu_x)
     gyx = ratio_estimate(mu_x, mu_y)
     return max_estimate(log_estimate(gxy), log_estimate(gyx))
@@ -274,11 +268,8 @@ def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int) -> in
       (:func:`paths.cone_holds`) per probe.  It is tight where Y's generator
       is a multiple of X's, and overstates gamma_n where the two speed
       profiles differ.
-
-    X's dominance is one Cholesky factorization of the stack H_X - CONE_TOL I
-    (:func:`paths.cone_holds`), no eigenvalue; :func:`_staircase` searches.
     """
-    return _staircase(x, y, ((n, p_max),), CONE_TOL)[0][0]
+    return _staircase(x, y, ((n, integer(p_max, "p_max")),), CONE_TOL)[0][0]
 
 
 def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
@@ -286,24 +277,29 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
     each list per (n, p_max) rung.
 
     The grids are aligned and X's dominance checked once, on its staircase
-    track.  This is the one place that tests the aligned pair for
-    unitarity: ``windings`` is (maslov(X), maslov(Y)) of a unitary pair,
-    else None.  On a unitary pair each rung has its winding floor L_n
-    (:func:`_winding_floor`), and the endpoint certificate alone decides
-    it, scanning upward from L_n clipped to [-p_max, p_max]
+    track by one Cholesky factorization of H_X - tol I, no eigenvalue
+    (:func:`paths.cone_holds`).  This is the one place that tests the
+    aligned pair for unitarity: ``windings`` is (maslov(X), maslov(Y)) of
+    a unitary pair, else None.  On a unitary pair each rung has its winding
+    floor L_n (:func:`_winding_floor`), and the endpoint certificate alone
+    decides it, scanning upward from L_n clipped to [-p_max, p_max]
     (:func:`_least_endpoint_power`); no atom is built.  A pair that is not
     unitary runs the canonical search on [-p_max, p_max]
     (:func:`_least_certified_power`) with the atoms of X and X^-1, built
     from that track, and one squaring pass over Y^-1's atom for the rung
-    powers Y^-n.  ``floors`` holds L_n (None off the unitary subgroup),
-    ``certificates`` the test that decided each rung, "endpoint" or
-    "canonical" (None where no power was certified).
+    powers Y^-n.  ``floors`` and ``certificates`` are those of
+    :class:`GrowthEstimate`.  A p_max of None is the default range:
+    max(|L_n|, top) on a unitary pair, which scans up to the proven top
+    (:func:`_endpoint_top`) as every larger bound does, else ceil(|gamma| n)
+    + 8, gamma = mu_tilde(Y) / mu_tilde(X) of the paths as passed; a default
+    last rung that certifies no power is an error.
     """
     for n, p_max in rungs:
-        if integer(n, "n") < 0 or integer(p_max, "p_max") < 0:
+        if integer(n, "n") < 0 or (p_max is not None and integer(p_max, "p_max") < 0):
             raise InputError("n and p_max must be nonnegative")
     if x.dim != y.dim:
         raise InputError("paths must share a dimension")
+    given, default = (x, y), rungs[-1][1] is None
     x, y = align_grids(x, y)
     unitary = commutes_with_j(x.matrices) and commutes_with_j(y.matrices)
     x_atoms = None if unitary else _atoms(x)
@@ -315,18 +311,31 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
         ends = real_to_complex(x.endpoint), real_to_complex(y.endpoint)
         fold = max(tol, ENDPOINT_FOLD)
         floors = [_winding_floor(n, mx, my, x.dim, tol) for n, _ in rungs]
+        rungs = [(n, max(abs(floor), _endpoint_top(n, windings, x.dim // 2))
+                  if p_max is None else p_max) for (n, p_max), floor in zip(rungs, floors)]
         gamma_ns = [_least_endpoint_power(ends, windings, n, p_max, floor, fold)
                     for (n, p_max), floor in zip(rungs, floors)]
         kind = "endpoint"
     else:
         floors = [None] * len(rungs)
+        if any(p_max is None for _, p_max in rungs):
+            gamma = abs(ratio_estimate(mu_tilde(given[1]), mu_tilde(given[0])).value)
+            rungs = [(n, int(np.ceil(finite(gamma * n, f"the search bound at n={n}"))) + 8
+                      if p_max is None else p_max) for n, p_max in rungs]
         y_powers = _signed_powers((None, _inverse_atom(y, _staircase_hams(y))),
                                   tuple(-n for n, _ in rungs))
         gamma_ns = [_least_certified_power(x_atoms, y_minus_n, p_max, tol)
                     for (_, p_max), y_minus_n in zip(rungs, y_powers)]
         kind = "canonical"
+    if default and gamma_ns[-1] is None:
+        raise _no_power(*rungs[-1])
     certificates = [None if p is None else kind for p in gamma_ns]
     return gamma_ns, floors, certificates, windings
+
+
+def _no_power(n: int, p_max: int) -> ComputationError:
+    return ComputationError(f"no certified power found at n={n} within p_max={p_max}; "
+                            "raise p_max (symporder gamma --pmax)")
 
 
 # The endpoint certificate (:func:`_endpoint_quanta`): the least fold (how
@@ -503,14 +512,11 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
                     p_max: int | None = None, tol: float = CONE_TOL) -> GrowthEstimate:
     """Brute-force growth staircase next to its closed-form prediction.
 
-    Without ``p_max`` each rung n searches [-P, P] with P = ceil(|gamma| n)
-    + 8, gamma the ratio of homogenized windings at k_max = 8, raised on a
-    unitary pair to the endpoint scan's proven top ceil((n maslov(Y) +
-    pi dim) / maslov(X)) when a rung finds no power in the first range;
-    with it no homogenized winding is taken.  Both paths are checked for
-    dominance either way, after every index n is checked to be an integer of
-    at least 1.  ``closed_form`` is maslov(Y) / maslov(X) of the aligned
-    pair when it is unitary, else None.
+    The indices n are checked to be integers of at least 1, then both paths
+    for dominance; one staircase runs the ladder, each rung on [-p_max,
+    p_max] or the default range of :func:`_staircase`, and a last rung that
+    certifies no power is a ComputationError.  ``closed_form`` is
+    maslov(Y) / maslov(X) of the aligned pair when it is unitary, else None.
     """
     ns = tuple(ns)
     if not ns:
@@ -518,22 +524,10 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
     for n in ns:
         if integer(n, "staircase index n") < 1:
             raise InputError(f"staircase index n must be at least 1, got n={n}")
-    if p_max is None:
-        hint = gamma_closed_symplectic(x, y, tol=tol).value
-        rungs = [(n, int(np.ceil(finite(abs(hint) * n, f"the search bound at n={n}"))) + 8)
-                 for n in ns]
-    else:
-        _require_dominant_pair(x, y, tol)
-        rungs = [(n, p_max) for n in ns]
-    gamma_ns, floors, certificates, windings = _staircase(x, y, rungs, tol)
-    if p_max is None and windings is not None and None in gamma_ns:
-        # a unitary rung that certified in the first range keeps its power
-        rungs = [(n, max(bound, _endpoint_top(n, windings, x.dim // 2))) for n, bound in rungs]
-        gamma_ns, floors, certificates, windings = _staircase(x, y, rungs, tol)
-    if gamma_ns[-1] is None:
-        raise ComputationError(
-            f"no certified power found at n={ns[-1]} within p_max={rungs[-1][1]}; "
-            "raise p_max (symporder gamma --pmax)")
+    _require_dominant_pair(x, y, tol)
+    gamma_ns, floors, certificates, windings = _staircase(x, y, [(n, p_max) for n in ns], tol)
+    if gamma_ns[-1] is None:  # with p_max; a default last rung raised in the staircase
+        raise _no_power(ns[-1], p_max)
     closed = windings[1] / windings[0] if windings is not None else None
     return GrowthEstimate(ns=ns, gamma_ns=tuple(gamma_ns), closed_form=closed,
                           floors=tuple(floors), certificates=tuple(certificates))

@@ -37,14 +37,15 @@ def _unit(values) -> tuple[np.ndarray, int]:
     return np.ldexp(values, -e), e
 
 
-def _scaled(reduce, values):
-    """``reduce(values)`` where finite, else 2^e reduce(2^-e values) as in :func:`_unit`:
-    exact for reductions homogeneous of degree 1, so a result that fits keeps its bits."""
+def _scaled(reduce, *arrays):
+    """``reduce(*arrays)`` where finite, else 2^(e1 + ...) reduce(2^-e1 arrays[0], ...), each e
+    from :func:`_unit`: exact for reductions homogeneous of degree 1 in each array, so a result
+    that fits keeps its bits."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(result := reduce(values)).all():
+        if np.isfinite(result := reduce(*arrays)).all():
             return result
-        unit, e = _unit(values)
-        return np.ldexp(reduce(unit), e)
+        units = [_unit(values) for values in arrays]
+        return np.ldexp(reduce(*(unit for unit, _ in units)), sum(e for _, e in units))
 
 
 def is_normalized(values: np.ndarray) -> bool:
@@ -234,12 +235,17 @@ def embed_into_z(f: LeafFunction) -> QuantElement:
     """Isometric embedding of sup-norm function space into the metric space.
 
     ``F`` maps to the element with generator ``exp(F)``; distances become
-    ``k_quant(embed(F), embed(G)) = max |F - G|`` exactly; F above log(max float) is refused.
+    ``k_quant(embed(F), embed(G)) = max |F - G|`` exactly.  F above log(max float) is refused,
+    and so is F whose exp(min F), stored as mean + (exp(F) - mean), keeps no digit.
     """
     bound, top = float(np.log(np.finfo(float).max)), float(f.values.max())
     if top > bound:
         raise InputError(f"leaf function value {top!r} exceeds log(max float) = {bound!r}")
-    return QuantElement(*_fold_mean(np.exp(f.values)))
+    element = QuantElement(*_fold_mean(np.exp(f.values)))
+    if element.generator.min() <= np.finfo(float).eps * element.shift:
+        raise InputError(f"leaf function range max F - min F = {top - float(f.values.min())!r} "
+                         "leaves exp(min F) no digit beside the mean of exp(F)")
+    return element
 
 
 def calabi_weinstein(funcs, weights: np.ndarray | None = None,
@@ -271,4 +277,4 @@ def calabi_weinstein(funcs, weights: np.ndarray | None = None,
         raise InputError("weights must be nonnegative with a positive total volume")
     means = np.array([np.clip(_scaled(lambda v: (weights * v).sum() / total, f.values),
                               f.values.min(), f.values.max()) for f in funcs])
-    return float(means[0] if len(means) == 1 else _scaled(lambda m: np.trapezoid(m, times), means))
+    return float(means[0] if len(means) == 1 else _scaled(np.trapezoid, means, times))

@@ -44,3 +44,9 @@ def test_each_workload_passes_its_check_under_the_tracer(name, tmp_path, monkeyp
         assert calls.get("paths.power", 0) == 0
     elif name == "staircase":
         assert calls["paths.extract4"] == 1
+    else:
+        # maslov, zcoord and synth-positive wind once each, and the gamma call
+        # of a unitary pair winds X and Y once each with no homogenized
+        # winding: zcoord's mu_tilde is the round's one
+        assert calls["maslov.winding"] == 5
+        assert calls["growth.mu_tilde"] == 1

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_group_law import (_canonical_staircase, _endpoint_certified, _endpoint_staircase,
-                            _eigvalsh_staircase)
+from test_group_law import (_canonical_staircase, _dominant_path, _endpoint_certified,
+                            _endpoint_staircase, _eigvalsh_staircase)
 
 from symporder import generators as gen
 from symporder import acceptance, growth, maslov, paths
@@ -407,8 +407,8 @@ def test_growth_estimate_tests_each_path_for_unitarity_once(loops, monkeypatch):
 
 
 def test_growth_estimate_takes_no_homogenized_winding_with_p_max(monkeypatch):
-    # the homogenized-winding ratio only sizes the search ranges, so a given
-    # p_max skips it; the estimate is the one the pair gave while it was taken
+    # the homogenized-winding ratio only sizes the default range off the
+    # unitary subgroup, so a given p_max skips it, and so does a unitary pair
     x, y = acceptance._unitary_staircase_pair(np.random.default_rng([0, 12, 0]), 2, True)
     calls = []
 
@@ -423,7 +423,7 @@ def test_growth_estimate_takes_no_homogenized_winding_with_p_max(monkeypatch):
         ns=(8, 64), gamma_ns=(8, 61), closed_form=0.9277963892236493, floors=(8, 60),
         certificates=("endpoint", "endpoint"))
     assert est.limit_estimate == growth.Estimate(0.953125, 0.9375, 0.953125)
-    assert growth.growth_estimate(x, y, ns=(8, 64)) == est and len(calls) == 2
+    assert growth.growth_estimate(x, y, ns=(8, 64)) == est and calls == []
     # the pair is checked the same way, with the same error texts, either way
     for bad, match in ((gen.rotation_loop(1, 129), "share a dimension"),
                        (paths.invert(y), "Y must be dominant")):
@@ -496,10 +496,11 @@ def test_endpoint_phases_off_the_winding_are_an_error(loops, monkeypatch):
 
 
 def test_staircase_bounds_beyond_the_float_range_are_computation_errors():
-    # maslov(X) = 1e-307 under maslov(Y) = 10: |gamma| n, the winding floor
-    # (inf - inf) and the top of the endpoint scan leave the float range
+    # maslov(X) = 1e-307 under maslov(Y) = 10: the winding floor (inf - inf)
+    # and the top of the endpoint scan leave the float range; the default
+    # range of this unitary pair has no search bound |gamma| n
     x, y = gen.rotation_path(1e-307, 9), gen.rotation_path(10.0, 9)
-    with pytest.raises(ComputationError, match=r"search bound at n=\d+ .*\(inf\)"):
+    with pytest.raises(ComputationError, match=r"winding floor at n=2 .*\(nan\)"):
         growth.growth_estimate(x, y, tol=0.0)
     with pytest.raises(ComputationError, match=r"winding floor at n=2 .*\(nan\)"):
         growth.growth_estimate(x, y, p_max=5, tol=0.0)
@@ -642,6 +643,48 @@ def test_the_default_range_of_a_unitary_pair_reaches_the_top_of_its_scan():
     # an explicit p_max still bounds every rung
     assert growth.gamma_n_bruteforce(x, y, 8, 58) is None
     assert growth.gamma_n_bruteforce(x, y, 8, 59) == 59
+
+
+def test_the_default_range_of_a_unitary_pair_is_one_scan_of_two_windings(monkeypatch):
+    # the pair above, whose range ceil(|gamma| n) + 8 falls short at n = 8:
+    # one staircase, the windings of X and Y, and no homogenized winding
+    t = gen.uniform_times(513)
+    x = gen.diagonal_unitary_path(np.outer(t, [0.25, 0.25]), t)
+    y = gen.diagonal_unitary_path(np.outer(t, [2.0198, 1.0284]), t)
+    staircase = mock.Mock(side_effect=growth._staircase)
+    windings = mock.Mock(side_effect=growth.maslov_index)
+    homogenized = mock.Mock(side_effect=growth.mu_tilde)
+    monkeypatch.setattr(growth, "_staircase", staircase)
+    monkeypatch.setattr(growth, "maslov_index", windings)
+    monkeypatch.setattr(growth, "mu_tilde", homogenized)
+    est = growth.growth_estimate(x, y)
+    assert est.gamma_ns == (9, 17, 33, 59, 105, 208, 392)
+    assert staircase.call_count == 1 and homogenized.call_count == 0
+    assert [call.args[1:] for call in windings.call_args_list] == [(), ()]
+
+
+def _unitary_pair(seed: int, source: str):
+    if source == "drawn":
+        return tuple(_dominant_path(seed, 4, stream, "unitary") for stream in (0, 1))
+    return acceptance._unitary_staircase_pair(np.random.default_rng(seed), 2 + seed % 2,
+                                              source == "staircase commuting")
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["drawn", "staircase commuting", "staircase"]))
+def test_the_default_range_of_a_unitary_pair_scans_to_its_proven_top(seed, source):
+    # every bound at least max(|L_n|, top_n) scans alike, and the range
+    # ceil(|gamma| n) + 8 gives the same power wherever it finds one
+    x, y = _unitary_pair(seed, source)
+    est = growth.growth_estimate(x, y)
+    windings = maslov.maslov_index(x).value, maslov.maslov_index(y).value
+    hint = growth.gamma_closed_symplectic(x, y).value
+    for n, gamma_n, floor in zip(est.ns, est.gamma_ns, est.floors):
+        assert gamma_n is not None
+        top = growth._endpoint_top(n, windings, x.dim // 2)
+        assert gamma_n == growth.gamma_n_bruteforce(x, y, n, max(abs(floor), top))
+        assert growth.gamma_n_bruteforce(x, y, n, int(np.ceil(abs(hint) * n)) + 8) in (
+            None, gamma_n)
 
 
 def test_records_read_their_conclusions_off_their_evidence(loops):

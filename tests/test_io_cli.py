@@ -419,8 +419,8 @@ def test_cli_overflowing_powers_exit_2_with_one_error_line(tmp_path):
 
 
 def test_cli_staircase_and_quant_bounds_that_overflow_exit_with_one_error_line(tmp_path):
-    # maslov(X) = 1e-307 under maslov(Y) = 10: the search bound |gamma| n, the
-    # winding floor and the quant product n gamma leave the float range
+    # maslov(X) = 1e-307 under maslov(Y) = 10: the winding floor and the
+    # quant product n gamma leave the float range
     x, y = str(tmp_path / "x.json"), str(tmp_path / "y.json")
     io.save_path(gen.rotation_path(1e-307, 9), x)
     io.save_path(gen.rotation_path(10.0, 9), y)
@@ -429,7 +429,7 @@ def test_cli_staircase_and_quant_bounds_that_overflow_exit_with_one_error_line(t
     b = _write_doc(tmp_path, "b.json", {"grid_shape": [4], "values": [0, 0, 0, 0],
                                         "shift": 1.0})
     for argv, code, text in (
-            (["gamma", x, y, "--tol", "0"], 2, "the search bound at n="),
+            (["gamma", x, y, "--tol", "0"], 2, "the winding floor at n=2"),
             (["gamma", x, y, "--tol", "0", "--pmax", "5"], 2, "the winding floor at n=2"),
             (["quant-gamma", a, b], 2, "gamma_quant(a, b) is not a finite number"),
             (["quant-gamma", a, b, "--n", "3"], 2, "gamma_quant(a, b) is not a finite number"),
@@ -872,6 +872,18 @@ def test_cli_embed_refuses_values_whose_exp_overflows(tmp_path):
     assert not (tmp_path / "embedded.json").exists()
 
 
+def test_cli_embed_refuses_what_quant_k_would_refuse(tmp_path, capsys):
+    # exp(-40) lies below one rounding of the mean 0.5 of exp(F): the element
+    # would be shift 0.5, values [-0.5, 0.5], which quant-k calls not dominant
+    grid = _write_doc(tmp_path, "wide.json", {"grid_shape": [2], "values": [-40.0, 0.0]})
+    dest = str(tmp_path / "embedded.json")
+    code, out, err = run_cli(["embed", grid, dest], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: leaf function range max F - min F = 40.0 leaves exp(min F) "
+                   "no digit beside the mean of exp(F)\n")
+    assert not (tmp_path / "embedded.json").exists()
+
+
 # (documents, argv, exit code, report fields or the one error line): grid and
 # time averages near the float maximum, and generators beyond it, each of
 # which printed a numpy RuntimeWarning, a wrong refusal or a wrong answer
@@ -902,6 +914,18 @@ _NEAR_THE_FLOAT_MAXIMUM = {
                              "values": [1.7e308, -1.7e308, -1.7e308]}},
                  ["quant-k", "q.json", "q.json"], 1,
                  "{tmp}/q.json: leaf function values minus their grid mean leave the float range"),
+    # a time span beyond the float range: the trapezoid's step 2e308 is inf,
+    # and inf * 0 is NaN; the times scale by a power of two as the means do
+    "cw zero span": ({"z.json": {"grid_shape": [2], "values": [0, 0]}},
+                     ["cw", "z.json", "z.json", "--times=-1e308,1e308"], 0,
+                     {"slices": 2, "value": 0.0}),
+    "cw half span": ({"z.json": {"grid_shape": [2], "values": [0.5, 0.5]}},
+                     ["cw", "z.json", "z.json", "--times=-1e308,1e308"], 0,
+                     {"slices": 2, "value": 1e308}),
+    "cw span beyond": ({"z.json": {"grid_shape": [2], "values": [1, 3]}},
+                       ["cw", "z.json", "z.json", "--times=-1e308,1e308"], 2,
+                       "cw report holds a non-finite number: "
+                       "Out of range float values are not JSON compliant: inf"),
     # the mean equals the scale here, as for [1, 3]; a floor of 1 on the
     # tolerance called the tiny grid normalized
     "tiny": ({"tiny.json": {"grid_shape": [2], "values": [1e-20, 3e-20]}},

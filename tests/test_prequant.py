@@ -189,6 +189,16 @@ def test_embed_preserves_the_leaf_exponential():
     assert element.is_dominant
 
 
+def test_embed_refuses_a_least_generator_within_one_rounding_of_the_mean():
+    # the generator is stored as mean + (exp F - mean); at max F - min F = 37
+    # exp(min F) is at most one rounding of the mean and keeps no digit;
+    # unrefused, K(embed [-38, 0], embed [-37, 0]) reads log 2 for the true 1
+    assert prequant.embed_into_z(prequant.LeafFunction(np.array([-36.0, 0.0]))).is_dominant
+    for lo in (-37.0, -38.0, -40.0):
+        with pytest.raises(InputError, match=rf"max F - min F = {-lo!r} leaves exp\(min F\)"):
+            prequant.embed_into_z(prequant.LeafFunction(np.array([lo, 0.0])))
+
+
 def test_calabi_weinstein_vanishes_on_normalized_families():
     rng = np.random.default_rng(12)
     family = [prequant.normalize_leaf(rng.normal(size=64)) for _ in range(7)]
@@ -315,6 +325,16 @@ def test_scaled_reduction_keeps_the_bits_of_every_finite_plain_reduction(values,
         scaled = prequant._scaled(reduce, values)
         if np.isfinite(plain):
             assert _same_bits(scaled, plain)
+
+
+@pytest.mark.parametrize("means, want", [([0.0, 0.0], 0.0), ([0.5, 0.5], 1e308),
+                                         ([1e308, 1e308], np.inf)])
+def test_a_trapezoid_scales_its_times_and_its_means_alike(means, want):
+    # over [-1e308, 1e308] the step 2e308 is inf, and inf * 0 is NaN; the
+    # trapezoid is homogeneous of degree 1 in the times as in the means
+    times = np.array([-1e308, 1e308])
+    assert prequant._scaled(np.trapezoid, np.array(means), times) == want
+    assert prequant._scaled(np.trapezoid, np.array(means), times / 2 ** 1000) == want / 2 ** 1000
 
 
 @settings(deadline=None, max_examples=300)
