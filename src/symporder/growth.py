@@ -35,11 +35,10 @@ from .paths import (
     align_grids,
     binary_powers,
     classify_cone,
-    cone_holds,
     extract_hamiltonian,
     is_uniform_grid,
 )
-from .matrices import commutes_with_j, real_to_complex, symplectic_inverse
+from .matrices import commutes_with_j, positive_definite, real_to_complex, symplectic_inverse
 
 GROWTH_NS = (1, 2, 4, 8, 16, 32, 64)
 
@@ -95,12 +94,13 @@ def mu_tilde(path: SampledPath, k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0) 
 def _require_dominant(path: SampledPath, tol: float, who: str) -> None:
     """Refuse a path that ``classify_cone`` does not call dominant.
 
-    A Cholesky pass over the generator stack (:func:`paths.cone_holds`)
-    accepts the path without eigenvalues; only a path it refuses is
-    classified, which gives the error its eigenvalue and keeps
-    ``classify_cone``'s verdict inside the rounding band.
+    A Cholesky pass over the shifted generator stack
+    (:func:`matrices.positive_definite`) accepts the path without
+    eigenvalues; only a path it refuses is classified, which gives the error
+    its eigenvalue and keeps ``classify_cone``'s verdict inside the rounding
+    band.
     """
-    if cone_holds(extract_hamiltonian(path), tol):
+    if positive_definite(extract_hamiltonian(path), tol):
         return
     verdict = classify_cone(path, tol)
     if verdict.status is not ConeStatus.DOMINANT:
@@ -265,9 +265,9 @@ def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int) -> in
       the exact composition formula from the base tracks of X and Y (so
       finite-difference error does not grow with p), lies above -CONE_TOL at
       every sample, one Cholesky factorization of the probe's whole track
-      (:func:`paths.cone_holds`) per probe.  It is tight where Y's generator
-      is a multiple of X's, and overstates gamma_n where the two speed
-      profiles differ.
+      (:func:`matrices.positive_definite`) per probe.  It is tight where Y's
+      generator is a multiple of X's, and overstates gamma_n where the two
+      speed profiles differ.
     """
     return _staircase(x, y, ((n, integer(p_max, "p_max")),), CONE_TOL)[0][0]
 
@@ -278,8 +278,8 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
 
     The grids are aligned and X's dominance checked once, on its staircase
     track by one Cholesky factorization of H_X - tol I, no eigenvalue
-    (:func:`paths.cone_holds`).  This is the one place that tests the
-    aligned pair for unitarity: ``windings`` is (maslov(X), maslov(Y)) of
+    (:func:`matrices.positive_definite`).  This is the one place that tests
+    the aligned pair for unitarity: ``windings`` is (maslov(X), maslov(Y)) of
     a unitary pair, else None.  On a unitary pair each rung has its winding
     floor L_n (:func:`_winding_floor`), and the endpoint certificate alone
     decides it, scanning upward from L_n clipped to [-p_max, p_max]
@@ -303,7 +303,7 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
     x, y = align_grids(x, y)
     unitary = commutes_with_j(x.matrices) and commutes_with_j(y.matrices)
     x_atoms = None if unitary else _atoms(x)
-    if not cone_holds(_staircase_hams(x) if unitary else x_atoms[0].hams, tol):
+    if not positive_definite(_staircase_hams(x) if unitary else x_atoms[0].hams, tol):
         raise InputError("X must be dominant for the staircase search")
     windings = None
     if unitary:
@@ -455,7 +455,7 @@ def _certified(x_atoms: tuple[_PowerAtom, _PowerAtom], y_minus_n: _PowerAtom,
     """Whether the generator of X^p Y^-n, from the atoms of X and X^-1 and
     the atom of Y^-n, lies above -tol at every sample."""
     x_power = _signed_powers(x_atoms, (p,))[0]
-    return cone_holds(x_power.hams_of_product(y_minus_n), -tol)
+    return positive_definite(x_power.hams_of_product(y_minus_n), -tol)
 
 
 def _least_certified_power(x_atoms: tuple[_PowerAtom, _PowerAtom],

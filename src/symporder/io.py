@@ -155,10 +155,12 @@ def save_grid(leaf: LeafFunction, filename: str) -> None:
 def load_quant_element(filename: str) -> QuantElement:
     """Read a quantomorphism element: a fiber shift plus a leaf function.
 
-    A nonzero mean in the stored values is folded into the shift, since a
-    constant leaf function acts as a fiber rotation.
+    Stored values that :func:`symporder.prequant.is_normalized` refuses have
+    their mean folded into the shift, since a constant leaf function acts as
+    a fiber rotation; normalized values load as stored, so a file that
+    :func:`save_quant_element` wrote loads back bit for bit.
     """
-    from .prequant import QuantElement, _fold_mean
+    from .prequant import LeafFunction, QuantElement, _fold_mean
 
     data = _load_json(filename)
     shift = _require_floats(data, "shift", filename)
@@ -166,6 +168,8 @@ def load_quant_element(filename: str) -> QuantElement:
         raise InputError(f"{echo(filename)}: 'shift' must be a single number")
     values = _read_grid(data, filename)
     try:
+        if (leaf := LeafFunction(values)).normalized:
+            return QuantElement(float(shift), leaf)
         mean, leaf = _fold_mean(values)
         return QuantElement(float(shift) + mean, leaf)
     except ValueError as exc:

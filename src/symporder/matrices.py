@@ -91,7 +91,8 @@ def commutes_with_j(a: np.ndarray) -> bool:
     the blocks of its commutator (:func:`_commutator_blocks`, through
     :func:`_by_entry_map`) are finite and within ``DEFAULT_TOL`` of 0."""
     blocks = _by_entry_map(_commutator_blocks, a)
-    return bool(np.abs(blocks).max(initial=0.0) <= DEFAULT_TOL)
+    np.abs(blocks, out=blocks)
+    return bool(blocks.max(initial=0.0) <= DEFAULT_TOL)
 
 
 def complex_to_real(u: np.ndarray) -> np.ndarray:
@@ -190,12 +191,12 @@ def _samples_last(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(a.reshape((-1,) + a.shape[-2:]), 0, -1).copy()
 
 
-def _pivot_to_top(a: np.ndarray, k: int, offsets: np.ndarray) -> np.ndarray:
+def _pivot_to_top(a: np.ndarray, k: int) -> np.ndarray:
     """Step k of partial pivoting on a C-ordered ``a`` (rows, columns,
     samples): swap into row k of each sample, from column k on, its first row
     at or below k whose entry in column k is largest in |Re| + |Im|, the
-    pivot of LAPACK's ``izamax``.  ``offsets[j, s]`` is the flat position of
-    ``a[0, j, s]``.  Returns where the rows were swapped."""
+    pivot of LAPACK's ``izamax``.  A step where no sample's pivot row moves
+    is the identity and copies nothing.  Returns where the rows were swapped."""
     n, _, count = a.shape
     parts = np.abs(a[k:, k].view(float))  # |Re| and |Im| interleaved
     mag = parts[:, 0::2] + parts[:, 1::2]
@@ -204,12 +205,14 @@ def _pivot_to_top(a: np.ndarray, k: int, offsets: np.ndarray) -> np.ndarray:
         larger = mag[r] > best
         row[larger] = k + r
         best = np.where(larger, mag[r], best)
-    at = row * (n * count) + offsets[k:]
-    flat = a.reshape(-1)
-    pivot_row = flat[at]
-    flat[at] = a[k, k:]
-    a[k, k:] = pivot_row
-    return row != k
+    swapped = row != k
+    if swapped.any():
+        at = row * (n * count) + np.arange(k, n)[:, None] * count + np.arange(count)
+        flat = a.reshape(-1)
+        pivot_row = flat[at]
+        flat[at] = a[k, k:]
+        a[k, k:] = pivot_row
+    return swapped
 
 
 def det_phase(c: np.ndarray) -> np.ndarray:
@@ -218,7 +221,8 @@ def det_phase(c: np.ndarray) -> np.ndarray:
 
     Gaussian elimination with partial pivoting (:func:`_pivot_to_top`) runs
     with the sample axis last; the phase is the product of the unit pivots
-    times the sign of the row permutation.  It takes no logarithm and forms
+    times the sign of the row permutation.  Rows move only at a step where
+    some sample's pivot does, and each sample's phase reads its own entries.  It takes no logarithm and forms
     no product of moduli, so a matrix whose determinant overflows (entries
     far beyond 1e154) still has its phase.  Above ``SAMPLE_AXIS_MAX_DIM``
     (2n > 8), and on stacks of fewer than ``SAMPLE_AXIS_MIN_SAMPLES``
@@ -230,11 +234,9 @@ def det_phase(c: np.ndarray) -> np.ndarray:
         return np.linalg.slogdet(c).sign
     with np.errstate(all="ignore"):
         a = _samples_last(c)
-        count = a.shape[-1]
-        offsets = np.arange(n)[:, None] * count + np.arange(count)
-        odd = np.zeros(count, bool)
+        odd = np.zeros(a.shape[-1], bool)
         for k in range(n - 1):
-            odd ^= _pivot_to_top(a, k, offsets)
+            odd ^= _pivot_to_top(a, k)
             factors = a[k + 1:, k] * (1.0 / a[k, k])
             a[k + 1:, k + 1:] -= factors[:, None] * a[k, None, k + 1:]
         pivots = a[np.arange(n), np.arange(n)]
@@ -247,27 +249,38 @@ def det_phase(c: np.ndarray) -> np.ndarray:
     return phase.reshape(c.shape[:-2])
 
 
-def positive_definite(h: np.ndarray) -> bool:
-    """True when every matrix of a real stack (..., m, m) is positive
+def positive_definite(h: np.ndarray, shift: float = 0.0) -> bool:
+    """True when every H - shift I of a real stack (..., m, m) is positive
     definite, read from its lower triangle.
 
-    A right-looking Cholesky factorization runs with the sample axis last and
-    stops at the first step where some sample's pivot is not positive, the
-    rule of LAPACK's ``potrf``; a NaN pivot is not positive.  It computes no
-    eigenvalue, so it gives the verdict only.  Above ``SAMPLE_AXIS_MAX_DIM``
-    (m > 8), and on stacks of fewer than ``SAMPLE_AXIS_MIN_SAMPLES``
-    matrices, ``np.linalg.cholesky`` decides.
+    A right-looking Cholesky factorization runs with the sample axis last, on
+    one samples-last copy with the shift taken off its diagonal, and stops at
+    the first step where some sample's pivot is not positive, the rule of
+    LAPACK's ``potrf``.  It computes no eigenvalue, so it gives the verdict
+    only.  Above ``SAMPLE_AXIS_MAX_DIM`` (m > 8), and on stacks of fewer than
+    ``SAMPLE_AXIS_MIN_SAMPLES`` matrices, ``np.linalg.cholesky`` decides on
+    H - shift I.  A shifted entry that is inf or NaN raises
+    :class:`ComputationError`: the factorization would skip it (upper
+    triangle) or read a NaN pivot as not positive.
     """
     h = np.asarray(h, dtype=float)
     m = h.shape[-1]
-    if _lapack_route(h, m):
+    lapack = _lapack_route(h, m)
+    with np.errstate(all="ignore"):
+        if lapack:
+            a = h - shift * np.eye(m)
+        else:
+            a = _samples_last(h)
+            a.reshape(m * m, -1)[::m + 1] -= shift  # rows (m + 1) i: the diagonal
+    if not np.isfinite(a).all():
+        raise ComputationError("generator track holds a non-finite number")
+    if lapack:
         try:
-            np.linalg.cholesky(h)
+            np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             return False
         return True
     with np.errstate(all="ignore"):
-        a = _samples_last(h)
         for k in range(m):
             pivot = a[k, k]
             if not (pivot > 0.0).all():

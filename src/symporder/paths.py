@@ -26,9 +26,9 @@ Integer powers of samples and of generator-carrying staircase atoms share one
 repeated-squaring routine, :func:`binary_powers`, which forms several powers
 of one base from a single pass of squarings.
 
-Cone membership is decided two ways.  A yes/no verdict comes from
-:func:`cone_holds`, one Cholesky factorization of the whole generator stack
-(:func:`symporder.matrices.positive_definite`, a sample-axis kernel up to
+Cone membership is decided two ways.  A yes/no verdict comes from one
+Cholesky factorization of the whole shifted generator stack,
+:func:`symporder.matrices.positive_definite` (a sample-axis kernel up to
 dimension 8 on stacks of at least 512 matrices, LAPACK otherwise); a margin
 comes from ``eigvalsh`` (:func:`min_generator_eigenvalue`,
 :func:`classify_cone`, :func:`order_leq`).
@@ -45,8 +45,7 @@ import numpy as np
 
 from .errors import ComputationError, InputError, integer
 from .matrices import (DEFAULT_TOL, _by_entry_map, _check_even_dim, is_symplectic,
-                       matrix_exp, positive_definite, standard_j, symplectic_defect,
-                       symplectic_inverse)
+                       matrix_exp, standard_j, symplectic_defect, symplectic_inverse)
 
 # Classification tolerance: FD-extracted generators carry O(dt^2) noise, so
 # the cone test uses a comfortably wider dead band than the structural checks.
@@ -370,24 +369,6 @@ def _plane_stack(n_samples: int, n: int, planes: dict) -> np.ndarray:
 def min_generator_eigenvalue(path: SampledPath) -> float:
     """Smallest eigenvalue of H(t_k) over all samples."""
     return float(np.linalg.eigvalsh(extract_hamiltonian(path)).min())
-
-
-def cone_holds(hams: np.ndarray, shift: float) -> bool:
-    """True when every H_k - shift I of the generator stack is positive definite.
-
-    One Cholesky factorization of the whole stack decides
-    (:func:`symporder.matrices.positive_definite`); it computes no
-    eigenvalues, so it gives the verdict only, never the margin.  A stack
-    holding inf or NaN raises :class:`ComputationError`: the factorization
-    reads only the lower triangle, and a NaN pivot is not positive, so it
-    would skip such an entry or read the track as outside the cone instead
-    of reporting it.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        shifted = hams - shift * np.eye(hams.shape[-1])
-    if not np.isfinite(shifted).all():
-        raise ComputationError("generator track holds a non-finite number")
-    return positive_definite(shifted)
 
 
 def classify_cone(path: SampledPath, tol: float = CONE_TOL) -> ConeVerdict:

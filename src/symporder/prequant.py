@@ -236,13 +236,14 @@ def embed_into_z(f: LeafFunction) -> QuantElement:
 
     ``F`` maps to the element with generator ``exp(F)``; distances become
     ``k_quant(embed(F), embed(G)) = max |F - G|`` exactly.  F above log(max float) is refused,
-    and so is F whose exp(min F), stored as mean + (exp(F) - mean), keeps no digit.
+    and so is F whose exp(min F), stored as mean + (exp(F) - mean), is at most sqrt(eps) times
+    the mean, where it keeps half its digits or fewer; above that K errs by a few 1e-8 at most.
     """
     bound, top = float(np.log(np.finfo(float).max)), float(f.values.max())
     if top > bound:
         raise InputError(f"leaf function value {top!r} exceeds log(max float) = {bound!r}")
     element = QuantElement(*_fold_mean(np.exp(f.values)))
-    if element.generator.min() <= np.finfo(float).eps * element.shift:
+    if element.generator.min() <= np.sqrt(np.finfo(float).eps) * element.shift:
         raise InputError(f"leaf function range max F - min F = {top - float(f.values.min())!r} "
                          "leaves exp(min F) no digit beside the mean of exp(F)")
     return element

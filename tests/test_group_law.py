@@ -471,7 +471,7 @@ def test_cholesky_cone_verdict_matches_the_eigenvalue_route(seed, dim, size, kin
     if offset:  # a semidefinite stack then sits exactly on the threshold
         h = h + shift * np.eye(dim)
     eigs = np.linalg.eigvalsh(h)
-    verdicts = [paths.cone_holds(stack, shift) for stack in (h, _at_the_floor(h))]
+    verdicts = [matrices.positive_definite(stack, shift) for stack in (h, _at_the_floor(h))]
     assert all(isinstance(verdict, bool) for verdict in verdicts)
     lam = float(eigs.min())
     if abs(lam - shift) > 1e-9 * max(1.0, float(np.abs(eigs).max())):
@@ -491,9 +491,9 @@ def test_cone_holds_refuses_a_non_finite_track(bad, entry):
     h = np.broadcast_to(np.eye(4), (5, 4, 4)).copy()
     h[(3, *entry)] = bad
     with pytest.raises(ComputationError, match="non-finite"):
-        paths.cone_holds(h, 0.0)
+        matrices.positive_definite(h, 0.0)
     with pytest.raises(ComputationError, match="non-finite"):
-        paths.cone_holds(np.eye(4)[None], bad)
+        matrices.positive_definite(np.eye(4)[None], bad)
 
 
 def _commuting_unitary_pair(seed: int, n: int, proportional: bool):

@@ -11,7 +11,7 @@ from symporder import generators as gen
 from symporder import acceptance, growth, maslov, paths
 from symporder.errors import ComputationError, InputError
 from symporder.growth import mu_tilde
-from symporder.matrices import commutes_with_j
+from symporder.matrices import commutes_with_j, positive_definite
 from symporder.paths import pointwise_power
 
 
@@ -236,13 +236,13 @@ def test_unitary_staircase_probes_the_winding_floor_and_the_power_below(monkeypa
 
     def counted(hams, shift):
         calls.append(shift)
-        return paths.cone_holds(hams, shift)
+        return positive_definite(hams, shift)
 
     def recorded(z_end, p, n, *rest):
         probes.append(p)
         return quanta(z_end, p, n, *rest)
 
-    monkeypatch.setattr(growth, "cone_holds", counted)
+    monkeypatch.setattr(growth, "positive_definite", counted)
     monkeypatch.setattr(growth, "_endpoint_quanta", recorded)
     assert growth._staircase(x, y, ((64, 128),), paths.CONE_TOL)[:3] == (
         [98], [98], ["endpoint"])

@@ -146,10 +146,9 @@ def test_quant_round_trip_is_bitwise_up_to_the_mean_fold(tmp_path_factory, shift
     name = str(tmp_path_factory.mktemp("quant") / "q.json")
     io.save_quant_element(element, name)
     loaded = io.load_quant_element(name)
-    # the loader folds the grid mean into the shift, as documented
-    mean = float(leaf.values.mean())
-    assert _same_bits(np.float64(loaded.shift), np.float64(shift + mean))
-    assert _same_bits(loaded.func.values, leaf.values - mean)
+    # the saved values are normalized, so the loader folds no mean into the shift
+    assert _same_bits(np.float64(loaded.shift), np.float64(shift))
+    assert _same_bits(loaded.func.values, leaf.values)
 
 
 def test_load_errors_carry_the_filename(tmp_path):
@@ -818,10 +817,11 @@ def test_cli_quant_commands(tmp_path, cos_grid_file, capsys):
 
 def test_cli_takes_zero_mean_grids_of_any_scale(tmp_path, capsys):
     # rounding leaves a float mean of about 1e-12 on values near 3e4 or near
-    # exp(12); an absolute 1e-12 gate refused both as not normalized
+    # exp(12); an absolute 1e-12 gate refused both as not normalized.  The
+    # grid spans [0, 12], within the range that embed keeps to a few 1e-8.
     (p,) = prequant.torus_grid((64,))
     wide = _write_doc(tmp_path, "wide.json",
-                      {"grid_shape": [64], "values": (12 * np.cos(2 * np.pi * p)).tolist()})
+                      {"grid_shape": [64], "values": (6 + 6 * np.cos(2 * np.pi * p)).tolist()})
     code, out, err = run_cli(["embed", wide, str(tmp_path / "embedded.json")], capsys)
     assert code == 0, err
     raw = 3e4 * np.random.default_rng(4).normal(size=64)

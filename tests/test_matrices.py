@@ -1,10 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_group_law import _at_the_floor
+from test_group_law import _at_the_floor, _symmetric_stack
 
 from symporder import generators, maslov, matrices, paths
 from symporder.errors import ComputationError, InputError
@@ -269,6 +270,51 @@ def test_det_phase_is_the_sign_of_slogdet(seed, n, size, scale):
                - np.linalg.det(perm)) <= 1e-12
 
 
+def _pivot_free_stack(seed: int, n: int) -> np.ndarray:
+    """SAMPLE_AXIS_MIN_SAMPLES complex matrices 10 I + noise of size 0.1: at
+    every elimination step the diagonal entry stays the largest of its column
+    at and below it, so no pivot row moves."""
+    rng = np.random.default_rng([seed, n])
+    shape = (matrices.SAMPLE_AXIS_MIN_SAMPLES, n, n)
+    return 10.0 * np.eye(n) + 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def _phases_and_moves(monkeypatch, stack):
+    """det_phase of the stack and, per elimination step, the samples whose
+    pivot row moved there."""
+    moves, pivot = [], matrices._pivot_to_top
+
+    def recorded(a, k):
+        swapped = pivot(a, k)
+        moves.append(np.flatnonzero(swapped).tolist())
+        return swapped
+
+    monkeypatch.setattr(matrices, "_pivot_to_top", recorded)
+    phases = matrices.det_phase(stack)
+    monkeypatch.undo()
+    return phases, moves
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_det_phase_of_a_sample_does_not_depend_on_its_stack_mates(monkeypatch, n):
+    # a stack in which no pivot moves, then the same stack with rows k and
+    # k + 1 of one sample exchanged, whose pivot then moves at step k only
+    base = _pivot_free_stack(7, n)
+    phases, moves = _phases_and_moves(monkeypatch, base)
+    assert moves == [[]] * (n - 1)
+    for k in range(n - 1):
+        for s in (0, len(base) // 2, len(base) - 1):
+            mixed = base.copy()
+            mixed[s, [k, k + 1]] = mixed[s, [k + 1, k]]
+            got, moves = _phases_and_moves(monkeypatch, mixed)
+            assert moves == [[s] if step == k else [] for step in range(n - 1)]
+            others = np.arange(len(base)) != s
+            assert got[others].tobytes() == phases[others].tobytes()
+            alone = matrices.det_phase(np.broadcast_to(mixed[s], base.shape).copy())
+            assert alone.tobytes() == np.full(len(base), got[s]).tobytes()
+            assert np.abs(got - np.linalg.slogdet(mixed).sign).max() <= 1e-12
+
+
 def test_kernels_call_lapack_only_above_the_cutoff(monkeypatch):
     # above the dimension cutoff, or below the sample floor, and nowhere else
     rng = np.random.default_rng(3)
@@ -292,7 +338,7 @@ def test_kernels_call_lapack_only_above_the_cutoff(monkeypatch):
         monkeypatch.setattr(np.linalg, name, recorded(name))
     for dim, _, path, hams in cases:
         maslov.maslov_index(path)
-        assert paths.cone_holds(hams, -1e3) and not paths.cone_holds(hams, 1e3)
+        assert matrices.positive_definite(hams, -1e3) and not matrices.positive_definite(hams, 1e3)
     lapack = [dim for dim, n_samples, _, _ in cases if dim > cut or n_samples < floor]
     assert lapack == [2, 4, 6, 8, 10, 10, 12, 12]
     assert calls == [call for dim in lapack for call in
@@ -313,3 +359,80 @@ def test_one_indefinite_sample_refuses_the_stack(dim):
             assert not matrices.positive_definite(bad[:6])
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.cholesky(bad[:6])
+
+
+shifts = st.one_of(st.sampled_from([0.0, -0.0, 1e-6, -1e-6, 1e-3]),
+                   st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 10), st.integers(1, 5),
+       st.sampled_from(["indefinite", "semidefinite", "definite"]), shifts, st.booleans())
+def test_shifted_cone_verdict_is_the_verdict_of_the_shifted_stack(seed, dim, size, kind,
+                                                                  shift, offset):
+    # both routes: dim 10 goes to LAPACK, and each stack is decided short and
+    # repeated up to the sample floor; with ``offset`` a semidefinite stack
+    # sits exactly on the threshold
+    h = _symmetric_stack(np.random.default_rng(seed), dim, size, kind)
+    if offset:
+        h = h + shift * np.eye(dim)
+    for stack in (h, _at_the_floor(h)):
+        verdict = matrices.positive_definite(stack, shift)
+        assert verdict is matrices.positive_definite(stack - shift * np.eye(dim))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 10), st.booleans(),
+       st.sampled_from(["entry", "shift", "overflow"]), st.data())
+def test_shifted_cone_refuses_what_is_not_finite(seed, dim, floor, case, data):
+    # an inf or NaN entry, in either triangle, a non-finite shift, or a shift
+    # whose subtraction overflows a diagonal entry
+    rng = np.random.default_rng(seed)
+    h = _symmetric_stack(rng, dim, 3, "definite")
+    h = _at_the_floor(h) if floor else h
+    sample = data.draw(st.integers(0, len(h) - 1))
+    i, j = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
+    bad = data.draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    shift = 0.5
+    if case == "entry":
+        h[sample, i, j] = bad
+    elif case == "shift":
+        shift = bad
+    else:
+        sign = data.draw(st.sampled_from([1.0, -1.0]))
+        h[sample, i, i], shift = sign * 1.5e308, -sign * 1.5e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ComputationError, match="non-finite"):
+            matrices.positive_definite(h, shift)
+
+
+def _peak_bytes(fn) -> int:
+    """Peak of the memory that ``fn()`` allocates, numpy arrays included,
+    after one untraced call has settled any lazy set-up."""
+    fn()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_cone_check_copies_its_track_once():
+    # one samples-last copy, shifted in place, and its finiteness mask: about
+    # 1.63 track sizes; a second, shifted copy of the track would pass 2
+    track = paths.extract_hamiltonian(
+        generators.random_symplectic_path(4, np.random.default_rng(3), n_samples=2049))
+    assert matrices.positive_definite(track, -1e3)  # every step of the factorization runs
+    assert _peak_bytes(lambda: matrices.positive_definite(track, -1e3)) < 2.0 * track.nbytes
+
+
+def test_det_phase_gathers_no_row_where_no_pivot_moves():
+    # a U(2)-sized stack whose pivots never move: about 2.8 input sizes; a
+    # gather and scatter of the pivot rows at its one step would pass 3.3
+    c = 10.0 * np.eye(2) + 0.1 * np.random.default_rng(5).normal(size=(2049, 2, 2))
+    c = c.astype(complex)
+    assert _peak_bytes(lambda: matrices.det_phase(c)) < 3.3 * c.nbytes

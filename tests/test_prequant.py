@@ -191,12 +191,19 @@ def test_embed_preserves_the_leaf_exponential():
 
 def test_embed_refuses_a_least_generator_within_one_rounding_of_the_mean():
     # the generator is stored as mean + (exp F - mean); at max F - min F = 37
-    # exp(min F) is at most one rounding of the mean and keeps no digit;
-    # unrefused, K(embed [-38, 0], embed [-37, 0]) reads log 2 for the true 1
-    assert prequant.embed_into_z(prequant.LeafFunction(np.array([-36.0, 0.0]))).is_dominant
-    for lo in (-37.0, -38.0, -40.0):
+    # exp(min F) is at most one rounding of the mean and keeps no digit, and
+    # at 36 K(embed [-36, 0, 0, 0], embed [-35, 0, 0, 0]) would read log 3 for
+    # the true 1.  The cutoff sqrt(eps) mean refuses a range above about 18.72
+    # on [lo, 0] and keeps K within a few 1e-8 of the truth on the rest.
+    for lo in (-10.0, -18.0, -18.7):
+        low, high = (prequant.embed_into_z(prequant.LeafFunction(np.array([v, 0.0])))
+                     for v in (lo, lo + 1.0))
+        assert abs(prequant.k_quant(low, high) - 1.0) < 3e-8
+    for lo in (-18.75, -19.0, -36.0, -37.0, -38.0, -40.0):
         with pytest.raises(InputError, match=rf"max F - min F = {-lo!r} leaves exp\(min F\)"):
             prequant.embed_into_z(prequant.LeafFunction(np.array([lo, 0.0])))
+    with pytest.raises(InputError, match="leaves exp"):
+        prequant.embed_into_z(prequant.LeafFunction(np.array([-36.0, 0.0, 0.0, 0.0])))
 
 
 def test_calabi_weinstein_vanishes_on_normalized_families():
