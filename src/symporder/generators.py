@@ -160,8 +160,8 @@ def unitary_path_from_generator(h, n: int, n_samples: int = DEFAULT_SAMPLES) -> 
     rebuilt from its left block column, so it has that structure exactly.
     """
     t = uniform_times(n_samples)
-    gens = np.diff(t)[:, None, None] * _midpoint_values(h, t, n)
-    mats = _ordered_product(complex_to_real(exp_i_hermitian(gens)))
+    mats = _ordered_product(complex_to_real(exp_i_hermitian(
+        np.diff(t)[:, None, None] * _midpoint_values(h, t, n))))
     mats[:, n:, n:] = mats[:, :n, :n]
     np.negative(mats[:, n:, :n], out=mats[:, :n, n:])
     return SampledPath(t, mats)
@@ -185,9 +185,10 @@ def symplectic_path_from_hamiltonian(ham, dim: int,
     that overflow raise :class:`ComputationError`.
     """
     t = uniform_times(n_samples)
-    j = standard_j(dim // 2)
-    gens = np.diff(t)[:, None, None] * (j @ _midpoint_values(ham, t, dim))
-    return SampledPath(t, _ordered_product(matrix_exp(gens)))
+    steps = standard_j(dim // 2) @ _midpoint_values(ham, t, dim)
+    steps *= np.diff(t)[:, None, None]
+    steps = matrix_exp(steps)  # the generators die here
+    return SampledPath(t, _ordered_product(steps))
 
 
 def random_symplectic_path(dim: int, rng: np.random.Generator, scale: float = 1.5,

@@ -265,10 +265,14 @@ def resample(path: SampledPath, new_times: np.ndarray) -> SampledPath:
     dt = new_times[todo] - path.times[k]
     span = path.times[k + 1] - path.times[k]
     frac = dt / span
-    # generator averaged over [t_k, t]: linear model of H on the segment
-    h_seg = hams[k] + (hams[k + 1] - hams[k]) * (frac / 2.0)[:, None, None]
-    steps = matrix_exp(dt[:, None, None] * (j @ h_seg))
-    out[todo] = steps @ path.matrices[k]
+    # dt J times the generator averaged over [t_k, t], H linear on the segment
+    gens = hams[k + 1] - hams[k]
+    gens *= (frac / 2.0)[:, None, None]
+    gens += hams[k]
+    del hams
+    gens = j @ gens
+    gens *= dt[:, None, None]
+    out[todo] = matrix_exp(gens) @ path.matrices[k]
     return _derived(new_times, out)
 
 

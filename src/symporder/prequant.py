@@ -245,7 +245,7 @@ def embed_into_z(f: LeafFunction) -> QuantElement:
     element = QuantElement(*_fold_mean(np.exp(f.values)))
     if element.generator.min() <= np.sqrt(np.finfo(float).eps) * element.shift:
         raise InputError(f"leaf function range max F - min F = {top - float(f.values.min())!r} "
-                         "leaves exp(min F) no digit beside the mean of exp(F)")
+                         "leaves exp(min F) at or below sqrt(eps) times the mean of exp(F)")
     return element
 
 

@@ -874,13 +874,14 @@ def test_cli_embed_refuses_values_whose_exp_overflows(tmp_path):
 
 def test_cli_embed_refuses_what_quant_k_would_refuse(tmp_path, capsys):
     # exp(-40) lies below one rounding of the mean 0.5 of exp(F): the element
-    # would be shift 0.5, values [-0.5, 0.5], which quant-k calls not dominant
+    # would be shift 0.5, values [-0.5, 0.5], which quant-k calls not dominant;
+    # the refusal names the rule applied, least generator <= sqrt(eps) shift
     grid = _write_doc(tmp_path, "wide.json", {"grid_shape": [2], "values": [-40.0, 0.0]})
     dest = str(tmp_path / "embedded.json")
     code, out, err = run_cli(["embed", grid, dest], capsys)
     assert (code, out) == (1, "")
     assert err == ("error: leaf function range max F - min F = 40.0 leaves exp(min F) "
-                   "no digit beside the mean of exp(F)\n")
+                   "at or below sqrt(eps) times the mean of exp(F)\n")
     assert not (tmp_path / "embedded.json").exists()
 
 

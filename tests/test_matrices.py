@@ -1,8 +1,8 @@
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from allocation import peak_stacks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_group_law import _at_the_floor, _symmetric_stack
@@ -243,6 +243,95 @@ def test_matrix_exp_refuses_overflow_without_a_warning():
         assert np.array_equal(matrices.matrix_exp(shear), np.eye(2) + shear)
 
 
+def _out_of_place_exp(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``matrix_exp`` of a finite stack as it was written with its sums out of
+    place: each b_k P_k term added to a new sum, solve(V - U, V + U), and
+    each squaring on the matrices gathered by index.  Returns the
+    exponential and the Pade degree."""
+    flat = a.reshape((-1,) + a.shape[-2:])
+    mag = np.abs(flat)
+    sq = flat @ flat
+    size = np.sqrt((np.ones((1, a.shape[-1])) @ mag @ mag).max(axis=(-2, -1), initial=0.0))
+    m, theta = next((m, theta) for m, theta in matrices._PADE_THETA
+                    if size.max(initial=0.0) <= theta or m == 13)
+    s = np.ceil(np.log2(np.maximum(size, theta)) - np.log2(theta)).astype(np.int32)
+    if s.any():
+        scale = -s[:, None, None]
+        flat, sq = np.ldexp(flat, scale), np.ldexp(sq, 2 * scale)
+    b, eye = matrices._PADE_COEFFS[m], np.eye(a.shape[-1])
+    if m == 13:
+        a4 = sq @ sq
+        a6 = a4 @ sq
+        u = flat @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * sq)
+                    + b[7] * a6 + b[5] * a4 + b[3] * sq + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * sq)
+             + b[6] * a6 + b[4] * a4 + b[2] * sq + b[0] * eye)
+    else:
+        odd, even, power = b[1] * eye, b[0] * eye, eye
+        for k in range(2, m, 2):
+            power = power @ sq
+            odd = odd + b[k + 1] * power
+            even = even + b[k] * power
+        u, v = flat @ odd, even
+    out = np.linalg.solve(v - u, v + u)
+    for i in range(s.max(initial=0)):
+        idx = np.flatnonzero(s > i)
+        out[idx] = out[idx] @ out[idx]
+    return out.reshape(a.shape), m
+
+
+def _lie_algebra_stack(rng, n: int, kinds, sizes) -> np.ndarray:
+    """One matrix of sp(2n) per kind, scaled to its size z = || |A|^2 ||_1^(1/2):
+    "dense", J (H + H^T) for a Gaussian H; "planar", blocks [[a, b], [c, -a]]
+    in the (q_i, p_i) planes, some of a, b and c zero, exact zeros elsewhere;
+    "shear", [[0, S], [0, 0]] with S symmetric, whose z is 0, so its largest
+    entry takes the size.  Every exact zero gets a random sign."""
+    d, q, p = 2 * n, np.arange(n), n + np.arange(n)
+    out = np.zeros((len(kinds), d, d))
+    for a, kind, size in zip(out, kinds, sizes):
+        if kind == "dense":
+            h = rng.normal(size=(d, d))
+            a[:] = matrices.standard_j(n) @ (h + h.T)
+        elif kind == "planar":
+            abc = rng.normal(size=(3, n)) * (rng.random((3, n)) < 0.7)
+            a[q, q], a[q, p], a[p, q], a[p, p] = abc[0], abc[1], abc[2], -abc[0]
+        else:
+            h = rng.normal(size=(n, n))
+            a[:n, n:] = h + h.T
+        z = np.sqrt((np.ones(d) @ np.abs(a) @ np.abs(a)).max())
+        norm = z if z > 0 else np.abs(a).max()
+        if norm > 0:
+            a *= size / norm
+    zero = out == 0.0
+    out[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    return out
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(0, 4), st.integers(0, 5),
+       st.lists(st.tuples(st.sampled_from(["dense", "planar", "shear"]), st.floats(0.0, 1.0)),
+                max_size=6))
+def test_matrix_exp_keeps_the_bits_of_the_out_of_place_sums(seed, n, degree, doublings,
+                                                            members):
+    # the sums run in place, the first term takes a leading b_k I, which
+    # IEEE addition's commutativity allows, and the first power is A^2, not
+    # I A^2, whose zero signs the b_1 I and b_0 I terms erase; V - U is
+    # formed in V's buffer.  Every entry keeps its
+    # bits, the sign of each zero included, at all five degrees, on stacks
+    # whose matrices take different s, and with planar blocks and shears,
+    # whose exact zeros could change sign
+    m, theta = matrices._PADE_THETA[degree]
+    top = 0.9 * theta * 2.0 ** (doublings if m == 13 else 0)
+    kinds = ["dense"] + [kind for kind, _ in members]
+    sizes = [top] + [top * share for _, share in members]
+    a = _lie_algebra_stack(np.random.default_rng(seed), n, kinds, sizes)
+    want, want_degree = _out_of_place_exp(a)
+    got = matrices.matrix_exp(a)
+    assert want_degree == m
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 # The sample-axis kernels against LAPACK on both sides of their size cutoffs:
 # real dimension 2n <= SAMPLE_AXIS_MAX_DIM (8) on stacks of at least
 # SAMPLE_AXIS_MIN_SAMPLES matrices runs the kernels, other stacks np.linalg.
@@ -407,27 +496,13 @@ def test_shifted_cone_refuses_what_is_not_finite(seed, dim, floor, case, data):
             matrices.positive_definite(h, shift)
 
 
-def _peak_bytes(fn) -> int:
-    """Peak of the memory that ``fn()`` allocates, numpy arrays included,
-    after one untraced call has settled any lazy set-up."""
-    fn()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_the_cone_check_copies_its_track_once():
     # one samples-last copy, shifted in place, and its finiteness mask: about
     # 1.63 track sizes; a second, shifted copy of the track would pass 2
     track = paths.extract_hamiltonian(
         generators.random_symplectic_path(4, np.random.default_rng(3), n_samples=2049))
     assert matrices.positive_definite(track, -1e3)  # every step of the factorization runs
-    assert _peak_bytes(lambda: matrices.positive_definite(track, -1e3)) < 2.0 * track.nbytes
+    assert peak_stacks(lambda: matrices.positive_definite(track, -1e3), track) < 2.0
 
 
 def test_det_phase_gathers_no_row_where_no_pivot_moves():
@@ -435,4 +510,32 @@ def test_det_phase_gathers_no_row_where_no_pivot_moves():
     # gather and scatter of the pivot rows at its one step would pass 3.3
     c = 10.0 * np.eye(2) + 0.1 * np.random.default_rng(5).normal(size=(2049, 2, 2))
     c = c.astype(complex)
-    assert _peak_bytes(lambda: matrices.det_phase(c)) < 3.3 * c.nbytes
+    assert peak_stacks(lambda: matrices.det_phase(c), c) < 3.3
+
+
+def _integrator_generators(n_samples: int = 2049) -> np.ndarray:
+    """dt J H(t_mid) of a random Sp(8) mode closure: the stack that
+    ``symplectic_path_from_hamiltonian`` exponentiates, at degree 3."""
+    t = generators.uniform_times(n_samples)
+    ham = generators._mode_closure(np.random.default_rng(7), 8, 1.5, False)
+    return np.diff(t)[:, None, None] * (matrices.standard_j(4) @ ham(0.5 * (t[:-1] + t[1:])[:, None, None]))
+
+
+def test_matrix_exp_holds_three_stacks_at_degree_3():
+    # A^2, which is its one Pade power, and the two Pade sums: about 3.1
+    # input sizes; the out-of-place sums, with |A| and A^2 alive to the end,
+    # held 7.2
+    gens = _integrator_generators()
+    assert _out_of_place_exp(gens)[1] == 3
+    assert peak_stacks(lambda: matrices.matrix_exp(gens), gens) < 3.6
+
+
+def test_matrix_exp_holds_seven_stacks_at_degree_13():
+    # z from 1.2 to 7 theta_13, so s is 1 to 3: 2^-s A, A^2, A^4, A^6, U
+    # and a sum with its term, about 7.0 input sizes, set in the Pade
+    # sums; the out-of-place sums held 9.2
+    rng = np.random.default_rng(11)
+    theta = matrices._PADE_THETA[-1][1]
+    a = _lie_algebra_stack(rng, 4, ["dense"] * 2048, theta * rng.uniform(1.2, 7.0, 2048))
+    assert _out_of_place_exp(a)[1] == 13
+    assert peak_stacks(lambda: matrices.matrix_exp(a), a) < 7.5

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from allocation import peak_stacks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -164,6 +165,14 @@ def test_resample_keeps_the_unit_diagonal_of_large_shears(size):
     fine = paths.resample(paths.SampledPath(t, mats), np.union1d(t, gen.uniform_times(100)))
     diagonal = np.diagonal(fine.matrices, axis1=-2, axis2=-1)
     assert np.abs(diagonal - 1.0).max() <= 4 * np.finfo(float).eps
+
+
+def test_refine_holds_few_stacks():
+    # an Sp(8) path of 2049 samples: the refined stack, the track until the
+    # segment generators are formed in place, then the exponential, about
+    # 6.2 path sizes; out-of-place generators and Pade sums held 12.3
+    path = gen.random_symplectic_path(8, np.random.default_rng(7), n_samples=2049)
+    assert peak_stacks(lambda: paths.refine(path), path.matrices) < 6.7
 
 
 def _count_tracks(monkeypatch) -> list:
