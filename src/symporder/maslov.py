@@ -264,8 +264,6 @@ def redistribute_eigenvalues(a: np.ndarray, target_mu: float) -> RedistributedSp
     if abs(k_float - k) * two_pi > CONGRUENCE_TOL:
         raise InputError(
             "target trace is not congruent to the input spectrum modulo 2*pi")
-    if k < 0:
-        raise InputError("target below the reduced spectrum sum")
     quanta, extra = divmod(k, n)
     new = reduced + two_pi * quanta
     new[:extra] += two_pi  # eigh order is ascending, so these are the smallest

@@ -13,12 +13,13 @@ Generator bookkeeping under the group operations:
 
 Samples are inverted through the form, ``X^{-1} = -J X^T J``, exact on Sp(2n),
 so no general (possibly singular) solve is needed.  The inverse and the
-symmetrized generator sym(-J dX/dt X^{-1}) are fixed maps on the entries of
-a sample: up to real dimension 8 each is one BLAS product with its entry map
-(:func:`symporder.matrices._by_entry_map`), with the bits of the block copies
-and products by J that larger dimensions run.  Sp(2n) membership is
-checked where data enters, in :class:`SampledPath`; the group operations here
-keep it by algebra and build through :func:`_derived`, which checks the grid only.
+symmetrized generator sym(-J dX/dt X^{-1}) are fixed maps on the entries of a
+sample: up to real dimension 8 each is one BLAS product with its entry map
+(:func:`symporder.matrices._by_entry_map`), with the bits of the block copies and
+products by J that larger dimensions run.  The Sp(2n) residual runs on samples
+that are handed in, in :class:`SampledPath` (files, caller stacks, the family
+builders and positive synthesis); group operations, resampling and both
+integrators build through :func:`_derived` from checked inputs, grid checks only.
 A path moves to another grid only through :func:`resample`, which keeps
 stored samples bit for bit and interpolates the rest; :func:`align_grids`
 and :func:`refine` call it, and a restriction to stored times is exact.
