@@ -16,7 +16,8 @@ import numpy as np
 
 from . import generators as gen
 from . import growth, maslov, prequant
-from .paths import ConeStatus, compose, min_generator_eigenvalue, order_leq, pointwise_power
+from .paths import (ConeStatus, SampledPath, compose, min_generator_eigenvalue, order_leq,
+                    pointwise_power)
 
 DEFAULT_SEED = 7
 
@@ -188,13 +189,14 @@ def criterion_growth_staircase(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 # --------------------------------------------------------------------- C6
 
-ISO_K_MAX = 6
+ISO_TOL = 1e-9
+CONJUGATION_TOL = 1e-10
 
 
 def criterion_line_isometry(seed: int = DEFAULT_SEED) -> CriterionResult:
-    """Z-coordinates reproduce pseudo-distances and respect certified order."""
+    """Z-coordinates reproduce pseudo-distances and respect certified order;
+    off U(n), z(X^k) = z(X) + log k and z(P X P^-1) = z(X) for P = diag(4, 1/4)."""
     rng = np.random.default_rng([seed, 6])
-    families = []
     rotations = []
     for i in range(7):
         w = float(rng.uniform(2.0, 12.0))
@@ -202,30 +204,31 @@ def criterion_line_isometry(seed: int = DEFAULT_SEED) -> CriterionResult:
         t = gen.uniform_times(513)
         theta = (w * t + d * np.sin(2 * np.pi * t) / (2 * np.pi))[:, None]
         rotations.append(gen.diagonal_unitary_path(theta, t))
-    families.append(("rotations", rotations, 0.0))
     base = maslov.positive_path_to(np.diag([2.0, 0.5]), n_samples=513)
-    c_emp = maslov.defect_constant(2, num_pairs=10, seed=seed)
-    families.append(("powers", [pointwise_power(base, k) for k in (1, 2, 3)], c_emp))
     worst_mismatch = 0.0
     order_ok = True
-    for _, paths, c in families:
-        zs = [growth.z_coordinate(p, k_max=ISO_K_MAX, c_emp=c) for p in paths]
-        for a in range(len(paths)):
-            for b in range(a + 1, len(paths)):
-                dist = growth.pseudo_distance_k(paths[a], paths[b],
-                                                k_max=ISO_K_MAX, c_emp=c)
-                gap = abs(zs[a].coordinate - zs[b].coordinate)
-                slack = ((zs[a].upper - zs[a].lower) + (zs[b].upper - zs[b].lower)
-                         + (dist.upper - dist.lower) + 1e-9)
-                worst_mismatch = max(worst_mismatch, abs(gap - dist.value) - slack)
-                verdict = order_leq(paths[a], paths[b])
+    powers = [pointwise_power(base, k) for k in (1, 2, 3)]
+    z_rot, z_pow = ([growth.z_coordinate(p).coordinate for p in f] for f in (rotations, powers))
+    for family, zs in ((rotations, z_rot), (powers, z_pow)):
+        for a in range(len(family)):
+            for b in range(a + 1, len(family)):
+                dist = growth.pseudo_distance_k(family[a], family[b]).value
+                worst_mismatch = max(worst_mismatch, abs(abs(zs[a] - zs[b]) - dist))
+                verdict = order_leq(family[a], family[b])
                 if verdict.certifies and verdict.status is ConeStatus.DOMINANT:
-                    # certified paths[b] > paths[a]: coordinates must agree
-                    if zs[b].coordinate < zs[a].coordinate - 1e-9:
+                    # certified family[b] > family[a]: coordinates must agree
+                    if zs[b] < zs[a] - ISO_TOL:
                         order_ok = False
-    passed = worst_mismatch <= 0.0 and order_ok
+    worst_power = max(abs(z - z_pow[0] - np.log(k)) for k, z in enumerate(z_pow, 1))
+    p = np.diag([4.0, 0.25])
+    conjugated = SampledPath(base.times, p @ base.matrices @ np.linalg.inv(p))
+    conjugation = abs(growth.z_coordinate(conjugated).coordinate - z_pow[0])
+    passed = (worst_mismatch <= ISO_TOL and worst_power <= ISO_TOL
+              and conjugation <= CONJUGATION_TOL and order_ok)
     return CriterionResult("C6", "metric line isometry", passed,
                            {"worst_mismatch": f"{worst_mismatch:.2e}",
+                            "worst_power_log": f"{worst_power:.2e}",
+                            "conjugation_error": f"{conjugation:.2e}",
                             "order_monotone": order_ok})
 
 

@@ -24,8 +24,8 @@ from .errors import QUOTE_CHARS, ComputationError, InputError, quote
 # modules its subcommand reads; of the three bindings the benchmark's tracer
 # wraps in ``symporder.cli`` by name, ``classify_cone`` and ``order_leq`` are
 # called here and ``extract_hamiltonian`` is kept for the tracer alone
-from .paths import (CONE_TOL, DEFAULT_K_MAX, DEFECT_SAFETY, REFINEMENT_CAP, classify_cone,
-                    extract_hamiltonian, min_generator_eigenvalue, order_leq)  # noqa: F401
+from .paths import (CONE_TOL, DEFECT_SAFETY, REFINEMENT_CAP, classify_cone, extract_hamiltonian,
+                    min_generator_eigenvalue, order_leq)  # noqa: F401
 
 CONVENTION = "radians; the full rotation loop in Sp(2) scores 2*pi"
 # the suites of ``acceptance.SUITES``, named here so that only ``verify``
@@ -100,9 +100,6 @@ def _arg(*flags, **options) -> tuple:
 
 _PATH = _arg("path", help="path JSON file")
 _TOL = _arg("--tol", type=_bound, default=CONE_TOL)
-# the ``--kmax/--cemp/--tol`` group of the homogenized-winding commands
-_GROWTH_ARGS = (_arg("--kmax", type=int, default=DEFAULT_K_MAX),
-                _arg("--cemp", type=_bound, default=0.0), _TOL)
 
 
 def _verdict_fields(verdict) -> dict:
@@ -182,19 +179,15 @@ def _run_gamma(args) -> dict:
 def _run_kdist(args) -> dict:
     from . import growth
 
-    est = growth.pseudo_distance_k(io.load_path(args.x), io.load_path(args.y),
-                                   k_max=args.kmax, c_emp=args.cemp, tol=args.tol)
-    return {"c_emp": args.cemp, "k_max": args.kmax, "lower": est.lower,
-            "upper": est.upper, "value": est.value}
+    est = growth.pseudo_distance_k(io.load_path(args.x), io.load_path(args.y), tol=args.tol)
+    return {"lower": est.lower, "upper": est.upper, "value": est.value}
 
 
 def _run_zcoord(args) -> dict:
     from . import growth
 
-    point = growth.z_coordinate(io.load_path(args.path), k_max=args.kmax,
-                                c_emp=args.cemp, tol=args.tol)
-    return {"c_emp": args.cemp, "coordinate": point.coordinate, "k_max": args.kmax,
-            "lower": point.lower, "upper": point.upper}
+    point = growth.z_coordinate(io.load_path(args.path), tol=args.tol)
+    return {"coordinate": point.coordinate, "lower": point.lower, "upper": point.upper}
 
 
 def _run_defect_sample(args) -> dict:
@@ -299,10 +292,9 @@ _COMMANDS = (
     ("kdist", "pseudo-distance between dominant paths", (
         _arg("x", help="path JSON file"),
         _arg("y", help="path JSON file"),
-        *_GROWTH_ARGS,
+        _TOL,
     ), _run_kdist),
-    ("zcoord", "coordinate of a dominant path on the metric line",
-     (_PATH, *_GROWTH_ARGS), _run_zcoord),
+    ("zcoord", "coordinate of a dominant path on the metric line", (_PATH, _TOL), _run_zcoord),
     ("defect-sample", "sample the quasimorphism defect empirically", (
         _arg("--dim", type=_dim, default=2, help=f"path dimension 2n (at most {DIM_CAP})"),
         _arg("--pairs", type=int, default=20),

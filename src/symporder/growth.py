@@ -9,11 +9,8 @@ endpoint and the winding of ``X^p Y^-n`` alone (an element of the universal
 cover of U(n) is fixed by those two), and on any other pair from the
 generator track of the pointwise product.  ``K(f, g) = max(log gamma(f, g),
 log gamma(g, f))`` is a pseudo-distance, and ``log`` of the homogenized
-winding realizes the quotient metric space as the real line.
-
-Winding estimates truncated at k_max carry an error up to C/k_max with C the
-quasimorphism defect; these half-widths are propagated through every ratio,
-log and max as plain interval arithmetic.
+winding realizes the quotient metric space as the real line.  The closed
+forms are points: :func:`mu_tilde` reads the homogenized winding exactly.
 """
 
 from __future__ import annotations
@@ -25,10 +22,9 @@ import numpy as np
 from .errors import ComputationError, InputError, finite, integer
 # ``homogenize`` is not called here; the binding stays because the benchmark's
 # tracer wraps ``symporder.growth.homogenize`` by name.
-from .maslov import homogenize, maslov_index  # noqa: F401
+from .maslov import _rho_lift, homogenize, maslov_index  # noqa: F401
 from .paths import (
     CONE_TOL,
-    DEFAULT_K_MAX,
     MIN_SAMPLES_ORDER4,
     ConeStatus,
     SampledPath,
@@ -45,7 +41,8 @@ GROWTH_NS = (1, 2, 4, 8, 16, 32, 64)
 
 @dataclass(frozen=True)
 class Estimate:
-    """Point value with a propagated uncertainty interval [lower, upper]."""
+    """Value with an interval [lower, upper] that holds it: a point for the
+    exact closed forms, [gamma_n/n - 1/n, gamma_n/n] for a staircase limit."""
 
     value: float
     lower: float
@@ -55,40 +52,21 @@ class Estimate:
         return self.lower <= x <= self.upper
 
 
-def ratio_estimate(num: Estimate, den: Estimate) -> Estimate:
-    if den.lower <= 0.0:
-        raise ComputationError(
-            "denominator interval reaches zero; increase k_max or lower c_emp")
-    return Estimate(num.value / den.value, num.lower / den.upper, num.upper / den.lower)
+def _positive(mu: float) -> float:
+    if mu <= 0.0:
+        raise ComputationError(f"a homogenized winding of {mu:.6g} is not positive")
+    return mu
 
 
-def log_estimate(e: Estimate) -> Estimate:
-    if e.lower <= 0.0:
-        raise ComputationError("log of an interval reaching zero")
-    return Estimate(float(np.log(e.value)), float(np.log(e.lower)), float(np.log(e.upper)))
-
-
-def max_estimate(a: Estimate, b: Estimate) -> Estimate:
-    return Estimate(max(a.value, b.value), max(a.lower, b.lower), max(a.upper, b.upper))
-
-
-def mu_tilde(path: SampledPath, k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0) -> Estimate:
-    """Homogenized winding estimate maslov(X^k_max)/k_max with +-c_emp/k_max.
-
-    This is the last entry of ``homogenize(path, k_max)``, bit for bit,
-    without the k_max - 1 windings before it.  On a unitary path the winding
-    of X^k_max is k_max times X's (:func:`symporder.maslov.maslov_index`),
-    so the estimate is maslov(X) up to one rounding per increment, and bit
-    for bit when k_max is a power of 2; no power path is formed and a large
-    k_max does not alias.  Any other path still winds X^k_max.
-    """
-    if integer(k_max, "k_max") < 1:
-        raise InputError("k_max must be at least 1")
-    if not (np.isfinite(c_emp) and c_emp >= 0.0):
-        raise InputError(f"c_emp must be a finite non-negative number, got {c_emp}")
-    value = maslov_index(path, k_max).value / k_max
-    half = c_emp / k_max
-    return Estimate(value, value - half, value + half)
+def mu_tilde(path: SampledPath) -> float:
+    """Homogenized winding lim maslov(X^k) / k of a path, read exactly and
+    with no power path: maslov(X) where the samples commute with J (the
+    endpoint tested first), since the winding is a homomorphism of the
+    universal cover of U(n), else the lift of the rotation function rho over
+    every stored sample (:func:`symporder.maslov._rho_lift`)."""
+    if commutes_with_j(path.matrices[-1]) and commutes_with_j(path.matrices):
+        return maslov_index(path).value
+    return _rho_lift(path).value
 
 
 def _require_dominant(path: SampledPath, tol: float, who: str) -> None:
@@ -125,49 +103,37 @@ def _require_dominant_pair(x: SampledPath, y: SampledPath, tol: float) -> None:
 
 
 def gamma_closed_symplectic(x: SampledPath, y: SampledPath,
-                            k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0,
                             tol: float = CONE_TOL) -> Estimate:
-    """Relative growth via homogenized windings, with propagated uncertainty."""
+    """Relative growth mu_tilde(Y) / mu_tilde(X) of dominant paths, a point."""
     _require_dominant_pair(x, y, tol)
-    mu_y = mu_tilde(y, k_max, c_emp)
-    return ratio_estimate(mu_y, mu_tilde(x, k_max, c_emp))
+    gamma = mu_tilde(y) / _positive(mu_tilde(x))
+    return Estimate(gamma, gamma, gamma)
 
 
-def pseudo_distance_k(x: SampledPath, y: SampledPath,
-                      k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0,
-                      tol: float = CONE_TOL) -> Estimate:
-    """K(X, Y) = max(log gamma(X, Y), log gamma(Y, X)) for dominants.
-
-    Both ratios come from one cone check and one mu_tilde per path, Y's first.
-    """
+def pseudo_distance_k(x: SampledPath, y: SampledPath, tol: float = CONE_TOL) -> Estimate:
+    """K(X, Y) = max(log gamma(X, Y), log gamma(Y, X)) for dominants, a point,
+    from one cone check and one mu_tilde per path, Y's first."""
     _require_dominant_pair(x, y, tol)
-    mu_y = mu_tilde(y, k_max, c_emp)
-    mu_x = mu_tilde(x, k_max, c_emp)
-    gxy = ratio_estimate(mu_y, mu_x)
-    gyx = ratio_estimate(mu_x, mu_y)
-    return max_estimate(log_estimate(gxy), log_estimate(gyx))
+    mu_y, mu_x = _positive(mu_tilde(y)), _positive(mu_tilde(x))
+    k = max(float(np.log(mu_y / mu_x)), float(np.log(mu_x / mu_y)))
+    return Estimate(k, k, k)
 
 
 @dataclass(frozen=True)
 class ZPoint:
-    """Coordinate log(homogenized winding) of a dominant path on Z, with its
-    uncertainty interval [lower, upper]."""
+    """Log of the homogenized winding of a dominant path on Z; lower and upper equal it."""
 
     coordinate: float
     lower: float
     upper: float
 
 
-def z_coordinate(x: SampledPath, k_max: int = DEFAULT_K_MAX, c_emp: float = 0.0,
-                 tol: float = CONE_TOL) -> ZPoint:
-    """Coordinate of a dominant path on the metric line Z.
-
-    Coordinate differences reproduce K exactly, and certified order relations
-    are monotone in the coordinate.
-    """
+def z_coordinate(x: SampledPath, tol: float = CONE_TOL) -> ZPoint:
+    """Coordinate of a dominant path on the metric line Z: differences of
+    coordinates reproduce K, and certified order is monotone in them."""
     _require_dominant(x, tol, "X")
-    est = log_estimate(mu_tilde(x, k_max, c_emp))
-    return ZPoint(coordinate=est.value, lower=est.lower, upper=est.upper)
+    z = float(np.log(_positive(mu_tilde(x))))
+    return ZPoint(coordinate=z, lower=z, upper=z)
 
 
 # ---------------------------------------------------------------------------
@@ -273,26 +239,24 @@ def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int) -> in
 
 
 def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
-    """(gamma_ns, floors, certificates, windings) of one pair, one entry of
-    each list per (n, p_max) rung.
+    """(gamma_ns, floors, certificates, ratio) of one pair, one entry of each
+    list per (n, p_max) rung; ``floors`` and ``certificates`` are those of
+    :class:`GrowthEstimate`.
 
     The grids are aligned and X's dominance checked once, on its staircase
     track by one Cholesky factorization of H_X - tol I, no eigenvalue
     (:func:`matrices.positive_definite`).  This is the one place that tests
-    the aligned pair for unitarity: ``windings`` is (maslov(X), maslov(Y)) of
-    a unitary pair, else None.  On a unitary pair each rung has its winding
-    floor L_n (:func:`_winding_floor`), and the endpoint certificate alone
-    decides it, scanning upward from L_n clipped to [-p_max, p_max]
-    (:func:`_least_endpoint_power`); no atom is built.  A pair that is not
-    unitary runs the canonical search on [-p_max, p_max]
-    (:func:`_least_certified_power`) with the atoms of X and X^-1, built
-    from that track, and one squaring pass over Y^-1's atom for the rung
-    powers Y^-n.  ``floors`` and ``certificates`` are those of
-    :class:`GrowthEstimate`.  A p_max of None is the default range:
-    max(|L_n|, top) on a unitary pair, which scans up to the proven top
-    (:func:`_endpoint_top`) as every larger bound does, else ceil(|gamma| n)
-    + 8, gamma = mu_tilde(Y) / mu_tilde(X) of the paths as passed; a default
-    last rung that certifies no power is an error.
+    the aligned pair for unitarity.  A unitary pair has the ratio maslov(Y)
+    / maslov(X), and each rung its winding floor L_n (:func:`_winding_floor`),
+    from which the endpoint certificate scans upward, clipped to [-p_max,
+    p_max] (:func:`_least_endpoint_power`).  Any other pair runs the
+    canonical search on [-p_max, p_max] (:func:`_least_certified_power`)
+    with the atoms of X and X^-1, built from that track, and one squaring
+    pass over Y^-1's atom for the powers Y^-n; its ratio, mu_tilde(Y) /
+    mu_tilde(X) of the paths as passed, is read only for a default range.  A
+    p_max of None is the default range: max(|L_n|, top) on a unitary pair,
+    up to the proven top (:func:`_endpoint_top`), else ceil(|ratio| n) + 8;
+    a default last rung that certifies no power is an error.
     """
     for n, p_max in rungs:
         if integer(n, "n") < 0 or (p_max is not None and integer(p_max, "p_max") < 0):
@@ -305,9 +269,10 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
     x_atoms = None if unitary else _atoms(x)
     if not positive_definite(_staircase_hams(x) if unitary else x_atoms[0].hams, tol):
         raise InputError("X must be dominant for the staircase search")
-    windings = None
+    ratio = None
     if unitary:
         windings = mx, my = _unitary_windings(x, y)
+        ratio = my / mx
         ends = real_to_complex(x.endpoint), real_to_complex(y.endpoint)
         fold = max(tol, ENDPOINT_FOLD)
         floors = [_winding_floor(n, mx, my, x.dim, tol) for n, _ in rungs]
@@ -319,8 +284,8 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
     else:
         floors = [None] * len(rungs)
         if any(p_max is None for _, p_max in rungs):
-            gamma = abs(ratio_estimate(mu_tilde(given[1]), mu_tilde(given[0])).value)
-            rungs = [(n, int(np.ceil(finite(gamma * n, f"the search bound at n={n}"))) + 8
+            ratio = mu_tilde(given[1]) / _positive(mu_tilde(given[0]))
+            rungs = [(n, int(np.ceil(finite(abs(ratio) * n, f"the search bound at n={n}"))) + 8
                       if p_max is None else p_max) for n, p_max in rungs]
         y_powers = _signed_powers((None, _inverse_atom(y, _staircase_hams(y))),
                                   tuple(-n for n, _ in rungs))
@@ -330,7 +295,7 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
     if default and gamma_ns[-1] is None:
         raise _no_power(*rungs[-1])
     certificates = [None if p is None else kind for p in gamma_ns]
-    return gamma_ns, floors, certificates, windings
+    return gamma_ns, floors, certificates, ratio
 
 
 def _no_power(n: int, p_max: int) -> ComputationError:
@@ -498,7 +463,7 @@ class GrowthEstimate:
 
     ns: tuple
     gamma_ns: tuple
-    closed_form: float | None
+    closed_form: float
     floors: tuple
     certificates: tuple
 
@@ -516,7 +481,9 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
     for dominance; one staircase runs the ladder, each rung on [-p_max,
     p_max] or the default range of :func:`_staircase`, and a last rung that
     certifies no power is a ComputationError.  ``closed_form`` is
-    maslov(Y) / maslov(X) of the aligned pair when it is unitary, else None.
+    mu_tilde(Y) / mu_tilde(X), the staircase's own ratio where it has one;
+    with p_max off U(n) it is read after the staircase, two rho-lifts, and
+    a lift that cannot resolve raises ResolutionError.
     """
     ns = tuple(ns)
     if not ns:
@@ -525,9 +492,10 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
         if integer(n, "staircase index n") < 1:
             raise InputError(f"staircase index n must be at least 1, got n={n}")
     _require_dominant_pair(x, y, tol)
-    gamma_ns, floors, certificates, windings = _staircase(x, y, [(n, p_max) for n in ns], tol)
+    gamma_ns, floors, certificates, ratio = _staircase(x, y, [(n, p_max) for n in ns], tol)
     if gamma_ns[-1] is None:  # with p_max; a default last rung raised in the staircase
         raise _no_power(ns[-1], p_max)
-    closed = windings[1] / windings[0] if windings is not None else None
-    return GrowthEstimate(ns=ns, gamma_ns=tuple(gamma_ns), closed_form=closed,
+    if ratio is None:
+        ratio = mu_tilde(y) / _positive(mu_tilde(x))
+    return GrowthEstimate(ns=ns, gamma_ns=tuple(gamma_ns), closed_form=ratio,
                           floors=tuple(floors), certificates=tuple(certificates))

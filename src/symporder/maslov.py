@@ -55,21 +55,21 @@ TARGET_SLACK = 1e-9
 FOLD_CUTOFF = 1e-9
 CONGRUENCE_TOL = 1e-7
 QUANTA_LIMIT = 2.0 ** (53 + np.floor(np.log2(CONGRUENCE_TOL / (2.0 * np.pi))))
+# ``_rho_lift``: an eigenvalue is elliptic within ELLIPTIC_TOL of the unit
+# circle, and real where |Im| is at most REAL_TOL of its modulus
+ELLIPTIC_TOL = 1e-6
+REAL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class MaslovResult:
-    """Winding of the determinant of the unitary polar factor, in radians.
-
-    Each sample's phase is read in closed form as the determinant phase
-    (:func:`symporder.matrices.det_phase`) of its complex-linear part, with
-    no SVD and no logarithm (see the module docstring).
-    ``value`` is exactly the float sum of ``per_step_increments``.
+    """Winding of the determinant of the unitary polar factor, or lift of the
+    rotation function rho (:func:`_rho_lift`), in radians, with no SVD and no
+    logarithm.  ``value`` is exactly the float sum of ``per_step_increments``;
     ``max_step`` is the largest step the refinement guard read, strictly
-    below pi: the step of the power path, or of X itself where the winding
-    of a power of a unitary path is a multiple of X's (:func:`maslov_index`).
-    ``refinements`` counts the doublings of X's grid before this result and
-    ``n_samples`` is the size of the grid that was read.
+    below pi, of X or of the power path that :func:`maslov_index` winds;
+    ``refinements`` counts the doublings of X's grid and ``n_samples`` is
+    the size of the grid that was read.
     """
 
     value: float
@@ -100,58 +100,93 @@ def _unitary_factor_phase(mats: np.ndarray) -> np.ndarray:
     return det_phase(_by_entry_map(_two_complex_part, mats).view(complex)[..., 0])
 
 
+def _lift(path: SampledPath, phase, scale: int = 1) -> MaslovResult:
+    """Lift of the unit phases ``phase(path)`` of the samples, times ``scale``.
+
+    A principal-argument step within ``STEP_GUARD`` of pi doubles the grid
+    (interpolating with local generators), up to ``REFINEMENT_CAP`` samples.
+    A doubled grid whose largest step is above ``REFINE_SHRINK`` times the
+    coarser grid's raises :class:`ResolutionError`: across a step near pi
+    the finite-difference generator reads about sin(step) / dt, so the step
+    creeps instead of halving, and the guard could pass a lift wrong by turns.
+    """
+    previous = None
+    refinements = 0
+    while True:
+        phases = phase(path)
+        incs = np.angle(phases[1:] * np.conj(phases[:-1]))
+        max_step = float(np.abs(incs).max())
+        if previous is not None and max_step > REFINE_SHRINK * previous:
+            raise ResolutionError(
+                f"refining to {path.n_samples} samples left the largest winding step "
+                f"at {max_step:.4f} rad (from {previous:.4f}); the samples cannot "
+                f"resolve the winding")
+        if max_step < np.pi - STEP_GUARD:
+            if scale != 1:
+                incs = scale * incs
+            return MaslovResult(value=float(incs.sum()), per_step_increments=incs,
+                                max_step=max_step, refinements=refinements,
+                                n_samples=path.n_samples)
+        if 2 * (path.n_samples - 1) + 1 > REFINEMENT_CAP:
+            raise ResolutionError(
+                f"winding steps still reach {max_step:.3f} rad at "
+                f"{path.n_samples} samples (cap {REFINEMENT_CAP})")
+        previous = max_step
+        refinements += 1
+        path = refine(path)
+
+
 def maslov_index(path: SampledPath, power: int = 1) -> MaslovResult:
-    """Winding of arg det of the unitary polar factor along t -> X(t)^power.
-
-    Increments between consecutive samples are taken as principal arguments;
-    whenever one comes within ``STEP_GUARD`` of the aliasing boundary pi the
-    grid of X is doubled (interpolating with local generators, which resolve
-    where those of X^power may not) and the whole computation retried, up to
-    ``REFINEMENT_CAP`` samples.  A doubled grid whose largest increment is
-    above ``REFINE_SHRINK`` times the coarser grid's raises
-    :class:`ResolutionError`: across a step near pi the finite-difference
-    generator reads about sin(step) / dt, so the midpoints stay near the
-    segment start, the step creeps instead of halving, and the guard would
-    pass by chance with a winding wrong by whole turns.
-
-    On a path whose samples commute with J (its endpoint is tested first)
-    the determinant winding is a homomorphism of the universal cover of
-    U(n), so for ``power`` other than 0 and 1 the increments are ``power``
-    times those of X itself: no power path is formed, the guard reads X's
-    steps, and no power aliases.  A power beyond ``EXACT_POWER`` raises
-    :class:`ComputationError` there.  Any other path winds the pointwise
-    power X^power.
+    """Winding of arg det of the unitary polar factor along t -> X(t)^power,
+    lifted by :func:`_lift` on the grid of X, whose local generators resolve
+    where those of X^power may not.  On a path whose samples commute with J
+    (its endpoint tested first) the winding is a homomorphism of the
+    universal cover of U(n), so for ``power`` other than 0 and 1 the
+    increments are ``power`` times those of X: no power path is formed, the
+    guard reads X's steps, and no power aliases; a power beyond
+    ``EXACT_POWER`` raises :class:`ComputationError` there.  Any other path
+    winds the pointwise power X^power.
     """
     unitary = (integer(power, "power") not in (0, 1) and commutes_with_j(path.matrices[-1])
                and commutes_with_j(path.matrices))
     if unitary and abs(power) > EXACT_POWER:
         raise ComputationError(f"power {quote(power)} of a unitary path is beyond 2^53, "
                                f"above which a power has no exact float")
-    previous = None
-    refinements = 0
-    while True:
-        current = path if power == 1 or unitary else pointwise_power(path, power)
-        phases = _unitary_factor_phase(current.matrices)
-        incs = np.angle(phases[1:] * np.conj(phases[:-1]))
-        max_step = float(np.abs(incs).max())
-        if previous is not None and max_step > REFINE_SHRINK * previous:
-            raise ResolutionError(
-                f"refining to {current.n_samples} samples left the largest winding step "
-                f"at {max_step:.4f} rad (from {previous:.4f}); the samples cannot "
-                f"resolve the winding")
-        if max_step < np.pi - STEP_GUARD:
-            if unitary:
-                incs = power * incs
-            return MaslovResult(value=float(incs.sum()), per_step_increments=incs,
-                                max_step=max_step, refinements=refinements,
-                                n_samples=current.n_samples)
-        if 2 * (current.n_samples - 1) + 1 > REFINEMENT_CAP:
-            raise ResolutionError(
-                f"winding steps still reach {max_step:.3f} rad at "
-                f"{current.n_samples} samples (cap {REFINEMENT_CAP})")
-        previous = max_step
-        refinements += 1
-        path = refine(path)
+    if power == 1 or unitary:
+        return _lift(path, lambda p: _unitary_factor_phase(p.matrices), power if unitary else 1)
+    return _lift(path, lambda p: _unitary_factor_phase(pointwise_power(p, power).matrices))
+
+
+def _rho_lift(path: SampledPath) -> MaslovResult:
+    """Lift of the rotation function rho along X over every stored sample,
+    refined by :func:`_lift`.  rho(A) is (-1)^(m0 / 2), m0 the number of
+    negative real eigenvalues, times the product of the elliptic eigenvalues
+    lambda / |lambda| of positive Krein form -i v^H J v (McDuff-Salamon,
+    *Introduction to Symplectic Topology*, Theorem 2.2.12).  Each counts by
+    its diagonal entry in the matrix sign of the form's Gram matrix on the
+    elliptic eigenvectors: its own sign where it is simple, and a coinciding
+    pair of opposite signs, or a loxodromic pair within ELLIPTIC_TOL of the
+    circle, counts once.  A symplectic conjugation keeps the signs but can
+    shrink the forms, so no bound on a form's size enters.  rho(A^k) =
+    rho(A)^k and rho = det u on U(n), and a homogeneous quasimorphism on the
+    universal cover of Sp(2n, R) is unique up to scale (Barge-Ghys, Math.
+    Ann. 294, 1992), so the lift is lim maslov(X^k) / k.  Both results are
+    recalled, not checked against the text.
+    """
+    def rho(p: SampledPath) -> np.ndarray:
+        lams, vecs = np.linalg.eig(p.matrices)  # one batched call
+        real = np.abs(lams.imag) <= REAL_TOL * np.abs(lams)
+        elliptic = (np.abs(np.abs(lams) - 1.0) <= ELLIPTIC_TOL) & ~real
+        a, b = np.split(vecs * elliptic[..., None, :], 2, axis=-2)
+        ah, bh = a.conj().swapaxes(-1, -2), b.conj().swapaxes(-1, -2)
+        w, u = np.linalg.eigh(-1j * (bh @ a - ah @ b))  # -i v_j^H J v_k, J = [[0, -I], [I, 0]]
+        sign = np.einsum("...jk,...k->...j", np.abs(u) ** 2, np.sign(w))
+        # conjugate elliptic phases carry opposite signs: half the sum counts each pair once
+        phase = np.sum(np.angle(lams) * elliptic * sign, axis=-1) / 2
+        half_turns = np.count_nonzero(real & (lams.real < 0.0), axis=-1) // 2
+        return np.exp(1j * (phase + np.pi * half_turns))
+
+    return _lift(path, rho)
 
 
 def maslov_via_trace(path: SampledPath) -> float:
@@ -171,10 +206,11 @@ def maslov_via_trace(path: SampledPath) -> float:
 
 
 def homogenize(path: SampledPath, k_max: int) -> np.ndarray:
-    """Sequence maslov(X^k)/k for k = 1..k_max.
+    """Sequence maslov(X^k)/k for k = 1..k_max, each from its own power path.
 
-    The sequence converges to the homogeneous quasimorphism at rate C/k,
-    with C the quasimorphism defect; on unitary paths it is constant.
+    It converges at rate C/k, C the quasimorphism defect, to the homogenized
+    winding that :func:`symporder.growth.mu_tilde` reads exactly; on unitary
+    paths it is constant.
     """
     if integer(k_max, "k_max") < 1:
         raise InputError("k_max must be at least 1")

@@ -53,11 +53,10 @@ from .matrices import (DEFAULT_TOL, _by_entry_map, _check_even_dim, is_symplecti
 CONE_TOL = 1e-6
 # Defaults the command line's parser reads, kept here so that building it
 # loads no module beyond ``paths``: the sample cap of a refined winding
-# (``maslov``), the factor by which ``maslov.defect_constant`` widens the
-# sampled defect, and the largest power of the homogenized winding (``growth``).
+# (``maslov``) and the factor by which ``maslov.defect_constant`` widens the
+# sampled defect.
 REFINEMENT_CAP = 2 ** 16
 DEFECT_SAFETY = 2.0
-DEFAULT_K_MAX = 8
 DEFAULT_SAMPLES = 256
 MIN_SAMPLES_ORDER4 = 7
 

@@ -21,34 +21,24 @@ def loops():
 
 
 def test_estimate_arithmetic():
+    # the closed forms are exact points; only a staircase limit has a width
     a = growth.Estimate(4.0, 3.0, 5.0)
-    b = growth.Estimate(2.0, 1.0, 3.0)
-    r = growth.ratio_estimate(a, b)
-    assert (r.value, r.lower, r.upper) == (2.0, 1.0, 5.0)
-    lg = growth.log_estimate(b)
-    assert lg.lower == 0.0 and lg.value == pytest.approx(np.log(2.0))
-    m = growth.max_estimate(a, b)
-    assert (m.value, m.lower, m.upper) == (4.0, 3.0, 5.0)
     assert a.contains(3.5) and not a.contains(6.0)
+    assert growth._positive(2.0) == 2.0
 
 
-def test_ratio_estimate_rejects_zero_crossing_denominator():
-    with pytest.raises(ComputationError):
-        growth.ratio_estimate(growth.Estimate(1.0, 1.0, 1.0),
-                              growth.Estimate(0.5, -0.5, 1.0))
+def test_ratio_estimate_rejects_zero_crossing_denominator(loops, monkeypatch):
+    # a ratio's denominator, and each term of K, must be a positive winding
+    monkeypatch.setattr(growth, "mu_tilde", lambda path: -0.5 if path is loops[0] else 1.0)
+    for call in (growth.gamma_closed_symplectic, growth.pseudo_distance_k):
+        with pytest.raises(ComputationError, match="homogenized winding of -0.5 is not positive"):
+            call(*loops)
 
 
 def test_mu_tilde_on_loop_is_winding(loops):
     loop1, _ = loops
-    est = growth.mu_tilde(loop1, k_max=4, c_emp=0.5)
-    assert est.value == pytest.approx(2 * np.pi, abs=1e-6)
-    assert est.upper - est.lower == pytest.approx(2 * 0.5 / 4)
-
-
-@pytest.mark.parametrize("c_emp", [-1.0, -5e-324, np.nan, np.inf])
-def test_mu_tilde_rejects_a_defect_bound_that_is_negative_or_not_finite(loops, c_emp):
-    with pytest.raises(InputError, match="c_emp"):
-        growth.mu_tilde(loops[0], k_max=4, c_emp=c_emp)
+    assert growth.mu_tilde(loop1) == maslov.maslov_index(loop1).value
+    assert growth.mu_tilde(loop1) == pytest.approx(2 * np.pi, abs=1e-6)
 
 
 def _assert_one_closed_form(x, y):
@@ -80,12 +70,12 @@ def test_gamma_of_the_c5_pairs_is_the_ratio_of_windings():
 
 
 def test_gamma_closed_symplectic_brackets_power_ratio():
+    # mu_tilde is homogeneous, so gamma(X, X^2) = 2 with no truncation error
     base = maslov.positive_path_to(np.diag([2.0, 0.5]), n_samples=513)
     squared = pointwise_power(base, 2)
-    c_emp = maslov.defect_constant(2, num_pairs=6, seed=42)
-    est = growth.gamma_closed_symplectic(base, squared, k_max=6, c_emp=c_emp)
-    assert est.contains(2.0)
-    assert est.value == pytest.approx(2.0, rel=1e-3)
+    est = growth.gamma_closed_symplectic(base, squared)
+    assert est.lower == est.value == est.upper
+    assert est.value == pytest.approx(2.0, rel=1e-12)
 
 
 def test_staircase_exact_small_steps(loops):
@@ -382,7 +372,7 @@ def test_windings_and_tracks_go_through_the_public_names(loops, monkeypatch):
     growth.pseudo_distance_k(x, y)
     growth.z_coordinate(x)
     growth.z_coordinate(y)
-    assert calls["growth.maslov_index"] == [(growth.DEFAULT_K_MAX,)] * 4
+    assert calls["growth.maslov_index"] == [()] * 4
     maslov.homogenize(x, 3)
     assert calls["maslov.maslov_index"] == [(1,), (2,), (3,)]
     calls["growth.maslov_index"].clear()
@@ -529,26 +519,21 @@ def test_closed_forms_refuse_paths_of_different_dimension():
             call(x, y)
 
 
-def test_z_coordinate_does_not_alias_at_large_k_max():
-    # theta = (3t, 5t) winds 8 radians, so an honest coordinate is log 8; the
-    # winding of X^k of a unitary path is k times X's, so no power aliases
-    t = np.linspace(0.0, 1.0, 129)
-    x = gen.diagonal_unitary_path(np.outer(t, [3.0, 5.0]), t)
-    for k_max in (64, 10**6):
-        point = growth.z_coordinate(x, k_max=k_max)
-        assert point.coordinate == pytest.approx(np.log(8.0), rel=1e-9)
-
-
-@pytest.mark.xfail(raises=AssertionError,
-                   reason="maslov(X^k_max) of a non-unitary path aliases once the power "
-                          "turns more than pi between samples: k_max = 64 gives 2.50731 "
-                          "(ROADMAP item 4)")
 def test_z_coordinate_of_a_hyperbolic_dominant_does_not_alias_at_k_max_64():
-    # the positive path to diag(2, 1/2) winds 4 pi and is not unitary, so its
-    # homogenized winding still forms X^64
+    # the positive path to diag(2, 1/2) winds 4 pi and is not unitary; the
+    # winding of its power X^64 aliases (64 times 12.27), so mu_tilde forms
+    # no power
     x = maslov.positive_path_to(np.diag([2.0, 0.5]), 2049)
-    point = growth.z_coordinate(x, k_max=64)
-    assert point.coordinate == pytest.approx(np.log(4.0 * np.pi), rel=1e-9)
+    point = growth.z_coordinate(x)
+    assert point.coordinate == pytest.approx(np.log(4.0 * np.pi), rel=1e-12)
+    assert point.lower == point.coordinate == point.upper
+
+
+def test_closed_form_of_a_hyperbolic_dominant_and_its_square_is_2():
+    # the pair of ROADMAP item 1b, whose staircase fails at exact ties
+    x = maslov.positive_path_to(np.diag([2.0, 0.5]), 2049)
+    est = growth.growth_estimate(x, pointwise_power(x, 2), ns=(1,), p_max=4)
+    assert est.gamma_ns == (2,) and est.closed_form == 2.0
 
 
 @settings(deadline=None, max_examples=24)
@@ -608,9 +593,10 @@ def test_the_staircase_refuses_a_negative_n_or_p_max(loops):
             growth.gamma_n_bruteforce(*loops, n, p_max)
 
 
-def test_log_estimate_refuses_an_interval_reaching_zero():
-    with pytest.raises(ComputationError, match="reaching zero"):
-        growth.log_estimate(growth.Estimate(1.0, 0.0, 2.0))
+def test_log_estimate_refuses_an_interval_reaching_zero(loops, monkeypatch):
+    monkeypatch.setattr(growth, "mu_tilde", lambda path: 0.0)
+    with pytest.raises(ComputationError, match="homogenized winding of 0 is not positive"):
+        growth.z_coordinate(loops[0])
 
 
 @pytest.mark.parametrize("exponent", [56, 60])
@@ -697,7 +683,7 @@ def test_records_read_their_conclusions_off_their_evidence(loops):
 @pytest.mark.parametrize("call", [
     lambda x: maslov.maslov_index(x, 2.5),
     lambda x: maslov.homogenize(x, 2.0),
-    lambda x: growth.mu_tilde(x, 2.5),
+    lambda x: maslov.maslov_index(x, np.float64(2.0)),
     lambda x: pointwise_power(x, 2.5),
     lambda x: growth.growth_estimate(x, x, ns=(1.5,)),
     lambda x: growth.growth_estimate(x, x, ns=(1,), p_max=2.5),
@@ -715,6 +701,5 @@ def test_indices_must_be_integers(loops, call):
 def test_numpy_integer_indices_stay_accepted(loops):
     x, y = loops
     assert maslov.maslov_index(x, np.int64(3)).value == maslov.maslov_index(x, 3).value
-    assert growth.mu_tilde(x, np.int32(8)) == growth.mu_tilde(x, 8)
     assert growth.gamma_n_bruteforce(x, y, np.int64(4), np.int16(16)) == 8
     assert growth.growth_estimate(x, y, ns=np.array([1, 2])).gamma_ns == (2, 4)

@@ -302,7 +302,8 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
         (["redistribute", float_n, "10.0"], "'n'"),
         (["synth-positive", nan_matrix, dest], "non-finite"),
         (["redistribute", inf_hermitian, "10.0"], "non-finite"),
-        (["zcoord", loop_file, "--kmax", "0"], "k_max"),
+        (["zcoord", loop_file, "--kmax", "3"], "unrecognized arguments: --kmax"),
+        (["kdist", loop_file, loop_file, "--kmax", "3"], "unrecognized arguments: --kmax"),
         (["rot-distance", "nan", good_grid], "finite"),
         (["cone", loop_file, "--tol", "nan"], "finite"),
         (["cw", good_grid, good_grid, "--times", "0,nan"], "finite"),
@@ -323,9 +324,8 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
         (["synth-positive", good_matrix, dest, "--grid", "100000000000000000000"],
          "at most 65536"),
         (["defect-sample", "--dim", "100000000000", "--pairs", "1"], "at most 64"),
-        (["zcoord", loop_file, "--cemp", "-1"], "non-negative"),
-        (["zcoord", loop_file, "--cemp", "inf"], "finite"),
-        (["kdist", loop_file, loop_file, "--cemp", "-0.5"], "non-negative"),
+        (["zcoord", loop_file, "--cemp", "0.5"], "unrecognized arguments: --cemp"),
+        (["kdist", loop_file, loop_file, "--cemp", "0.5"], "unrecognized arguments: --cemp"),
         (["gamma", loop_file, loop_file, "--pmax", "-1"], "non-negative integer"),
         (["gamma", loop_file, loop_file, "--pmax", "x"], "non-negative integer"),
         (["gamma", loop_file, loop_file, "--pmax", "1.5"], "non-negative integer"),
@@ -355,8 +355,6 @@ def test_cli_exit_codes(tmp_path, loop_file, capsys):
     assert code == 1 and "absent.json" in err
     code, _, _ = run_cli(["not-a-command"], capsys)
     assert code == 1
-    code, _, err = run_cli(["kdist", loop_file, loop_file, "--cemp", "100"], capsys)
-    assert code == 2 and "increase k_max" in err
     for argv, fragment in _malformed_inputs(tmp_path, loop_file):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, ""), argv
@@ -402,19 +400,21 @@ def test_cli_maslov_of_huge_sp4_shears_warns_nothing(tmp_path):
 
 
 def test_cli_overflowing_powers_exit_2_with_one_error_line(tmp_path):
-    # X^1000 of a positive path to diag(2, 2.5, 1/2, 1/2.5) overflows in the
-    # homogenized winding; at p = -512 the staircase's track of X^p Y^-n for
-    # the hyperbolic pair Y = X^2 overflows
+    # at p = -512 the staircase's track of X^p Y^-n for the hyperbolic pair
+    # Y = X^2 overflows; the homogenized winding of a positive path to
+    # diag(2, 2.5, 1/2, 1/2.5) forms no power (X^1000 overflows), so it
+    # reads 4 pi per plane
     synth, hx, hy = (str(tmp_path / f"{name}.json") for name in ("synth", "hx", "hy"))
     io.save_path(maslov.positive_path_to(np.diag([2.0, 2.5, 0.5, 0.4]), 512), synth)
     x = maslov.positive_path_to(np.diag([2.0, 0.5]), 2049)
     io.save_path(x, hx)
     io.save_path(paths.pointwise_power(x, 2), hy)
-    for argv in (["zcoord", synth, "--kmax", "1000"],
-                 ["gamma", hx, hy, "--nmax", "8", "--pmax", "512"]):
-        proc = run_python(["-m", "symporder.cli", *argv])
-        assert (proc.returncode, proc.stdout) == (2, ""), argv
-        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    proc = run_python(["-m", "symporder.cli", "gamma", hx, hy, "--nmax", "8", "--pmax", "512"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    proc = run_python(["-m", "symporder.cli", "zcoord", synth])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["coordinate"] == pytest.approx(np.log(8 * np.pi), rel=1e-12)
 
 
 def test_cli_staircase_and_quant_bounds_that_overflow_exit_with_one_error_line(tmp_path):
@@ -442,8 +442,8 @@ def test_cli_staircase_and_quant_bounds_that_overflow_exit_with_one_error_line(t
 def test_cli_zcoord_refines_the_base_path_of_an_unresolved_power(tmp_path):
     # a positive path to a random positive Sp(4) target on 257 samples (the
     # seed-18 draw of the group-law tests) winds 8 pi; its 8th power turns
-    # 3.13 rad in one step, which the power's own finite differences do not
-    # resolve, so the winding refines the grid of the path itself
+    # 3.13 rad in one step, but the homogenized winding forms no power: the
+    # rho-lift steps at most 0.48 rad between the path's own samples
     rng = np.random.default_rng([18, 1])
     v = matrices.complex_to_real(gen.random_unitary_matrix(2, rng))
     target = v @ gen.random_positive_diagonal_target(2, rng) @ v.T
@@ -453,18 +453,6 @@ def test_cli_zcoord_refines_the_base_path_of_an_unresolved_power(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["coordinate"] == 3.224171427529236
     assert 3.224171427529236 == float(np.log(8 * np.pi))
-
-
-def test_cli_zcoord_of_a_unitary_path_does_not_alias_at_a_large_kmax(tmp_path):
-    # theta = (3t, 5t) winds 8 radians over 129 samples: X^(10^6) turns far
-    # more than pi between samples, but a unitary path's power winds 10^6
-    # times X's, so the coordinate is log 8 (a power path read -8.82)
-    t = np.linspace(0.0, 1.0, 129)
-    name = str(tmp_path / "u.json")
-    io.save_path(gen.diagonal_unitary_path(np.outer(t, [3.0, 5.0]), t), name)
-    proc = run_python(["-m", "symporder.cli", "zcoord", name, "--kmax", "1000000"])
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert json.loads(proc.stdout)["coordinate"] == pytest.approx(np.log(8.0), rel=1e-12)
 
 
 def test_cli_cone_and_order_of_a_shear_near_the_float_maximum_exit_2(tmp_path):
@@ -716,7 +704,8 @@ def test_cli_gamma_with_csv(tmp_path, capsys):
 
 def test_cli_gamma_reports_are_golden(tmp_path, capsys):
     # a commuting unitary pair searches from its winding floors, a positive X
-    # with a rotation Y has no floor and searches from -p_max
+    # with a rotation Y has no floor and searches from -p_max; its closed form
+    # is 3 / (4 pi)
     ux, uy, px, py = (str(tmp_path / f"{name}.json") for name in ("ux", "uy", "px", "py"))
     x, y, _ = gen.commuting_unitary_pair(2, np.random.default_rng(3), 257)
     io.save_path(x, ux)
@@ -728,7 +717,7 @@ def test_cli_gamma_reports_are_golden(tmp_path, capsys):
         ([ux, uy], [1, 2, 3, 6, 12, 23, 45],
          (0.6882572844807983, 0.703125, 0.6875, 0.703125),
          [1, 2, 3, 6, 12, 23, 45], ["endpoint"] * 7),
-        ([px, py, "--nmax", "2"], [1, 1], (None, 0.5, 0.0, 0.5),
+        ([px, py, "--nmax", "2"], [1, 1], (0.23873241463784306, 0.5, 0.0, 0.5),
          [None, None], ["canonical"] * 2),
     )
     for argv, gamma_ns, numbers, floors, certificates in cases:
@@ -768,16 +757,14 @@ def test_cli_reports_fed_by_extraction_and_winding_are_golden(tmp_path, capsys):
                           "value": 5.934758042438345}),
         (["maslov", px], {"max_step": 0.04908738521234225, "turns": 2.0,
                           "value": 12.566370614359172}),
-        (["zcoord", ux], {"c_emp": 0.0, "coordinate": 1.7808262593179345, "k_max": 8,
-                          "lower": 1.7808262593179345, "upper": 1.7808262593179345}),
-        (["zcoord", px, "--cemp", "0.5"], {
-            "c_emp": 0.5, "coordinate": 2.5310242469692907, "k_max": 8,
-            "lower": 2.526038245525586, "upper": 2.5359855114899403}),
-        (["kdist", ux, uy], {"c_emp": 0.0, "k_max": 8, "lower": 0.37359255095324695,
-                             "upper": 0.37359255095324695, "value": 0.37359255095324695}),
-        (["kdist", px, py, "--cemp", "0.5"], {
-            "c_emp": 0.5, "k_max": 8, "lower": 1.4068066696547403,
-            "upper": 1.4584266320196628, "value": 1.432411958301181}),
+        (["zcoord", ux], {"coordinate": 1.7808262593179345, "lower": 1.7808262593179345,
+                          "upper": 1.7808262593179345}),
+        (["zcoord", px], {"coordinate": 2.5310242469692907, "lower": 2.5310242469692907,
+                          "upper": 2.5310242469692907}),
+        (["kdist", ux, uy], {"lower": 0.37359255095324695, "upper": 0.37359255095324695,
+                             "value": 0.37359255095324695}),
+        (["kdist", px, py], {"lower": 1.432411958301181, "upper": 1.432411958301181,
+                             "value": 1.432411958301181}),
     )
     for argv, fields in cases:
         code, out, err = run_cli(argv, capsys)

@@ -138,7 +138,7 @@ def test_windings_of_powers_of_unitary_paths_are_multiples(seed, family, n, n_sa
     assert float(power.per_step_increments.sum()) == power.value
     assert (power.max_step, power.refinements, power.n_samples) == (
         base.max_step, base.refinements, base.n_samples)
-    assert growth.mu_tilde(x, 8).value == base.value
+    assert growth.mu_tilde(x) == base.value
     zero = maslov.maslov_index(x, 0).value
     assert zero == 0.0 and np.copysign(1.0, zero) == 1.0
     # the power path X^k aliases only where k times X's largest step reaches
@@ -184,6 +184,120 @@ def test_trace_route_rejects_non_unitary_paths():
 def test_homogenize_is_exact_on_loops():
     seq = maslov.homogenize(gen.rotation_loop(1, 513), 4)
     assert np.abs(seq - TWO_PI).max() < 1e-7
+
+
+# Krein collisions of exp(t J H) in Sp(4): the symmetric C of norm 1 couples
+# the two planes of H0 = diag(a, -b, a, -b)
+KREIN_COUPLING = np.random.default_rng(17).normal(size=(4, 4))
+KREIN_COUPLING = (KREIN_COUPLING + KREIN_COUPLING.T) / np.linalg.norm(
+    KREIN_COUPLING + KREIN_COUPLING.T, 2)
+J4 = matrices.standard_j(2)
+
+
+def _hamiltonian_flow(t: np.ndarray, hams: np.ndarray) -> paths.SampledPath:
+    """Samples exp(t_k J H_k) of a stack of symmetric H_k."""
+    return paths.SampledPath(t, matrices.matrix_exp(t[:, None, None] * (J4 @ hams)))
+
+
+def _random_conjugation(path: paths.SampledPath) -> paths.SampledPath:
+    s = np.random.default_rng(5).normal(size=(4, 4))
+    p = matrices.matrix_exp(0.3 * J4 @ (s + s.T))
+    return paths.SampledPath(path.times, p @ path.matrices @ np.linalg.inv(p))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3, 1.0, 2.0])
+def test_rho_lift_through_an_opposite_sign_krein_crossing_is_the_signed_frequency_sum(eps):
+    # the frequencies 40 and -30 pass each other on the circle at t = pi / 5;
+    # rho follows the Krein-positive eigenvalues exp(i omega t) of J H, so the
+    # lift is the sum of their omega, 10 at eps = 0
+    h = np.diag([40.0, -30.0, 40.0, -30.0]) + eps * KREIN_COUPLING
+    lams, vecs = np.linalg.eig(J4 @ h)
+    assert np.abs(lams.real).max() < 1e-9  # J H stays elliptic
+    positive = np.einsum("ij,ij->j", vecs.conj(), J4 @ vecs).imag > 0.0
+    want = float(lams.imag[positive].sum())
+    assert eps > 0.0 or want == pytest.approx(10.0, abs=1e-12)
+    path = _hamiltonian_flow(np.linspace(0.0, 1.0, 257), np.broadcast_to(h, (257, 4, 4)))
+    for sampled in (path, _random_conjugation(path)):
+        assert maslov._rho_lift(sampled).value == pytest.approx(want, rel=1e-9)
+
+
+def _loxodromic_onset(h0: np.ndarray) -> float:
+    """Least coupling r at which J (h0 + r C) leaves the elliptic matrices."""
+    def elliptic(r):
+        return np.abs(np.linalg.eigvals(J4 @ (h0 + r * KREIN_COUPLING)).real).max() < 1e-9
+
+    lo, hi = 0.0, 1.0
+    while elliptic(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        lo, hi = ((lo + hi) / 2, hi) if elliptic((lo + hi) / 2) else (lo, (lo + hi) / 2)
+    return hi
+
+
+@pytest.mark.parametrize("omega, delta", [(20.0, 0.5), (3.0, 0.2), (1.0, 0.05)])
+@pytest.mark.parametrize("n_samples", [257, 2049])
+def test_rho_lift_of_an_excursion_off_the_circle_is_2_delta(omega, delta, n_samples):
+    # X(t) = exp(t J (H0 + r(t) C)), r(t) = 3 r_c sin(pi t): the samples of
+    # the middle of the path are loxodromic, where no eigenvalue counts, and
+    # X(1) = exp(J H0) has the Krein-positive eigenvalues exp(i (omega +
+    # delta)) and exp(-i (omega - delta)); the power path X^32 aliases here
+    h0 = np.diag([omega + delta, delta - omega, omega + delta, delta - omega])
+    t = np.linspace(0.0, 1.0, n_samples)
+    r = 3.0 * _loxodromic_onset(h0) * np.sin(np.pi * t)
+    path = _hamiltonian_flow(t, h0 + r[:, None, None] * KREIN_COUPLING)
+    moduli = np.abs(np.linalg.eigvals(path.matrices))
+    assert np.count_nonzero(np.abs(moduli - 1.0).max(axis=-1) > 1e-6) > n_samples // 2
+    for sampled in (path, _random_conjugation(path)):
+        assert maslov._rho_lift(sampled).value == pytest.approx(2.0 * delta, rel=1e-10)
+
+
+@pytest.mark.parametrize("frequencies", [[20.0], [20.0, 3.0]])
+def test_mu_tilde_of_a_rotation_conjugated_by_a_large_diagonal_stretch_is_its_winding(
+        frequencies):
+    # P = diag(c, 1, .., 1 / c, 1, ..) with c^2 = 1e7 shrinks the Krein form
+    # of the first plane's eigenvectors to about 2 / c^2 while the path stays
+    # dominant; rho keeps both planes, so mu_tilde is the sum of frequencies
+    t = gen.uniform_times(513)
+    x = gen.diagonal_unitary_path(np.outer(t, frequencies), t)
+    stretch = np.ones(x.dim)
+    stretch[0], stretch[x.half_dim] = np.sqrt(1e7), 1.0 / np.sqrt(1e7)
+    conjugated = paths.SampledPath(t, stretch[:, None] * x.matrices / stretch)
+    assert paths.min_generator_eigenvalue(conjugated) > paths.CONE_TOL
+    assert growth.mu_tilde(conjugated) == pytest.approx(sum(frequencies), rel=1e-10)
+    assert growth.mu_tilde(x) == pytest.approx(sum(frequencies), rel=1e-12)
+
+
+def test_rho_lift_through_a_negative_real_collision_is_2_pi():
+    # X turns by pi in both planes to -I at t = 1/2, where rho = exp(2 i pi t)
+    # has lifted 2 pi, then X(t) = -exp(s diag(A, -A^T)), s = 2t - 1 and A =
+    # [[3, -phi], [phi, 3]]: two negative hyperbolic pairs meet at phi = 0 and
+    # leave the real axis as the quadruple -exp(s (+-3 +- i phi)), so rho
+    # stays 1; lambda and 1 / lambda of that quadruple are real or not together
+    # although their |Im| differ by e^(6s)
+    t = gen.uniform_times(257)
+    first = t <= 0.5
+    turn = gen.diagonal_unitary_path(np.outer(np.minimum(2.0 * np.pi * t, np.pi), [1.0, 1.0]), t)
+    s, phi = 2.0 * t - 1.0, 1e-5 * (t - 0.75)
+    gens = np.zeros((len(t), 4, 4))
+    gens[:, 0, 0] = gens[:, 1, 1] = 3.0 * s
+    gens[:, 1, 0], gens[:, 0, 1] = s * phi, -s * phi
+    gens[:, 2:, 2:] = -gens[:, :2, :2].swapaxes(1, 2)
+    mats = np.where(first[:, None, None], turn.matrices, -matrices.matrix_exp(gens))
+    assert maslov._rho_lift(paths.SampledPath(t, mats)).value == pytest.approx(TWO_PI, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 4])
+def test_rho_lift_of_a_conjugated_opposite_sign_double_eigenvalue_is_zero(seed):
+    # the frequencies 7 and -7 share exp(7 i t) at every sample, with Krein
+    # forms of both signs on its eigenspace; after a conjugation the
+    # eigenvectors eig returns are arbitrary in that plane, and the sign of
+    # each one's own form (at these seeds) would lift -17.4, -6.28, 1.43 or 18.8
+    t = gen.uniform_times(257)
+    x = gen.diagonal_unitary_path(np.outer(t, [7.0, -7.0]), t)
+    s = np.random.default_rng(seed).normal(size=(4, 4))
+    p = matrices.matrix_exp(0.3 * J4 @ (s + s.T))
+    conjugated = paths.SampledPath(t, p @ x.matrices @ np.linalg.inv(p))
+    assert abs(maslov._rho_lift(conjugated).value) <= 1e-12
 
 
 def test_quasimorphism_defect_reproducible():
