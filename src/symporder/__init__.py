@@ -33,7 +33,7 @@ _EXPORTS = {
         "save_grid", "save_path", "save_quant_element",
     ),
     "maslov": (
-        "MaslovResult", "RedistributedSpectrum", "defect_constant", "homogenize",
+        "MaslovResult", "RedistributedSpectrum", "homogenize",
         "maslov_index", "maslov_via_trace", "positive_path_to", "redistribute_eigenvalues",
         "unitary_endpoint",
     ),

@@ -24,7 +24,7 @@ from .errors import QUOTE_CHARS, ComputationError, InputError, quote
 # modules its subcommand reads; of the three bindings the benchmark's tracer
 # wraps in ``symporder.cli`` by name, ``classify_cone`` and ``order_leq`` are
 # called here and ``extract_hamiltonian`` is kept for the tracer alone
-from .paths import (CONE_TOL, DEFECT_SAFETY, REFINEMENT_CAP, classify_cone, extract_hamiltonian,
+from .paths import (CONE_TOL, REFINEMENT_CAP, classify_cone, extract_hamiltonian,
                     min_generator_eigenvalue, order_leq)  # noqa: F401
 
 CONVENTION = "radians; the full rotation loop in Sp(2) scores 2*pi"
@@ -73,17 +73,15 @@ def _checked(convert, accept, expected: str):
     return parse
 
 
-# every float argument is finite; tolerances, defect bounds, seeds and sample
-# counts are non-negative
+# every float argument is finite; tolerances, seeds and sample counts are
+# non-negative
 _finite_float = _checked(float, math.isfinite, "a finite number")
 _bound = _checked(float, lambda value: math.isfinite(value) and value >= 0.0,
                   "a finite non-negative number")
 _natural = _checked(int, lambda value: value >= 0, "a non-negative integer")
-# size caps, checked before any array is allocated
-DIM_CAP = 64
+# the sample cap, checked before any array is allocated
 _grid = _checked(int, lambda value: 0 <= value <= REFINEMENT_CAP,
                  f"a non-negative integer at most {REFINEMENT_CAP}")
-_dim = _checked(int, lambda value: value <= DIM_CAP, f"an integer at most {DIM_CAP}")
 
 
 def _floats(text: str, flag: str) -> list[float]:
@@ -190,14 +188,6 @@ def _run_zcoord(args) -> dict:
     return {"coordinate": point.coordinate, "lower": point.lower, "upper": point.upper}
 
 
-def _run_defect_sample(args) -> dict:
-    from . import maslov
-
-    raw = maslov.quasimorphism_defect_sample(args.pairs, args.dim, args.seed)
-    return {"c_emp": args.safety * raw, "dim": args.dim, "max_defect": raw,
-            "pairs": args.pairs, "safety": args.safety, "seed": args.seed}
-
-
 def _run_quant_gamma(args) -> dict:
     from . import prequant
 
@@ -295,12 +285,6 @@ _COMMANDS = (
         _TOL,
     ), _run_kdist),
     ("zcoord", "coordinate of a dominant path on the metric line", (_PATH, _TOL), _run_zcoord),
-    ("defect-sample", "sample the quasimorphism defect empirically", (
-        _arg("--dim", type=_dim, default=2, help=f"path dimension 2n (at most {DIM_CAP})"),
-        _arg("--pairs", type=int, default=20),
-        _arg("--seed", type=_natural, default=7),
-        _arg("--safety", type=_bound, default=DEFECT_SAFETY),
-    ), _run_defect_sample),
     ("quant-gamma", "relative growth of quantomorphism elements", (
         _arg("a", help="quant JSON file (dominant)"),
         _arg("b", help="quant JSON file"),

@@ -48,9 +48,6 @@ class Estimate:
     lower: float
     upper: float
 
-    def contains(self, x: float) -> bool:
-        return self.lower <= x <= self.upper
-
 
 def _positive(mu: float) -> float:
     if mu <= 0.0:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, InputError, ResolutionError, integer, quote
-from .generators import _rotations, random_symplectic_path
+from .errors import ComputationError, InputError, ResolutionError, integer
+from .generators import _rotations
 from .matrices import (DEFAULT_TOL, _by_entry_map, commutes_with_j, det_phase,
                        exp_i_hermitian, is_hermitian, is_symplectic, standard_j,
                        symplectic_defect)
@@ -35,18 +35,14 @@ from .matrices import (DEFAULT_TOL, _by_entry_map, commutes_with_j, det_phase,
 # ``unitary_polar_factor`` is not called here; the binding stays because the
 # benchmark's tracer wraps ``symporder.maslov.unitary_polar_factor`` by name.
 from .matrices import unitary_polar_factor  # noqa: F401
-from .paths import (DEFECT_SAFETY, REFINEMENT_CAP, SampledPath, _plane_stack, compose,
-                    extract_hamiltonian, pointwise_power, refine)
+from .paths import (REFINEMENT_CAP, SampledPath, _plane_stack, extract_hamiltonian,
+                    pointwise_power, refine)
 
 # refuse to trust per-step determinant increments this close to the aliasing
 # boundary at pi, and a refined grid whose largest increment is above this
 # share of the coarser grid's: a resolving refinement about halves it
 STEP_GUARD = 1e-2
 REFINE_SHRINK = 0.75
-# the largest power whose winding on a unitary path is taken as a multiple of
-# the path's: every integer up to 2^53 is exact as a float, so each scaled
-# increment is one rounding of the exact product
-EXACT_POWER = 2 ** 53
 # ``redistribute_eigenvalues``: how far a target may sit below 2*pi*n, the
 # width below which a reduced eigenvalue folds to 2*pi, how far the trace
 # deficit may miss a whole number of 2*pi quanta, and the deficit, 2^27
@@ -67,9 +63,8 @@ class MaslovResult:
     rotation function rho (:func:`_rho_lift`), in radians, with no SVD and no
     logarithm.  ``value`` is exactly the float sum of ``per_step_increments``;
     ``max_step`` is the largest step the refinement guard read, strictly
-    below pi, of X or of the power path that :func:`maslov_index` winds;
-    ``refinements`` counts the doublings of X's grid and ``n_samples`` is
-    the size of the grid that was read.
+    below pi; ``refinements`` counts the doublings of X's grid and
+    ``n_samples`` is the size of the grid that was read.
     """
 
     value: float
@@ -100,8 +95,8 @@ def _unitary_factor_phase(mats: np.ndarray) -> np.ndarray:
     return det_phase(_by_entry_map(_two_complex_part, mats).view(complex)[..., 0])
 
 
-def _lift(path: SampledPath, phase, scale: int = 1) -> MaslovResult:
-    """Lift of the unit phases ``phase(path)`` of the samples, times ``scale``.
+def _lift(path: SampledPath, phase) -> MaslovResult:
+    """Lift of the unit phases ``phase(path)`` of the samples.
 
     A principal-argument step within ``STEP_GUARD`` of pi doubles the grid
     (interpolating with local generators), up to ``REFINEMENT_CAP`` samples.
@@ -122,8 +117,6 @@ def _lift(path: SampledPath, phase, scale: int = 1) -> MaslovResult:
                 f"at {max_step:.4f} rad (from {previous:.4f}); the samples cannot "
                 f"resolve the winding")
         if max_step < np.pi - STEP_GUARD:
-            if scale != 1:
-                incs = scale * incs
             return MaslovResult(value=float(incs.sum()), per_step_increments=incs,
                                 max_step=max_step, refinements=refinements,
                                 n_samples=path.n_samples)
@@ -136,25 +129,10 @@ def _lift(path: SampledPath, phase, scale: int = 1) -> MaslovResult:
         path = refine(path)
 
 
-def maslov_index(path: SampledPath, power: int = 1) -> MaslovResult:
-    """Winding of arg det of the unitary polar factor along t -> X(t)^power,
-    lifted by :func:`_lift` on the grid of X, whose local generators resolve
-    where those of X^power may not.  On a path whose samples commute with J
-    (its endpoint tested first) the winding is a homomorphism of the
-    universal cover of U(n), so for ``power`` other than 0 and 1 the
-    increments are ``power`` times those of X: no power path is formed, the
-    guard reads X's steps, and no power aliases; a power beyond
-    ``EXACT_POWER`` raises :class:`ComputationError` there.  Any other path
-    winds the pointwise power X^power.
-    """
-    unitary = (integer(power, "power") not in (0, 1) and commutes_with_j(path.matrices[-1])
-               and commutes_with_j(path.matrices))
-    if unitary and abs(power) > EXACT_POWER:
-        raise ComputationError(f"power {quote(power)} of a unitary path is beyond 2^53, "
-                               f"above which a power has no exact float")
-    if power == 1 or unitary:
-        return _lift(path, lambda p: _unitary_factor_phase(p.matrices), power if unitary else 1)
-    return _lift(path, lambda p: _unitary_factor_phase(pointwise_power(p, power).matrices))
+def maslov_index(path: SampledPath) -> MaslovResult:
+    """Winding of arg det of the unitary polar factor along X, lifted by
+    :func:`_lift`."""
+    return _lift(path, lambda p: _unitary_factor_phase(p.matrices))
 
 
 def _rho_lift(path: SampledPath) -> MaslovResult:
@@ -206,43 +184,19 @@ def maslov_via_trace(path: SampledPath) -> float:
 
 
 def homogenize(path: SampledPath, k_max: int) -> np.ndarray:
-    """Sequence maslov(X^k)/k for k = 1..k_max, each from its own power path.
-
-    It converges at rate C/k, C the quasimorphism defect, to the homogenized
-    winding that :func:`symporder.growth.mu_tilde` reads exactly; on unitary
-    paths it is constant.
+    """Sequence maslov(X^k)/k for k = 1..k_max: each winds the power path
+    X^k, lifted by :func:`_lift` on the grid of X, whose local generators
+    resolve where those of X^k may not.  It tends to the homogenized
+    winding that :func:`symporder.growth.mu_tilde` reads exactly.  A step of
+    X^k is read modulo 2 pi, so a value misses by whole turns, with no
+    error, where X^k turns by more than pi between samples: on U(n) where k
+    times X's step does, off U(n) also where X turns little (ROADMAP item 4).
     """
     if integer(k_max, "k_max") < 1:
         raise InputError("k_max must be at least 1")
-    return np.array([maslov_index(path, k).value / k for k in range(1, k_max + 1)])
-
-
-def quasimorphism_defect_sample(num_pairs: int, dim: int, seed: int) -> float:
-    """Empirical quasimorphism defect max |mu(XY) - mu(X) - mu(Y)|.
-
-    Pairs are drawn from the smooth random-path ensemble at its default scale
-    and sample count, keyed by (seed, pair index) so individual draws are
-    reproducible.  Every third pair reuses a power of its first member as the
-    second, which probes the defect along the homogenization direction as well.
-    """
-    if dim < 2 or dim % 2:
-        raise InputError(f"dim must be a positive even integer, got {dim}")
-    if num_pairs < 1:
-        raise InputError(f"the number of pairs must be positive, got {num_pairs}")
-    worst = 0.0
-    for i in range(num_pairs):
-        rng = np.random.default_rng([seed, i])
-        x = random_symplectic_path(dim, rng)
-        y = pointwise_power(x, 2) if i % 3 == 2 else random_symplectic_path(dim, rng)
-        defect = abs(maslov_index(compose(x, y)).value
-                     - maslov_index(x).value - maslov_index(y).value)
-        worst = max(worst, defect)
-    return worst
-
-
-def defect_constant(dim: int, num_pairs: int = 20, seed: int = 7) -> float:
-    """Sampled defect bound times ``DEFECT_SAFETY``, for downstream certificates."""
-    return DEFECT_SAFETY * quasimorphism_defect_sample(num_pairs, dim, seed)
+    return np.array([
+        _lift(path, lambda p: _unitary_factor_phase(pointwise_power(p, k).matrices)).value / k
+        for k in range(1, k_max + 1)])
 
 
 @dataclass(frozen=True)

@@ -51,12 +51,9 @@ from .matrices import (DEFAULT_TOL, _by_entry_map, _check_even_dim, is_symplecti
 # Classification tolerance: FD-extracted generators carry O(dt^2) noise, so
 # the cone test uses a comfortably wider dead band than the structural checks.
 CONE_TOL = 1e-6
-# Defaults the command line's parser reads, kept here so that building it
-# loads no module beyond ``paths``: the sample cap of a refined winding
-# (``maslov``) and the factor by which ``maslov.defect_constant`` widens the
-# sampled defect.
+# The sample cap of a refined winding (``maslov``), kept here so that the
+# command line's parser, which reads it, loads no module beyond ``paths``.
 REFINEMENT_CAP = 2 ** 16
-DEFECT_SAFETY = 2.0
 DEFAULT_SAMPLES = 256
 MIN_SAMPLES_ORDER4 = 7
 

@@ -82,7 +82,7 @@ def test_mu_tilde_is_conjugation_invariant_and_bounds_the_windings_of_powers(
     """mu_tilde(P X P^-1) = mu_tilde(X) within 1e-10 for a constant
     symplectic P, the rho-lift equals the winding on U(n) within 1e-10, and
     |maslov(X^k) - k mu_tilde(X)| < n pi (``POWER_WINDING_BOUND``) wherever
-    the winding of X^k resolves.
+    the winding of the power path X^k resolves.
 
     The polar winding and the rho-lift differ by a continuous function theta
     on Sp(2n) that vanishes on U(n), so maslov(X^k) - k mu_tilde(X) =
@@ -105,7 +105,7 @@ def test_mu_tilde_is_conjugation_invariant_and_bounds_the_windings_of_powers(
     conjugated = paths.SampledPath(x.times, p @ x.matrices @ matrices.symplectic_inverse(p))
     assert abs(growth.mu_tilde(conjugated) - mu) <= 1e-10
     try:
-        winding = maslov.maslov_index(x, k).value
+        winding = maslov.maslov_index(paths.pointwise_power(x, k)).value
     except ResolutionError:
         return
     assert abs(winding - k * mu) < POWER_WINDING_BOUND * n

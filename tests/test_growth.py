@@ -20,10 +20,10 @@ def loops():
     return gen.rotation_loop(1, 513), gen.rotation_loop(2, 513)
 
 
-def test_estimate_arithmetic():
+def test_estimate_arithmetic(loops):
     # the closed forms are exact points; only a staircase limit has a width
-    a = growth.Estimate(4.0, 3.0, 5.0)
-    assert a.contains(3.5) and not a.contains(6.0)
+    closed = growth.gamma_closed_symplectic(*loops)
+    assert closed.lower == closed.value == closed.upper
     assert growth._positive(2.0) == 2.0
 
 
@@ -119,7 +119,7 @@ def test_growth_estimate_full_report(loops):
     est = growth.growth_estimate(loop1, loop2, ns=(1, 2, 4))
     assert est.closed_form == pytest.approx(2.0, abs=1e-8)
     assert est.gamma_ns == (2, 4, 8)
-    assert est.limit_estimate.contains(2.0)
+    assert est.limit_estimate.lower <= 2.0 <= est.limit_estimate.upper
 
 
 def test_growth_estimate_sandwich_property(loops):
@@ -352,11 +352,12 @@ def test_the_staircase_inverts_each_path_once(monkeypatch):
 
 
 def test_windings_and_tracks_go_through_the_public_names(loops, monkeypatch):
-    # a winding of X^k is one ``maslov_index(X, k)`` call and a staircase
-    # track one ``extract_hamiltonian(X, order)`` call, through the module
-    # bindings that the benchmark's tracer wraps
+    # a winding is one ``maslov_index(X)`` call, a power that ``homogenize``
+    # winds one ``pointwise_power(X, k)`` call and a staircase track one
+    # ``extract_hamiltonian(X, order)`` call, through the module bindings
+    # that the benchmark's tracer wraps
     calls = {"growth.maslov_index": [], "maslov.maslov_index": [],
-             "growth.extract_hamiltonian": []}
+             "maslov.pointwise_power": [], "growth.extract_hamiltonian": []}
 
     def recorded(name, fn):
         def call(path, *args):
@@ -374,7 +375,8 @@ def test_windings_and_tracks_go_through_the_public_names(loops, monkeypatch):
     growth.z_coordinate(y)
     assert calls["growth.maslov_index"] == [()] * 4
     maslov.homogenize(x, 3)
-    assert calls["maslov.maslov_index"] == [(1,), (2,), (3,)]
+    assert calls["maslov.pointwise_power"] == [(1,), (2,), (3,)]
+    assert calls["maslov.maslov_index"] == []
     calls["growth.maslov_index"].clear()
     calls["growth.extract_hamiltonian"].clear()
     assert growth.gamma_n_bruteforce(*_power_pair(3, 2049, BENCH_R), 64, 128) == 98
@@ -681,9 +683,9 @@ def test_records_read_their_conclusions_off_their_evidence(loops):
 
 
 @pytest.mark.parametrize("call", [
-    lambda x: maslov.maslov_index(x, 2.5),
+    lambda x: maslov.homogenize(x, 2.5),
     lambda x: maslov.homogenize(x, 2.0),
-    lambda x: maslov.maslov_index(x, np.float64(2.0)),
+    lambda x: pointwise_power(x, np.float64(2.0)),
     lambda x: pointwise_power(x, 2.5),
     lambda x: growth.growth_estimate(x, x, ns=(1.5,)),
     lambda x: growth.growth_estimate(x, x, ns=(1,), p_max=2.5),
@@ -700,6 +702,8 @@ def test_indices_must_be_integers(loops, call):
 
 def test_numpy_integer_indices_stay_accepted(loops):
     x, y = loops
-    assert maslov.maslov_index(x, np.int64(3)).value == maslov.maslov_index(x, 3).value
+    assert np.array_equal(maslov.homogenize(x, np.int64(3)), maslov.homogenize(x, 3))
+    assert np.array_equal(pointwise_power(x, np.int64(3)).matrices,
+                          pointwise_power(x, 3).matrices)
     assert growth.gamma_n_bruteforce(x, y, np.int64(4), np.int16(16)) == 8
     assert growth.growth_estimate(x, y, ns=np.array([1, 2])).gamma_ns == (2, 4)

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import json
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,29 +308,24 @@ def _malformed_inputs(tmp_path, loop_file) -> list:
         (["rot-distance", "nan", good_grid], "finite"),
         (["cone", loop_file, "--tol", "nan"], "finite"),
         (["cw", good_grid, good_grid, "--times", "0,nan"], "finite"),
-        (["defect-sample", "--safety", "nan"], "finite"),
         (["gamma", loop_file, loop_file, "--kmax", "3"], "unrecognized arguments: --kmax"),
         (["cw", good_grid, "--weights", "1,2"], "--weights"),
         (["cw", good_grid, "--times", "0,0.5"], "times"),
         (["kdist", loop_file, loop4], "share a dimension"),
         (["gamma", loop_file, loop4], "share a dimension"),
-        (["defect-sample", "--dim", "3"], "even"),
-        (["defect-sample", "--dim", "-2"], "even"),
-        (["defect-sample", "--pairs", "-1"], "pairs"),
-        (["defect-sample", "--seed", "-1"], "non-negative"),
         (["verify", "--seed", "-1"], "non-negative"),
+        # a removed command is an argument error
+        (["defect-sample"], "invalid choice: 'defect-sample'"),
         (["synth-positive", float_matrix, dest, "--grid", "-5"], "non-negative"),
         # sizes far beyond the caps fail in argument checking, before any allocation
         (["synth-positive", good_matrix, dest, "--grid", "10000000000000"], "at most 65536"),
         (["synth-positive", good_matrix, dest, "--grid", "100000000000000000000"],
          "at most 65536"),
-        (["defect-sample", "--dim", "100000000000", "--pairs", "1"], "at most 64"),
         (["zcoord", loop_file, "--cemp", "0.5"], "unrecognized arguments: --cemp"),
         (["kdist", loop_file, loop_file, "--cemp", "0.5"], "unrecognized arguments: --cemp"),
         (["gamma", loop_file, loop_file, "--pmax", "-1"], "non-negative integer"),
         (["gamma", loop_file, loop_file, "--pmax", "x"], "non-negative integer"),
         (["gamma", loop_file, loop_file, "--pmax", "1.5"], "non-negative integer"),
-        (["defect-sample", "--safety", "-1"], "non-negative"),
         (["maslov", huge], "leave Sp(2)"),
         (["maslov", stretch], "leave Sp(2)"),
         (["cone", loop_file, "--tol", "-100"], "non-negative"),
@@ -502,7 +498,8 @@ def test_no_cli_command_loads_scipy(tmp_path, loop_file):
         "assert calls == [], calls",
         "assert 'symporder.acceptance' not in sys.modules",
     ]
-    for argv in (["maslov", coarse], ["defect-sample", "--pairs", "2"],
+    # ``verify`` is the one command that integrates Hamiltonian flows
+    for argv in (["maslov", coarse], ["verify", "--suite", "linear"],
                  ["order", loop_file, other]):
         script += ["count = len(calls)", f"assert cli.run({argv!r}) == 0",
                    f"assert len(calls) > count, {argv!r}"]
@@ -550,6 +547,20 @@ def test_each_cli_command_loads_only_the_modules_it_reads(tmp_path, loop_file, c
     for script in scripts:
         proc = run_python(["-c", script])
         assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_command_block_names_every_subcommand_once_and_parses():
+    # each ``symporder`` line of the README's command block, its comment
+    # stripped, goes through the parser; no file it names is opened
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [words[1:] for words in (line.split("#", 1)[0].split() for line in block.splitlines())
+             if words[:1] == ["symporder"]]
+    assert sorted(argv[0] for argv in argvs) == sorted(
+        [name for name, *_ in cli._COMMANDS] + ["verify"])
+    parser = cli.build_parser()
+    for argv in argvs:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_cli_verify_suites_are_the_acceptance_suites():
@@ -631,9 +642,8 @@ def test_cli_argument_errors_quote_a_long_token_by_its_head_and_length(tmp_path)
     x = _write_doc(tmp_path, "x.json", {})
     long = "7" * 5001
     cases = [["quant-gamma", x, x, "--n", long], ["gamma", x, x, "--nmax", long],
-             ["kdist", x, x, "--kmax", long], ["defect-sample", "--pairs", long],
-             ["gamma", x, x, "--pmax", long], ["defect-sample", "--seed", long],
-             ["defect-sample", "--dim", long], ["redistribute", x, long],
+             ["synth-positive", x, x, "--grid", long], ["gamma", x, x, "--pmax", long],
+             ["verify", "--seed", long], ["redistribute", x, long],
              ["verify", "--suite", long], [long], ["maslov", x, long]]
     short = {"error: argument --nmax: invalid int value: 'x'\n": ["gamma", x, x, "--nmax", "x"],
              "error: argument target_mu: expected a finite number, got 'x'\n":

@@ -77,11 +77,6 @@ def test_refinement_resolves_fast_smooth_segments():
     assert result.value == pytest.approx(0.0, abs=1e-9)
     assert len(result.per_step_increments) == 128
     assert (result.refinements, result.n_samples) == (1, 129)
-    # a power of the unitary path refines X's grid by X's own steps
-    powered = maslov.maslov_index(_spiky_unitary_path(modes=4), -3)
-    assert (powered.refinements, powered.n_samples, powered.max_step) == (
-        1, 129, result.max_step)
-    assert np.array_equal(powered.per_step_increments, -3 * result.per_step_increments)
     # in one plane each step is near pi, where a central difference reads
     # about sin(step) / dt: refinement creeps (3.1365 -> 3.1321) and is refused
     with pytest.raises(ResolutionError, match=r"129 samples .* 3\.1321 rad \(from 3\.1365\)"):
@@ -130,40 +125,59 @@ def _unitary_path(family: str, n: int, n_samples: int, rng) -> paths.SampledPath
 def test_windings_of_powers_of_unitary_paths_are_multiples(seed, family, n, n_samples, k,
                                                            negative):
     # det is a homomorphism on the universal cover of U(n), so the winding of
-    # X^k is k times X's, read from X's own samples
+    # X^k is k times X's wherever it resolves: on a grid of X refined until k
+    # times its largest step stays inside the guard
     k = -k if negative else k
     x = _unitary_path(family, n, n_samples, np.random.default_rng(seed))
-    base, power = maslov.maslov_index(x), maslov.maslov_index(x, k)
-    assert abs(power.value - k * base.value) <= 1e-12 * abs(k)
-    assert float(power.per_step_increments.sum()) == power.value
-    assert (power.max_step, power.refinements, power.n_samples) == (
-        base.max_step, base.refinements, base.n_samples)
+    base = maslov.maslov_index(x)
     assert growth.mu_tilde(x) == base.value
-    zero = maslov.maslov_index(x, 0).value
+    zero = maslov.maslov_index(paths.pointwise_power(x, 0)).value
     assert zero == 0.0 and np.copysign(1.0, zero) == 1.0
-    # the power path X^k aliases only where k times X's largest step reaches
-    # the guard; below it, the two routes read the same winding
-    if abs(k) * base.max_step < np.pi - maslov.STEP_GUARD:
-        formed = maslov.maslov_index(paths.pointwise_power(x, k))
-        assert formed.refinements == 0
-        assert abs(formed.value - power.value) <= 1e-9
+    fine = x
+    while (step := maslov.maslov_index(fine)).refinements or (
+            abs(k) * step.max_step >= np.pi - maslov.STEP_GUARD):
+        fine = paths.refine(fine)
+    power = maslov.maslov_index(paths.pointwise_power(fine, k))
+    assert power.refinements == 0 and float(power.per_step_increments.sum()) == power.value
+    assert abs(power.value - k * base.value) <= 1e-12 * abs(k)
 
 
-def test_a_power_of_a_unitary_path_beyond_2_to_the_53_raises():
+def test_maslov_index_takes_no_power():
+    # a winding of X^k is the winding of the power path, or a term of
+    # ``homogenize``: ``maslov_index`` winds the path it is given
     loop = gen.rotation_loop(1, 65)
-    assert maslov.maslov_index(loop, -maslov.EXACT_POWER).value == pytest.approx(
-        -maslov.EXACT_POWER * TWO_PI, rel=1e-12)
-    for k in (maslov.EXACT_POWER + 1, -10**400):
-        with pytest.raises(ComputationError, match=r"beyond 2\^53"):
-            maslov.maslov_index(loop, k)
+    with pytest.raises(TypeError):
+        maslov.maslov_index(loop, 2)
 
 
 def test_powers_of_a_non_unitary_path_wind_the_power_path():
+    # on a grid that no power refines, homogenize winds each power path
     x = gen.random_symplectic_path(4, np.random.default_rng(5), n_samples=257)
-    for k in (-2, 3):
-        direct, formed = maslov.maslov_index(x, k), maslov.maslov_index(paths.pointwise_power(x, k))
-        assert direct.value == formed.value and direct.max_step == formed.max_step
-        assert np.array_equal(direct.per_step_increments, formed.per_step_increments)
+    seq = maslov.homogenize(x, 3)
+    for k in (1, 2, 3):
+        formed = maslov.maslov_index(paths.pointwise_power(x, k))
+        assert formed.refinements == 0 and seq[k - 1] == formed.value / k
+
+
+def test_homogenize_refines_the_grid_of_x_not_that_of_its_power():
+    # the 64th power of a 129-sample loop turns by pi per step: its own
+    # generators read sin(pi) / dt = 0 there and cannot refine it, while one
+    # doubling of X's grid halves the step
+    loop = gen.rotation_loop(1, 129)
+    assert maslov.homogenize(loop, 64)[-1] == pytest.approx(TWO_PI, abs=1e-9)
+    with pytest.raises(ResolutionError):
+        maslov.maslov_index(paths.pointwise_power(loop, 64))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: off U(n) the winding of a power path "
+                                       "aliases by whole turns where its steps pass pi")
+def test_winding_of_the_48th_power_of_a_hyperbolic_dominant_does_not_alias():
+    # mu_tilde(X) = 4 pi; the winding of X^48 reads no step at the guard and
+    # misses 48 mu_tilde by exactly 2 pi (k = 57..64 miss by 6 pi), and
+    # homogenize(X, 48) raises ResolutionError at k = 47
+    x = maslov.positive_path_to(np.diag([2.0, 0.5]), 2049)
+    winding = maslov.maslov_index(paths.pointwise_power(x, 48)).value
+    assert abs(winding - 48 * growth.mu_tilde(x)) < np.pi
 
 
 def test_trace_route_matches_index_route():
@@ -298,13 +312,6 @@ def test_rho_lift_of_a_conjugated_opposite_sign_double_eigenvalue_is_zero(seed):
     p = matrices.matrix_exp(0.3 * J4 @ (s + s.T))
     conjugated = paths.SampledPath(t, p @ x.matrices @ np.linalg.inv(p))
     assert abs(maslov._rho_lift(conjugated).value) <= 1e-12
-
-
-def test_quasimorphism_defect_reproducible():
-    a = maslov.quasimorphism_defect_sample(6, 2, seed=42)
-    b = maslov.quasimorphism_defect_sample(6, 2, seed=42)
-    assert a == b
-    assert maslov.defect_constant(2, num_pairs=6, seed=42) == 2.0 * a
 
 
 # ---------------------------------------------------------------- spectra
