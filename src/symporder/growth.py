@@ -11,6 +11,11 @@ generator track of the pointwise product.  ``K(f, g) = max(log gamma(f, g),
 log gamma(g, f))`` is a pseudo-distance, and ``log`` of the homogenized
 winding realizes the quotient metric space as the real line.  The closed
 forms are points: :func:`mu_tilde` reads the homogenized winding exactly.
+
+A path in U(n), n <= 2, is read once, through the closed-form eigenphases of
+its steps (:func:`symporder.paths.unitary_step_phases`): their least value
+over dt decides its dominance and their sum is its winding, with no
+finite-difference track.  Any other path is checked on its track.
 """
 
 from __future__ import annotations
@@ -20,21 +25,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, InputError, finite, integer
-# ``homogenize`` is not called here; the binding stays because the benchmark's
-# tracer wraps ``symporder.growth.homogenize`` by name.
-from .maslov import _rho_lift, homogenize, maslov_index  # noqa: F401
+# ``homogenize``, ``maslov_index`` and ``classify_cone`` are not called here;
+# the bindings stay because the benchmark's tracer wraps them in
+# ``symporder.growth`` by name.
+from .maslov import _rho_lift, _winding, homogenize, maslov_index  # noqa: F401
 from .paths import (
     CONE_TOL,
     MIN_SAMPLES_ORDER4,
     ConeStatus,
+    ConeVerdict,
     SampledPath,
+    _generator_margin,
     align_grids,
     binary_powers,
     classify_cone,
     extract_hamiltonian,
     is_uniform_grid,
+    unitary_step_phases,
 )
-from .matrices import commutes_with_j, positive_definite, real_to_complex, symplectic_inverse
+from .matrices import (STEP_PHASE_MAX_N, commutes_with_j, positive_definite, real_to_complex,
+                       step_eigenphases, symplectic_inverse)
 
 GROWTH_NS = (1, 2, 4, 8, 16, 32, 64)
 
@@ -61,57 +71,70 @@ def mu_tilde(path: SampledPath) -> float:
     endpoint tested first), since the winding is a homomorphism of the
     universal cover of U(n), else the lift of the rotation function rho over
     every stored sample (:func:`symporder.maslov._rho_lift`)."""
-    if commutes_with_j(path.matrices[-1]) and commutes_with_j(path.matrices):
-        return maslov_index(path).value
+    return _mu_tilde(path, unitary_step_phases(path))
+
+
+def _mu_tilde(path: SampledPath, phases: np.ndarray | None) -> float:
+    """:func:`mu_tilde` of a path whose step eigenphases are ``phases``
+    (:func:`symporder.paths.unitary_step_phases`)."""
+    if phases is not None or (commutes_with_j(path.matrices[-1])
+                              and commutes_with_j(path.matrices)):
+        return _winding(path, phases).value
     return _rho_lift(path).value
 
 
-def _require_dominant(path: SampledPath, tol: float, who: str) -> None:
-    """Refuse a path that ``classify_cone`` does not call dominant.
+def _require_dominant(path: SampledPath, tol: float, who: str) -> np.ndarray | None:
+    """Refuse a path that ``classify_cone`` does not call dominant; return
+    its step eigenphases (:func:`symporder.paths.unitary_step_phases`).
 
-    A Cholesky pass over the shifted generator stack
+    A path in U(n), n <= 2, is classified by its step eigenphases.  On any
+    other path a Cholesky pass over the shifted generator stack
     (:func:`matrices.positive_definite`) accepts the path without
     eigenvalues; only a path it refuses is classified, which gives the error
     its eigenvalue and keeps ``classify_cone``'s verdict inside the rounding
     band.
     """
-    if positive_definite(extract_hamiltonian(path), tol):
-        return
-    verdict = classify_cone(path, tol)
+    phases = unitary_step_phases(path)
+    if phases is None and positive_definite(extract_hamiltonian(path), tol):
+        return None
+    verdict = ConeVerdict(_generator_margin(path, phases), tol)
     if verdict.status is not ConeStatus.DOMINANT:
         raise InputError(f"{who} must be dominant, got {verdict.status.value} "
                          f"(min generator eigenvalue {verdict.min_eigenvalue:.3e})")
+    return phases
 
 
-def _unitary_windings(x: SampledPath, y: SampledPath) -> tuple[float, float]:
-    """(maslov(X), maslov(Y)) of a unitary pair, X's positive."""
-    mx = maslov_index(x).value
+def _unitary_windings(x: SampledPath, y: SampledPath, phases: tuple) -> tuple[float, float]:
+    """(maslov(X), maslov(Y)) of a unitary pair with step eigenphases
+    ``phases`` (None above n = 2), X's positive."""
+    mx = _winding(x, phases[0]).value
     if mx <= 0.0:
         raise InputError("maslov index of X must be positive")
-    return mx, maslov_index(y).value
+    return mx, _winding(y, phases[1]).value
 
 
-def _require_dominant_pair(x: SampledPath, y: SampledPath, tol: float) -> None:
-    """Check the dimensions, then X, then Y, for dominance."""
+def _require_dominant_pair(x: SampledPath, y: SampledPath, tol: float) -> tuple:
+    """Check the dimensions, then X, then Y, for dominance; return their
+    step eigenphases."""
     if x.dim != y.dim:
         raise InputError("paths must share a dimension")
-    _require_dominant(x, tol, "X")
-    _require_dominant(y, tol, "Y")
+    return _require_dominant(x, tol, "X"), _require_dominant(y, tol, "Y")
 
 
 def gamma_closed_symplectic(x: SampledPath, y: SampledPath,
                             tol: float = CONE_TOL) -> Estimate:
     """Relative growth mu_tilde(Y) / mu_tilde(X) of dominant paths, a point."""
-    _require_dominant_pair(x, y, tol)
-    gamma = mu_tilde(y) / _positive(mu_tilde(x))
+    px, py = _require_dominant_pair(x, y, tol)
+    gamma = _mu_tilde(y, py) / _positive(_mu_tilde(x, px))
     return Estimate(gamma, gamma, gamma)
 
 
 def pseudo_distance_k(x: SampledPath, y: SampledPath, tol: float = CONE_TOL) -> Estimate:
     """K(X, Y) = max(log gamma(X, Y), log gamma(Y, X)) for dominants, a point,
-    from one cone check and one mu_tilde per path, Y's first."""
-    _require_dominant_pair(x, y, tol)
-    mu_y, mu_x = _positive(mu_tilde(y)), _positive(mu_tilde(x))
+    from one cone check and one mu_tilde per path, Y's first; a path in
+    U(n), n <= 2, reads its step eigenphases once for both."""
+    px, py = _require_dominant_pair(x, y, tol)
+    mu_y, mu_x = _positive(_mu_tilde(y, py)), _positive(_mu_tilde(x, px))
     k = max(float(np.log(mu_y / mu_x)), float(np.log(mu_x / mu_y)))
     return Estimate(k, k, k)
 
@@ -128,8 +151,7 @@ class ZPoint:
 def z_coordinate(x: SampledPath, tol: float = CONE_TOL) -> ZPoint:
     """Coordinate of a dominant path on the metric line Z: differences of
     coordinates reproduce K, and certified order is monotone in them."""
-    _require_dominant(x, tol, "X")
-    z = float(np.log(_positive(mu_tilde(x))))
+    z = float(np.log(_positive(_mu_tilde(x, _require_dominant(x, tol, "X")))))
     return ZPoint(coordinate=z, lower=z, upper=z)
 
 
@@ -212,7 +234,8 @@ def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int) -> in
       A >= -fold has exp(iA) = Z(1) and tr A equal to the winding, and
       t -> exp(itA) is a path in Z's class with generator above -fold
       (:func:`_endpoint_quanta`).  It reads two windings and n x n complex
-      endpoints, no generator track.
+      endpoints, no generator track; up to n = 2 X's dominance and both
+      windings come from the eigenphases of the sample steps.
 
       It accepts every power whose generator h lies above -CONE_TOL.  Z
       stays in U(n), and each eigenphase of Z(t), followed continuously, has
@@ -240,14 +263,17 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
     list per (n, p_max) rung; ``floors`` and ``certificates`` are those of
     :class:`GrowthEstimate`.
 
-    The grids are aligned and X's dominance checked once, on its staircase
-    track by one Cholesky factorization of H_X - tol I, no eigenvalue
-    (:func:`matrices.positive_definite`).  This is the one place that tests
-    the aligned pair for unitarity.  A unitary pair has the ratio maslov(Y)
-    / maslov(X), and each rung its winding floor L_n (:func:`_winding_floor`),
-    from which the endpoint certificate scans upward, clipped to [-p_max,
-    p_max] (:func:`_least_endpoint_power`).  Any other pair runs the
-    canonical search on [-p_max, p_max] (:func:`_least_certified_power`)
+    The grids are aligned and X's dominance checked once.  This is the one
+    place that tests the aligned pair for unitarity.  A pair in U(n),
+    n <= 2, reads the step eigenphases of X and Y once: X's least one over
+    dt is its dominance margin, and their sums are the windings.  Any other
+    pair is checked on X's staircase track by one Cholesky factorization of
+    H_X - tol I, no eigenvalue (:func:`matrices.positive_definite`).  A
+    unitary pair has the ratio maslov(Y) / maslov(X), and each rung its
+    winding floor L_n (:func:`_winding_floor`), from which the endpoint
+    certificate scans upward, clipped to [-p_max, p_max]
+    (:func:`_least_endpoint_power`).  A pair off the unitary subgroup runs
+    the canonical search on [-p_max, p_max] (:func:`_least_certified_power`)
     with the atoms of X and X^-1, built from that track, and one squaring
     pass over Y^-1's atom for the powers Y^-n; its ratio, mu_tilde(Y) /
     mu_tilde(X) of the paths as passed, is read only for a default range.  A
@@ -263,12 +289,18 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
     given, default = (x, y), rungs[-1][1] is None
     x, y = align_grids(x, y)
     unitary = commutes_with_j(x.matrices) and commutes_with_j(y.matrices)
+    phases = ((step_eigenphases(x.matrices), step_eigenphases(y.matrices))
+              if unitary and x.half_dim <= STEP_PHASE_MAX_N else (None, None))
     x_atoms = None if unitary else _atoms(x)
-    if not positive_definite(_staircase_hams(x) if unitary else x_atoms[0].hams, tol):
+    if phases[0] is not None:
+        dominant = ConeVerdict(_generator_margin(x, phases[0]), tol).status is ConeStatus.DOMINANT
+    else:
+        dominant = positive_definite(_staircase_hams(x) if unitary else x_atoms[0].hams, tol)
+    if not dominant:
         raise InputError("X must be dominant for the staircase search")
     ratio = None
     if unitary:
-        windings = mx, my = _unitary_windings(x, y)
+        windings = mx, my = _unitary_windings(x, y, phases)
         ratio = my / mx
         ends = real_to_complex(x.endpoint), real_to_complex(y.endpoint)
         fold = max(tol, ENDPOINT_FOLD)

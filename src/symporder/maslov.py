@@ -18,6 +18,11 @@ product up to real dimension 8 (:func:`symporder.matrices._by_entry_map`).  That
 phase comes from :func:`symporder.matrices.det_phase`, the product of the
 unit pivots of a pivoted elimination run over all samples at once (on
 stacks of at least 512 samples; shorter ones take LAPACK's ``slogdet``).
+
+A path in U(n), n <= 2, winds by the sum of the eigenphases of its steps
+U_{k+1} U_k^H (:func:`symporder.paths.unitary_step_phases`), which equals the
+determinant step wherever that is below pi and aliases only where one
+eigenphase nears pi; the refinement guard reads the largest |eigenphase|.
 """
 
 from __future__ import annotations
@@ -30,13 +35,13 @@ from .errors import ComputationError, InputError, ResolutionError, integer
 from .generators import _rotations
 from .matrices import (DEFAULT_TOL, _by_entry_map, commutes_with_j, det_phase,
                        exp_i_hermitian, is_hermitian, is_symplectic, standard_j,
-                       symplectic_defect)
+                       step_eigenphases, symplectic_defect)
 
 # ``unitary_polar_factor`` is not called here; the binding stays because the
 # benchmark's tracer wraps ``symporder.maslov.unitary_polar_factor`` by name.
 from .matrices import unitary_polar_factor  # noqa: F401
 from .paths import (REFINEMENT_CAP, SampledPath, _plane_stack, extract_hamiltonian,
-                    pointwise_power, refine)
+                    pointwise_power, refine, unitary_step_phases)
 
 # refuse to trust per-step determinant increments this close to the aliasing
 # boundary at pi, and a refined grid whose largest increment is above this
@@ -63,8 +68,10 @@ class MaslovResult:
     rotation function rho (:func:`_rho_lift`), in radians, with no SVD and no
     logarithm.  ``value`` is exactly the float sum of ``per_step_increments``;
     ``max_step`` is the largest step the refinement guard read, strictly
-    below pi; ``refinements`` counts the doublings of X's grid and
-    ``n_samples`` is the size of the grid that was read.
+    below pi: on a path in U(n), n <= 2, the largest |eigenphase| of a
+    sample step, each increment being the sum of its step's eigenphases,
+    elsewhere the largest |increment|; ``refinements`` counts the doublings
+    of X's grid and ``n_samples`` is the size of the grid that was read.
     """
 
     value: float
@@ -95,10 +102,25 @@ def _unitary_factor_phase(mats: np.ndarray) -> np.ndarray:
     return det_phase(_by_entry_map(_two_complex_part, mats).view(complex)[..., 0])
 
 
-def _lift(path: SampledPath, phase) -> MaslovResult:
-    """Lift of the unit phases ``phase(path)`` of the samples.
+def _phase_steps(phases: np.ndarray) -> tuple[np.ndarray, float]:
+    """Principal-argument increments of the unit phases of the samples, and
+    their largest |value|."""
+    incs = np.angle(phases[1:] * np.conj(phases[:-1]))
+    return incs, float(np.abs(incs).max())
 
-    A principal-argument step within ``STEP_GUARD`` of pi doubles the grid
+
+def _eigenphase_steps(phases: np.ndarray) -> tuple[np.ndarray, float]:
+    """Increments of a path in U(n), n <= 2, read from its step eigenphases
+    (:func:`symporder.paths.unitary_step_phases`): each step's sum, and the
+    largest |eigenphase|."""
+    return phases.sum(axis=-1), float(np.abs(phases).max())
+
+
+def _lift(path: SampledPath, steps, first=None) -> MaslovResult:
+    """Lift of the increments ``steps(path)``, an (increments, largest step)
+    pair, ``first`` where that of ``path`` was read already.
+
+    A largest step within ``STEP_GUARD`` of pi doubles the grid
     (interpolating with local generators), up to ``REFINEMENT_CAP`` samples.
     A doubled grid whose largest step is above ``REFINE_SHRINK`` times the
     coarser grid's raises :class:`ResolutionError`: across a step near pi
@@ -107,10 +129,8 @@ def _lift(path: SampledPath, phase) -> MaslovResult:
     """
     previous = None
     refinements = 0
+    incs, max_step = steps(path) if first is None else first
     while True:
-        phases = phase(path)
-        incs = np.angle(phases[1:] * np.conj(phases[:-1]))
-        max_step = float(np.abs(incs).max())
         if previous is not None and max_step > REFINE_SHRINK * previous:
             raise ResolutionError(
                 f"refining to {path.n_samples} samples left the largest winding step "
@@ -127,12 +147,26 @@ def _lift(path: SampledPath, phase) -> MaslovResult:
         previous = max_step
         refinements += 1
         path = refine(path)
+        incs, max_step = steps(path)
+
+
+def _winding(path: SampledPath, phases: np.ndarray | None) -> MaslovResult:
+    """:func:`maslov_index` of a path whose step eigenphases
+    (:func:`symporder.paths.unitary_step_phases`) are ``phases``: their lift,
+    each refined grid read the same way, or for None the lift of arg det of
+    the unitary polar factor."""
+    if phases is None:
+        return _lift(path, lambda p: _phase_steps(_unitary_factor_phase(p.matrices)))
+    return _lift(path, lambda p: _eigenphase_steps(step_eigenphases(p.matrices)),
+                 _eigenphase_steps(phases))
 
 
 def maslov_index(path: SampledPath) -> MaslovResult:
     """Winding of arg det of the unitary polar factor along X, lifted by
-    :func:`_lift`."""
-    return _lift(path, lambda p: _unitary_factor_phase(p.matrices))
+    :func:`_lift`: on a path in U(n), n <= 2, the sum of its step
+    eigenphases, whose largest |value| the guard reads; on any other path
+    the steps of arg det of its unitary polar factor."""
+    return _winding(path, unitary_step_phases(path))
 
 
 def _rho_lift(path: SampledPath) -> MaslovResult:
@@ -164,7 +198,7 @@ def _rho_lift(path: SampledPath) -> MaslovResult:
         half_turns = np.count_nonzero(real & (lams.real < 0.0), axis=-1) // 2
         return np.exp(1j * (phase + np.pi * half_turns))
 
-    return _lift(path, rho)
+    return _lift(path, lambda p: _phase_steps(rho(p)))
 
 
 def maslov_via_trace(path: SampledPath) -> float:
@@ -184,18 +218,24 @@ def maslov_via_trace(path: SampledPath) -> float:
 
 
 def homogenize(path: SampledPath, k_max: int) -> np.ndarray:
-    """Sequence maslov(X^k)/k for k = 1..k_max: each winds the power path
-    X^k, lifted by :func:`_lift` on the grid of X, whose local generators
-    resolve where those of X^k may not.  It tends to the homogenized
-    winding that :func:`symporder.growth.mu_tilde` reads exactly.  A step of
-    X^k is read modulo 2 pi, so a value misses by whole turns, with no
-    error, where X^k turns by more than pi between samples: on U(n) where k
-    times X's step does, off U(n) also where X turns little (ROADMAP item 4).
+    """Sequence maslov(X^k)/k for k = 1..k_max, which tends to the
+    homogenized winding that :func:`symporder.growth.mu_tilde` reads exactly.
+
+    On a path whose samples commute with J (the endpoint tested first),
+    det(X^k) = det(X)^k, so maslov(X^k) = k maslov(X) and every entry is
+    maslov(X).  Any other path winds each power path X^k, lifted by
+    :func:`_lift` on the grid of X, whose local generators resolve where
+    those of X^k may not.  A step of X^k is read modulo 2 pi, so such a
+    value misses by whole turns, with no error, where X^k turns by more
+    than pi between samples while X turns little (ROADMAP item 4).
     """
     if integer(k_max, "k_max") < 1:
         raise InputError("k_max must be at least 1")
+    if commutes_with_j(path.matrices[-1]) and commutes_with_j(path.matrices):
+        return np.full(k_max, maslov_index(path).value)
     return np.array([
-        _lift(path, lambda p: _unitary_factor_phase(pointwise_power(p, k).matrices)).value / k
+        _lift(path, lambda p: _phase_steps(
+            _unitary_factor_phase(pointwise_power(p, k).matrices))).value / k
         for k in range(1, k_max + 1)])
 
 

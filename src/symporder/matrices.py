@@ -252,6 +252,61 @@ def det_phase(c: np.ndarray) -> np.ndarray:
     return phase.reshape(c.shape[:-2])
 
 
+# Largest complex dimension n at which :func:`step_eigenphases` reads the
+# eigenphases of unitary steps in closed form.  ``np.linalg.eigvals`` on a
+# 2049-sample U(4) step stack takes about 12 ms, against 0.7-1.2 ms for the
+# determinant winding of that path (BENCH_38.json), so unitary paths of
+# larger n keep the determinant winding and the finite-difference track.
+STEP_PHASE_MAX_N = 2
+
+
+def step_eigenphases(mats: np.ndarray) -> np.ndarray:
+    """Principal eigenphases, in (-pi, pi] and ascending, of each step
+    S_k = U_{k+1} U_k^H of a stack (N, 2n, 2n) of real forms of unitary
+    matrices U = A + iB, read from the left block column [[A], [B]] as
+    :func:`real_to_complex` reads it, for n <= ``STEP_PHASE_MAX_N``; an
+    (N - 1, n) array.
+
+    The phases come in closed form, each entry one numpy operation over all
+    steps with the sample axis last.  n = 1: theta = arg(u_{k+1} conj(u_k)).
+    n = 2: theta = phi / 2 -+ psi with phi = arg det S,
+    cos psi = Re(tr S e^(-i phi / 2)) / 2 and
+    sin psi = ||S - (tr S / 2) I||_F / sqrt(2), the traceless part read from
+    s00 - s11, s01 and s10, so that a step near a multiple of the identity
+    keeps the absolute precision of its entries; psi is the arctangent of
+    the two, so a step scaled by a positive factor keeps its phases.
+    """
+    n = _check_even_dim(mats)
+    if n > STEP_PHASE_MAX_N:
+        raise InputError(f"closed-form step eigenphases need n <= {STEP_PHASE_MAX_N}, got {n}")
+    u = np.empty((n, n, len(mats)), complex)
+    u.real = np.moveaxis(mats[:, :n, :n], 0, -1)
+    u.imag = np.moveaxis(mats[:, n:, :n], 0, -1)
+    nxt, cur = u[..., 1:], u[..., :-1].conj()
+    if n == 1:
+        s = nxt[0, 0] * cur[0, 0]
+        return np.arctan2(s.imag, s.real)[:, None]
+    s00, s01, s10, s11 = (nxt[i, 0] * cur[j, 0] + nxt[i, 1] * cur[j, 1]
+                          for i in (0, 1) for j in (0, 1))
+    del u, nxt, cur  # the samples die once the steps are formed
+    det = s00 * s11 - s01 * s10
+    half = np.arctan2(det.imag, det.real)
+    half *= 0.5
+    tr, gap = s00 + s11, s00 - s11
+    cos = tr.real * np.cos(half) + tr.imag * np.sin(half)
+    cos *= 0.5
+    sin = np.sqrt(0.25 * (gap.real ** 2 + gap.imag ** 2)
+                  + 0.5 * (s01.real ** 2 + s01.imag ** 2 + s10.real ** 2 + s10.imag ** 2))
+    psi = np.arctan2(sin, cos)
+    lo, hi = half - psi, half + psi  # lo in [-3 pi / 2, pi / 2], hi in (-pi / 2, 3 pi / 2]
+    lo[lo <= -np.pi] += 2.0 * np.pi
+    hi[hi > np.pi] -= 2.0 * np.pi  # at most one of the two wraps
+    out = np.empty((len(half), 2))
+    np.minimum(lo, hi, out=out[:, 0])
+    np.maximum(lo, hi, out=out[:, 1])
+    return out
+
+
 def positive_definite(h: np.ndarray, shift: float = 0.0) -> bool:
     """True when every H - shift I of a real stack (..., m, m) is positive
     definite, read from its lower triangle.

@@ -27,14 +27,21 @@ Integer powers of samples and of generator-carrying staircase atoms share one
 repeated-squaring routine, :func:`binary_powers`, which forms several powers
 of one base from a single pass of squarings.
 
-Cone membership is decided two ways.  A yes/no verdict comes from one
-Cholesky factorization of the whole shifted generator stack,
+A path in U(n), n <= 2 (its samples commute with J, the endpoint tested
+first), takes no finite differences: :func:`unitary_step_phases` reads the
+eigenphases theta of each step U_{k+1} U_k^H in closed form
+(:func:`symporder.matrices.step_eigenphases`), and theta / dt is the
+generator of the one-parameter interpolant through the two samples, for the
+midpoint integrator's paths its own path.  Its margin is min theta / dt
+(:func:`min_generator_eigenvalue`, :func:`classify_cone`, :func:`order_leq`).
+
+On any other path cone membership is decided two ways.  A yes/no verdict
+comes from one Cholesky factorization of the whole shifted generator stack,
 :func:`symporder.matrices.positive_definite` (a sample-axis kernel up to
 dimension 8 on stacks of at least 512 matrices, LAPACK otherwise); a margin
-comes from ``eigvalsh`` (:func:`min_generator_eigenvalue`,
-:func:`classify_cone`, :func:`order_leq`).
-The two tests agree except inside a rounding band of about n^2 eps ||H||
-around the threshold, for either Cholesky route.
+comes from ``eigvalsh`` of the track.  The two tests agree except inside a
+rounding band of about n^2 eps ||H|| around the threshold, for either
+Cholesky route.
 """
 
 from __future__ import annotations
@@ -45,8 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, InputError, integer
-from .matrices import (DEFAULT_TOL, _by_entry_map, _check_even_dim, is_symplectic,
-                       matrix_exp, standard_j, symplectic_defect, symplectic_inverse)
+from .matrices import (DEFAULT_TOL, STEP_PHASE_MAX_N, _by_entry_map, _check_even_dim,
+                       commutes_with_j, is_symplectic, matrix_exp, standard_j,
+                       step_eigenphases, symplectic_defect, symplectic_inverse)
 
 # Classification tolerance: FD-extracted generators carry O(dt^2) noise, so
 # the cone test uses a comfortably wider dead band than the structural checks.
@@ -134,11 +142,14 @@ class ConeStatus(enum.Enum):
 class ConeVerdict:
     """Outcome of testing a path against the nonnegative-generator cone.
 
-    It holds the evidence, ``min_eigenvalue`` (the least eigenvalue of H(t_k)
-    over the samples) and the dead band ``tol``; ``status`` reads the verdict
-    off them: ``dominant`` needs min >= +tol, ``semipositive`` min >= -tol
-    (roundoff keeps the identity path in the cone), and ``negative``
-    refutes the canonical representative.
+    It holds the evidence, ``min_eigenvalue`` (the least generator
+    eigenvalue, :func:`min_generator_eigenvalue`: on a path in U(n), n <= 2,
+    the least step eigenphase over dt, else the least eigenvalue of the
+    finite-difference track H(t_k) over the samples) and the dead band
+    ``tol``; ``status`` reads the verdict off them: ``dominant`` needs
+    min >= +tol, ``semipositive`` min >= -tol (roundoff keeps the identity
+    path in the cone), and ``negative`` refutes the canonical
+    representative.
     """
 
     min_eigenvalue: float
@@ -367,9 +378,31 @@ def _plane_stack(n_samples: int, n: int, planes: dict) -> np.ndarray:
     return mats
 
 
+def unitary_step_phases(path: SampledPath) -> np.ndarray | None:
+    """Step eigenphases (:func:`symporder.matrices.step_eigenphases`) of a
+    path in U(n), n <= ``STEP_PHASE_MAX_N``: one whose samples commute with
+    J, the endpoint tested first.  None for any other path."""
+    if (path.half_dim > STEP_PHASE_MAX_N or not commutes_with_j(path.matrices[-1])
+            or not commutes_with_j(path.matrices)):
+        return None
+    return step_eigenphases(path.matrices)
+
+
+def _generator_margin(path: SampledPath, phases: np.ndarray | None) -> float:
+    """Least generator eigenvalue of a path whose step eigenphases are
+    ``phases``: min theta / dt over the steps, or, for None, over the
+    finite-difference track."""
+    if phases is None:
+        return float(np.linalg.eigvalsh(extract_hamiltonian(path)).min())
+    return float((phases[:, 0] / np.diff(path.times)).min())
+
+
 def min_generator_eigenvalue(path: SampledPath) -> float:
-    """Smallest eigenvalue of H(t_k) over all samples."""
-    return float(np.linalg.eigvalsh(extract_hamiltonian(path)).min())
+    """Smallest eigenvalue of the generator: on a path in U(n), n <= 2, of
+    the interpolant exp(i (t - t_k) h_k) U_k through each step, h_k the
+    step logarithm over dt (:func:`unitary_step_phases`); on any other path,
+    of H(t_k) over all samples."""
+    return _generator_margin(path, unitary_step_phases(path))
 
 
 def classify_cone(path: SampledPath, tol: float = CONE_TOL) -> ConeVerdict:

@@ -37,16 +37,18 @@ def test_each_workload_passes_its_check_under_the_tracer(name, tmp_path, monkeyp
     finally:
         tracer.uninstall()
     calls = tracer.times("ops")[2]
-    # the windings of X^k and the staircase's order-4 track are seen by name;
-    # the powers wound are of unitary paths, which form no power path
+    # the tracer sees the windings that ``maslov_index`` reads by name; a
+    # path in U(2) that ``growth`` reads winds from the step eigenphases of
+    # its dominance check, in its caller's span, and extracts no track
     if name == "winding":
-        assert calls["maslov.winding"] == 7
+        # the U(4) path and the Sp(8) path and its inverse
+        assert calls["maslov.winding"] == 3
         assert calls.get("paths.power", 0) == 0
     elif name == "staircase":
-        assert calls["paths.extract4"] == 1
+        assert calls.get("paths.extract4", 0) == 0
+        assert calls.get("maslov.winding", 0) == 0
     else:
-        # maslov, zcoord and synth-positive wind once each, and the gamma call
-        # of a unitary pair winds X and Y once each with no homogenized
-        # winding: zcoord's mu_tilde is the round's one
-        assert calls["maslov.winding"] == 5
-        assert calls["growth.mu_tilde"] == 1
+        # maslov and synth-positive wind once each; zcoord and the gamma
+        # call of a unitary pair read their windings from step eigenphases
+        assert calls["maslov.winding"] == 2
+        assert calls.get("growth.mu_tilde", 0) == 0

@@ -29,7 +29,8 @@ def test_estimate_arithmetic(loops):
 
 def test_ratio_estimate_rejects_zero_crossing_denominator(loops, monkeypatch):
     # a ratio's denominator, and each term of K, must be a positive winding
-    monkeypatch.setattr(growth, "mu_tilde", lambda path: -0.5 if path is loops[0] else 1.0)
+    monkeypatch.setattr(growth, "_mu_tilde",
+                        lambda path, phases: -0.5 if path is loops[0] else 1.0)
     for call in (growth.gamma_closed_symplectic, growth.pseudo_distance_k):
         with pytest.raises(ComputationError, match="homogenized winding of -0.5 is not positive"):
             call(*loops)
@@ -236,8 +237,9 @@ def test_unitary_staircase_probes_the_winding_floor_and_the_power_below(monkeypa
     monkeypatch.setattr(growth, "_endpoint_quanta", recorded)
     assert growth._staircase(x, y, ((64, 128),), paths.CONE_TOL)[:3] == (
         [98], [98], ["endpoint"])
-    # one dominance check on X (shift +tol); the endpoint probes 97 and 98
-    assert calls == [paths.CONE_TOL] and probes == [97, 98]
+    # X's dominance is read from its step eigenphases, with no Cholesky
+    # pass; the endpoint probes 97 and 98
+    assert calls == [] and probes == [97, 98]
 
 
 def _atom_counts(monkeypatch, x, y, rungs) -> tuple:
@@ -330,10 +332,10 @@ def test_the_canonical_probes_count_their_products(monkeypatch):
 
 
 def test_the_staircase_inverts_each_path_once(monkeypatch):
-    # a unitary pair inverts only X's samples, for the track of its
-    # dominance check; a pair off the unitary subgroup inverts X's again for
-    # its atom, and Y's for its track, from which Y^-1's atom is read off Y's
-    # own samples
+    # a pair in U(2) inverts no sample: its dominance check reads step
+    # eigenphases; a pair off the unitary subgroup inverts X's for its track
+    # and again for its atom, and Y's for its track, from which Y^-1's atom
+    # is read off Y's own samples
     inverted = []
     invert = paths.symplectic_inverse
 
@@ -344,20 +346,21 @@ def test_the_staircase_inverts_each_path_once(monkeypatch):
     for module in (paths, growth):
         monkeypatch.setattr(module, "symplectic_inverse", counted)
     for (x, y), (n, p_max, want), shapes in (
-            (_power_pair(3, 2049, BENCH_R), (64, 128, 98), [(2049, 4, 4)]),
+            (_power_pair(3, 2049, BENCH_R), (64, 128, 98), []),
             (_golden_pair(), (1, 9, 1), [(257, 2, 2)] * 3)):
         inverted.clear()
         assert growth.gamma_n_bruteforce(x, y, n, p_max) == want
         assert inverted == shapes
 
 
-def test_windings_and_tracks_go_through_the_public_names(loops, monkeypatch):
-    # a winding is one ``maslov_index(X)`` call, a power that ``homogenize``
-    # winds one ``pointwise_power(X, k)`` call and a staircase track one
+def test_windings_and_tracks_go_through_the_public_names(monkeypatch):
+    # a power that ``homogenize`` winds off U(n) is one
+    # ``pointwise_power(X, k)`` call, its winding on U(n) one
+    # ``maslov_index(X)`` call, and a staircase track above U(2) one
     # ``extract_hamiltonian(X, order)`` call, through the module bindings
     # that the benchmark's tracer wraps
-    calls = {"growth.maslov_index": [], "maslov.maslov_index": [],
-             "maslov.pointwise_power": [], "growth.extract_hamiltonian": []}
+    calls = {"maslov.maslov_index": [], "maslov.pointwise_power": [],
+             "growth.extract_hamiltonian": []}
 
     def recorded(name, fn):
         def call(path, *args):
@@ -369,19 +372,40 @@ def test_windings_and_tracks_go_through_the_public_names(loops, monkeypatch):
         module, attr = name.split(".")
         module = {"growth": growth, "maslov": maslov}[module]
         monkeypatch.setattr(module, attr, recorded(name, getattr(module, attr)))
-    x, y = loops
-    growth.pseudo_distance_k(x, y)
-    growth.z_coordinate(x)
-    growth.z_coordinate(y)
-    assert calls["growth.maslov_index"] == [()] * 4
-    maslov.homogenize(x, 3)
+    maslov.homogenize(maslov.positive_path_to(np.diag([2.0, 0.5]), 257), 3)
     assert calls["maslov.pointwise_power"] == [(1,), (2,), (3,)]
     assert calls["maslov.maslov_index"] == []
-    calls["growth.maslov_index"].clear()
-    calls["growth.extract_hamiltonian"].clear()
-    assert growth.gamma_n_bruteforce(*_power_pair(3, 2049, BENCH_R), 64, 128) == 98
+    # a path that commutes with J winds once for every k, with no power path
+    x, y = (gen.unitary_loop([m] * 3, n_samples=513) for m in (1, 2))
+    assert maslov.homogenize(x, 3).tolist() == [maslov.maslov_index(x).value] * 3
+    assert calls["maslov.pointwise_power"] == [(1,), (2,), (3,)]
+    assert calls["maslov.maslov_index"] == [(), ()]
+    assert growth.gamma_n_bruteforce(x, y, 4, 12) == 8
     assert calls["growth.extract_hamiltonian"] == [(4,)]
-    assert calls["growth.maslov_index"] == [(), ()]
+
+
+def test_a_pair_in_u2_extracts_no_generator_track(monkeypatch):
+    # the dominance checks of the staircase and of the closed forms read
+    # the step eigenphases of a path in U(1) or U(2), never a
+    # finite-difference track
+    tracks = []
+    extract = paths.extract_hamiltonian
+
+    def counted(*args, **kwargs):
+        tracks.append(args[1:])
+        return extract(*args, **kwargs)
+
+    for module in (paths, growth):
+        monkeypatch.setattr(module, "extract_hamiltonian", counted)
+    x, y = _power_pair(3, 2049, BENCH_R)
+    assert growth.gamma_n_bruteforce(x, y, 64, 128) == 98
+    growth._require_dominant_pair(x, y, paths.CONE_TOL)
+    growth.pseudo_distance_k(gen.rotation_loop(1, 129), gen.rotation_loop(2, 129))
+    assert tracks == []
+    # a path off U(n) still takes its track
+    growth._require_dominant(maslov.positive_path_to(np.diag([2.0, 0.5]), 257),
+                             paths.CONE_TOL, "X")
+    assert tracks == [()]
 
 
 def test_growth_estimate_tests_each_path_for_unitarity_once(loops, monkeypatch):
@@ -412,7 +436,7 @@ def test_growth_estimate_takes_no_homogenized_winding_with_p_max(monkeypatch):
     est = growth.growth_estimate(x, y, ns=(8, 64), p_max=200)
     assert calls == []
     assert est == growth.GrowthEstimate(
-        ns=(8, 64), gamma_ns=(8, 61), closed_form=0.9277963892236493, floors=(8, 60),
+        ns=(8, 64), gamma_ns=(8, 61), closed_form=0.9277963892236494, floors=(8, 60),
         certificates=("endpoint", "endpoint"))
     assert est.limit_estimate == growth.Estimate(0.953125, 0.9375, 0.953125)
     assert growth.growth_estimate(x, y, ns=(8, 64)) == est and calls == []
@@ -482,7 +506,8 @@ def test_endpoint_phases_off_the_winding_are_an_error(loops, monkeypatch):
     # a whole number of 2 pi quanta at every power
     windings = growth._unitary_windings
     monkeypatch.setattr(growth, "_unitary_windings",
-                        lambda x, y: (windings(x, y)[0] + 0.1, windings(x, y)[1]))
+                        lambda x, y, phases: (windings(x, y, phases)[0] + 0.1,
+                                              windings(x, y, phases)[1]))
     with pytest.raises(ComputationError, match=r"X\^7 Y\^-4 miss its winding by 7\.000e-01"):
         growth.gamma_n_bruteforce(*loops, 4, 12)
 
@@ -596,7 +621,7 @@ def test_the_staircase_refuses_a_negative_n_or_p_max(loops):
 
 
 def test_log_estimate_refuses_an_interval_reaching_zero(loops, monkeypatch):
-    monkeypatch.setattr(growth, "mu_tilde", lambda path: 0.0)
+    monkeypatch.setattr(growth, "_mu_tilde", lambda path, phases: 0.0)
     with pytest.raises(ComputationError, match="homogenized winding of 0 is not positive"):
         growth.z_coordinate(loops[0])
 
@@ -640,15 +665,17 @@ def test_the_default_range_of_a_unitary_pair_is_one_scan_of_two_windings(monkeyp
     x = gen.diagonal_unitary_path(np.outer(t, [0.25, 0.25]), t)
     y = gen.diagonal_unitary_path(np.outer(t, [2.0198, 1.0284]), t)
     staircase = mock.Mock(side_effect=growth._staircase)
-    windings = mock.Mock(side_effect=growth.maslov_index)
+    windings = mock.Mock(side_effect=growth._winding)
     homogenized = mock.Mock(side_effect=growth.mu_tilde)
     monkeypatch.setattr(growth, "_staircase", staircase)
-    monkeypatch.setattr(growth, "maslov_index", windings)
+    monkeypatch.setattr(growth, "_winding", windings)
     monkeypatch.setattr(growth, "mu_tilde", homogenized)
     est = growth.growth_estimate(x, y)
     assert est.gamma_ns == (9, 17, 33, 59, 105, 208, 392)
     assert staircase.call_count == 1 and homogenized.call_count == 0
-    assert [call.args[1:] for call in windings.call_args_list] == [(), ()]
+    # each winding reads the step eigenphases of X's dominance check or Y's
+    assert [call.args[0].n_samples for call in windings.call_args_list] == [513, 513]
+    assert all(call.args[1].shape == (512, 2) for call in windings.call_args_list)
 
 
 def _unitary_pair(seed: int, source: str):

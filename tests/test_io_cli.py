@@ -741,7 +741,9 @@ def test_cli_gamma_reports_are_golden(tmp_path, capsys):
 
 
 def test_cli_reports_fed_by_extraction_and_winding_are_golden(tmp_path, capsys):
-    # the pairs of the golden gamma test; every field is pinned bit for bit
+    # the pairs of the golden gamma test; every field is pinned bit for bit.
+    # On the unitary ux and uy, min_eigenvalue is the least step-logarithm
+    # generator and max_step the largest |step eigenphase|
     ux, uy, px, py = (str(tmp_path / f"{name}.json") for name in ("ux", "uy", "px", "py"))
     x, y, _ = gen.commuting_unitary_pair(2, np.random.default_rng(3), 257)
     io.save_path(x, ux)
@@ -751,11 +753,11 @@ def test_cli_reports_fed_by_extraction_and_winding_are_golden(tmp_path, capsys):
     target = _write_doc(tmp_path, "target.json", {"dim": 2, "matrix": [2.0, 0.0, 0.0, 0.5]})
     synth = str(tmp_path / "synth.json")
     cases = (
-        (["cone", ux], {"certifies": True, "min_eigenvalue": 1.302215249998321,
+        (["cone", ux], {"certifies": True, "min_eigenvalue": 1.3022208659350554,
                         "status": "dominant", "tol": 1e-06}),
         (["cone", px], {"certifies": True, "min_eigenvalue": 7.8328348200171805,
                         "status": "dominant", "tol": 1e-06}),
-        (["order", ux, uy], {"certifies": True, "min_eigenvalue": 0.4059576988103269,
+        (["order", ux, uy], {"certifies": True, "min_eigenvalue": 0.40595786895236224,
                              "status": "dominant", "tol": 1e-06}),
         (["order", px, py], {"certifies": True, "min_eigenvalue": 7.054474566056908,
                              "status": "dominant", "tol": 1e-06}),
@@ -763,7 +765,7 @@ def test_cli_reports_fed_by_extraction_and_winding_are_golden(tmp_path, capsys):
             "endpoint_error": 6.123233995736765e-16,
             "min_generator_eigenvalue": 7.8328348200171805, "samples": 257,
             "winding": 12.566370614359172, "winding_budget": 12.566370614359172}),
-        (["maslov", ux], {"max_step": 0.02967223104239914, "turns": 0.944546078508443,
+        (["maslov", ux], {"max_step": 0.015119226590100423, "turns": 0.944546078508443,
                           "value": 5.934758042438345}),
         (["maslov", px], {"max_step": 0.04908738521234225, "turns": 2.0,
                           "value": 12.566370614359172}),
@@ -771,8 +773,8 @@ def test_cli_reports_fed_by_extraction_and_winding_are_golden(tmp_path, capsys):
                           "upper": 1.7808262593179345}),
         (["zcoord", px], {"coordinate": 2.5310242469692907, "lower": 2.5310242469692907,
                           "upper": 2.5310242469692907}),
-        (["kdist", ux, uy], {"lower": 0.37359255095324695, "upper": 0.37359255095324695,
-                             "value": 0.37359255095324695}),
+        (["kdist", ux, uy], {"lower": 0.3735925509532468, "upper": 0.3735925509532468,
+                             "value": 0.3735925509532468}),
         (["kdist", px, py], {"lower": 1.432411958301181, "upper": 1.432411958301181,
                              "value": 1.432411958301181}),
     )

@@ -160,13 +160,25 @@ def test_powers_of_a_non_unitary_path_wind_the_power_path():
 
 
 def test_homogenize_refines_the_grid_of_x_not_that_of_its_power():
-    # the 64th power of a 129-sample loop turns by pi per step: its own
-    # generators read sin(pi) / dt = 0 there and cannot refine it, while one
-    # doubling of X's grid halves the step
+    # the 64th power of a 129-sample loop, conjugated off U(1), turns by
+    # about pi per step: its own generators read sin(pi) / dt = 0 there and
+    # cannot refine it, while one doubling of X's grid halves the step
     loop = gen.rotation_loop(1, 129)
-    assert maslov.homogenize(loop, 64)[-1] == pytest.approx(TWO_PI, abs=1e-9)
+    p = np.diag([1.2, 1 / 1.2])
+    x = paths.SampledPath(loop.times, p @ loop.matrices @ np.linalg.inv(p))
+    assert maslov.homogenize(x, 64)[-1] == pytest.approx(TWO_PI, abs=1e-9)
     with pytest.raises(ResolutionError):
-        maslov.maslov_index(paths.pointwise_power(loop, 64))
+        maslov.maslov_index(paths.pointwise_power(x, 64))
+
+
+def test_homogenize_of_a_path_in_u_n_is_its_winding_at_every_k():
+    # det(X^k) = det(X)^k on U(n): the power path of the 129-sample loop
+    # turns by more than pi per step from k = 65 on, where winding it read
+    # -0.969 turns at k = 65 and -0.6 at k = 80
+    loop = gen.rotation_loop(1, 129)
+    seq = maslov.homogenize(loop, 80)
+    assert seq.tolist() == [maslov.maslov_index(loop).value] * 80
+    assert seq[-1] == pytest.approx(TWO_PI, abs=1e-12)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 4: off U(n) the winding of a power path "

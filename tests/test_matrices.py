@@ -539,3 +539,88 @@ def test_matrix_exp_holds_seven_stacks_at_degree_13():
     a = _lie_algebra_stack(rng, 4, ["dense"] * 2048, theta * rng.uniform(1.2, 7.0, 2048))
     assert _out_of_place_exp(a)[1] == 13
     assert peak_stacks(lambda: matrices.matrix_exp(a), a) < 7.5
+
+
+STEP_KINDS = ("generic", "degenerate", "near_pi")
+
+
+def _step_chain(seed: int, n: int, kinds: list, off: float) -> np.ndarray:
+    """Complex samples U_0 = I, U_{k+1} = exp(i h_k) U_k, one step h_k per
+    entry of ``kinds``: "generic" (eigenvalues in [-3, 3]), "degenerate"
+    (c I + 1e-14 B) or "near_pi" (eigenvalues within 0.02 of +-pi), in a
+    random eigenbasis; ``off`` adds complex noise of that size to every
+    sample after the first, taking it off U(n)."""
+    rng = np.random.default_rng(seed)
+    samples = [np.eye(n, dtype=complex)]
+    for kind in kinds:
+        v = generators.random_unitary_matrix(n, rng)
+        if kind == "generic":
+            w = rng.uniform(-3.0, 3.0, n)
+        elif kind == "degenerate":
+            w = rng.uniform(-3.0, 3.0) + 1e-14 * rng.normal(size=n)
+        else:
+            w = rng.choice([-1.0, 1.0], n) * (np.pi - rng.uniform(1e-6, 0.02, n))
+        samples.append(((v * np.exp(1j * w)) @ v.conj().T) @ samples[-1])
+    u = np.array(samples)
+    u[1:] += off * (rng.normal(size=u[1:].shape) + 1j * rng.normal(size=u[1:].shape))
+    return u
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]),
+       st.lists(st.sampled_from(STEP_KINDS), min_size=1, max_size=400),
+       st.sampled_from([0.0, 1e-10]))
+def test_step_eigenphases_are_the_sorted_eigenvalue_angles(seed, n, kinds, off):
+    # a step S_k = U_{k+1} U_k^H read in closed form against LAPACK's
+    # eigenvalues of S_k.  Off U(n) the two are different readings of a
+    # non-normal step: they agree to second order in the defect where the
+    # eigenvalues are apart (to 2e-15 at a gap of 1e-4 and a defect of
+    # 1e-10), and within the defect where they nearly coincide (5e-10)
+    u = _step_chain(seed, n, kinds, off)
+    phases = matrices.step_eigenphases(matrices.complex_to_real(u))
+    steps = u[1:] @ np.swapaxes(u[:-1].conj(), -1, -2)
+    want = np.sort(np.angle(np.linalg.eigvals(steps)), axis=1)
+    assert phases.shape == (len(kinds), n)
+    assert np.all((phases > -np.pi) & (phases <= np.pi))
+    miss = np.abs(phases - want).max(axis=1)
+    close = np.zeros(len(kinds), bool)
+    if off and n == 2:
+        close = np.abs(np.exp(1j * want[:, 1]) - np.exp(1j * want[:, 0])) < 1e-4
+    assert miss[~close].max(initial=0.0) <= 1e-13
+    assert miss[close].max(initial=0.0) <= 10 * off
+
+
+def _offset_generator(seed: int, n: int):
+    """t -> offset I + the modes of ``random_hermitian_generator``, each of
+    spectral norm 2; an offset in (3, 5) keeps the winding above n."""
+    rng = np.random.default_rng(seed)
+    offset, h = rng.uniform(3.0, 5.0), generators.random_hermitian_generator(n, rng)
+    return lambda t: offset * np.eye(n) + h(t)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]), st.integers(65, 2049))
+def test_step_margin_and_winding_of_integrated_unitary_paths(seed, n, n_samples):
+    # each step of the midpoint integrator is exp(i dt h(t_mid)): the margin
+    # read from the steps is the least eigenvalue of h at the midpoints, and
+    # the eigenphase winding is the determinant winding
+    h = _offset_generator(seed, n)
+    path = generators.unitary_path_from_generator(h, n, n_samples)
+    mids = 0.5 * (path.times[1:] + path.times[:-1])
+    truth = np.linalg.eigvalsh(np.broadcast_to(h(mids[:, None, None]), (len(mids), n, n))).min()
+    assert abs(paths.min_generator_eigenvalue(path) - truth) <= 1e-10
+    value = maslov.maslov_index(path).value
+    assert abs(value - maslov._winding(path, None).value) <= 1e-12 * abs(value)
+
+
+def test_step_eigenphases_hold_under_two_stacks():
+    # the complex samples and their conjugates until the steps are formed,
+    # then the four step entries and their scalar temporaries: about 1.8
+    # path sizes on a U(2) path of 2049 samples
+    path = generators.unitary_path_from_generator(_offset_generator(3, 2), 2, 2049)
+    assert peak_stacks(lambda: matrices.step_eigenphases(path.matrices), path.matrices) < 2.3
+
+
+def test_step_eigenphases_refuse_n_above_2():
+    with pytest.raises(InputError, match="n <= 2"):
+        matrices.step_eigenphases(np.broadcast_to(np.eye(6), (3, 6, 6)))
