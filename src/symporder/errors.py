@@ -13,7 +13,7 @@ class ComputationError(RuntimeError):
 
 
 class ResolutionError(ComputationError):
-    """Raised when grid refinement hits its cap before winding steps resolve."""
+    """Raised when a path's samples cannot resolve its winding or its steps."""
 
 
 # an error quotes a longer token by this many characters and its length

@@ -12,10 +12,10 @@ log gamma(g, f))`` is a pseudo-distance, and ``log`` of the homogenized
 winding realizes the quotient metric space as the real line.  The closed
 forms are points: :func:`mu_tilde` reads the homogenized winding exactly.
 
-A path in U(n), n <= 2, is read once, through the closed-form eigenphases of
-its steps (:func:`symporder.paths.unitary_step_phases`): their least value
-over dt decides its dominance and their sum is its winding, with no
-finite-difference track.  Any other path is checked on its track.
+A path in U(n), n <= 2, is read once per call, through the closed-form
+eigenphases of its steps (:func:`symporder.paths.unitary_step_phases`): their
+least value over dt decides its dominance and their sum is its winding, with
+no finite-difference track.  Any other path is checked on its track.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ from .paths import (
     classify_cone,
     extract_hamiltonian,
     is_uniform_grid,
+    is_unitary,
     unitary_step_phases,
 )
-from .matrices import (STEP_PHASE_MAX_N, commutes_with_j, positive_definite, real_to_complex,
-                       step_eigenphases, symplectic_inverse)
+from .matrices import positive_definite, real_to_complex, symplectic_inverse
 
 GROWTH_NS = (1, 2, 4, 8, 16, 32, 64)
 
@@ -67,25 +67,23 @@ def _positive(mu: float) -> float:
 
 def mu_tilde(path: SampledPath) -> float:
     """Homogenized winding lim maslov(X^k) / k of a path, read exactly and
-    with no power path: maslov(X) where the samples commute with J (the
-    endpoint tested first), since the winding is a homomorphism of the
-    universal cover of U(n), else the lift of the rotation function rho over
-    every stored sample (:func:`symporder.maslov._rho_lift`)."""
+    with no power path: maslov(X) on a path in U(n), since the winding is a
+    homomorphism of its universal cover, else the lift of the rotation
+    function rho over every stored sample (:func:`symporder.maslov._rho_lift`)."""
     return _mu_tilde(path, unitary_step_phases(path))
 
 
-def _mu_tilde(path: SampledPath, phases: np.ndarray | None) -> float:
-    """:func:`mu_tilde` of a path whose step eigenphases are ``phases``
-    (:func:`symporder.paths.unitary_step_phases`)."""
-    if phases is not None or (commutes_with_j(path.matrices[-1])
-                              and commutes_with_j(path.matrices)):
-        return _winding(path, phases).value
+def _mu_tilde(path: SampledPath, steps: tuple | None) -> float:
+    """:func:`mu_tilde` of a path whose
+    :func:`symporder.paths.unitary_step_phases` are ``steps``."""
+    if steps is not None or is_unitary(path):
+        return _winding(path, steps).value
     return _rho_lift(path).value
 
 
-def _require_dominant(path: SampledPath, tol: float, who: str) -> np.ndarray | None:
+def _require_dominant(path: SampledPath, tol: float, who: str) -> tuple | None:
     """Refuse a path that ``classify_cone`` does not call dominant; return
-    its step eigenphases (:func:`symporder.paths.unitary_step_phases`).
+    its :func:`symporder.paths.unitary_step_phases`.
 
     A path in U(n), n <= 2, is classified by its step eigenphases.  On any
     other path a Cholesky pass over the shifted generator stack
@@ -94,28 +92,28 @@ def _require_dominant(path: SampledPath, tol: float, who: str) -> np.ndarray | N
     its eigenvalue and keeps ``classify_cone``'s verdict inside the rounding
     band.
     """
-    phases = unitary_step_phases(path)
-    if phases is None and positive_definite(extract_hamiltonian(path), tol):
+    steps = unitary_step_phases(path)
+    if steps is None and positive_definite(extract_hamiltonian(path), tol):
         return None
-    verdict = ConeVerdict(_generator_margin(path, phases), tol)
+    verdict = ConeVerdict(_generator_margin(path, steps), tol)
     if verdict.status is not ConeStatus.DOMINANT:
         raise InputError(f"{who} must be dominant, got {verdict.status.value} "
                          f"(min generator eigenvalue {verdict.min_eigenvalue:.3e})")
-    return phases
+    return steps
 
 
-def _unitary_windings(x: SampledPath, y: SampledPath, phases: tuple) -> tuple[float, float]:
+def _unitary_windings(x: SampledPath, y: SampledPath, steps: tuple) -> tuple[float, float]:
     """(maslov(X), maslov(Y)) of a unitary pair with step eigenphases
-    ``phases`` (None above n = 2), X's positive."""
-    mx = _winding(x, phases[0]).value
+    ``steps`` (None above n = 2), X's positive."""
+    mx = _winding(x, steps[0]).value
     if mx <= 0.0:
         raise InputError("maslov index of X must be positive")
-    return mx, _winding(y, phases[1]).value
+    return mx, _winding(y, steps[1]).value
 
 
 def _require_dominant_pair(x: SampledPath, y: SampledPath, tol: float) -> tuple:
     """Check the dimensions, then X, then Y, for dominance; return their
-    step eigenphases."""
+    :func:`symporder.paths.unitary_step_phases`."""
     if x.dim != y.dim:
         raise InputError("paths must share a dimension")
     return _require_dominant(x, tol, "X"), _require_dominant(y, tol, "Y")
@@ -258,17 +256,18 @@ def gamma_n_bruteforce(x: SampledPath, y: SampledPath, n: int, p_max: int) -> in
     return _staircase(x, y, ((n, integer(p_max, "p_max")),), CONE_TOL)[0][0]
 
 
-def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
+def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float, read=None) -> tuple:
     """(gamma_ns, floors, certificates, ratio) of one pair, one entry of each
     list per (n, p_max) rung; ``floors`` and ``certificates`` are those of
     :class:`GrowthEstimate`.
 
-    The grids are aligned and X's dominance checked once.  This is the one
-    place that tests the aligned pair for unitarity.  A pair in U(n),
-    n <= 2, reads the step eigenphases of X and Y once: X's least one over
-    dt is its dominance margin, and their sums are the windings.  Any other
-    pair is checked on X's staircase track by one Cholesky factorization of
-    H_X - tol I, no eigenvalue (:func:`matrices.positive_definite`).  A
+    The grids are aligned and X's dominance checked once.  A pair in U(n),
+    n <= 2, reads the step eigenphases of X and Y once (``read``, those of
+    the pair as passed, where :func:`align_grids` leaves it as it is): X's
+    least one over dt is its dominance margin, and their sums are the
+    windings.  Any other pair is checked on X's staircase track by one
+    Cholesky factorization of H_X - tol I, no eigenvalue
+    (:func:`matrices.positive_definite`).  A
     unitary pair has the ratio maslov(Y) / maslov(X), and each rung its
     winding floor L_n (:func:`_winding_floor`), from which the endpoint
     certificate scans upward, clipped to [-p_max, p_max]
@@ -288,19 +287,19 @@ def _staircase(x: SampledPath, y: SampledPath, rungs, tol: float) -> tuple:
         raise InputError("paths must share a dimension")
     given, default = (x, y), rungs[-1][1] is None
     x, y = align_grids(x, y)
-    unitary = commutes_with_j(x.matrices) and commutes_with_j(y.matrices)
-    phases = ((step_eigenphases(x.matrices), step_eigenphases(y.matrices))
-              if unitary and x.half_dim <= STEP_PHASE_MAX_N else (None, None))
+    steps = (read if read is not None and x is given[0] and y is given[1]
+             else (unitary_step_phases(x), unitary_step_phases(y)))
+    unitary = all(s is not None or is_unitary(a) for a, s in zip((x, y), steps))
     x_atoms = None if unitary else _atoms(x)
-    if phases[0] is not None:
-        dominant = ConeVerdict(_generator_margin(x, phases[0]), tol).status is ConeStatus.DOMINANT
+    if steps[0] is not None:
+        dominant = ConeVerdict(_generator_margin(x, steps[0]), tol).status is ConeStatus.DOMINANT
     else:
         dominant = positive_definite(_staircase_hams(x) if unitary else x_atoms[0].hams, tol)
     if not dominant:
         raise InputError("X must be dominant for the staircase search")
     ratio = None
     if unitary:
-        windings = mx, my = _unitary_windings(x, y, phases)
+        windings = mx, my = _unitary_windings(x, y, steps)
         ratio = my / mx
         ends = real_to_complex(x.endpoint), real_to_complex(y.endpoint)
         fold = max(tol, ENDPOINT_FOLD)
@@ -520,8 +519,8 @@ def growth_estimate(x: SampledPath, y: SampledPath, ns=GROWTH_NS,
     for n in ns:
         if integer(n, "staircase index n") < 1:
             raise InputError(f"staircase index n must be at least 1, got n={n}")
-    _require_dominant_pair(x, y, tol)
-    gamma_ns, floors, certificates, ratio = _staircase(x, y, [(n, p_max) for n in ns], tol)
+    read = _require_dominant_pair(x, y, tol)
+    gamma_ns, floors, certificates, ratio = _staircase(x, y, [(n, p_max) for n in ns], tol, read)
     if gamma_ns[-1] is None:  # with p_max; a default last rung raised in the staircase
         raise _no_power(ns[-1], p_max)
     if ratio is None:

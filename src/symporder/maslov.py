@@ -20,9 +20,9 @@ unit pivots of a pivoted elimination run over all samples at once (on
 stacks of at least 512 samples; shorter ones take LAPACK's ``slogdet``).
 
 A path in U(n), n <= 2, winds by the sum of the eigenphases of its steps
-U_{k+1} U_k^H (:func:`symporder.paths.unitary_step_phases`), which equals the
-determinant step wherever that is below pi and aliases only where one
-eigenphase nears pi; the refinement guard reads the largest |eigenphase|.
+U_{k+1} U_k^H (:func:`symporder.paths.unitary_step_phases`, which refuses a
+step within ``STEP_GUARD`` of pi), the determinant step wherever that is below
+pi; no refinement resolves such a step, so these paths are never refined.
 """
 
 from __future__ import annotations
@@ -33,20 +33,17 @@ import numpy as np
 
 from .errors import ComputationError, InputError, ResolutionError, integer
 from .generators import _rotations
-from .matrices import (DEFAULT_TOL, _by_entry_map, commutes_with_j, det_phase,
-                       exp_i_hermitian, is_hermitian, is_symplectic, standard_j,
-                       step_eigenphases, symplectic_defect)
+from .matrices import (DEFAULT_TOL, _by_entry_map, det_phase, exp_i_hermitian,
+                       is_hermitian, is_symplectic, standard_j, symplectic_defect)
 
 # ``unitary_polar_factor`` is not called here; the binding stays because the
 # benchmark's tracer wraps ``symporder.maslov.unitary_polar_factor`` by name.
 from .matrices import unitary_polar_factor  # noqa: F401
-from .paths import (REFINEMENT_CAP, SampledPath, _plane_stack, extract_hamiltonian,
-                    pointwise_power, refine, unitary_step_phases)
+from .paths import (REFINEMENT_CAP, STEP_GUARD, SampledPath, _plane_stack, extract_hamiltonian,
+                    is_unitary, pointwise_power, refine, unitary_step_phases)
 
-# refuse to trust per-step determinant increments this close to the aliasing
-# boundary at pi, and a refined grid whose largest increment is above this
-# share of the coarser grid's: a resolving refinement about halves it
-STEP_GUARD = 1e-2
+# refuse a refined grid whose largest increment is above this share of the
+# coarser grid's: a resolving refinement about halves it
 REFINE_SHRINK = 0.75
 # ``redistribute_eigenvalues``: how far a target may sit below 2*pi*n, the
 # width below which a reduced eigenvalue folds to 2*pi, how far the trace
@@ -67,11 +64,11 @@ class MaslovResult:
     """Winding of the determinant of the unitary polar factor, or lift of the
     rotation function rho (:func:`_rho_lift`), in radians, with no SVD and no
     logarithm.  ``value`` is exactly the float sum of ``per_step_increments``;
-    ``max_step`` is the largest step the refinement guard read, strictly
-    below pi: on a path in U(n), n <= 2, the largest |eigenphase| of a
-    sample step, each increment being the sum of its step's eigenphases,
-    elsewhere the largest |increment|; ``refinements`` counts the doublings
-    of X's grid and ``n_samples`` is the size of the grid that was read.
+    ``max_step`` is the largest step the guard read, below pi - STEP_GUARD:
+    on a path in U(n), n <= 2, the largest |eigenphase| of a sample step,
+    each increment being the sum of its step's eigenphases, elsewhere the
+    largest |increment|; ``refinements`` counts the doublings of X's grid
+    (none in U(n), n <= 2) and ``n_samples`` is the size of the grid read.
     """
 
     value: float
@@ -109,16 +106,8 @@ def _phase_steps(phases: np.ndarray) -> tuple[np.ndarray, float]:
     return incs, float(np.abs(incs).max())
 
 
-def _eigenphase_steps(phases: np.ndarray) -> tuple[np.ndarray, float]:
-    """Increments of a path in U(n), n <= 2, read from its step eigenphases
-    (:func:`symporder.paths.unitary_step_phases`): each step's sum, and the
-    largest |eigenphase|."""
-    return phases.sum(axis=-1), float(np.abs(phases).max())
-
-
-def _lift(path: SampledPath, steps, first=None) -> MaslovResult:
-    """Lift of the increments ``steps(path)``, an (increments, largest step)
-    pair, ``first`` where that of ``path`` was read already.
+def _lift(path: SampledPath, steps) -> MaslovResult:
+    """Lift of ``steps(path)``, an (increments, largest step) pair.
 
     A largest step within ``STEP_GUARD`` of pi doubles the grid
     (interpolating with local generators), up to ``REFINEMENT_CAP`` samples.
@@ -129,7 +118,7 @@ def _lift(path: SampledPath, steps, first=None) -> MaslovResult:
     """
     previous = None
     refinements = 0
-    incs, max_step = steps(path) if first is None else first
+    incs, max_step = steps(path)
     while True:
         if previous is not None and max_step > REFINE_SHRINK * previous:
             raise ResolutionError(
@@ -150,22 +139,21 @@ def _lift(path: SampledPath, steps, first=None) -> MaslovResult:
         incs, max_step = steps(path)
 
 
-def _winding(path: SampledPath, phases: np.ndarray | None) -> MaslovResult:
-    """:func:`maslov_index` of a path whose step eigenphases
-    (:func:`symporder.paths.unitary_step_phases`) are ``phases``: their lift,
-    each refined grid read the same way, or for None the lift of arg det of
-    the unitary polar factor."""
-    if phases is None:
+def _winding(path: SampledPath, steps: tuple | None) -> MaslovResult:
+    """:func:`maslov_index` of a path whose
+    :func:`symporder.paths.unitary_step_phases` are ``steps``: the sum of
+    the phases, or for None the lift of arg det of the unitary polar factor."""
+    if steps is None:
         return _lift(path, lambda p: _phase_steps(_unitary_factor_phase(p.matrices)))
-    return _lift(path, lambda p: _eigenphase_steps(step_eigenphases(p.matrices)),
-                 _eigenphase_steps(phases))
+    incs = steps[0].sum(axis=-1)
+    return MaslovResult(float(incs.sum()), incs, steps[1], 0, path.n_samples)
 
 
 def maslov_index(path: SampledPath) -> MaslovResult:
-    """Winding of arg det of the unitary polar factor along X, lifted by
-    :func:`_lift`: on a path in U(n), n <= 2, the sum of its step
-    eigenphases, whose largest |value| the guard reads; on any other path
-    the steps of arg det of its unitary polar factor."""
+    """Winding of arg det of the unitary polar factor along X: on a path in
+    U(n), n <= 2, the sum of its step eigenphases, unrefined; on any other
+    path the steps of arg det of its unitary polar factor, lifted by
+    :func:`_lift`."""
     return _winding(path, unitary_step_phases(path))
 
 
@@ -210,7 +198,7 @@ def maslov_via_trace(path: SampledPath) -> float:
     finite-difference extraction plus trapezoid quadrature, so it converges
     at second order and shares no code path with :func:`maslov_index`.
     """
-    if not commutes_with_j(path.matrices):
+    if not is_unitary(path):
         raise InputError("trace route requires a unitary path "
                          "(samples must commute with J)")
     traces = 0.5 * np.trace(extract_hamiltonian(path), axis1=-2, axis2=-1)
@@ -221,17 +209,16 @@ def homogenize(path: SampledPath, k_max: int) -> np.ndarray:
     """Sequence maslov(X^k)/k for k = 1..k_max, which tends to the
     homogenized winding that :func:`symporder.growth.mu_tilde` reads exactly.
 
-    On a path whose samples commute with J (the endpoint tested first),
-    det(X^k) = det(X)^k, so maslov(X^k) = k maslov(X) and every entry is
-    maslov(X).  Any other path winds each power path X^k, lifted by
-    :func:`_lift` on the grid of X, whose local generators resolve where
-    those of X^k may not.  A step of X^k is read modulo 2 pi, so such a
-    value misses by whole turns, with no error, where X^k turns by more
-    than pi between samples while X turns little (ROADMAP item 4).
+    On a path in U(n) (:func:`symporder.paths.is_unitary`), det(X^k) =
+    det(X)^k, so every entry is maslov(X).  Any other path winds each power
+    path X^k, lifted by :func:`_lift` on the grid of X, whose local
+    generators resolve where those of X^k may not.  A step of X^k is read
+    modulo 2 pi, so such a value misses by whole turns, with no error, where
+    X^k turns by more than pi per step while X turns little (ROADMAP item 4).
     """
     if integer(k_max, "k_max") < 1:
         raise InputError("k_max must be at least 1")
-    if commutes_with_j(path.matrices[-1]) and commutes_with_j(path.matrices):
+    if is_unitary(path):
         return np.full(k_max, maslov_index(path).value)
     return np.array([
         _lift(path, lambda p: _phase_steps(

@@ -27,13 +27,16 @@ Integer powers of samples and of generator-carrying staircase atoms share one
 repeated-squaring routine, :func:`binary_powers`, which forms several powers
 of one base from a single pass of squarings.
 
-A path in U(n), n <= 2 (its samples commute with J, the endpoint tested
-first), takes no finite differences: :func:`unitary_step_phases` reads the
-eigenphases theta of each step U_{k+1} U_k^H in closed form
-(:func:`symporder.matrices.step_eigenphases`), and theta / dt is the
-generator of the one-parameter interpolant through the two samples, for the
-midpoint integrator's paths its own path.  Its margin is min theta / dt
-(:func:`min_generator_eigenvalue`, :func:`classify_cone`, :func:`order_leq`).
+A path in U(n) has samples that commute with J (:func:`is_unitary`).  Up to
+n = 2 it takes no finite differences: :func:`unitary_step_phases` reads the
+eigenphases theta of each step U_{k+1} U_k^H in closed form, and theta / dt
+is the generator of the one-parameter interpolant through the two samples,
+for the midpoint integrator's paths its own path.  Its margin is min theta /
+dt (:func:`min_generator_eigenvalue`, :func:`classify_cone`,
+:func:`order_leq`) and its winding the sum of the phases.  A step within
+``STEP_GUARD`` of pi, where a phase aliases, is refused for both, never
+refined: a finite difference of unitary samples reads at most about 1 / dt,
+so a doubling moves the midpoint by at most about 0.5 rad.
 
 On any other path cone membership is decided two ways.  A yes/no verdict
 comes from one Cholesky factorization of the whole shifted generator stack,
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, InputError, integer
+from .errors import ComputationError, InputError, ResolutionError, integer
 from .matrices import (DEFAULT_TOL, STEP_PHASE_MAX_N, _by_entry_map, _check_even_dim,
                        commutes_with_j, is_symplectic, matrix_exp, standard_j,
                        step_eigenphases, symplectic_defect, symplectic_inverse)
@@ -60,8 +63,10 @@ from .matrices import (DEFAULT_TOL, STEP_PHASE_MAX_N, _by_entry_map, _check_even
 # the cone test uses a comfortably wider dead band than the structural checks.
 CONE_TOL = 1e-6
 # The sample cap of a refined winding (``maslov``), kept here so that the
-# command line's parser, which reads it, loads no module beyond ``paths``.
+# command line's parser, which reads it, loads no module beyond ``paths``;
+# a step this close to pi, the aliasing boundary, is refused or refined.
 REFINEMENT_CAP = 2 ** 16
+STEP_GUARD = 1e-2
 DEFAULT_SAMPLES = 256
 MIN_SAMPLES_ORDER4 = 7
 
@@ -378,23 +383,32 @@ def _plane_stack(n_samples: int, n: int, planes: dict) -> np.ndarray:
     return mats
 
 
-def unitary_step_phases(path: SampledPath) -> np.ndarray | None:
+def is_unitary(path: SampledPath) -> bool:
+    """Whether every sample commutes with J, the endpoint tested first."""
+    return commutes_with_j(path.matrices[-1]) and commutes_with_j(path.matrices)
+
+
+def unitary_step_phases(path: SampledPath) -> tuple[np.ndarray, float] | None:
     """Step eigenphases (:func:`symporder.matrices.step_eigenphases`) of a
-    path in U(n), n <= ``STEP_PHASE_MAX_N``: one whose samples commute with
-    J, the endpoint tested first.  None for any other path."""
-    if (path.half_dim > STEP_PHASE_MAX_N or not commutes_with_j(path.matrices[-1])
-            or not commutes_with_j(path.matrices)):
+    path in U(n), n <= ``STEP_PHASE_MAX_N``, and their largest |value|, or
+    None off it; a value within ``STEP_GUARD`` of pi is a ResolutionError."""
+    if path.half_dim > STEP_PHASE_MAX_N or not is_unitary(path):
         return None
-    return step_eigenphases(path.matrices)
+    phases = step_eigenphases(path.matrices)
+    largest = float(np.abs(phases).max())
+    if largest >= np.pi - STEP_GUARD:
+        raise ResolutionError(f"a step eigenphase of {largest:.4f} rad on {path.n_samples} "
+                              f"samples in U({path.half_dim}) is within {STEP_GUARD} of pi; "
+                              "the samples cannot resolve the path")
+    return phases, largest
 
 
-def _generator_margin(path: SampledPath, phases: np.ndarray | None) -> float:
-    """Least generator eigenvalue of a path whose step eigenphases are
-    ``phases``: min theta / dt over the steps, or, for None, over the
-    finite-difference track."""
-    if phases is None:
+def _generator_margin(path: SampledPath, steps: tuple | None) -> float:
+    """Least generator eigenvalue of a path whose :func:`unitary_step_phases`
+    are ``steps``: min theta / dt, or for None that of the finite-difference track."""
+    if steps is None:
         return float(np.linalg.eigvalsh(extract_hamiltonian(path)).min())
-    return float((phases[:, 0] / np.diff(path.times)).min())
+    return float((steps[0][:, 0] / np.diff(path.times)).min())
 
 
 def min_generator_eigenvalue(path: SampledPath) -> float:

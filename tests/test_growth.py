@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from counting import count_calls
 from test_group_law import (_canonical_staircase, _dominant_path, _endpoint_certified,
                             _endpoint_staircase, _eigvalsh_staircase)
 
@@ -11,7 +12,7 @@ from symporder import generators as gen
 from symporder import acceptance, growth, maslov, paths
 from symporder.errors import ComputationError, InputError
 from symporder.growth import mu_tilde
-from symporder.matrices import commutes_with_j, positive_definite
+from symporder.matrices import positive_definite
 from symporder.paths import pointwise_power
 
 
@@ -409,17 +410,36 @@ def test_a_pair_in_u2_extracts_no_generator_track(monkeypatch):
 
 
 def test_growth_estimate_tests_each_path_for_unitarity_once(loops, monkeypatch):
-    # the staircase tests the aligned pair and hands its windings back
-    calls = []
+    # counted over every binding of the kernels: the dominance check reads
+    # each unitary path, and the staircase takes what it read for a path
+    # whose grid does not move
+    tests = count_calls(monkeypatch, "commutes_with_j")
+    reads = count_calls(monkeypatch, "step_eigenphases")
 
-    def counted(mats):
-        calls.append(mats.shape)
-        return commutes_with_j(mats)
+    def counted(call, *args, **kwargs):
+        """The result, the full-stack J-commutation tests and the eigenphase reads of one call."""
+        tests.clear()
+        reads.clear()
+        result = call(*args, **kwargs)
+        return result, [shape for shape in tests if len(shape) == 3], list(reads)
 
-    monkeypatch.setattr(growth, "commutes_with_j", counted)
-    est = growth.growth_estimate(*loops, ns=(1, 2, 4))
+    for pair, shape in ((loops, (513, 2, 2)), (_power_pair(3, 257, 1.5), (257, 4, 4))):
+        est, stacks, phases = counted(growth.growth_estimate, *pair, ns=(1, 2, 4))
+        assert est.certificates == ("endpoint",) * 3
+        assert stacks == phases == [shape] * 2
+    # paths that align_grids moves are read again, on the common grid
+    est, stacks, phases = counted(growth.growth_estimate, loops[0], gen.rotation_loop(2, 257),
+                                  ns=(1, 2, 4))
     assert est.gamma_ns == (2, 4, 8) and est.closed_form == pytest.approx(2.0, abs=1e-7)
-    assert calls == [(513, 2, 2)] * 2
+    assert stacks == phases == [(513, 2, 2)] + [(257, 2, 2)] * 3
+    # off U(1) each endpoint refuses its path before any full-stack test
+    x = maslov.positive_path_to(np.diag([2.0, 0.5]), 257)
+    est, stacks, phases = counted(growth.growth_estimate, x, pointwise_power(x, 2), ns=(1, 2))
+    assert est.certificates == ("canonical",) * 2 and tests and stacks == phases == []
+    # the staircase alone reads the benchmark's pair once each
+    gamma, stacks, phases = counted(growth.gamma_n_bruteforce, *_power_pair(3, 2049, BENCH_R),
+                                    64, 128)
+    assert gamma == 98 and stacks == phases == [(2049, 4, 4)] * 2
 
 
 def test_growth_estimate_takes_no_homogenized_winding_with_p_max(monkeypatch):
@@ -675,7 +695,7 @@ def test_the_default_range_of_a_unitary_pair_is_one_scan_of_two_windings(monkeyp
     assert staircase.call_count == 1 and homogenized.call_count == 0
     # each winding reads the step eigenphases of X's dominance check or Y's
     assert [call.args[0].n_samples for call in windings.call_args_list] == [513, 513]
-    assert all(call.args[1].shape == (512, 2) for call in windings.call_args_list)
+    assert all(call.args[1][0].shape == (512, 2) for call in windings.call_args_list)
 
 
 def _unitary_pair(seed: int, source: str):

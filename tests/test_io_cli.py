@@ -688,13 +688,25 @@ def test_cli_file_errors_quote_a_long_name_or_value_by_its_head_and_length(tmp_p
 
 
 def test_cli_refuses_a_winding_its_samples_cannot_decide(tmp_path, capsys):
-    # steps of pi +- 0.005 in one plane creep on refining instead of halving
-    name = str(tmp_path / "coarse.json")
+    # steps of pi +- 0.005 in one plane: off U(1) they creep on refining
+    # instead of halving; in U(1) every command that reads the path refuses
+    # them unrefined, where an unguarded margin reads -25.09 and +25.09
+    name, still = str(tmp_path / "coarse.json"), str(tmp_path / "still.json")
+    stretch = np.diag([1.2, 1 / 1.2])
     for angle in (8 * (np.pi + 0.005), 8 * (np.pi - 0.005)):
-        io.save_path(gen.rotation_path(angle, 9), name)
+        path = gen.rotation_path(angle, 9)
+        io.save_path(paths.SampledPath(path.times, stretch @ path.matrices @ np.linalg.inv(stretch)),
+                     name)
         assert run_cli(["maslov", name], capsys) == (
-            2, "", "error: refining to 17 samples left the largest winding step at 3.1341 "
-                   "rad (from 3.1366); the samples cannot resolve the winding\n")
+            2, "", "error: refining to 17 samples left the largest winding step at 3.1336 "
+                   "rad (from 3.1363); the samples cannot resolve the winding\n")
+        io.save_path(path, name)
+        io.save_path(paths.pointwise_power(path, 0), still)
+        for args in (["maslov", name], ["cone", name], ["order", name, still],
+                     ["gamma", name, name], ["kdist", name, name], ["zcoord", name]):
+            assert run_cli(args, capsys) == (
+                2, "", "error: a step eigenphase of 3.1366 rad on 9 samples in U(1) is within "
+                       "0.01 of pi; the samples cannot resolve the path\n"), args
 
 
 def test_cli_gamma_with_csv(tmp_path, capsys):

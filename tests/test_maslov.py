@@ -69,6 +69,13 @@ def _spiky_unitary_path(n_samples=65, modes=1):
     return gen.diagonal_unitary_path(np.repeat(theta / modes, modes, axis=1), t)
 
 
+def _stretched(path: paths.SampledPath) -> paths.SampledPath:
+    """``path`` conjugated by diag(1.2, 1 / 1.2): off U(1), so its winding
+    takes the determinant route, which refines."""
+    p = np.diag([1.2, 1 / 1.2])
+    return paths.SampledPath(path.times, p @ path.matrices @ np.linalg.inv(p))
+
+
 def test_refinement_resolves_fast_smooth_segments():
     # split over 4 planes, each plane turns by at most pi/4 per step, which
     # the local generators resolve: one level halves the largest step
@@ -77,25 +84,68 @@ def test_refinement_resolves_fast_smooth_segments():
     assert result.value == pytest.approx(0.0, abs=1e-9)
     assert len(result.per_step_increments) == 128
     assert (result.refinements, result.n_samples) == (1, 129)
-    # in one plane each step is near pi, where a central difference reads
-    # about sin(step) / dt: refinement creeps (3.1365 -> 3.1321) and is refused
-    with pytest.raises(ResolutionError, match=r"129 samples .* 3\.1321 rad \(from 3\.1365\)"):
-        maslov.maslov_index(_spiky_unitary_path())
+    # in one plane, off U(1), each step is near pi, where a central
+    # difference reads about sin(step) / dt: refinement creeps (3.1364 -> 3.1319) and is refused
+    with pytest.raises(ResolutionError, match=r"129 samples .* 3\.1319 rad \(from 3\.1364\)"):
+        maslov.maslov_index(_stretched(_spiky_unitary_path()))
 
 
 def test_refinement_cap_raises(monkeypatch):
     monkeypatch.setattr(maslov, "REFINEMENT_CAP", 80)
-    with pytest.raises(ResolutionError):
-        maslov.maslov_index(_spiky_unitary_path())
+    with pytest.raises(ResolutionError, match=r"3\.136 rad at 65 samples \(cap 80\)$"):
+        maslov.maslov_index(_stretched(_spiky_unitary_path()))
 
 
 def test_a_refinement_that_does_not_shrink_the_step_raises():
-    # 8 (pi +- 0.005) over 8 steps: the largest step creeps 3.1366 -> 3.1341
-    # on refining; unrefused, pi + 0.005 wound -25.09 where the path winds
-    # +25.17
+    # 8 (pi +- 0.005) over 8 steps, off U(1): the largest step creeps
+    # 3.1363 -> 3.1336 on refining; unrefused, pi + 0.005 wound -25.09 where
+    # the path winds +25.17
     for angle in (8 * (np.pi + 0.005), 8 * (np.pi - 0.005)):
-        with pytest.raises(ResolutionError, match=r"17 samples .* 3\.1341 rad \(from 3\.1366\)"):
-            maslov.maslov_index(gen.rotation_path(angle, 9))
+        with pytest.raises(ResolutionError, match=r"17 samples .* 3\.1336 rad \(from 3\.1363\)"):
+            maslov.maslov_index(_stretched(gen.rotation_path(angle, 9)))
+
+
+def test_every_reading_of_a_guard_band_unitary_path_refuses_it():
+    # in U(1) a step of pi +- 0.005 reads as the phase -+(pi - 0.005), so an
+    # unguarded margin reads -25.09 (negative) for pi + 0.005 and +25.09
+    # (dominant) for pi - 0.005; every reading refuses the samples, unrefined
+    guard = (r"^a step eigenphase of 3\.1366 rad on 9 samples in U\(1\) is within 0\.01 "
+             r"of pi; the samples cannot resolve the path$")
+    for angle in (8 * (np.pi + 0.005), 8 * (np.pi - 0.005)):
+        x = gen.rotation_path(angle, 9)
+        for call in (maslov.maslov_index, paths.classify_cone, paths.min_generator_eigenvalue,
+                     lambda x: paths.order_leq(paths.pointwise_power(x, 0), x),
+                     growth.z_coordinate, lambda x: growth.gamma_n_bruteforce(x, x, 1, 4)):
+            with pytest.raises(ResolutionError, match=guard):
+                call(x)
+
+
+def _guard_band_path(seed: int, n: int, n_samples: int) -> paths.SampledPath:
+    """A path in U(n) with random steps of up to 3.13 rad per eigenphase, one
+    of which, at a random step, is pi + delta with |delta| < 0.01."""
+    rng = np.random.default_rng(seed)
+    incs = rng.uniform(-1.0, 1.0, size=(n_samples - 1, n)) * rng.choice([0.1, 1.0, 3.13])
+    incs[rng.integers(n_samples - 1), rng.integers(n)] = rng.choice([-1, 1]) * (
+        np.pi + rng.uniform(-0.0099, 0.0099))
+    t = gen.uniform_times(n_samples)
+    x = gen.diagonal_unitary_path(np.vstack([np.zeros(n), np.cumsum(incs, axis=0)]), t)
+    w = matrices.complex_to_real(gen.random_unitary_matrix(n, rng))
+    return paths.SampledPath(t, w @ x.matrices @ w.T)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2]), st.integers(3, 40))
+def test_one_refinement_leaves_a_guard_band_step_of_a_unitary_path(seed, n, n_samples):
+    # why U(n), n <= 2, paths are refused rather than refined: a central
+    # difference of unitary samples reads a generator of at most about
+    # 1 / dt, so the midpoint moves by at most about 0.5 rad and the largest
+    # step eigenphase stays above REFINE_SHRINK times the coarse one
+    x = _guard_band_path(seed, n, n_samples)
+    coarse = np.abs(matrices.step_eigenphases(x.matrices)).max()
+    fine = np.abs(matrices.step_eigenphases(paths.refine(x).matrices)).max()
+    assert coarse >= np.pi - paths.STEP_GUARD and fine > maslov.REFINE_SHRINK * coarse
+    with pytest.raises(ResolutionError):
+        paths.classify_cone(x)
 
 
 def test_genuinely_undersampled_loop_raises_instead_of_guessing():
